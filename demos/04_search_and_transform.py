@@ -31,7 +31,7 @@ print()
 # division, and keeps candidates that pass the full criterion.
 # ----------------------------------------------------------------------------
 budget = 2048 if "--full" in sys.argv else 64
-result = search_spieghiamolo(example81_template(), budget=budget, seed=0)
+result = search_spieghiamolo(example81_template(), budget=budget)
 print(f"search tried {result.tried} candidates, certified {len(result.hits)} bundles")
 for spec, cert in result.hits[:5]:
     print("   bc =", poly_print(spec.sections["bc"]))

@@ -30,14 +30,12 @@ from dataclasses import dataclass, field
 
 from .conic import (
     BASE_VARS,
-    FIBER_VARS,
     OFF_DIAGONAL,
     ConicBundleSpec,
     FiberType,
     ProjPoint,
-    chart_equation,
     classify_fiber,
-    cross_singular_point,
+    cross_splitting_form,
     discriminant,
     flatness_check,
     section_values,
@@ -55,10 +53,11 @@ from .geom import (
     BezoutMismatch,
     CommonComponent,
     PositiveDimensional,
+    cross_node,
     enumerate_plane_points,
     gradient_at,
     intersection_points,
-    ordinary_node_check,
+    plane_monomials,
     singular_points,
     smooth_along_fiber,
     solve_system,
@@ -294,7 +293,6 @@ def nonproduct_witness(
         raise ValueError("component lies inside the double-line locus; fibers are not crosses")
 
     base = spec.ctx
-    diag_keys = {0: "aa", 1: "bb", 2: "cc"}
     e = 1
     while base.k * e <= min(witness_bound, k_max, 64):
         ctx = field_new(base.k * e)
@@ -303,17 +301,14 @@ def nonproduct_witness(
                 continue
             if all(v == 0 for v in gradient_at(component, p)):
                 continue
-            v = section_values(spec, p)
-            n = (v["bc"], v["ac"], v["ab"])
-            if all(c == 0 for c in n):
+            split = cross_splitting_form(section_values(spec, p))
+            if split is None:
                 continue
-            ell = next(i for i, c in enumerate(n) if c)
-            i, j = [k for k in range(3) if k != ell]
-            qi, qj = v[diag_keys[i]], v[diag_keys[j]]
+            _, _, (qi, nl, qj) = split
             if qi == 0:
                 continue  # splitting form has a rational root: lines split
             # q_i T^2 + n_ell T + q_j irreducible iff Tr(q_i q_j / n_ell^2) = 1
-            c = ctx.mul(ctx.mul(qi, qj), ctx.inv(ctx.sq(n[ell])))
+            c = ctx.mul(ctx.mul(qi, qj), ctx.inv(ctx.sq(nl)))
             if ctx.trace(c) == 1:
                 return p
         e += 1
@@ -562,23 +557,11 @@ def surface_criterion(
                     all_cross = False
                     h3_details.append(f"fiber over {p!r} is {ftype}, not a cross")
                     continue
-                n = cross_singular_point(spec, p)
-                w = BASE_VARS[next(k for k, c in enumerate(p.coords) if c)]
-                vfib = FIBER_VARS[next(k for k, c in enumerate(n.coords) if c)]
-                ce = chart_equation(spec, w, vfib)
-                wi = BASE_VARS.index(w)
-                vi = FIBER_VARS.index(vfib)
-                sb = p.ctx.inv(p.coords[wi])
-                sf = n.ctx.inv(n.coords[vi])
-                affine = tuple(
-                    [p.ctx.mul(c, sb) for k, c in enumerate(p.coords) if k != wi]
-                    + [n.ctx.mul(c, sf) for k, c in enumerate(n.coords) if k != vi]
-                )
-                ok = ordinary_node_check(ce.equation, affine, p.ctx)
+                chart, n, ok = cross_node(spec, p)
                 nodes.append(
                     {
                         "point": p.serialize(),
-                        "chart": [w, vfib],
+                        "chart": list(chart),
                         "fiber_singular_point": n.serialize(),
                         "ordinary_node": ok,
                     }
@@ -706,17 +689,10 @@ class SearchResult:
     exhausted_budget: bool
 
 
-def _monomials(degree: int):
-    for ex in range(degree, -1, -1):
-        for ey in range(degree - ex, -1, -1):
-            yield (ex, ey, degree - ex - ey)
-
-
 def search_spieghiamolo(
     template: SearchTemplate,
     target_components: tuple[Poly, ...] | None = None,
     budget: int = 2048,
-    seed: int = 0,
     k_max: int = 24,
 ) -> SearchResult:
     """Enumerate free entries (low weight first), filter, certify survivors.
@@ -736,7 +712,7 @@ def search_spieghiamolo(
     for c in template.target_components:
         target = target * c
     free_residual_degree = template.free_degree - template.congruence_modulus.total_degree()
-    monos = list(_monomials(free_residual_degree))
+    monos = list(plane_monomials(free_residual_degree))
     hits = []
     tried = 0
     exhausted = False
@@ -809,7 +785,7 @@ def complete_diagonal(
         d = diag_degrees[key]
         if d < 0:
             continue
-        for mono in _monomials(d):
+        for mono in plane_monomials(d):
             unknowns.append((key, mono))
     rows: dict = {}
 

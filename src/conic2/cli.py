@@ -9,7 +9,7 @@ Subcommands:
   run the surface criterion and print the verdict table.
 - ``conic2 verify --corpus``: run every bundled example against its expected
   profile (the embedded corpus is also shipped as JSON files).
-- ``conic2 search [--budget N] [--seed N] [--out hits.json]``: the guided
+- ``conic2 search [--budget N] [--cert-out hits.json]``: the guided
   example search on the zero-corner template.
 
 Exit codes: 0 = all checks pass, 1 = checks ran and failed, 2 = input
@@ -168,7 +168,7 @@ def _verify_corpus(args) -> int:
 
 def cmd_search(args) -> int:
     template = example81_template()
-    result = search_spieghiamolo(template, budget=args.budget, seed=args.seed, k_max=args.k_max)
+    result = search_spieghiamolo(template, budget=args.budget, k_max=args.k_max)
     print(f"tried {result.tried} candidates; {len(result.hits)} certified hits"
           + ("; budget exhausted" if result.exhausted_budget else ""))
     payload = []
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="guided example search (zero-corner template)")
     p.add_argument("--budget", type=int, default=2048, help="max candidates to enumerate")
-    p.add_argument("--seed", type=int, default=0, help="seed (recorded; the default search is exhaustive)")
     p.add_argument("--k-max", type=int, default=24, dest="k_max")
     p.add_argument("--cert-out", dest="cert_out", help="write discovered specs here")
     p.set_defaults(func=cmd_search)

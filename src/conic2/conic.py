@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 from .gf2k import FieldCtx, FieldElem, elem_parse, elem_str, embed_bits, field_new
@@ -40,6 +41,7 @@ BASE_VARS = ("x", "y", "z")
 FIBER_VARS = ("a", "b", "c")
 SECTION_KEYS = ("aa", "ab", "ac", "bb", "bc", "cc")
 OFF_DIAGONAL = ("ab", "ac", "bc")
+DIAGONAL = ("aa", "bb", "cc")
 
 
 class DegreeMismatch(ValueError):
@@ -105,10 +107,7 @@ class ProjPoint:
         if len(parts) != 3:
             raise ValueError(f"a point literal needs three ':'-separated parts: {text!r}")
         elems = [elem_parse(p) for p in parts]
-        k = 1
-        for e in elems:
-            k = k * e.ctx.k // _gcd(k, e.ctx.k)
-        target = ctx if ctx is not None else field_new(k)
+        target = ctx if ctx is not None else field_new(math.lcm(*(e.ctx.k for e in elems)))
         bits = tuple(embed_bits(e.ctx, target, e.bits) for e in elems)
         return ProjPoint(target, bits)
 
@@ -128,7 +127,7 @@ class ProjPoint:
             return NotImplemented
         if other.ctx is self.ctx:
             return other.coords == self.coords
-        k = _lcm(self.ctx.k, other.ctx.k)
+        k = math.lcm(self.ctx.k, other.ctx.k)
         if k > 64:
             return False
         common = field_new(k)
@@ -140,16 +139,6 @@ class ProjPoint:
 
     def __repr__(self) -> str:
         return "[" + ":".join(self.serialize()) + "]"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -251,17 +240,31 @@ def classify_fiber(spec: ConicBundleSpec, p: ProjPoint) -> FiberType:
     return FiberType.SMOOTH
 
 
-def cross_singular_point(spec: ConicBundleSpec, p: ProjPoint) -> ProjPoint:
-    """The unique singular point of a cross fiber, in fiber coordinates.
+def cross_splitting_form(v: dict):
+    """Radical and line splitting form of the conic with section values v.
 
-    The radical of the fiber's bilinear form is spanned by
-    (s_bc, s_ac, s_ab)(p), which lies on the conic exactly when Delta(p) = 0.
+    The radical of the conic's bilinear form is spanned by
+    n = (s_bc, s_ac, s_ab), which lies on the conic exactly when Delta = 0.
+    With ell the first index where n is nonzero and (i, j) the other two,
+    the conic restricted to w_ell = 0 is q_i w_i^2 + n_ell w_i w_j + q_j w_j^2,
+    so the lines of a cross are spanned by n and the roots [w_i : w_j] of
+    the splitting form q_i T^2 + n_ell T + q_j.  Returns
+    (n, (i, j), (q_i, n_ell, q_j)), or None when n = 0 (a double line).
     """
-    v = section_values(spec, p)
-    coords = (v["bc"], v["ac"], v["ab"])
-    if all(c == 0 for c in coords):
+    n = (v["bc"], v["ac"], v["ab"])
+    ell = next((k for k, c in enumerate(n) if c), None)
+    if ell is None:
+        return None
+    i, j = [k for k in range(3) if k != ell]
+    return n, (i, j), (v[DIAGONAL[i]], n[ell], v[DIAGONAL[j]])
+
+
+def cross_singular_point(spec: ConicBundleSpec, p: ProjPoint) -> ProjPoint:
+    """The unique singular point of a cross fiber, in fiber coordinates."""
+    split = cross_splitting_form(section_values(spec, p))
+    if split is None:
         raise ValueError("fiber is a double line; the singular locus is a whole line")
-    return ProjPoint(p.ctx, coords)
+    return ProjPoint(p.ctx, split[0])
 
 
 _FIBER_MONO = {

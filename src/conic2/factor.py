@@ -244,20 +244,6 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
     return result.monic()
 
 
-def gcd_many(polys: list[Poly]) -> Poly:
-    """Fold gcd_bivariate over nonzero inputs."""
-    acc: Poly | None = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        acc = p.monic() if acc is None else gcd_bivariate(acc, p)
-        if acc.is_constant():
-            return acc
-    if acc is None:
-        raise ValueError("gcd of an all-zero family")
-    return acc
-
-
 # -- homogeneous trivariate gcd and squarefreeness -----------------------------
 
 

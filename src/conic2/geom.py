@@ -20,6 +20,7 @@ coefficient field; gcds of forms are stable under field extension.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import _dense
@@ -29,7 +30,10 @@ from .conic import (
     ConicBundleSpec,
     FiberType,
     ProjPoint,
+    chart_equation,
     classify_fiber,
+    cross_singular_point,
+    cross_splitting_form,
     fiber_form_on_chart,
     section_values,
 )
@@ -195,7 +199,7 @@ def _direction_eliminant(polys: list[Poly], ctx: FieldCtx) -> Poly:
                 f, g = g, f
                 df, dg = dg, df
             gap = df - dg
-            for mono in _monomials_of_degree(gap):
+            for mono in plane_monomials(gap):
                 h = f + g * Poly.from_terms(f.ctx, f.vars, [(mono, 1)])
                 if h.is_zero():
                     continue
@@ -223,7 +227,8 @@ def _direction_eliminant(polys: list[Poly], ctx: FieldCtx) -> Poly:
     return acc
 
 
-def _monomials_of_degree(d: int):
+def plane_monomials(d: int):
+    """Exponent vectors of the degree-d monomials in x, y, z, x-heaviest first."""
     for ex in range(d, -1, -1):
         for ey in range(d - ex, -1, -1):
             yield (ex, ey, d - ex - ey)
@@ -296,7 +301,7 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
             for coeffs, _m in hfac:
                 e = _dense.deg(coeffs)
                 degrees.append(e)
-                e_star = e_star * e // _gcd_int(e_star, e)
+                e_star = math.lcm(e_star, e)
             K = ctx.k * d * e_star
             if K > bound:
                 raise ExtensionBound(
@@ -325,12 +330,6 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
             raise AssertionError("solver produced a non-solution")
     points.sort(key=lambda p: p.sort_key())
     return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))))
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- plane-curve geometry -----------------------------------------------------
@@ -418,13 +417,8 @@ def _fiber_lines(spec: ConicBundleSpec, p: ProjPoint, ftype: FiberType):
             w[i] = ctx.mul(lam[j], inv)
             basis.append(tuple(w))
         return [(ctx, basis[0], basis[1])]
-    # cross: radical direction n, complement pair (i, j)
-    n = (v["bc"], v["ac"], v["ab"])
-    ell = next(k for k, c in enumerate(n) if c)
-    i, j = [k for k in range(3) if k != ell]
-    keys = {0: "aa", 1: "bb", 2: "cc"}
-    qi, qj, bij = v[keys[i]], v[keys[j]], n[ell]
-    # splitting form qi*T^2 + bij*T + qj for the line directions through n
+    n, (i, j), (qi, bij, qj) = cross_splitting_form(v)
+    # line directions through n: roots of the splitting form qi*T^2 + bij*T + qj
     lines = []
     root_data: list[tuple[FieldCtx, tuple[int, int]]] = []
     roots = _dense.roots(ctx, _dense.trim([qj, bij, qi]))
@@ -497,9 +491,7 @@ def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
         if p.coords[w_idx] == 0:
             continue
         scale = p.ctx.inv(p.coords[w_idx])
-        base_vals = tuple(
-            p.ctx.mul(p.coords[k], scale) for k in range(3) if k != w_idx
-        )
+        base_vals = _drop(tuple(p.ctx.mul(c, scale) for c in p.coords), w_idx)
         # Chart fiber coordinates carry the line-bundle trivializations:
         # a_i on the chart is a_i * p_w^(e_i) in the normalized picture.
         twist = tuple(p.ctx.pow(p.coords[w_idx], e) for e in spec.degree_vector)
@@ -529,56 +521,48 @@ def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
     return True
 
 
+def _drop(coords: tuple, i: int) -> tuple:
+    """Affine chart coordinates of a point whose i-th coordinate is 1."""
+    return coords[:i] + coords[i + 1:]
+
+
+def cross_node(spec: ConicBundleSpec, p: ProjPoint) -> tuple[tuple[str, str], ProjPoint, bool]:
+    """Chart, fiber singular point n and ordinary-node verdict above a cross.
+
+    The chart is the one where the first nonzero coordinates of p and of n
+    are 1.  Both are normalized points, so those coordinates already equal 1
+    and the chart point is the remaining coordinates, unscaled.
+    """
+    n = cross_singular_point(spec, p)
+    wi = next(k for k, c in enumerate(p.coords) if c)
+    vi = next(k for k, c in enumerate(n.coords) if c)
+    ce = chart_equation(spec, BASE_VARS[wi], FIBER_VARS[vi])
+    ok = ordinary_node_check(ce.equation, _drop(p.coords, wi) + _drop(n.coords, vi), p.ctx)
+    return (BASE_VARS[wi], FIBER_VARS[vi]), n, ok
+
+
 def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
     """Nondegenerate quadratic part at a singular chart point.
 
     In characteristic 2 nondegeneracy of a 4-variable quadratic form is full
     rank of its alternating bilinear form B(u, w) = Q(u+w) + Q(u) + Q(w): any
     nonzero radical of B carries a zero of Q over a perfect field, i.e. a
-    singular point of the projectivized tangent cone.
+    singular point of the projectivized tangent cone.  For i != j the entry
+    B_ij is the coefficient of u_i*u_j in f(p + u), which is the mixed partial
+    d_i d_j f(p) in every characteristic; a 4x4 alternating matrix has full
+    rank exactly when its Pfaffian B01*B23 + B02*B13 + B03*B12 is nonzero.
     """
-    nvars = len(chart_eq.vars)
-    if nvars != 4:
+    names = chart_eq.vars
+    if len(names) != 4:
         raise ValueError("ordinary_node_check expects a 4-variable chart equation")
-    eq = chart_eq.embed_to(ctx_q)
-    shift = {
-        name: Poly.var(ctx_q, eq.vars, name) + Poly.const(ctx_q, eq.vars, point[i])
-        for i, name in enumerate(eq.vars)
-    }
-    local = substitute(eq, shift)
-    if local.constant_bits() != 0:
+    if chart_eq.eval_bits(ctx_q, point) != 0:
         raise NotSingularHere("the equation does not vanish at the point")
-    for m, c in local.terms.items():
-        if sum(m) == 1 and c != 0:
-            raise NotSingularHere("the gradient does not vanish at the point")
-    rows = [[0] * nvars for _ in range(nvars)]
-    for m, c in local.terms.items():
-        if sum(m) != 2:
-            continue
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 2:
-            i, j = support
-            rows[i][j] ^= c
-            rows[j][i] ^= c
-    return _rank(ctx_q, rows) == nvars
-
-
-def _rank(ctx: FieldCtx, rows: list[list[int]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(v, inv) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v ^ ctx.mul(f, w) for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    firsts = [partial_derivative(chart_eq, v) for v in names]
+    if any(d.eval_bits(ctx_q, point) for d in firsts):
+        raise NotSingularHere("the gradient does not vanish at the point")
+    b = {
+        (i, j): partial_derivative(firsts[i], names[j]).eval_bits(ctx_q, point)
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    mul = ctx_q.mul
+    return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0

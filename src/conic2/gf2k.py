@@ -130,33 +130,16 @@ def _gf2x_gcd(a: int, b: int) -> int:
     return a
 
 
-def _gf2x_mulmod(a: int, b: int, m: int, k: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> k) & 1:
-            a ^= m
-    return r
-
-
-def _is_irreducible_trial(m: int, k: int) -> bool:
-    # Trial division against every polynomial of degree <= k/2.
-    for d in range(1, k // 2 + 1):
-        for tail in range(1 << d):
-            g = (1 << d) | tail
-            if _gf2x_mod(m, g) == 0:
-                return False
-    return True
-
-
-def _is_irreducible_rabin(m: int, k: int) -> bool:
-    x = 2
+def _is_irreducible_rabin(ctx: "FieldCtx") -> bool:
+    """Rabin's test of the modulus m of degree k: t^(2^k) = t mod m, and
+    gcd(m, t^(2^(k/p)) - t) = 1 for every prime p dividing k."""
+    k, m = ctx.k, ctx.modulus
+    if _gf2x_deg(m) != k:
+        return False
+    x = _gf2x_mod(2, m)
     xq = x
     for _ in range(k):
-        xq = _gf2x_mulmod(xq, xq, m, k)
+        xq = ctx.sq(xq)
     if xq != x:
         return False
     for p in _SMALL_PRIMES:
@@ -165,7 +148,7 @@ def _is_irreducible_rabin(m: int, k: int) -> bool:
         if k % p == 0:
             h = x
             for _ in range(k // p):
-                h = _gf2x_mulmod(h, h, m, k)
+                h = ctx.sq(h)
             if _gf2x_gcd(m, h ^ x) != 1:
                 return False
     return True
@@ -187,16 +170,12 @@ class FieldCtx:
             raise TypeError("use field_new(k); contexts are interned")
         if not isinstance(k, int) or k < 1 or k > 64:
             raise UnsupportedDegree(f"extension degree {k!r} outside 1..64")
-        m = _MODULI[k]
-        # Trial division as specified where feasible; Rabin's criterion is an
-        # equivalent complete test and is used for large degrees.
-        ok = _is_irreducible_trial(m, k) if k <= 24 else _is_irreducible_rabin(m, k)
-        if not ok:  # pragma: no cover - table is fixed
-            raise AssertionError(f"modulus table entry for k={k} is not irreducible")
         self.k = k
         self.q = 1 << k
-        self.modulus = m
+        self.modulus = _MODULI[k]
         self._inv_cache: dict[int, int] = {}
+        if not _is_irreducible_rabin(self):  # pragma: no cover - table is fixed
+            raise AssertionError(f"modulus table entry for k={k} is not irreducible")
 
     # -- raw int operations -------------------------------------------------
 

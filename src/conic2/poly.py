@@ -288,14 +288,6 @@ class Poly:
 # -- spec operations ---------------------------------------------------------
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
 def exact_div(p: Poly, q: Poly) -> Poly:
     """Exact quotient p/q; raises NotDivisible when q does not divide p."""
     p._check(q)

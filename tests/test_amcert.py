@@ -259,7 +259,7 @@ def test_certificate_serializes_to_json(tmp_path):
 
 
 def test_search_smoke_budgeted():
-    result = search_spieghiamolo(example81_template(), budget=4, seed=0)
+    result = search_spieghiamolo(example81_template(), budget=4)
     assert result.tried == 4
     assert result.exhausted_budget
     assert result.hits

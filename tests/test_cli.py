@@ -100,7 +100,7 @@ def test_missing_file_exits_two(capsys):
 def test_search_smoke(capsys, tmp_path):
     out_path = tmp_path / "hits.json"
     code, out, _ = run(
-        capsys, "search", "--budget", "2", "--seed", "0", "--cert-out", str(out_path)
+        capsys, "search", "--budget", "2", "--cert-out", str(out_path)
     )
     assert code == 0
     assert "tried 2 candidates" in out
