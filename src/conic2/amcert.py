@@ -536,8 +536,8 @@ def surface_criterion(
     )
 
     # H3: pairwise intersections: transversal, cross fibers, ordinary nodes.
-    h3_pass = True
     h3_details: list[str] = []
+    h3_witnesses: list[ProjPoint] = []
     comps = [f for f, _ in factors]
     for i, j in itertools.combinations(range(len(comps)), 2):
         entry: dict = {"pair": [poly_print(comps[i]), poly_print(comps[j])]}
@@ -556,6 +556,7 @@ def surface_criterion(
                 if ftype is not FiberType.CROSS:
                     all_cross = False
                     h3_details.append(f"fiber over {p!r} is {ftype}, not a cross")
+                    h3_witnesses.append(p)
                     continue
                 chart, n, ok = cross_node(spec, p)
                 nodes.append(
@@ -569,24 +570,25 @@ def surface_criterion(
                 if not ok:
                     nodes_ok = False
                     h3_details.append(f"total space not an ordinary node above {p!r}")
+                    h3_witnesses.append(p)
             entry["all_cross"] = all_cross
             entry["nodes"] = nodes
             entry["nodes_ok"] = nodes_ok
-            if not (all_cross and nodes_ok):
-                h3_pass = False
         except (BezoutMismatch, CommonComponent) as exc:
             entry["error"] = str(exc)
-            h3_pass = False
             h3_details.append(
                 f"{poly_print(comps[i])} and {poly_print(comps[j])}: {exc}"
             )
+            if getattr(exc, "witness", None) is not None:
+                h3_witnesses.append(exc.witness)
         cert.intersections.append(entry)
     hyps["h3_transversal_crosses_nodes"] = HypothesisResult(
         "h3_transversal_crosses_nodes",
-        h3_pass,
+        not h3_details,
         "; ".join(h3_details)
         if h3_details
         else "all component pairs meet transversally in crosses with ordinary nodes",
+        _point_list(dict.fromkeys(h3_witnesses)),  # each point once, first seen first
     )
 
     # H4: at least two Artin-Mumford components.
@@ -607,20 +609,21 @@ def surface_criterion(
             "cannot be certified pointwise",
         )
     else:
-        h5_pass = True
         details5 = []
+        singular = []
         for p in sigma_points:
             smooth = smooth_along_fiber(spec, p)
             h5_entries.append({"point": p.serialize(), "smooth": smooth})
             if not smooth:
-                h5_pass = False
                 details5.append(f"total space singular along the fiber over {p!r}")
+                singular.append(p)
         hyps["h5_smooth_along_double_lines"] = HypothesisResult(
             "h5_smooth_along_double_lines",
-            h5_pass,
+            not details5,
             "; ".join(details5)
             if details5
             else f"smooth along all {len(sigma_points)} double-line fibers",
+            _point_list(singular),
         )
     cert.double_line_smoothness = h5_entries
 

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .gf2k import FieldCtx, FieldElem, elem_parse, elem_str, embed_bits, field_new
+from .gf2k import FieldCtx, FieldElem, elem_parse, elem_str, embed_bits, field_new, section_bits
 from .poly import (
     Poly,
     dehomogenize,
@@ -66,7 +66,7 @@ class ProjPoint:
     """A point of P^2 over some F_{2^k}, in normalized homogeneous coordinates.
 
     Coordinates are scaled so the first nonzero one equals 1; equality is
-    equality of normalized coordinates over a common field.
+    equality of normalized coordinates in the common subfield.
     """
 
     __slots__ = ("ctx", "coords")
@@ -127,11 +127,11 @@ class ProjPoint:
             return NotImplemented
         if other.ctx is self.ctx:
             return other.coords == self.coords
-        k = math.lcm(self.ctx.k, other.ctx.k)
-        if k > 64:
-            return False
-        common = field_new(k)
-        return self.embed_to(common).coords == other.embed_to(common).coords
+        # Equal normalized points have all coordinates in the common subfield.
+        common = field_new(math.gcd(self.ctx.k, other.ctx.k))
+        mine = [section_bits(common, self.ctx, c) for c in self.coords]
+        theirs = [section_bits(common, other.ctx, c) for c in other.coords]
+        return None not in mine and mine == theirs
 
     def __hash__(self) -> int:
         # Hash by rational data only; cross-field equality stays consistent.

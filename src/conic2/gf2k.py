@@ -2,11 +2,10 @@
 
 Elements are bit-vectors packed into Python ints: bit i is the coefficient
 of t^i in the polynomial-basis representation.  Each extension degree k has
-one fixed defining modulus (the lexicographically smallest irreducible
-polynomial of degree k over F_2), so serialized elements are reproducible
-across runs and machines.  Contexts are interned: ``field_new(k)`` always
-returns the same object, and elements of distinct contexts never mix except
-through :func:`embed`.
+one fixed irreducible defining modulus (the table ``_MODULI``), so
+serialized elements are reproducible across runs and machines.  Contexts are
+interned: ``field_new(k)`` always returns the same object, and elements of
+distinct contexts never mix except through :func:`embed`.
 
 Embeddings are canonical per (source, target) pair: the source generator is
 sent to the smallest root (as an integer) of the source modulus inside the
@@ -40,9 +39,12 @@ class DivisionByZero(ZeroDivisionError):
     """Inversion or division by the zero element."""
 
 
-# Lexicographically smallest irreducible polynomial of each degree over F_2,
-# as a bit-vector (bit i = coefficient of t^i).  Degree 1 uses t itself, so
-# F_2 elements are literally 0 and 1.
+# One irreducible polynomial of each degree k over F_2, as a bit-vector (bit i
+# = coefficient of t^i): the numerically smallest irreducible of degree k,
+# except for k = 26, 28, 30, 33, 36, 37 and 49, whose entries are other
+# irreducibles.  Entries never change, because they fix the serialized
+# F<2^k>: literals.  Degree 1 uses t itself, so F_2 elements are literally
+# 0 and 1.
 _MODULI = {
     1: 0x2,  # t
     2: 0x7,  # t^2+t+1
@@ -77,7 +79,7 @@ _MODULI = {
     31: 0x80000009,  # t^31+t^3+1
     32: 0x10000008D,  # t^32+t^7+t^3+t^2+1
     33: 0x200000401,  # t^33+t^10+1
-    34: 0x400000087,  # t^34+t^7+t^2+t+1
+    34: 0x40000001B,  # t^34+t^4+t^3+t+1
     35: 0x800000005,  # t^35+t^2+1
     36: 0x1000000201,  # t^36+t^9+1
     37: 0x2000000053,  # t^37+t^6+t^4+t+1
@@ -85,7 +87,7 @@ _MODULI = {
     39: 0x8000000011,  # t^39+t^4+1
     40: 0x10000000039,  # t^40+t^5+t^4+t^3+1
     41: 0x20000000009,  # t^41+t^3+1
-    42: 0x400000000C1,  # t^42+t^7+t^6+1
+    42: 0x40000000027,  # t^42+t^5+t^2+t+1
     43: 0x80000000059,  # t^43+t^6+t^4+t^3+1
     44: 0x100000000021,  # t^44+t^5+1
     45: 0x20000000001B,  # t^45+t^4+t^3+t+1
@@ -94,15 +96,15 @@ _MODULI = {
     48: 0x100000000002D,  # t^48+t^5+t^3+t^2+1
     49: 0x2000000000201,  # t^49+t^9+1
     50: 0x400000000001D,  # t^50+t^4+t^3+t^2+1
-    51: 0x8000000000004B,  # t^51+t^6+t^3+t+1
-    52: 0x100000000000009,  # t^52+t^3+1
-    53: 0x200000000000047,  # t^53+t^6+t^2+t+1
-    54: 0x400000000000201,  # t^54+t^9+1
-    55: 0x800000000000081,  # t^55+t^7+1
-    56: 0x1000000000000095,  # t^56+t^7+t^4+t^2+1
-    57: 0x2000000000000011,  # t^57+t^4+1
-    58: 0x4000000000000081,  # t^58+t^7+1
-    59: 0x80000000000000A1,  # t^59+t^7+t^5+1
+    51: 0x800000000004B,  # t^51+t^6+t^3+t+1
+    52: 0x10000000000009,  # t^52+t^3+1
+    53: 0x20000000000047,  # t^53+t^6+t^2+t+1
+    54: 0x4000000000007D,  # t^54+t^6+t^5+t^4+t^3+t^2+1
+    55: 0x80000000000047,  # t^55+t^6+t^2+t+1
+    56: 0x100000000000095,  # t^56+t^7+t^4+t^2+1
+    57: 0x200000000000011,  # t^57+t^4+1
+    58: 0x400000000000063,  # t^58+t^6+t^5+t+1
+    59: 0x80000000000007B,  # t^59+t^6+t^5+t^4+t^3+t+1
     60: 0x1000000000000003,  # t^60+t+1
     61: 0x2000000000000027,  # t^61+t^5+t^2+t+1
     62: 0x4000000000000069,  # t^62+t^6+t^5+t^3+1

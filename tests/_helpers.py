@@ -10,7 +10,7 @@ from conic2.conic import (
     chart_equation,
 )
 from conic2.gf2k import field_new
-from conic2.poly import Poly, partial_derivative
+from conic2.poly import Poly, partial_derivative, substitute
 
 
 def monomials_of_degree(d, nvars=3):
@@ -120,3 +120,33 @@ def brute_fiber_singular_points(spec, p, ctx_big):
         if singular_here:
             sing.append(abc)
     return sing
+
+
+def brute_ordinary_node(eq, point, ctx):
+    """Reference verdict for ordinary_node_check at a singular point.
+
+    Expands f(p + u) with substitute, keeps its quadratic part Q and searches
+    F_q^4 for a nonzero vector of the radical of the polar form
+    B(u, w) = Q(u + w) + Q(u) + Q(w).  The matrix of B has entries in F_q,
+    so a nonzero radical over the closure has a nonzero F_q-rational vector.
+    """
+    eq = eq.embed_to(ctx)
+    shift = {
+        name: Poly.var(ctx, eq.vars, name) + Poly.const(ctx, eq.vars, point[i])
+        for i, name in enumerate(eq.vars)
+    }
+    local = substitute(eq, shift)
+    quad = Poly(ctx, eq.vars, {m: c for m, c in local.terms.items() if sum(m) == 2})
+    n = len(eq.vars)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    q_basis = [quad.eval_bits(ctx, e) for e in basis]
+    for u in product(range(ctx.q), repeat=n):
+        if not any(u):
+            continue
+        qu = quad.eval_bits(ctx, u)
+        if all(
+            quad.eval_bits(ctx, tuple(a ^ b for a, b in zip(u, e))) ^ qu ^ qe == 0
+            for e, qe in zip(basis, q_basis)
+        ):
+            return False
+    return True

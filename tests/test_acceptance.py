@@ -197,6 +197,7 @@ def test_a4_cubic_quartic_example():
 
     h2 = cert.hypotheses["h2_reducible_sing_in_sigma"]
     h3 = cert.hypotheses["h3_transversal_crosses_nodes"]
+    h5 = cert.hypotheses["h5_smooth_along_double_lines"]
     failing = {k for k, h in cert.hypotheses.items() if not h.passed}
     checks["verdict"] = cert.all_pass is False and cert.conclusion is None
     checks["failing set"] = failing == {
@@ -205,9 +206,11 @@ def test_a4_cubic_quartic_example():
         "h5_smooth_along_double_lines",
     }
     checks["H2 witnesses"] = [point(w) for w in h2.witnesses] == [p100]
-    # H3 names its point only in the intersection entry; a witness list, if
-    # one is ever given, must name the same point
-    checks["H3 witnesses"] = h3.witnesses in ([], [p100.serialize()])
+    checks["H3 witnesses"] = [point(w) for w in h3.witnesses] == [p100]
+    checks["H5 witnesses"] = [point(w) for w in h5.witnesses] == [
+        ProjPoint.parse("0:1:F4:2"),
+        ProjPoint.parse("0:1:F4:3"),
+    ]
     prefix = "non-transversal intersection at ["
     inter = cert.intersections
     checks["H3 intersection"] = (

@@ -1,6 +1,7 @@
 """Pipeline layer: factorization verification, AM components, certificates,
 the chart-level elementary transformation, and the guided search."""
 
+import hashlib
 import json
 
 import pytest
@@ -226,16 +227,42 @@ def test_certificate_rem_double_line_fails_h3():
     ]
 
 
-def test_certificates_match_expected_corpus_profiles():
+def _corpus_certificates():
+    """(manifest entry, certificate) for each corpus spec, with the manifest's
+    claimed factors."""
     for entry in corpus_manifest()["examples"]:
         spec = load_corpus_spec(entry["name"])
         claimed = None
         if entry.get("claimed_factors"):
             claimed = [poly_parse(t, spec.ctx, BASE_VARS) for t in entry["claimed_factors"]]
-        cert = surface_criterion(spec, claimed)
+        yield entry, surface_criterion(spec, claimed)
+
+
+def test_certificates_match_expected_corpus_profiles():
+    for entry, cert in _corpus_certificates():
         failing = sorted(k for k, h in cert.hypotheses.items() if not h.passed)
         assert cert.all_pass == entry["expect_all_pass"], entry["name"]
         assert failing == sorted(entry["expect_failing"]), entry["name"]
+
+
+# sha256 of Certificate.to_json(); a change here is a certificate format or
+# verdict change and must be stated with the new digests
+CORPUS_CERT_DIGESTS = {
+    "ex1": "2af01cf0a9f195e4a44f8870af955376aaf2990f842dc7084f055ebe3c44a474",
+    "ex2": "2af01cf0a9f195e4a44f8870af955376aaf2990f842dc7084f055ebe3c44a474",
+    "ex3": "af826ec76b2555bde2f15073c877c66e64f6545454c5c049f6acc4bf9040f33d",
+    "ex4": "150d9e6175d3a04e1909b780e1c959022120b610db2a42f2bec8629e4e7f3f5e",
+    "ex5": "95e55d51400a2009e8b38f4aa7d49de7244f0bc32eead97b15f911c2935bdf49",
+    "rem_double_line": "b3ee3d6d229ebe7dfc3d0baa4f2373dfe490c6757a8a34bd4e5c8fac041a96c0",
+}
+
+
+def test_corpus_certificates_are_byte_stable():
+    digests = {
+        entry["name"]: hashlib.sha256(cert.to_json().encode()).hexdigest()
+        for entry, cert in _corpus_certificates()
+    }
+    assert digests == CORPUS_CERT_DIGESTS
 
 
 def test_certificate_serializes_to_json(tmp_path):

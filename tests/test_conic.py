@@ -239,6 +239,20 @@ def test_proj_point_normalization_and_equality():
     assert r.ctx is F4 and r.coords[0] == 1
 
 
+def test_proj_point_equality_across_fields_compares_in_common_subfield():
+    # lcm(33, 2) = 66 exceeds the largest field: compare inside F_2
+    F2_33 = field_new(33)
+    p33, p4 = ProjPoint.parse("1:0:0", F2_33), ProjPoint.parse("1:0:0", F4)
+    assert p33 == p4 and p4 == p33 and hash(p33) == hash(p4)
+    assert p33 != ProjPoint.parse("1:1:0", F4)
+    assert p33 != ProjPoint.parse("1:j:0", F4)  # j has no preimage in F_2
+    # nested fields: [0:1:j] over F_4 and over F_16
+    F16 = field_new(4)
+    w = ProjPoint.parse("0:1:j")
+    assert w.embed_to(F16) == w and w == w.embed_to(F16)
+    assert w != ProjPoint.parse("0:1:F4:3").embed_to(F16)
+
+
 def test_spec_file_round_trip(tmp_path):
     from conic2.conic import save_spec
 

@@ -27,9 +27,9 @@ from conic2.geom import (
     transversal_at,
 )
 from conic2.gf2k import field_new
-from conic2.poly import Poly, plane_poly, poly_parse
+from conic2.poly import Poly, plane_poly, poly_parse, substitute
 
-from _helpers import brute_fiber_singular_points, rand_homogeneous
+from _helpers import brute_fiber_singular_points, brute_ordinary_node, rand_homogeneous
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -271,6 +271,32 @@ def test_ordinary_node_after_translation():
     # node moved to (1, 1, 0, 0)
     eq = poly_parse("t1*t2 + t1 + t2 + 1 + b*c", F2, V4)
     assert ordinary_node_check(eq, (1, 1, 0, 0), F2)
+
+
+@pytest.mark.parametrize("ctx", [F2, F4])
+def test_ordinary_node_matches_brute_force_radical(ctx):
+    # random charts singular at a random point, in the shifted coordinates
+    # u = t - p: a sparse quadratic part, half the time on top of a
+    # nondegenerate pairing u_i*u_j + u_k*u_l, plus cubic and quartic terms;
+    # degenerate tangent cones are common, unlike in corpus traffic
+    rng = random.Random(31 + ctx.k)
+    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    verdicts = []
+    for _ in range(40):
+        point = tuple(rng.randrange(ctx.q) for _ in V4)
+        local = Poly.zero(ctx, V4)
+        if rng.random() < 0.5:
+            for pair in rng.choice(pairings):
+                mono = tuple(int(i in pair) for i in range(4))
+                local = local + Poly.from_terms(ctx, V4, [(mono, rng.randrange(1, ctx.q))])
+        for d, terms in ((2, rng.randint(0, 4)), (3, 2), (4, 1)):
+            local = local + rand_homogeneous(rng, ctx, d, max_terms=terms, vars=V4)
+        shift = {v: Poly.var(ctx, V4, v) + Poly.const(ctx, V4, c) for v, c in zip(V4, point)}
+        eq = substitute(local, shift)
+        verdict = ordinary_node_check(eq, point, ctx)
+        assert verdict == brute_ordinary_node(eq, point, ctx), (eq, point)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
 
 
 # -- gcd-based emptiness vs explicit enumeration ------------------------------------------

@@ -186,12 +186,37 @@ def test_serialization_round_trip():
 
 
 def test_moduli_have_no_small_factors():
-    # independent spot-check of the table by trial division
+    # every entry has degree k and passes the field's own irreducibility
+    # check; small degrees are also spot-checked by trial division
     from conic2.gf2k import _MODULI, _gf2x_mod
 
+    assert sorted(_MODULI) == list(range(1, 65))
+    for k, m in _MODULI.items():
+        assert m.bit_length() - 1 == k
+        assert field_new(k).modulus == m
     for k in (2, 3, 4, 5, 6, 7, 8, 12, 16):
         m = _MODULI[k]
         for d in range(1, k // 2 + 1):
             for tail in range(1 << d):
                 g = (1 << d) | tail
                 assert _gf2x_mod(m, g) != 0
+
+
+def test_moduli_are_irreducible_and_follow_the_table_rule():
+    # independent oracle: sympy's irreducibility test over GF(2)
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    from conic2.gf2k import _MODULI
+
+    def irreducible(m):
+        coeffs = [(m >> i) & 1 for i in range(m.bit_length() - 1, -1, -1)]
+        return galoistools.gf_irreducible_p(coeffs, 2, ZZ)
+
+    kept = {26, 28, 30, 33, 36, 37, 49}  # entries that are not the smallest
+    for k, m in _MODULI.items():
+        assert irreducible(m), k
+        if k > 1 and k not in kept:
+            # numerically smallest: no smaller odd polynomial of degree k is
+            # irreducible (even ones are divisible by t)
+            assert not any(irreducible(c) for c in range((1 << k) | 1, m, 2)), k
