@@ -48,17 +48,17 @@ from .factor import (
     is_absolutely_irreducible,
     sort_factors,
 )
+from . import geom
 from .gf2k import field_new
 from .geom import (
+    AlgebraicPointSet,
     BezoutMismatch,
     CommonComponent,
     PositiveDimensional,
-    cross_node,
+    cross_nodes,
     enumerate_plane_points,
     gradient_at,
-    intersection_points,
     plane_monomials,
-    singular_points,
     smooth_along_fiber,
     solve_system,
 )
@@ -211,6 +211,39 @@ def _in_sigma(spec: ConicBundleSpec, p: ProjPoint) -> bool:
     return all(v[k] == 0 for k in OFF_DIAGONAL)
 
 
+class _CurveGeometry:
+    """The part of the criterion that depends only on the components and k_max:
+    each component's singular locus, and each pair's Bezout-certified
+    intersection or the BezoutMismatch / CommonComponent it raised.
+
+    Each item is solved on first use, in the order the criterion asks for it,
+    so an input that raises still raises the same error first.  A search keeps
+    one instance per component tuple for the length of one call.
+    """
+
+    def __init__(self, components: tuple[Poly, ...], k_max: int) -> None:
+        self.components = components
+        self.k_max = k_max
+        self._sing: dict[int, AlgebraicPointSet] = {}
+        self._meets: dict[tuple[int, int], object] = {}
+
+    def singular(self, i: int) -> AlgebraicPointSet:
+        if i not in self._sing:
+            self._sing[i] = geom.singular_points(self.components[i], self.k_max)
+        return self._sing[i]
+
+    def meet(self, i: int, j: int) -> AlgebraicPointSet | BezoutMismatch | CommonComponent:
+        if (i, j) not in self._meets:
+            c1, c2 = self.components[i], self.components[j]
+            try:
+                self._meets[i, j] = geom.intersection_points(c1, c2, self.k_max)
+            except (BezoutMismatch, CommonComponent) as exc:
+                # without its traceback, whose frames hold self, the kept
+                # error forms no reference cycle and is freed with self
+                self._meets[i, j] = exc.with_traceback(None)
+        return self._meets[i, j]
+
+
 def am_component_check(
     spec: ConicBundleSpec,
     component: Poly,
@@ -223,7 +256,14 @@ def am_component_check(
         exact_div(delta, component)
     except NotDivisible as exc:
         raise ValueError("the polynomial is not a discriminant component") from exc
+    return _analyse_component(spec, _CurveGeometry((component,), k_max), 0, witness_bound)
 
+
+def _analyse_component(
+    spec: ConicBundleSpec, curves: _CurveGeometry, i: int, witness_bound: int
+) -> ComponentAnalysis:
+    """am_component_check of the i-th component, a known divisor of Delta."""
+    component, k_max = curves.components[i], curves.k_max
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
@@ -240,7 +280,7 @@ def am_component_check(
         sigma_meets = None
         witness = _scan_double_line_point(spec, component, witness_bound)
 
-    sing = singular_points(component, k_max)
+    sing = curves.singular(i)
     sing_ok = all(_in_sigma(spec, p) for p in sing.points)
 
     if witness is not None:
@@ -423,6 +463,23 @@ def surface_criterion(
 ) -> Certificate:
     """Run the five hypotheses of the surface criterion; never raises on a
     failing hypothesis - failures are recorded in the certificate."""
+    return _certify(spec, claimed_factors, k_max, witness_bound, {})
+
+
+def _certify(
+    spec: ConicBundleSpec,
+    claimed_factors: list[Poly] | None,
+    k_max: int,
+    witness_bound: int,
+    curves: dict,
+    sigma: AlgebraicPointSet | None = None,
+) -> Certificate:
+    """surface_criterion, reusing what the caller already holds.
+
+    ``curves`` maps (component tuple, k_max) to its _CurveGeometry and gains
+    an entry for a new tuple; ``sigma`` is the solved double-line locus
+    Sigma of this spec, or None to solve it here.
+    """
     log: list[str] = []
     report = spec_validate(spec)
     flat = flatness_check(spec, k_max)
@@ -490,9 +547,11 @@ def surface_criterion(
 
     # Sigma as a point set (positive-dimensional Sigma is recorded, not fatal).
     sigma_points: tuple[ProjPoint, ...] | None
-    off = [s for s in sigma_generators(spec) if not s.is_zero()]
     try:
-        sig = solve_system(off, k_max) if off else None
+        sig = sigma
+        if sig is None:
+            off = [s for s in sigma_generators(spec) if not s.is_zero()]
+            sig = solve_system(off, k_max) if off else None
         if sig is None:
             sigma_points = None
             cert.sigma = {"error": "all off-diagonal sections vanish identically"}
@@ -506,9 +565,11 @@ def surface_criterion(
         log.append(f"sigma: positive-dimensional ({exc.common_factor!r})")
 
     # Per-component analysis (feeds H2 and H4).
+    comps = tuple(f for f, _ in factors)
+    geo = curves.setdefault((comps, k_max), _CurveGeometry(comps, k_max))
     analyses: list[ComponentAnalysis] = []
-    for f, _m in factors:
-        ana = am_component_check(spec, f, k_max, witness_bound)
+    for i, f in enumerate(comps):
+        ana = _analyse_component(spec, geo, i, witness_bound)
         analyses.append(ana)
         log.append(
             f"component {poly_print(f)}: am={ana.am_status.kind}, "
@@ -538,11 +599,18 @@ def surface_criterion(
     # H3: pairwise intersections: transversal, cross fibers, ordinary nodes.
     h3_details: list[str] = []
     h3_witnesses: list[ProjPoint] = []
-    comps = [f for f, _ in factors]
-    for i, j in itertools.combinations(range(len(comps)), 2):
+    pairs = list(itertools.combinations(range(len(comps)), 2))
+    meets = [geo.meet(i, j) for i, j in pairs]
+    # each point's fiber type and node, keyed by its exact representation
+    points = {
+        p.sort_key(): p for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points
+    }
+    fibers = {key: classify_fiber(spec, p) for key, p in points.items()}
+    crosses = [key for key, ftype in fibers.items() if ftype is FiberType.CROSS]
+    node_of = dict(zip(crosses, cross_nodes(spec, [points[key] for key in crosses])))
+    for (i, j), inter in zip(pairs, meets):
         entry: dict = {"pair": [poly_print(comps[i]), poly_print(comps[j])]}
-        try:
-            inter = intersection_points(comps[i], comps[j], k_max)
+        if isinstance(inter, AlgebraicPointSet):
             entry["points"] = _point_list(inter.points)
             entry["bezout"] = {
                 "expected": inter.certificate.expected,
@@ -552,13 +620,13 @@ def surface_criterion(
             all_cross = True
             nodes_ok = True
             for p in inter.points:
-                ftype = classify_fiber(spec, p)
+                ftype = fibers[p.sort_key()]
                 if ftype is not FiberType.CROSS:
                     all_cross = False
                     h3_details.append(f"fiber over {p!r} is {ftype}, not a cross")
                     h3_witnesses.append(p)
                     continue
-                chart, n, ok = cross_node(spec, p)
+                chart, n, ok = node_of[p.sort_key()]
                 nodes.append(
                     {
                         "point": p.serialize(),
@@ -574,13 +642,13 @@ def surface_criterion(
             entry["all_cross"] = all_cross
             entry["nodes"] = nodes
             entry["nodes_ok"] = nodes_ok
-        except (BezoutMismatch, CommonComponent) as exc:
-            entry["error"] = str(exc)
+        else:  # the BezoutMismatch or CommonComponent the pair raised
+            entry["error"] = str(inter)
             h3_details.append(
-                f"{poly_print(comps[i])} and {poly_print(comps[j])}: {exc}"
+                f"{poly_print(comps[i])} and {poly_print(comps[j])}: {inter}"
             )
-            if getattr(exc, "witness", None) is not None:
-                h3_witnesses.append(exc.witness)
+            if getattr(inter, "witness", None) is not None:
+                h3_witnesses.append(inter.witness)
         cert.intersections.append(entry)
     hyps["h3_transversal_crosses_nodes"] = HypothesisResult(
         "h3_transversal_crosses_nodes",
@@ -703,8 +771,10 @@ def search_spieghiamolo(
     Filters run in the remark's order: the congruence is built into the
     enumeration, then the divisibility filter extracts the determined entry,
     then the double-line locus must be exactly the expected points; whatever
-    survives must pass the full surface criterion to count as a hit.
-    Exhausting the budget is legal and returns the partial list.
+    survives must pass the full surface criterion to count as a hit.  The
+    criterion takes the Sigma the filter solved, and the curve geometry of a
+    component tuple is solved once per call.  Exhausting the budget is legal
+    and returns the partial list.
     """
     if target_components is None:
         target_components = template.target_components
@@ -719,6 +789,7 @@ def search_spieghiamolo(
     hits = []
     tried = 0
     exhausted = False
+    curves: dict = {}  # the candidates' shared curve geometry, for this call only
     # weight-ascending exhaustive enumeration of F_2 coefficient vectors
     for weight in range(len(monos) + 1):
         for subset in itertools.combinations(range(len(monos)), weight):
@@ -749,7 +820,10 @@ def search_spieghiamolo(
                 p.sort_key() for p in template.sigma_expected
             ):
                 continue
-            cert = surface_criterion(spec, list(template.target_components), k_max)
+            cert = _certify(
+                spec, list(template.target_components), k_max,
+                witness_bound=8, curves=curves, sigma=sig,
+            )
             if cert.all_pass:
                 hits.append((spec, cert))
         if exhausted:

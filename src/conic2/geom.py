@@ -526,19 +526,28 @@ def _drop(coords: tuple, i: int) -> tuple:
     return coords[:i] + coords[i + 1:]
 
 
-def cross_node(spec: ConicBundleSpec, p: ProjPoint) -> tuple[tuple[str, str], ProjPoint, bool]:
-    """Chart, fiber singular point n and ordinary-node verdict above a cross.
+def cross_nodes(
+    spec: ConicBundleSpec, points
+) -> list[tuple[tuple[str, str], ProjPoint, bool]]:
+    """Chart, fiber singular point n and ordinary-node verdict above each cross.
 
     The chart is the one where the first nonzero coordinates of p and of n
     are 1.  Both are normalized points, so those coordinates already equal 1
-    and the chart point is the remaining coordinates, unscaled.
+    and the chart point is the remaining coordinates, unscaled.  Each of the
+    at most nine chart equations is built once per call.
     """
-    n = cross_singular_point(spec, p)
-    wi = next(k for k, c in enumerate(p.coords) if c)
-    vi = next(k for k, c in enumerate(n.coords) if c)
-    ce = chart_equation(spec, BASE_VARS[wi], FIBER_VARS[vi])
-    ok = ordinary_node_check(ce.equation, _drop(p.coords, wi) + _drop(n.coords, vi), p.ctx)
-    return (BASE_VARS[wi], FIBER_VARS[vi]), n, ok
+    charts: dict[tuple[str, str], Poly] = {}
+    out = []
+    for p in points:
+        n = cross_singular_point(spec, p)
+        wi = next(k for k, c in enumerate(p.coords) if c)
+        vi = next(k for k, c in enumerate(n.coords) if c)
+        chart = (BASE_VARS[wi], FIBER_VARS[vi])
+        if chart not in charts:
+            charts[chart] = chart_equation(spec, *chart).equation
+        ok = ordinary_node_check(charts[chart], _drop(p.coords, wi) + _drop(n.coords, vi), p.ctx)
+        out.append((chart, n, ok))
+    return out
 
 
 def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:

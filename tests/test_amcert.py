@@ -3,9 +3,12 @@ the chart-level elementary transformation, and the guided search."""
 
 import hashlib
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from conic2 import amcert, geom
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import (
     BASE_VARS,
@@ -296,6 +299,66 @@ def test_search_smoke_budgeted():
     spec, cert = result.hits[0]
     again = surface_criterion(spec, None)
     assert again.all_pass and again.to_json() == surface_criterion(spec, None).to_json()
+
+
+def test_search_certificates_equal_standalone_criterion(monkeypatch):
+    # The search certifies every zero-corner candidate through one shared
+    # curve geometry and the Sigma its filter solved.  Certify a sample that
+    # covers every weight class (the first 56 candidates, every 37th after
+    # them, and the last) and skip the rest, then compare each certificate
+    # with surface_criterion run alone on the same spec.
+    sample = set(range(56)) | set(range(56, 1024, 37)) | {1023}
+    certify = amcert._certify
+    calls = []
+
+    def sampled(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 in sample:
+            return certify(*args, **kwargs)
+        return SimpleNamespace(all_pass=False)
+
+    monkeypatch.setattr(amcert, "_certify", sampled)
+    template = example81_template()
+    result = search_spieghiamolo(template, budget=2048)
+    monkeypatch.undo()
+    assert len(calls) == result.tried == 1024
+    assert len(result.hits) == len(sample)
+    # bc = y^2*z^2 + x*q, so the weight of q is one less than bc's term count
+    assert {len(spec.sections["bc"].terms) - 1 for spec, _ in result.hits} == set(range(11))
+    for spec, cert in result.hits:
+        alone = surface_criterion(spec, list(template.target_components))
+        assert cert.to_json() == alone.to_json()
+
+
+def test_search_solves_curve_geometry_once_per_call(monkeypatch):
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(geom, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("intersection_points", "singular_points"):
+        monkeypatch.setattr(geom, name, counted(name))
+    spec = load_corpus_spec("ex1")
+    before = surface_criterion(spec).to_json()
+    counts.clear()
+
+    result = search_spieghiamolo(example81_template(), budget=56)
+    assert len(result.hits) == 56
+    assert counts == {"intersection_points": 1, "singular_points": 2}
+    search_spieghiamolo(example81_template(), budget=56)
+    assert counts == {"intersection_points": 2, "singular_points": 4}
+
+    # nothing outlives a call: a standalone run and a search on other
+    # components see none of it
+    assert surface_criterion(spec).to_json() == before
+    d1 = plane_poly("x^3*z + y^4")
+    assert not search_spieghiamolo(example81_template(), target_components=(d1, d1), budget=56).hits
 
 
 def test_search_divisibility_filter_example():
