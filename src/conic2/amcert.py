@@ -56,9 +56,9 @@ from .geom import (
     CommonComponent,
     PositiveDimensional,
     cross_nodes,
-    enumerate_plane_points,
     gradient_at,
     plane_monomials,
+    small_field_points,
     smooth_along_fiber,
     solve_system,
 )
@@ -69,6 +69,7 @@ from .poly import (
     exact_div,
     homogenize,
     poly_print,
+    strip_monomial,
     substitute,
 )
 
@@ -149,13 +150,8 @@ def component_factorization(
 
 def _factor_homogeneous(delta: Poly) -> list[tuple[Poly, int]]:
     """Factor a homogeneous plane polynomial: monomial part + one chart."""
-    out: dict[Poly, int] = {}
-    work = delta
-    for v in BASE_VARS:
-        e = min(m[BASE_VARS.index(v)] for m in work.terms)
-        if e:
-            out[Poly.var(delta.ctx, BASE_VARS, v)] = e
-            work = work.shift(v, -e)
+    work, ords = strip_monomial(delta)
+    out = {Poly.var(delta.ctx, BASE_VARS, v): e for v, e in zip(BASE_VARS, ords) if e}
     if not work.is_constant():
         chart = dehomogenize(work, "z")
         for g, m in bivariate_factor(chart):
@@ -278,7 +274,11 @@ def _analyse_component(
         # The component lies inside Sigma (or shares a curve with it): scan
         # small fields for a double-line point on the component.
         sigma_meets = None
-        witness = _scan_double_line_point(spec, component, witness_bound)
+        witness = next(
+            (p for p in small_field_points(component, witness_bound)
+             if classify_fiber(spec, p) is FiberType.DOUBLE_LINE),
+            None,
+        )
 
     sing = curves.singular(i)
     sing_ok = all(_in_sigma(spec, p) for p in sing.points)
@@ -292,22 +292,6 @@ def _analyse_component(
         else:
             status = AmStatus("not_certified", None)
     return ComponentAnalysis(component, status, sing_ok, sing.points, sigma_meets)
-
-
-def _scan_double_line_point(
-    spec: ConicBundleSpec, component: Poly, witness_bound: int
-) -> ProjPoint | None:
-    base = spec.ctx
-    e = 1
-    while base.k * e <= min(witness_bound, 64):
-        ctx = field_new(base.k * e)
-        for p in enumerate_plane_points(ctx):
-            if component.eval_bits(ctx, p.coords) != 0:
-                continue
-            if classify_fiber(spec, p) is FiberType.DOUBLE_LINE:
-                return p
-        e += 1
-    return None
 
 
 def nonproduct_witness(
@@ -332,26 +316,20 @@ def nonproduct_witness(
     else:
         raise ValueError("component lies inside the double-line locus; fibers are not crosses")
 
-    base = spec.ctx
-    e = 1
-    while base.k * e <= min(witness_bound, k_max, 64):
-        ctx = field_new(base.k * e)
-        for p in enumerate_plane_points(ctx):
-            if component.eval_bits(ctx, p.coords) != 0:
-                continue
-            if all(v == 0 for v in gradient_at(component, p)):
-                continue
-            split = cross_splitting_form(section_values(spec, p))
-            if split is None:
-                continue
-            _, _, (qi, nl, qj) = split
-            if qi == 0:
-                continue  # splitting form has a rational root: lines split
-            # q_i T^2 + n_ell T + q_j irreducible iff Tr(q_i q_j / n_ell^2) = 1
-            c = ctx.mul(ctx.mul(qi, qj), ctx.inv(ctx.sq(nl)))
-            if ctx.trace(c) == 1:
-                return p
-        e += 1
+    for p in small_field_points(component, min(witness_bound, k_max)):
+        if all(v == 0 for v in gradient_at(component, p)):
+            continue
+        split = cross_splitting_form(section_values(spec, p))
+        if split is None:
+            continue
+        _, _, (qi, nl, qj) = split
+        if qi == 0:
+            continue  # splitting form has a rational root: lines split
+        # q_i T^2 + n_ell T + q_j irreducible iff Tr(q_i q_j / n_ell^2) = 1
+        ctx = p.ctx
+        c = ctx.mul(ctx.mul(qi, qj), ctx.inv(ctx.sq(nl)))
+        if ctx.trace(c) == 1:
+            return p
     return None
 
 
@@ -374,9 +352,8 @@ def elementary_transform_chart(
     tv = Poly.var(eq.ctx, eq.vars, t)
     mapping = {v: tv * Poly.var(eq.ctx, eq.vars, v) for v in scaled_vars}
     transformed = substitute(eq, mapping)
-    it = eq.vars.index(t)
-    order = min(m[it] for m in transformed.terms)
-    return order, transformed.shift(t, -order)
+    order = transformed.low_degree_in(t)
+    return order, exact_div(transformed, Poly.var(eq.ctx, eq.vars, t, order))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -871,9 +848,9 @@ def complete_diagonal(
 
     for col, (key, mono) in enumerate(unknowns):
         base = mults[key] * Poly.from_terms(ctx, BASE_VARS, [(mono, 1)])
-        for mo, c in base.terms.items():
+        for mo, c in base.items():
             _row(mo)[col] ^= c
-    for mo, c in rhs.terms.items():
+    for mo, c in rhs.items():
         _row(mo)[-1] ^= c
     matrix = [rows[k] for k in sorted(rows)]
     ncols = len(unknowns)

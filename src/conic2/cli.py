@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 
@@ -109,7 +110,7 @@ def cmd_classify(args) -> int:
     ctx = field_new(args.field) if args.field else None
     point = ProjPoint.parse(args.point, ctx)
     if point.ctx.k % spec.ctx.k != 0:
-        point = point.embed_to(field_new(spec.ctx.k * point.ctx.k))
+        point = point.embed_to(field_new(math.lcm(spec.ctx.k, point.ctx.k)))
     print(str(classify_fiber(spec, point)))
     return EXIT_PASS
 

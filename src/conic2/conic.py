@@ -83,14 +83,6 @@ class ProjPoint:
         self.coords = coords
 
     @staticmethod
-    def from_elems(coords: tuple[FieldElem, FieldElem, FieldElem]) -> "ProjPoint":
-        ctx = coords[0].ctx
-        for c in coords:
-            if c.ctx is not ctx:
-                raise ValueError("point coordinates over mixed contexts")
-        return ProjPoint(ctx, tuple(c.bits for c in coords))
-
-    @staticmethod
     def parse(text: str, ctx: FieldCtx | None = None) -> "ProjPoint":
         raw = text.split(":")
         # hex literals like F4:2 contain a colon of their own: rejoin them

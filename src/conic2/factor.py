@@ -25,6 +25,8 @@ from .gf2k import FieldCtx, embed_bits, field_new, section_bits
 from .poly import (
     NotDivisible,
     Poly,
+    binary_from_dense,
+    binary_to_dense,
     dehomogenize,
     exact_div,
     from_dense,
@@ -33,6 +35,7 @@ from .poly import (
     is_square,
     partial_derivative,
     poly_sqrt,
+    strip_monomial,
     substitute,
     to_dense,
 )
@@ -49,7 +52,7 @@ _SPECIALIZATION_BUDGET = 4096
 
 
 def _factor_sort_key(p: Poly):
-    return (p.total_degree(), sorted(p.terms.items(), reverse=True))
+    return (p.total_degree(), sorted(p.items(), reverse=True))
 
 
 def sort_factors(items: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
@@ -78,12 +81,8 @@ def univariate_roots(f: Poly, ctx_eval: FieldCtx) -> list[int]:
     active = f.variables_used()
     if len(active) != 1:
         raise ValueError("univariate_roots expects exactly one active variable")
-    name = active[0]
-    i = f.vars.index(name)
-    dense = [0] * (f.degree_in(name) + 1)
-    for m, c in f.terms.items():
-        dense[m[i]] = embed_bits(f.ctx, ctx_eval, c)
-    return _dense.roots(ctx_eval, dense)
+    dense = to_dense(f, active[0])
+    return _dense.roots(ctx_eval, [embed_bits(f.ctx, ctx_eval, c) for c in dense])
 
 
 # -- binary forms ------------------------------------------------------------------
@@ -96,24 +95,13 @@ def binary_form_factor(f: Poly) -> list[tuple[Poly, int]]:
     d = is_homogeneous(f)
     if d is None or d == "zero":
         raise ValueError("binary_form_factor expects a nonzero homogeneous form")
-    u, v = f.vars
-    out: dict[Poly, int] = {}
-    ev = min(m[1] for m in f.terms)
-    g = f.shift(v, -ev) if ev else f
-    if ev:
-        out[Poly.var(f.ctx, f.vars, v)] = ev
-    eu = min(m[0] for m in g.terms)
-    if eu:
-        g = g.shift(u, -eu)
-        out[Poly.var(f.ctx, f.vars, u)] = eu
+    g, ords = strip_monomial(f)
+    out = {Poly.var(f.ctx, f.vars, v): e for v, e in zip(f.vars, ords) if e}
     if g.total_degree() > 0:
-        dense = [0] * (g.degree_in(u) + 1)
-        for m, c in g.terms.items():
-            dense[m[0]] = c
+        _, dense = binary_to_dense(g)
         _, fac = _dense.factor(f.ctx, dense)
         for coeffs, m in fac:
-            dd = _dense.deg(coeffs)
-            form = Poly(f.ctx, f.vars, {(e, dd - e): c for e, c in enumerate(coeffs) if c})
+            form = binary_from_dense(f.ctx, f.vars, coeffs)
             out[form] = out.get(form, 0) + m
     return sort_factors(list(out.items()))
 
@@ -127,7 +115,7 @@ def binary_form_factor(f: Poly) -> list[tuple[Poly, int]]:
 def _bl_from(p: Poly, xn: str, yn: str) -> list[list[int]]:
     ix, iy = p.vars.index(xn), p.vars.index(yn)
     cols: list[list[int]] = [[0] * (p.degree_in(yn) + 1) for _ in range(p.degree_in(xn) + 1)]
-    for m, co in p.terms.items():
+    for m, co in p.items():
         cols[m[ix]][m[iy]] ^= co
     return [_dense.trim(c) for c in cols]
 
@@ -135,15 +123,15 @@ def _bl_from(p: Poly, xn: str, yn: str) -> list[list[int]]:
 def _bl_to(ctx: FieldCtx, cols, vars: tuple, xn: str, yn: str) -> Poly:
     ix, iy = vars.index(xn), vars.index(yn)
     n = len(vars)
-    terms = {}
+    terms = []
     for e, col in enumerate(cols):
         for ey, c in enumerate(col):
             if c:
                 mono = [0] * n
                 mono[ix] = e
                 mono[iy] = ey
-                terms[tuple(mono)] = c
-    return Poly(ctx, vars, terms)
+                terms.append((mono, c))
+    return Poly.from_terms(ctx, vars, terms)
 
 
 def _bl_trim(cols):
@@ -247,21 +235,12 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
 # -- homogeneous trivariate gcd and squarefreeness -----------------------------
 
 
-def _strip_monomial(f: Poly) -> tuple[Poly, list[int]]:
-    ords = [min(m[i] for m in f.terms) for i in range(len(f.vars))]
-    g = f
-    for name, e in zip(f.vars, ords):
-        if e:
-            g = g.shift(name, -e)
-    return g, ords
-
-
 def gcd_homogeneous(f: Poly, g: Poly) -> Poly:
     """Gcd of nonzero homogeneous trivariate polynomials, normalized monic."""
     if is_homogeneous(f) in (None, "zero") or is_homogeneous(g) in (None, "zero"):
         raise ValueError("gcd_homogeneous expects nonzero homogeneous inputs")
-    fs, of = _strip_monomial(f)
-    gs, og = _strip_monomial(g)
+    fs, of = strip_monomial(f)
+    gs, og = strip_monomial(g)
     last = f.vars[-1]
     h = gcd_bivariate(dehomogenize(fs, last), dehomogenize(gs, last))
     d = h.total_degree()
@@ -461,35 +440,35 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
     return _merge_frobenius_orbits(ctx, ctx_e, found)
 
 
-def _frobenius_poly(p: Poly, q_base: int) -> Poly:
-    pw = p.ctx.pow
-    return Poly(p.ctx, p.vars, {m: pw(c, q_base) for m, c in p.terms.items()})
-
-
 def _merge_frobenius_orbits(ctx: FieldCtx, ctx_e: FieldCtx, factors: list[Poly]) -> list[Poly]:
     """Group factors over an extension into base-field irreducible products."""
+    pw = ctx_e.pow
+
+    def frobenius(c: int) -> int:
+        return pw(c, ctx.q)
+
+    def pull_back(c: int) -> int:
+        back = section_bits(ctx, ctx_e, c)
+        if back is None:  # pragma: no cover - defensive
+            raise AssertionError("orbit product has coefficients outside the base field")
+        return back
+
     pending = sorted(factors, key=_factor_sort_key)
     out: list[Poly] = []
     while pending:
         h = pending.pop(0)
         orbit = [h]
-        nxt = _frobenius_poly(h, ctx.q).monic()
+        nxt = h.map_coefficients(frobenius).monic()
         while nxt != h:
             if nxt not in pending:  # pragma: no cover - defensive
                 raise AssertionError("Frobenius conjugate missing from factor list")
             pending.remove(nxt)
             orbit.append(nxt)
-            nxt = _frobenius_poly(nxt, ctx.q).monic()
+            nxt = nxt.map_coefficients(frobenius).monic()
         prod = orbit[0]
         for o in orbit[1:]:
             prod = prod * o
-        terms = {}
-        for m, c in prod.monic().terms.items():
-            back = section_bits(ctx, ctx_e, c)
-            if back is None:  # pragma: no cover - defensive
-                raise AssertionError("orbit product has coefficients outside the base field")
-            terms[m] = back
-        out.append(Poly(ctx, prod.vars, terms).monic())
+        out.append(prod.monic().map_coefficients(pull_back, ctx).monic())
     return out
 
 
@@ -575,7 +554,7 @@ def is_absolutely_irreducible(f: Poly) -> bool:
     if len(active) == 3:
         if is_homogeneous(f) is None:
             raise ValueError("trivariate input must be homogeneous")
-        g, ords = _strip_monomial(f)
+        g, ords = strip_monomial(f)
         if g.is_constant():
             # monomial: irreducible only when it is a single variable
             return sum(ords) == 1

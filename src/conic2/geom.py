@@ -45,7 +45,18 @@ from .factor import (
     univariate_roots,
 )
 from .gf2k import FieldCtx, embed_bits, field_new
-from .poly import Poly, binary_gcd, is_homogeneous, partial_derivative, poly_print, resultant, substitute
+from .poly import (
+    Poly,
+    binary_gcd,
+    dehomogenize,
+    is_homogeneous,
+    partial_derivative,
+    poly_print,
+    resultant,
+    specialize,
+    substitute,
+    to_dense,
+)
 
 
 class PositiveDimensional(RuntimeError):
@@ -146,36 +157,47 @@ def brute_solutions(polys: list[Poly], ctx: FieldCtx) -> list[ProjPoint]:
     return out
 
 
-def point_on_curve(curve: Poly, k_max: int = 24) -> ProjPoint:
-    """Some point of a nonconstant plane curve, over a small extension."""
+def small_field_points(curve: Poly, bound: int):
+    """The points of the curve in P^2(F_{2^(k e)}) for e = 1, 2, ... while
+    k e <= min(bound, 64), where F_{2^k} is the curve's field; field by
+    field, each in canonical order."""
     base = curve.ctx
     e = 1
-    while base.k * e <= min(k_max, 64):
+    while base.k * e <= min(bound, 64):
         ctx = field_new(base.k * e)
         for p in enumerate_plane_points(ctx):
             if curve.eval_bits(ctx, p.coords) == 0:
-                return p
+                yield p
         e += 1
+
+
+def point_on_curve(curve: Poly, k_max: int = 24) -> ProjPoint:
+    """Some point of a nonconstant plane curve, over a small extension."""
+    for p in small_field_points(curve, k_max):
+        return p
     raise ExtensionBound(f"no point on {poly_print(curve)} within degree {k_max}")
 
 
 # -- solve_system ---------------------------------------------------------------
 
 
-def _specialize_direction(g: Poly, x0: int, y0: int, ctx_e: FieldCtx) -> list[int]:
-    """Dense z-coefficients of g(x0, y0, z)."""
-    src = g.ctx
-    out = [0] * (g.degree_in("z") + 1)
-    mul, pw = ctx_e.mul, ctx_e.pow
-    for (ex, ey, ez), c in g.terms.items():
-        v = c if src is ctx_e else embed_bits(src, ctx_e, c)
-        if ex:
-            v = mul(v, pw(x0, ex))
-        if v and ey:
-            v = mul(v, pw(y0, ey))
-        if v:
-            out[ez] ^= v
-    return _dense.trim(out)
+def _direction_roots(form: Poly, fld: FieldCtx) -> list[tuple[int, int]]:
+    """The roots [x:y] in fld of an irreducible binary form in (x, y)."""
+    if form == Poly.var(form.ctx, form.vars, "y"):
+        return [(1, 0)]
+    return [(r, 1) for r in sorted(univariate_roots(dehomogenize(form, "y"), fld))]
+
+
+def _z_gcd(polys: list[Poly], x0: int, y0: int, fld: FieldCtx) -> list[int]:
+    """Dense gcd over fld of the g(x0, y0, z) that do not vanish identically."""
+    h: list[int] = []
+    for g in polys:
+        s = to_dense(specialize(g, fld, (x0, y0)), "z")
+        if s:
+            h = _dense.gcd(fld, h, s) if h else s
+    if not h:  # pragma: no cover - excluded by finiteness
+        raise AssertionError("all inputs vanish along a whole line")
+    return h
 
 
 def _direction_eliminant(polys: list[Poly], ctx: FieldCtx) -> Poly:
@@ -272,28 +294,19 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
         for form, _mult in binary_form_factor(eliminant):
             d = form.total_degree()
             degrees.append(d)
-            if form == Poly.var(ctx, ("x", "y"), "y"):
-                dir_field, dir_roots = ctx, [(1, 0)]
+            if form == Poly.var(ctx, form.vars, "y"):
+                dir_field = ctx
+            elif ctx.k * d > bound:
+                raise ExtensionBound(
+                    f"direction factor of degree {d} needs F_{{2^{ctx.k * d}}} > bound {bound}"
+                )
             else:
-                if ctx.k * d > bound:
-                    raise ExtensionBound(
-                        f"direction factor of degree {d} needs F_{{2^{ctx.k * d}}} > bound {bound}"
-                    )
                 dir_field = field_new(ctx.k * d)
-                univ = form.with_vars(("x", "y"))
-                roots = univariate_roots(substitute(univ, {"y": Poly.const(ctx, ("x", "y"), 1)}), dir_field)
-                dir_roots = [(r, 1) for r in sorted(roots)]
+            dir_roots = _direction_roots(form, dir_field)
             if not dir_roots:
                 continue
             # z-factor degree pattern from the first root, shared by conjugates
-            x0, y0 = dir_roots[0]
-            specials = [_specialize_direction(g, x0, y0, dir_field) for g in nonzero]
-            specials = [s for s in specials if s]
-            if not specials:  # pragma: no cover - excluded by finiteness
-                raise AssertionError("all inputs vanish along a whole line")
-            h = specials[0]
-            for s in specials[1:]:
-                h = _dense.gcd(dir_field, h, s)
+            h = _z_gcd(nonzero, *dir_roots[0], dir_field)
             if _dense.deg(h) < 1:
                 continue
             _, hfac = _dense.factor(dir_field, h)
@@ -308,17 +321,8 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
                     f"a z-root over the degree-{d} direction needs F_{{2^{K}}} > bound {bound}"
                 )
             final = field_new(K)
-            if form == Poly.var(ctx, ("x", "y"), "y"):
-                final_roots = [(1, 0)]
-            else:
-                univ = substitute(form.with_vars(("x", "y")), {"y": Poly.const(ctx, ("x", "y"), 1)})
-                final_roots = [(r, 1) for r in sorted(univariate_roots(univ, final))]
-            for x1, y1 in final_roots:
-                specials = [_specialize_direction(g, x1, y1, final) for g in nonzero]
-                specials = [s for s in specials if s]
-                hf = specials[0]
-                for s in specials[1:]:
-                    hf = _dense.gcd(final, hf, s)
+            for x1, y1 in _direction_roots(form, final):
+                hf = _z_gcd(nonzero, x1, y1, final)
                 for z1 in _dense.roots(final, hf) if _dense.deg(hf) >= 1 else []:
                     points.append(ProjPoint(final, (x1, y1, z1)))
 
@@ -443,27 +447,6 @@ def _fiber_lines(spec: ConicBundleSpec, p: ProjPoint, ftype: FiberType):
     return lines
 
 
-def _restrict_to_fiber(form: Poly, base_vals: tuple[int, int], ctx_p: FieldCtx) -> Poly:
-    """Substitute the two base-chart coordinates; result in fiber variables."""
-    src = form.ctx
-    mul, pw = ctx_p.mul, ctx_p.pow
-    terms: dict = {}
-    for (e1, e2, ea, eb, ec), c in form.terms.items():
-        val = c if src is ctx_p else embed_bits(src, ctx_p, c)
-        if e1:
-            val = mul(val, pw(base_vals[0], e1))
-        if val and e2:
-            val = mul(val, pw(base_vals[1], e2))
-        if val:
-            mono = (ea, eb, ec)
-            cur = terms.get(mono, 0) ^ val
-            if cur:
-                terms[mono] = cur
-            else:
-                terms.pop(mono, None)
-    return Poly(ctx_p, FIBER_VARS, terms)
-
-
 def _line_restriction(g: Poly, fld: FieldCtx, w1: tuple, w2: tuple) -> Poly:
     """Binary form g(s*w1 + t*w2) in (s, t)."""
     st = ("s", "t")
@@ -497,7 +480,7 @@ def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
         twist = tuple(p.ctx.pow(p.coords[w_idx], e) for e in spec.degree_vector)
         form = fiber_form_on_chart(spec, w)
         partials = [partial_derivative(form, v) for v in form.vars]
-        restricted = [_restrict_to_fiber(q, base_vals, p.ctx) for q in partials]
+        restricted = [specialize(q, p.ctx, base_vals) for q in partials]
         for fld, w1_raw, w2_raw in lines:
             tw = tuple(embed_bits(p.ctx, fld, t) for t in twist)
             w1 = tuple(fld.mul(c, t) for c, t in zip(w1_raw, tw))

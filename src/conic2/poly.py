@@ -2,11 +2,22 @@
 
 A :class:`Poly` is a context, an ordered tuple of variable names, and a map
 from exponent vectors to nonzero coefficient bits.  Terms are kept in no
-particular order internally; printing and iteration use graded
+particular order (:meth:`Poly.items` yields them so); printing uses graded
 lexicographic order, so the printed form is canonical and equality is
 structural.  The characteristic-2 calculus lives here as well: the formal
 derivative keeps exactly the odd-exponent terms, and squaring doubles
 exponents and squares coefficients (Frobenius).
+
+This module is the only one that knows how terms are stored (a dict from
+exponent tuples to coefficient bits, in the private slot ``_terms``).
+Exponent vectors enter through :meth:`Poly.from_terms`, :meth:`Poly.var`,
+:meth:`Poly.const` and :func:`poly_parse`, and leave through
+:meth:`Poly.items`, :meth:`Poly.coefficient`, :meth:`Poly.degree_in`,
+:meth:`Poly.low_degree_in` and the dense views (:func:`to_dense`,
+:func:`binary_to_dense`).  The layout operations other modules need are
+written once here: the monomial strip (:func:`strip_monomial`), partial
+evaluation into an extension field (:func:`specialize`) and the coefficient
+map (:meth:`Poly.map_coefficients`).
 
 Grammar for :func:`poly_parse` / :func:`poly_print`: terms joined by ``+``;
 a term is an optional coefficient literal (``0``, ``1``, ``j``, or
@@ -49,12 +60,12 @@ def _grlex_key(mono: Monomial) -> tuple:
 class Poly:
     """Sparse polynomial over a fixed F_{2^k} in named variables."""
 
-    __slots__ = ("ctx", "vars", "terms", "_hash")
+    __slots__ = ("ctx", "vars", "_terms", "_hash")
 
     def __init__(self, ctx: FieldCtx, vars: tuple[str, ...], terms: dict) -> None:
         self.ctx = ctx
         self.vars = vars
-        self.terms = terms
+        self._terms = terms
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------------
@@ -98,26 +109,35 @@ class Poly:
     # -- predicates and degrees ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self._terms)
 
     def constant_bits(self) -> int:
-        return self.terms.get((0,) * len(self.vars), 0)
+        return self._terms.get((0,) * len(self.vars), 0)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return max((sum(m) for m in self._terms), default=-1)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
-        return max((m[i] for m in self.terms), default=-1)
+        return max((m[i] for m in self._terms), default=-1)
+
+    def low_degree_in(self, name: str) -> int:
+        """Order of vanishing along name = 0: the least exponent of name; -1 for zero."""
+        i = self.vars.index(name)
+        return min((m[i] for m in self._terms), default=-1)
+
+    def items(self):
+        """Read-only view of the (exponent tuple, coefficient bits) pairs, in no order."""
+        return self._terms.items()
 
     def leading(self) -> tuple[Monomial, int]:
         """Graded-lex leading (monomial, coefficient bits); error if zero."""
-        mono = max(self.terms, key=_grlex_key)
-        return mono, self.terms[mono]
+        mono = max(self._terms, key=_grlex_key)
+        return mono, self._terms[mono]
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -128,11 +148,11 @@ class Poly:
         return self.scale(self.ctx.inv(lc))
 
     def coefficient(self, mono: Monomial) -> FieldElem:
-        return FieldElem(self.ctx, self.terms.get(tuple(mono), 0))
+        return FieldElem(self.ctx, self._terms.get(tuple(mono), 0))
 
     def variables_used(self) -> tuple[str, ...]:
         used = [False] * len(self.vars)
-        for m in self.terms:
+        for m in self._terms:
             for i, e in enumerate(m):
                 if e:
                     used[i] = True
@@ -150,8 +170,8 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
             cur = terms.get(m, 0) ^ c
             if cur:
                 terms[m] = cur
@@ -163,12 +183,12 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self._terms or not other._terms:
             return Poly(self.ctx, self.vars, {})
         fmul = self.ctx.mul
         terms: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
                 m = tuple(x + y for x, y in zip(ma, mb))
                 c = cb if ca == 1 else (ca if cb == 1 else fmul(ca, cb))
                 cur = terms.get(m, 0) ^ c
@@ -178,24 +198,20 @@ class Poly:
                     terms.pop(m, None)
         return Poly(self.ctx, self.vars, terms)
 
+    def map_coefficients(self, fn, ctx: FieldCtx | None = None) -> "Poly":
+        """The polynomial over ctx (default: this field) with each coefficient
+        c replaced by fn(c); fn must send nonzero bits to nonzero bits, as a
+        scaling, an embedding, a Frobenius power or a section of one does."""
+        return Poly(self.ctx if ctx is None else ctx, self.vars,
+                    {m: fn(c) for m, c in self._terms.items()})
+
     def scale(self, bits: int) -> "Poly":
         if bits == 0:
             return Poly(self.ctx, self.vars, {})
         if bits == 1:
             return self
         fmul = self.ctx.mul
-        return Poly(self.ctx, self.vars, {m: fmul(c, bits) for m, c in self.terms.items()})
-
-    def shift(self, name: str, exp: int) -> "Poly":
-        """Multiply by name**exp (exp may be negative if every term allows it)."""
-        i = self.vars.index(name)
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[i] + exp
-            if e < 0:
-                raise NotDivisible(f"term {m} not divisible by {name}^{-exp}")
-            terms[m[:i] + (e,) + m[i + 1:]] = c
-        return Poly(self.ctx, self.vars, terms)
+        return self.map_coefficients(lambda c: fmul(c, bits))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -215,16 +231,16 @@ class Poly:
             isinstance(other, Poly)
             and other.ctx is self.ctx
             and other.vars == self.vars
-            and other.terms == self.terms
+            and other._terms == self._terms
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ctx.k, self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.ctx.k, self.vars, frozenset(self._terms.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __repr__(self) -> str:
         return poly_print(self)
@@ -238,11 +254,11 @@ class Poly:
         for i, v in enumerate(self.vars):
             if v in vars_out:
                 idx.append((i, vars_out.index(v)))
-            elif any(m[i] for m in self.terms):
+            elif any(m[i] for m in self._terms):
                 raise ValueError(f"variable {v} in use but absent from {vars_out}")
         n = len(vars_out)
         terms = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             mono = [0] * n
             for i, j in idx:
                 mono[j] = m[i]
@@ -252,8 +268,8 @@ class Poly:
     def embed_to(self, target: FieldCtx) -> "Poly":
         if target is self.ctx:
             return self
-        terms = {m: embed_bits(self.ctx, target, c) for m, c in self.terms.items()}
-        return Poly(target, self.vars, terms)
+        src = self.ctx
+        return self.map_coefficients(lambda c: embed_bits(src, target, c), target)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -265,7 +281,7 @@ class Poly:
         fmul = ctx_eval.mul
         fpow = ctx_eval.pow
         acc = 0
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             t = c if src is ctx_eval else embed_bits(src, ctx_eval, c)
             for base, e in zip(coords, m):
                 if e:
@@ -312,11 +328,11 @@ def exact_div(p: Poly, q: Poly) -> Poly:
 def poly_square(p: Poly) -> Poly:
     """Frobenius square: exponents double, coefficients square."""
     sq = p.ctx.sq
-    return Poly(p.ctx, p.vars, {tuple(2 * e for e in m): sq(c) for m, c in p.terms.items()})
+    return Poly(p.ctx, p.vars, {tuple(2 * e for e in m): sq(c) for m, c in p._terms.items()})
 
 
 def is_square(p: Poly) -> bool:
-    return all(all(e % 2 == 0 for e in m) for m in p.terms)
+    return all(all(e % 2 == 0 for e in m) for m in p._terms)
 
 
 def poly_sqrt(p: Poly) -> Poly:
@@ -324,14 +340,14 @@ def poly_sqrt(p: Poly) -> Poly:
     if not is_square(p):
         raise ValueError("polynomial is not a square")
     sqrt = p.ctx.sqrt
-    return Poly(p.ctx, p.vars, {tuple(e // 2 for e in m): sqrt(c) for m, c in p.terms.items()})
+    return Poly(p.ctx, p.vars, {tuple(e // 2 for e in m): sqrt(c) for m, c in p._terms.items()})
 
 
 def partial_derivative(p: Poly, name: str) -> Poly:
     """Formal derivative; modulo 2 only odd exponents contribute."""
     i = p.vars.index(name)
     terms: dict = {}
-    for m, c in p.terms.items():
+    for m, c in p._terms.items():
         if m[i] & 1:
             mono = m[:i] + (m[i] - 1,) + m[i + 1:]
             cur = terms.get(mono, 0) ^ c
@@ -365,7 +381,7 @@ def substitute(p: Poly, assignment: Mapping[str, "Poly | FieldElem | int"],
         else:
             raise TypeError(f"cannot substitute {val!r}")
     acc = Poly.zero(ctx, vars_out)
-    for m, c in p.terms.items():
+    for m, c in p._terms.items():
         term = Poly.const(ctx, vars_out, c)
         for img, e in zip(images, m):
             if e:
@@ -376,6 +392,36 @@ def substitute(p: Poly, assignment: Mapping[str, "Poly | FieldElem | int"],
     return acc
 
 
+def specialize(p: Poly, ctx_e: FieldCtx, values: tuple) -> Poly:
+    """p with its leading variables set to values (raw bits in ctx_e).
+
+    The result lies over ctx_e, whose subfield p's coefficients embed into,
+    in the variables after the specialized ones.  Full evaluation is
+    :meth:`Poly.eval_bits`.
+    """
+    n = len(values)
+    if n > len(p.vars):
+        raise ValueError("more values than variables")
+    src = p.ctx
+    fmul, fpow = ctx_e.mul, ctx_e.pow
+    terms: dict = {}
+    for m, c in p._terms.items():
+        t = c if src is ctx_e else embed_bits(src, ctx_e, c)
+        for base, e in zip(values, m):
+            if e:
+                t = fmul(t, fpow(base, e))
+                if not t:
+                    break
+        if t:
+            rest = m[n:]
+            cur = terms.get(rest, 0) ^ t
+            if cur:
+                terms[rest] = cur
+            else:
+                del terms[rest]
+    return Poly(ctx_e, p.vars[n:], terms)
+
+
 def is_homogeneous(p: Poly):
     """Common total degree, or None if inhomogeneous.
 
@@ -384,7 +430,7 @@ def is_homogeneous(p: Poly):
     """
     if p.is_zero():
         return "zero"
-    degs = {sum(m) for m in p.terms}
+    degs = {sum(m) for m in p._terms}
     if len(degs) == 1:
         return degs.pop()
     return None
@@ -395,7 +441,7 @@ def dehomogenize(p: Poly, name: str) -> Poly:
     i = p.vars.index(name)
     rest = p.vars[:i] + p.vars[i + 1:]
     terms: dict = {}
-    for m, c in p.terms.items():
+    for m, c in p._terms.items():
         mono = m[:i] + m[i + 1:]
         cur = terms.get(mono, 0) ^ c
         if cur:
@@ -414,11 +460,22 @@ def homogenize(p: Poly, name: str, position: int | None = None) -> Poly:
     pos = len(vars_out) if position is None else position
     vars_out.insert(pos, name)
     terms = {}
-    for m, c in p.terms.items():
+    for m, c in p._terms.items():
         mono = list(m)
         mono.insert(pos, d - sum(m))
         terms[tuple(mono)] = c
     return Poly(p.ctx, tuple(vars_out), terms)
+
+
+def strip_monomial(p: Poly) -> tuple[Poly, tuple[int, ...]]:
+    """(q, ords) with p = q * prod(v^ords[i]) and q divisible by no variable."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no monomial part")
+    ords = tuple(p.low_degree_in(v) for v in p.vars)
+    if not any(ords):
+        return p, ords
+    terms = {tuple(e - o for e, o in zip(m, ords)): c for m, c in p._terms.items()}
+    return Poly(p.ctx, p.vars, terms), ords
 
 
 # -- univariate and binary-form views ----------------------------------------
@@ -427,8 +484,8 @@ def homogenize(p: Poly, name: str, position: int | None = None) -> Poly:
 def to_dense(p: Poly, name: str) -> list:
     """Dense coefficient list of a polynomial using only the one variable."""
     i = p.vars.index(name)
-    out = [0] * (p.degree_in(name) + 1) if p.terms else []
-    for m, c in p.terms.items():
+    out = [0] * (p.degree_in(name) + 1) if p._terms else []
+    for m, c in p._terms.items():
         if any(e and j != i for j, e in enumerate(m)):
             raise ValueError(f"polynomial uses more than the variable {name}")
         out[m[i]] = c
@@ -446,15 +503,20 @@ def from_dense(ctx: FieldCtx, vars: Iterable[str], name: str, coeffs: list) -> P
     return Poly(ctx, vars, terms)
 
 
-def _binary_split(f: Poly) -> tuple[int, list]:
-    """Write a binary form as second_var^e * (dense univariate in first var)."""
+def binary_to_dense(f: Poly) -> tuple[int, list]:
+    """(e, dense) with the nonzero binary form f in (u, v) equal to
+    v^e * sum(dense[i] * u^i * v^(deg(dense) - i)); inverse of binary_from_dense."""
     u, v = f.vars
-    e = min((m[1] for m in f.terms), default=0)
-    g = f.shift(v, -e) if e else f
-    dense = [0] * (g.degree_in(u) + 1)
-    for m, c in g.terms.items():
+    dense = [0] * (f.degree_in(u) + 1)
+    for m, c in f._terms.items():
         dense[m[0]] = c
-    return e, dense
+    return f.low_degree_in(v), dense
+
+
+def binary_from_dense(ctx: FieldCtx, vars: Iterable[str], dense: list, e: int = 0) -> Poly:
+    """The binary form v^e * sum(dense[i] * u^i * v^(deg(dense) - i)) in vars = (u, v)."""
+    d = _dense.deg(_dense.trim(dense))
+    return Poly(ctx, tuple(vars), {(i, d - i + e): c for i, c in enumerate(dense) if c})
 
 
 def binary_gcd(f: Poly, g: Poly) -> Poly:
@@ -472,18 +534,9 @@ def binary_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    ctx = f.ctx
-    ef, df = _binary_split(f)
-    eg, dg = _binary_split(g)
-    d = _dense.gcd(ctx, df, dg)
-    u, v = f.vars
-    # Rehomogenize the univariate gcd to a form of its own degree.
-    dd = _dense.deg(d)
-    terms = {}
-    for e, c in enumerate(d):
-        if c:
-            terms[(e, dd - e + min(ef, eg))] = c
-    return Poly(ctx, f.vars, terms).monic()
+    ef, df = binary_to_dense(f)
+    eg, dg = binary_to_dense(g)
+    return binary_from_dense(f.ctx, f.vars, _dense.gcd(f.ctx, df, dg), min(ef, eg)).monic()
 
 
 # -- resultants ----------------------------------------------------------------
@@ -494,7 +547,7 @@ def _coeffs_in(p: Poly, name: str) -> list[Poly]:
     i = p.vars.index(name)
     d = p.degree_in(name)
     out = [Poly.zero(p.ctx, p.vars) for _ in range(d + 1)]
-    for m, c in p.terms.items():
+    for m, c in p._terms.items():
         mono = m[:i] + (0,) + m[i + 1:]
         out[m[i]] = out[m[i]] + Poly(p.ctx, p.vars, {mono: c})
     return out
@@ -653,8 +706,8 @@ def poly_print(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for mono in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[mono]
+    for mono in sorted(p._terms, key=_grlex_key, reverse=True):
+        c = p._terms[mono]
         factors = []
         for name, e in zip(p.vars, mono):
             if e == 1:

@@ -136,7 +136,7 @@ def brute_ordinary_node(eq, point, ctx):
         for i, name in enumerate(eq.vars)
     }
     local = substitute(eq, shift)
-    quad = Poly(ctx, eq.vars, {m: c for m, c in local.terms.items() if sum(m) == 2})
+    quad = Poly.from_terms(ctx, eq.vars, [(m, c) for m, c in local.items() if sum(m) == 2])
     n = len(eq.vars)
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     q_basis = [quad.eval_bits(ctx, e) for e in basis]

@@ -324,7 +324,7 @@ def test_search_certificates_equal_standalone_criterion(monkeypatch):
     assert len(calls) == result.tried == 1024
     assert len(result.hits) == len(sample)
     # bc = y^2*z^2 + x*q, so the weight of q is one less than bc's term count
-    assert {len(spec.sections["bc"].terms) - 1 for spec, _ in result.hits} == set(range(11))
+    assert {len(spec.sections["bc"].items()) - 1 for spec, _ in result.hits} == set(range(11))
     for spec, cert in result.hits:
         alone = surface_criterion(spec, list(template.target_components))
         assert cert.to_json() == alone.to_json()

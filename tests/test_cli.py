@@ -3,7 +3,8 @@
 import json
 
 from conic2.cli import main
-from conic2.conic import load_spec
+from conic2.conic import ProjPoint, classify_fiber, load_spec
+from conic2.gf2k import field_new
 
 from conftest import CORPUS
 
@@ -62,6 +63,18 @@ def test_classify_over_extension(capsys):
     )
     assert code == 0
     assert out.strip() == "DoubleLine"
+
+
+def test_classify_embeds_into_the_lcm_field(capsys, tmp_path):
+    # spec over F_{2^8}, point over F_{2^12}: the common field is F_{2^24}
+    data = json.loads((CORPUS / "ex1.json").read_text())
+    data["field_degree"] = 8
+    path = tmp_path / "ex1_f256.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "classify", "--spec", str(path), "--point", "F4096:2:1:0")
+    assert code == 0, err
+    expected = classify_fiber(load_spec(str(path)), ProjPoint.parse("F4096:2:1:0", field_new(24)))
+    assert out.strip() == str(expected)
 
 
 def test_verify_all_pass_exit_zero(capsys, tmp_path):

@@ -1,16 +1,22 @@
 """Polynomial layer: parsing, arithmetic, char-2 calculus, gcd, resultants."""
 
+import ast
+import itertools
+import pathlib
 import random
 
 import pytest
 
+import conic2
 from conic2.gf2k import field_new
 from conic2.poly import (
     NotDivisible,
     ParseError,
     Poly,
     UnknownVariable,
+    binary_from_dense,
     binary_gcd,
+    binary_to_dense,
     dehomogenize,
     exact_div,
     from_dense,
@@ -23,12 +29,15 @@ from conic2.poly import (
     poly_sqrt,
     poly_square,
     resultant,
+    specialize,
+    strip_monomial,
     substitute,
     to_dense,
 )
 
 F2 = field_new(1)
 F4 = field_new(2)
+F16 = field_new(4)
 V = ("x", "y", "z")
 
 
@@ -59,10 +68,10 @@ def rand_homogeneous(rng, ctx, vars, degree, max_terms=5):
 
 def test_parse_examples():
     p = poly_parse("x^3*z + y^4", F2, V)
-    assert p.terms == {(3, 0, 1): 1, (0, 4, 0): 1}
+    assert dict(p.items()) == {(3, 0, 1): 1, (0, 4, 0): 1}
     assert poly_parse("0", F2, V).is_zero()
     q = poly_parse("j*x^2 + y*z", F4, V)
-    assert q.terms == {(2, 0, 0): 2, (0, 1, 1): 1}
+    assert dict(q.items()) == {(2, 0, 0): 2, (0, 1, 1): 1}
 
 
 def test_parse_round_trips_through_print():
@@ -76,7 +85,7 @@ def test_parse_round_trips_through_print():
 def test_parse_j_plus_one_as_sum_of_terms():
     p = poly_parse("j + 1", F4, V)
     assert p.constant_bits() == 3
-    assert poly_parse("j^2*x", F4, V).terms == {(1, 0, 0): 3}
+    assert dict(poly_parse("j^2*x", F4, V).items()) == {(1, 0, 0): 3}
     assert poly_parse("F4:3*x", F4, V) == poly_parse("j^2*x", F4, V)
 
 
@@ -94,7 +103,7 @@ def test_parse_errors_carry_positions():
 
 def test_repeated_monomials_merge():
     assert poly_parse("x + x", F2, V).is_zero()
-    assert poly_parse("j*x^2 + x^2", F4, V).terms == {(2, 0, 0): 3}
+    assert dict(poly_parse("j*x^2 + x^2", F4, V).items()) == {(2, 0, 0): 3}
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -129,12 +138,12 @@ def test_mul_agrees_with_naive_oracle():
             p = rand_poly(rng, ctx, V, max_terms=4, max_deg=3)
             q = rand_poly(rng, ctx, V, max_terms=4, max_deg=3)
             naive = {}
-            for ma, ca in p.terms.items():
-                for mb, cb in q.terms.items():
+            for ma, ca in p.items():
+                for mb, cb in q.items():
                     mono = tuple(a + b for a, b in zip(ma, mb))
                     naive[mono] = naive.get(mono, 0) ^ ctx.mul(ca, cb)
             naive = {m: c for m, c in naive.items() if c}
-            assert (p * q).terms == naive
+            assert dict((p * q).items()) == naive
 
 
 def test_ring_laws_random():
@@ -308,3 +317,94 @@ def test_dehomogenize_drops_the_variable():
     d = dehomogenize(delta, "z")
     assert d.vars == ("x", "y")
     assert d == poly_parse("x^6*y + x^3 + x^3*y^5 + y^4", F2, ("x", "y"))
+
+
+# -- the term layout and the operations written once over it -------------------
+
+
+def test_only_poly_reads_the_term_layout():
+    """No module but poly touches Poly's term dict or calls the raw constructor."""
+    offenders = []
+    for path in sorted(pathlib.Path(conic2.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("terms", "_terms"):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "Poly":
+                    offenders.append(f"{path.name}:{node.lineno} Poly(...)")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("ctx_e", [F4, F16], ids=["F4", "F16"])
+def test_specialize_agrees_with_eval_bits(ctx_e):
+    rng = random.Random(11 + ctx_e.k)
+    subfields = [field_new(k) for k in range(1, ctx_e.k + 1) if ctx_e.k % k == 0]
+    names = ("u", "v", "a", "b", "c")
+    for _ in range(150):
+        src = rng.choice(subfields)
+        p = rand_poly(rng, src, names, max_terms=6, max_deg=3)
+        n = rng.randint(0, len(names))
+        values = tuple(rng.randrange(ctx_e.q) for _ in range(n))
+        rest = tuple(rng.randrange(ctx_e.q) for _ in range(len(names) - n))
+        sp = specialize(p, ctx_e, values)
+        assert sp.ctx is ctx_e and sp.vars == names[n:]
+        assert all(c for _, c in sp.items())  # cancelled terms are dropped
+        assert sp.eval_bits(ctx_e, rest) == p.eval_bits(ctx_e, values + rest)
+        if n == 0:
+            assert sp == p.embed_to(ctx_e)
+    with pytest.raises(ValueError):
+        specialize(plane_poly("x"), F4, (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("ctx", [F4, F16], ids=["F4", "F16"])
+def test_low_degree_and_strip_monomial_match_brute_force(ctx):
+    rng = random.Random(21 + ctx.k)
+    box = range(6)
+    for _ in range(150):
+        p = rand_poly(rng, ctx, V, max_terms=4, max_deg=5)
+        if p.is_zero():
+            assert all(p.low_degree_in(v) == -1 for v in V)
+            with pytest.raises(ValueError):
+                strip_monomial(p)
+            continue
+        support = [m for m in itertools.product(box, repeat=3) if p.coefficient(m).bits]
+        ords = tuple(min(m[i] for m in support) for i in range(3))
+        assert tuple(p.low_degree_in(v) for v in V) == ords
+        q, got = strip_monomial(p)
+        assert got == ords
+        monomial = Poly.const(ctx, V, 1)
+        for v, e in zip(V, ords):
+            monomial = monomial * Poly.var(ctx, V, v, e)
+        assert q * monomial == p
+        for v in V:
+            with pytest.raises(NotDivisible):
+                exact_div(q, Poly.var(ctx, V, v))
+
+
+@pytest.mark.parametrize("ctx", [F4, F16], ids=["F4", "F16"])
+def test_binary_form_dense_round_trip(ctx):
+    rng = random.Random(31 + ctx.k)
+    ST = ("s", "t")
+    for _ in range(150):
+        dense = [rng.randrange(ctx.q) for _ in range(rng.randint(1, 6))]
+        dense[-1] = rng.randrange(1, ctx.q)
+        e = rng.randint(0, 3)
+        f = binary_from_dense(ctx, ST, dense, e)
+        d = len(dense) - 1
+        assert is_homogeneous(f) == d + e
+        assert binary_to_dense(f) == (e, dense)
+        assert binary_from_dense(ctx, ST, dense + [0, 0], e) == f
+        for s0, t0 in itertools.product(range(ctx.q), repeat=2):
+            want = 0
+            for i, c in enumerate(dense):
+                want ^= ctx.mul(c, ctx.mul(ctx.pow(s0, i), ctx.pow(t0, d - i + e)))
+            assert f.eval_bits(ctx, (s0, t0)) == want
+        deg = rng.randint(0, 6)
+        g = Poly.from_terms(ctx, ST, [((i, deg - i), rng.randrange(ctx.q)) for i in range(deg + 1)])
+        if not g.is_zero():
+            e, dense = binary_to_dense(g)
+            assert binary_from_dense(ctx, ST, dense, e) == g
