@@ -3,10 +3,12 @@
 Layers, bottom up:
 
 - :mod:`conic2.gf2k`: F_{2^k} arithmetic (k <= 64) with a fixed modulus table.
+- :mod:`conic2._dense`: dense univariate arithmetic and the one elimination
+  engine (the subresultant sequence of polynomials in z over F[t]).
 - :mod:`conic2.poly`: sparse multivariate polynomials, char-2 calculus,
-  resultants, binary-form gcd.
-- :mod:`conic2.factor`: univariate/bivariate factorization and the absolute
-  irreducibility test.
+  resultants, binary-form gcd, dense and column views.
+- :mod:`conic2.factor`: factorization, the bivariate gcd, and the absolute
+  irreducibility test over prime-degree extensions.
 - :mod:`conic2.conic`: the half-matrix bundle model, discriminant and
   double-line locus, fiber classification, chart equations.
 - :mod:`conic2.geom`: exact plane geometry (solve_system, singular loci,

@@ -12,6 +12,13 @@ chain; the equal-degree split uses the additive trace map
 T(h) = h + h^2 + h^4 + ... , since the odd-characteristic power trick
 degenerates in characteristic 2.  All random choices come from a fixed-seed
 generator so results are reproducible.
+
+A column polynomial is a polynomial in z over F[t], stored as the list over
+the z-exponent of dense t-lists ("columns"), with no trailing empty column.
+Its arithmetic (``col_*``) and :func:`subresultants` are the one bivariate
+elimination engine: the subresultant sequence (Collins 1967; Brown & Traub
+1971) ends in the subresultant of least degree, which is the resultant when
+the inputs are coprime and a multiple of their gcd otherwise.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ import random
 Coeffs = list  # list[int]
 
 
-def trim(c: Coeffs) -> Coeffs:
+def trim(c: list) -> list:
+    """Drop trailing zeros (of a coefficient list, or empty columns of a column polynomial)."""
     n = len(c)
-    while n and c[n - 1] == 0:
+    while n and not c[n - 1]:
         n -= 1
     return c[:n] if n != len(c) else c
 
@@ -332,3 +340,89 @@ def is_irreducible(ctx, f: Coeffs) -> bool:
             if deg(gcd(ctx, f, add(g, [0, 1]))) != 0:
                 return False
     return True
+
+
+# -- column polynomials: polynomials in z over F[t] ------------------------------
+
+
+def col_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return trim([add(c, b[i]) if i < len(b) else list(c) for i, c in enumerate(a)])
+
+
+def col_scale(ctx, cols: list, s: Coeffs) -> list:
+    return [mul(ctx, c, s) for c in cols]
+
+
+def col_primitive(ctx, cols: list) -> tuple[Coeffs, list]:
+    """(content, primitive part) of a nonzero column polynomial; the content
+    is the monic gcd of the columns."""
+    cont: Coeffs = []
+    for c in cols:
+        if c:
+            cont = gcd(ctx, cont, c) if cont else monic(ctx, c)
+            if deg(cont) == 0:
+                break
+    return cont, col_divide(ctx, cols, cont)
+
+
+def col_divide(ctx, cols: list, d: Coeffs) -> list:
+    """Exact quotient of every column by the nonzero t-polynomial d."""
+    return [_exact_quo(ctx, c, d) for c in cols]
+
+
+def _exact_quo(ctx, a: Coeffs, b: Coeffs) -> Coeffs:
+    if b == [1]:
+        return list(a)
+    q, r = divmod_(ctx, a, b)
+    if r:  # pragma: no cover - defensive
+        raise AssertionError("inexact division in F[t]")
+    return q
+
+
+def _power(ctx, a: Coeffs, e: int) -> Coeffs:
+    out: Coeffs = [1]
+    for _ in range(e):
+        out = mul(ctx, out, a)
+    return out
+
+
+def _prem(ctx, a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (signs are free)."""
+    lb = b[-1]
+    left = len(a) - len(b) + 1
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        killer = [[]] * shift + col_scale(ctx, b, a[-1])
+        a = col_add(col_scale(ctx, a, lb), killer)
+        left -= 1
+    return col_scale(ctx, a, _power(ctx, lb, left)) if left and a else a
+
+
+def subresultants(ctx, a: list, b: list) -> list:
+    """The subresultant sequence of nonzero column polynomials a, b.
+
+    Members fall in z-degree, from the input of larger degree down to the
+    subresultant S_d of least degree d = deg gcd(a, b): an F[t]-multiple of
+    the gcd, and the resultant when d = 0.  Each pseudo-remainder is divided
+    exactly by g h^delta (Brown & Traub), where h is the leading coefficient
+    of the previous block's last subresultant, so degrees in t grow only
+    linearly; a last member whose degree gap exceeds one is rescaled to S_d.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    seq = [a, b]
+    g = h = [1]
+    while True:
+        delta = len(a) - len(b)
+        hb = _exact_quo(ctx, _power(ctx, b[-1], delta), _power(ctx, h, delta - 1))
+        r = _prem(ctx, a, b) if len(b) > 1 else []
+        if not r:
+            break
+        a, b = b, col_divide(ctx, r, mul(ctx, g, _power(ctx, h, delta)))
+        g, h = a[-1], hb
+        seq.append(b)
+    if delta > 1:
+        seq[-1] = col_divide(ctx, col_scale(ctx, b, hb), b[-1])
+    return seq

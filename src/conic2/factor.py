@@ -9,10 +9,15 @@ co-variable degree, recombines factor subsets by exact division, and merges
 factors found over an auxiliary extension along Frobenius orbits back to the
 coefficient field.
 
-Absolute irreducibility is decided by factoring over F_{2^(k e)} for every
-e up to the total degree: the absolute irreducible factors of an
-F_{2^k}-irreducible polynomial are Galois-conjugate, hence defined over an
-extension of degree at most the degree, so the test is complete.
+The bivariate gcd is the primitive part of the last member of the
+subresultant sequence of :func:`conic2._dense.subresultants`, times the gcd
+of the contents.
+
+Absolute irreducibility is decided by factoring over F_{2^(k e)} for each
+prime e dividing the total degree: the absolute irreducible factors of an
+F_{2^k}-irreducible polynomial form one Frobenius orbit, whose size r
+divides the degree, and over F_{2^(k e)} the orbit falls into gcd(e, r)
+groups, so the polynomial splits there for every prime e dividing r.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .poly import (
     binary_to_dense,
     dehomogenize,
     exact_div,
+    from_columns,
     from_dense,
     homogenize,
     is_homogeneous,
@@ -36,7 +42,7 @@ from .poly import (
     partial_derivative,
     poly_sqrt,
     strip_monomial,
-    substitute,
+    to_columns,
     to_dense,
 )
 
@@ -106,94 +112,7 @@ def binary_form_factor(f: Poly) -> list[tuple[Poly, int]]:
     return sort_factors(list(out.items()))
 
 
-# -- bivariate gcd (primitive polynomial remainder sequence) -----------------------
-
-# Internal bivariate layout: list over the main variable's exponent of dense
-# co-variable coefficient lists ("columns").
-
-
-def _bl_from(p: Poly, xn: str, yn: str) -> list[list[int]]:
-    ix, iy = p.vars.index(xn), p.vars.index(yn)
-    cols: list[list[int]] = [[0] * (p.degree_in(yn) + 1) for _ in range(p.degree_in(xn) + 1)]
-    for m, co in p.items():
-        cols[m[ix]][m[iy]] ^= co
-    return [_dense.trim(c) for c in cols]
-
-
-def _bl_to(ctx: FieldCtx, cols, vars: tuple, xn: str, yn: str) -> Poly:
-    ix, iy = vars.index(xn), vars.index(yn)
-    n = len(vars)
-    terms = []
-    for e, col in enumerate(cols):
-        for ey, c in enumerate(col):
-            if c:
-                mono = [0] * n
-                mono[ix] = e
-                mono[iy] = ey
-                terms.append((mono, c))
-    return Poly.from_terms(ctx, vars, terms)
-
-
-def _bl_trim(cols):
-    n = len(cols)
-    while n and not cols[n - 1]:
-        n -= 1
-    return cols[:n]
-
-
-def _bl_content(ctx, cols) -> list[int]:
-    cont: list[int] = []
-    for c in cols:
-        if c:
-            cont = _dense.gcd(ctx, cont, c) if cont else _dense.monic(ctx, c)
-            if _dense.deg(cont) == 0:
-                return [1]
-    return cont
-
-
-def _bl_divide_content(ctx, cols, cont):
-    if cont == [1]:
-        return [list(c) for c in cols]
-    out = []
-    for c in cols:
-        if not c:
-            out.append([])
-        else:
-            q, r = _dense.divmod_(ctx, c, cont)
-            if r:  # pragma: no cover - defensive
-                raise AssertionError("content division left a remainder")
-            out.append(q)
-    return out
-
-
-def _bl_scale(ctx, cols, s: list[int]):
-    return [_dense.mul(ctx, c, s) if c else [] for c in cols]
-
-
-def _bl_add(a, b):
-    out = []
-    for i in range(max(len(a), len(b))):
-        ca = a[i] if i < len(a) else []
-        cb = b[i] if i < len(b) else []
-        out.append(_dense.add(ca, cb))
-    return _bl_trim(out)
-
-
-def _bl_prem(ctx, a, b):
-    """Pseudo-remainder in the main variable (char 2, so signs are free)."""
-    a = _bl_trim([list(c) for c in a])
-    b = _bl_trim(b)
-    lb = b[-1]
-    while a and len(a) >= len(b):
-        la = a[-1]
-        shift = len(a) - len(b)
-        scaled = _bl_scale(ctx, a, lb)
-        killer = [[] for _ in range(shift)] + _bl_scale(ctx, b, la)
-        a2 = _bl_add(scaled, killer)
-        if len(a2) >= len(a):  # pragma: no cover - defensive
-            raise AssertionError("pseudo-division failed to reduce the degree")
-        a = a2
-    return a
+# -- bivariate gcd (subresultant sequence) -------------------------------------
 
 
 def gcd_bivariate(f: Poly, g: Poly) -> Poly:
@@ -214,22 +133,10 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
     if len(active) > 2:
         raise ValueError(f"gcd_bivariate got more than two variables: {active}")
     xn, yn = active
-    a, b = _bl_from(f, xn, yn), _bl_from(g, xn, yn)
-    ca, cb = _bl_content(ctx, a), _bl_content(ctx, b)
-    a = _bl_divide_content(ctx, a, ca)
-    b = _bl_divide_content(ctx, b, cb)
-    cont = _dense.gcd(ctx, ca, cb)
-    while _bl_trim(b):
-        if len(a) < len(b):
-            a, b = b, a
-        r = _bl_prem(ctx, a, b)
-        if r:
-            r = _bl_divide_content(ctx, r, _bl_content(ctx, r))
-        a, b = b, r
-    result = _bl_to(ctx, a, f.vars, xn, yn)
-    if _dense.deg(cont) > 0:
-        result = result * from_dense(ctx, f.vars, yn, cont)
-    return result.monic()
+    (ca, a), (cb, b) = (_dense.col_primitive(ctx, to_columns(h, xn, yn)) for h in (f, g))
+    _, last = _dense.col_primitive(ctx, _dense.subresultants(ctx, a, b)[-1])
+    last = _dense.col_scale(ctx, last, _dense.gcd(ctx, ca, cb))
+    return from_columns(ctx, f.vars, last, xn, yn).monic()
 
 
 # -- homogeneous trivariate gcd and squarefreeness -----------------------------
@@ -282,10 +189,6 @@ def squarefree_homogeneous(f: Poly) -> bool:
 # -- bivariate factorization ----------------------------------------------------
 
 
-def _bl_eval_y(ctx, cols, r: int) -> list[int]:
-    return _dense.trim([_dense.eval_at(ctx, c, r) for c in cols])
-
-
 def _dense_is_squarefree(ctx, u) -> bool:
     du = _dense.deriv(u)
     if not du:
@@ -301,7 +204,7 @@ def _find_specialization(f: Poly, xn: str, yn: str):
     while ctx.k * ext <= 64:
         ctx_e = field_new(ctx.k * ext)
         fe = f.embed_to(ctx_e)
-        cols = _bl_from(fe, xn, yn)
+        cols = to_columns(fe, xn, yn)
         lead = cols[-1]
         for r in range(ctx_e.q):
             tried += 1
@@ -311,7 +214,7 @@ def _find_specialization(f: Poly, xn: str, yn: str):
                 )
             if _dense.eval_at(ctx_e, lead, r) == 0:
                 continue
-            u = _bl_eval_y(ctx_e, cols, r)
+            u = _dense.trim([_dense.eval_at(ctx_e, c, r) for c in cols])
             if _dense_is_squarefree(ctx_e, u):
                 return ctx_e, fe, cols, r, u
         ext += 1
@@ -329,7 +232,7 @@ def _sp_mul(ctx, a, b, prec: int):
                 continue
             prod = _dense.mul(ctx, ca, cb)
             out[i + j] = _dense.add(out[i + j], prod[:prec])
-    return _bl_trim([_dense.trim(c[:prec]) for c in out])
+    return _dense.trim([_dense.trim(c[:prec]) for c in out])
 
 
 def _hensel_lift(ctx, f_monic_cols, base_factors, prec: int):
@@ -350,7 +253,7 @@ def _hensel_lift(ctx, f_monic_cols, base_factors, prec: int):
         prod = lifted[0]
         for i in range(1, s):
             prod = _sp_mul(ctx, prod, lifted[i], j + 1)
-        err = _bl_add(f_monic_cols, prod)
+        err = _dense.col_add(f_monic_cols, prod)
         e = _dense.trim([col[j] if len(col) > j else 0 for col in err])
         if not e:
             continue
@@ -367,14 +270,6 @@ def _hensel_lift(ctx, f_monic_cols, base_factors, prec: int):
     return lifted
 
 
-def _primitive_x(p: Poly, xn: str, yn: str) -> Poly:
-    cols = _bl_from(p, xn, yn)
-    cont = _bl_content(p.ctx, cols)
-    if _dense.deg(cont) > 0:
-        cols = _bl_divide_content(p.ctx, cols, cont)
-    return _bl_to(p.ctx, cols, p.vars, xn, yn)
-
-
 def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
     """Irreducible factors of f: squarefree, primitive in xn, specializing yn."""
     ctx = f.ctx
@@ -383,12 +278,10 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
     base_factors = [g for g, _ in base]
     if len(base_factors) == 1:
         return [f.monic()]
-    degy = fe.degree_in(yn)
-    prec = 2 * degy + 1
-    r_elem = Poly.const(ctx_e, fe.vars, r)
-    shift_in = {yn: Poly.var(ctx_e, fe.vars, yn) + r_elem}
-    ft = substitute(fe, shift_in)
-    tcols = _bl_from(ft, xn, yn)
+    prec = 2 * fe.degree_in(yn) + 1
+    # y -> y + r on every column; the shift is its own inverse in characteristic 2
+    shift = [r, 1]
+    tcols = [_dense.compose(ctx_e, c, shift) for c in cols]
     linv = _dense.series_inverse(ctx_e, tcols[-1], prec)
     monic_cols = [_dense.trim(_dense.mul(ctx_e, c, linv)[:prec]) if c else [] for c in tcols]
     lifted = _hensel_lift(ctx_e, monic_cols, base_factors, prec)
@@ -400,8 +293,7 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
     while pool:
         if remaining.is_constant():  # pragma: no cover - defensive
             break
-        rem_cols = _bl_from(remaining, xn, yn)
-        lshift = _dense.compose(ctx_e, rem_cols[-1], [r, 1])
+        lshift = _dense.compose(ctx_e, to_columns(remaining, xn, yn)[-1], shift)
         extracted = False
         max_size = len(pool)
         for size in range(1, max_size):
@@ -410,11 +302,11 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
                 for i in combo[1:]:
                     prod = _sp_mul(ctx_e, prod, pool[i], prec)
                 cand_cols = [
-                    _dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]) if c else [] for c in prod
+                    _dense.compose(ctx_e, _dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]), shift)
+                    for c in prod
                 ]
-                cand_t = _bl_to(ctx_e, cand_cols, fe.vars, xn, yn)
-                cand = substitute(cand_t, shift_in)
-                cand = _primitive_x(cand, xn, yn)
+                _, cand_cols = _dense.col_primitive(ctx_e, cand_cols)
+                cand = from_columns(ctx_e, fe.vars, cand_cols, xn, yn)
                 if cand.is_constant():
                     continue
                 try:
@@ -500,12 +392,10 @@ def _split_bivariate(f: Poly, xn: str, yn: str, mult: int, acc: dict) -> None:
         return
     # contents with respect to both variables
     for main, co in ((xn, yn), (yn, xn)):
-        cols = _bl_from(f, main, co)
-        cont = _bl_content(f.ctx, cols)
+        cont, pp = _dense.col_primitive(f.ctx, to_columns(f, main, co))
         if _dense.deg(cont) > 0:
-            cont_poly = from_dense(f.ctx, f.vars, co, cont)
-            _split_bivariate(cont_poly, xn, yn, mult, acc)
-            _split_bivariate(exact_div(f, cont_poly).monic(), xn, yn, mult, acc)
+            _split_bivariate(from_dense(f.ctx, f.vars, co, cont), xn, yn, mult, acc)
+            _split_bivariate(from_columns(f.ctx, f.vars, pp, main, co).monic(), xn, yn, mult, acc)
             return
     if is_square(f):
         _split_bivariate(poly_sqrt(f).monic(), xn, yn, 2 * mult, acc)
@@ -531,7 +421,9 @@ def _abs_irred_bivariate(f: Poly) -> bool:
     if sum(m for _, m in factors) != 1:
         return False
     ctx = f.ctx
-    for e in range(2, deg + 1):
+    # The absolute factors of an F_q-irreducible f form one Frobenius orbit,
+    # whose size r divides deg f; f splits over F_{q^e} for each prime e | r.
+    for e in (p for p in range(2, deg + 1) if deg % p == 0 and all(p % d for d in range(2, p))):
         if ctx.k * e > 64:
             raise UnluckySpecializationExhausted(
                 f"absolute irreducibility needs F_{{2^{ctx.k * e}}}, beyond the word bound"

@@ -14,10 +14,11 @@ Exponent vectors enter through :meth:`Poly.from_terms`, :meth:`Poly.var`,
 :meth:`Poly.const` and :func:`poly_parse`, and leave through
 :meth:`Poly.items`, :meth:`Poly.coefficient`, :meth:`Poly.degree_in`,
 :meth:`Poly.low_degree_in` and the dense views (:func:`to_dense`,
-:func:`binary_to_dense`).  The layout operations other modules need are
-written once here: the monomial strip (:func:`strip_monomial`), partial
-evaluation into an extension field (:func:`specialize`) and the coefficient
-map (:meth:`Poly.map_coefficients`).
+:func:`binary_to_dense`, and :func:`to_columns`, the column layout on which
+:func:`resultant` and the bivariate gcd run).  The layout operations other
+modules need are written once here: the monomial strip
+(:func:`strip_monomial`), partial evaluation into an extension field
+(:func:`specialize`) and the coefficient map (:meth:`Poly.map_coefficients`).
 
 Grammar for :func:`poly_parse` / :func:`poly_print`: terms joined by ``+``;
 a term is an optional coefficient literal (``0``, ``1``, ``j``, or
@@ -519,6 +520,30 @@ def binary_from_dense(ctx: FieldCtx, vars: Iterable[str], dense: list, e: int = 
     return Poly(ctx, tuple(vars), {(i, d - i + e): c for i, c in enumerate(dense) if c})
 
 
+def to_columns(p: Poly, main: str, co: str) -> list:
+    """Column polynomial of p in main over F[co] (see :mod:`conic2._dense`):
+    entry i is the dense co-list of the coefficient of main^i.  p may use no
+    other variable; inverse of from_columns."""
+    im, ic = p.vars.index(main), p.vars.index(co)
+    cols = [[0] * (p.degree_in(co) + 1) for _ in range(p.degree_in(main) + 1)]
+    for m, c in p._terms.items():
+        if m[im] + m[ic] != sum(m):
+            raise ValueError(f"polynomial uses more than the variables {main}, {co}")
+        cols[m[im]][m[ic]] = c
+    return [_dense.trim(c) for c in cols]
+
+
+def from_columns(ctx: FieldCtx, vars: Iterable[str], cols: list, main: str, co: str) -> Poly:
+    vars = tuple(vars)
+    im, ic = vars.index(main), vars.index(co)
+    terms = {}
+    for e, col in enumerate(cols):
+        for ec, c in enumerate(col):
+            if c:
+                terms[tuple(e if j == im else ec if j == ic else 0 for j in range(len(vars)))] = c
+    return Poly(ctx, vars, terms)
+
+
 def binary_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd of two binary forms (homogeneous, same two variables).
 
@@ -542,63 +567,46 @@ def binary_gcd(f: Poly, g: Poly) -> Poly:
 # -- resultants ----------------------------------------------------------------
 
 
-def _coeffs_in(p: Poly, name: str) -> list[Poly]:
-    """Dense list of Poly coefficients of p viewed in the one variable."""
-    i = p.vars.index(name)
-    d = p.degree_in(name)
-    out = [Poly.zero(p.ctx, p.vars) for _ in range(d + 1)]
-    for m, c in p._terms.items():
-        mono = m[:i] + (0,) + m[i + 1:]
-        out[m[i]] = out[m[i]] + Poly(p.ctx, p.vars, {mono: c})
-    return out
-
-
 def resultant(f: Poly, g: Poly, name: str) -> Poly:
-    """Sylvester resultant eliminating one variable (char 2: signs vanish).
+    """Res_name(f, g), the last member of the subresultant sequence of
+    :mod:`conic2._dense` (char 2: signs vanish).
 
-    Computed by fraction-free (Bareiss) elimination on the Sylvester matrix,
-    so all intermediate divisions are exact.
+    Besides name, f and g may use one variable t, or two (t, w) when both
+    are homogeneous: then w is set to 1 and restored by homogeneity, since
+    the resultant of forms of degrees m, n and name-degrees p, q is a form
+    of degree D = m q + n p - p q.
     """
     f._check(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    m, n = f.degree_in(name), g.degree_in(name)
-    if m <= 0 and n <= 0:
+    p, q = f.degree_in(name), g.degree_in(name)
+    if p <= 0 and q <= 0:
         return Poly.const(f.ctx, f.vars, 1)
-    if m <= 0:
-        return f ** n
-    if n <= 0:
-        return g ** m
-    fc = _coeffs_in(f, name)
-    gc = _coeffs_in(g, name)
-    size = m + n
-    zero = Poly.zero(f.ctx, f.vars)
-    rows: list[list[Poly]] = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    # Bareiss elimination; row swaps cost no sign in characteristic 2.
-    denom = Poly.const(f.ctx, f.vars, 1)
-    for k in range(size - 1):
-        pivot = next((r for r in range(k, size) if not rows[r][k].is_zero()), None)
-        if pivot is None:
-            return zero
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = rows[k][k] * rows[i][j] + rows[i][k] * rows[k][j]
-                rows[i][j] = exact_div(num, denom) if not num.is_zero() else zero
-            rows[i][k] = zero
-        denom = rows[k][k]
-    return rows[size - 1][size - 1]
+    if p <= 0:
+        return f ** q
+    if q <= 0:
+        return g ** p
+    ctx = f.ctx
+    others = [v for v in f.vars if v != name and max(f.degree_in(v), g.degree_in(v)) > 0]
+    if len(others) > 2:
+        raise ValueError(f"resultant in more than three variables: {[name] + others}")
+    pair = (f, g)
+    if len(others) == 2:
+        if is_homogeneous(f) is None or is_homogeneous(g) is None:
+            raise ValueError("a resultant in three variables needs homogeneous inputs")
+        pair = (dehomogenize(f, others[1]), dehomogenize(g, others[1]))
+    if others:
+        cols = [to_columns(h, name, others[0]) for h in pair]
+    else:
+        cols = [[[c] if c else [] for c in to_dense(h, name)] for h in pair]
+    last = _dense.subresultants(ctx, *cols)[-1]
+    r = last[0] if len(last) == 1 else []
+    if not others:
+        return Poly.const(ctx, f.vars, r[0] if r else 0)
+    if len(others) == 2 and r:
+        d = f.total_degree() * q + g.total_degree() * p - p * q
+        return binary_from_dense(ctx, others, r, d - _dense.deg(r)).with_vars(f.vars)
+    return from_dense(ctx, f.vars, others[0], r)
 
 
 # -- parsing and printing ---------------------------------------------------

@@ -9,8 +9,9 @@ from conic2.conic import (
     ConicBundleSpec,
     chart_equation,
 )
+from conic2.factor import UnluckySpecializationExhausted, bivariate_factor
 from conic2.gf2k import field_new
-from conic2.poly import Poly, partial_derivative, substitute
+from conic2.poly import Poly, exact_div, partial_derivative, substitute
 
 
 def monomials_of_degree(d, nvars=3):
@@ -148,5 +149,61 @@ def brute_ordinary_node(eq, point, ctx):
             quad.eval_bits(ctx, tuple(a ^ b for a, b in zip(u, e))) ^ qu ^ qe == 0
             for e, qe in zip(basis, q_basis)
         ):
+            return False
+    return True
+
+
+def sylvester_resultant(f, g, name):
+    """Reference resultant: fraction-free (Bareiss) elimination on the
+    Sylvester matrix of Poly entries; row swaps cost no sign in char 2."""
+    m, n = f.degree_in(name), g.degree_in(name)
+    if m <= 0 and n <= 0:
+        return Poly.const(f.ctx, f.vars, 1)
+    if m <= 0:
+        return f ** n
+    if n <= 0:
+        return g ** m
+    i = f.vars.index(name)
+
+    def coeffs(p):
+        out = [Poly.zero(p.ctx, p.vars) for _ in range(p.degree_in(name) + 1)]
+        for mono, c in p.items():
+            out[mono[i]] = out[mono[i]] + Poly.from_terms(p.ctx, p.vars, [(mono[:i] + (0,) + mono[i + 1:], c)])
+        return out
+
+    size = m + n
+    zero = Poly.zero(f.ctx, f.vars)
+    rows = []
+    for p, count in ((f, n), (g, m)):
+        for r in range(count):
+            row = [zero] * size
+            for j, c in enumerate(reversed(coeffs(p))):
+                row[r + j] = c
+            rows.append(row)
+    denom = Poly.const(f.ctx, f.vars, 1)
+    for k in range(size - 1):
+        pivot = next((r for r in range(k, size) if not rows[r][k].is_zero()), None)
+        if pivot is None:
+            return zero
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for r in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = rows[k][k] * rows[r][j] + rows[r][k] * rows[k][j]
+                rows[r][j] = exact_div(num, denom) if not num.is_zero() else zero
+            rows[r][k] = zero
+        denom = rows[k][k]
+    return rows[size - 1][size - 1]
+
+
+def abs_irred_every_extension(f):
+    """Reference absolute irreducibility of a bivariate f: irreducible over
+    F_{2^(k e)} for every e = 1 .. deg f (complete, since the absolute
+    factors are defined over an extension of degree at most deg f)."""
+    if sum(m for _, m in bivariate_factor(f)) != 1:
+        return False
+    for e in range(2, f.total_degree() + 1):
+        if f.ctx.k * e > 64:
+            raise UnluckySpecializationExhausted("beyond the word bound")
+        if sum(m for _, m in bivariate_factor(f.embed_to(field_new(f.ctx.k * e)))) != 1:
             return False
     return True

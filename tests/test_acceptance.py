@@ -7,6 +7,7 @@ failure profile: hypotheses 2, 3 and 5 fail, and each witness point is
 confirmed by a brute-force oracle over F16.
 """
 
+import hashlib
 import random
 import time
 
@@ -298,6 +299,8 @@ def test_a7_search_rediscovers_the_example():
         for spec, _ in result.hits
     )
     all_certified = all(cert.all_pass for _, cert in result.hits)
+    # sha256 of the hits' Certificate.to_json() strings concatenated in order
+    digest = hashlib.sha256("".join(c.to_json() for _, c in result.hits).encode()).hexdigest()
     ok = rediscovered and all_certified and result.hits and dt < 600
     report(
         "A7 guided search rediscovers the published entries",
@@ -306,6 +309,7 @@ def test_a7_search_rediscovers_the_example():
         f"{len(result.hits)} certified hits out of {result.tried} candidates",
     )
     assert ok
+    assert digest == "61e22ecff7cc3b57a0594f42ec622284f44a6f3b09637153cfb3325b3ea130d1"
 
 
 def test_a8_property_suites():

@@ -3,6 +3,8 @@ the chart-level elementary transformation, and the guided search."""
 
 import hashlib
 import json
+import pathlib
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -12,11 +14,14 @@ from conic2 import amcert, geom
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import (
     BASE_VARS,
+    FIBER_VARS,
+    SECTION_KEYS,
     ConicBundleSpec,
     FiberType,
     ProjPoint,
     classify_fiber,
     discriminant,
+    spec_to_dict,
 )
 from conic2.amcert import (
     FactorizationMismatch,
@@ -29,6 +34,7 @@ from conic2.amcert import (
     example81_template,
     nonproduct_witness,
     search_spieghiamolo,
+    spec_hash,
     surface_criterion,
 )
 from conic2.gf2k import field_new
@@ -266,6 +272,37 @@ def test_corpus_certificates_are_byte_stable():
         for entry, cert in _corpus_certificates()
     }
     assert digests == CORPUS_CERT_DIGESTS
+
+
+DELTA20 = pathlib.Path(__file__).parent / "data" / "delta20.json"
+
+
+def delta20_spec() -> ConicBundleSpec:
+    """The degree-20 regression spec: over F_2 with degree vector (0, 3, 7)
+    and value degree 0, each section keeps each monomial of its degree when
+    one shared random.Random(1) draws below 0.5, in SECTION_KEYS order."""
+    rng = random.Random(1)
+    dv = (0, 3, 7)
+    sections = {}
+    for key in SECTION_KEYS:
+        d = dv[FIBER_VARS.index(key[0])] + dv[FIBER_VARS.index(key[1])]
+        monos = [m for m in geom.plane_monomials(d) if rng.random() < 0.5]
+        sections[key] = Poly.from_terms(F2, BASE_VARS, [(m, 1) for m in monos])
+    return ConicBundleSpec(F2, dv, 0, sections)
+
+
+def test_degree_20_spec_is_decided():
+    spec = delta20_spec()
+    assert spec_to_dict(spec) == json.loads(DELTA20.read_text())
+    assert spec_hash(spec).startswith("sha256:25cb94f0f87a8b96")
+    cert = surface_criterion(spec)
+    assert {k for k, h in cert.hypotheses.items() if not h.passed} == {
+        "h2_reducible_sing_in_sigma",
+        "h4_two_am_components",
+    }
+    assert cert.discriminant["degree"] == 20
+    assert [f["multiplicity"] for f in cert.discriminant["factors"]] == [1]
+    assert len(cert.components) == 1
 
 
 def test_certificate_serializes_to_json(tmp_path):

@@ -111,3 +111,39 @@ def test_compose_and_inv_mod():
     a = [0, 1]
     inv = d.inv_mod(F2, a, m)
     assert d.mod(F2, d.mul(F2, a, inv), m) == [1]
+
+
+def test_subresultant_sequence_ends_in_resultant_or_gcd_multiple():
+    from conic2.poly import Poly, exact_div, from_columns, to_columns
+
+    from _helpers import sylvester_resultant
+
+    rng = random.Random(27)
+    zt = ("z", "t")
+
+    def rand_zt(zdeg, tdeg):
+        items = [((i, j), rng.randrange(F4.q)) for i in range(zdeg + 1) for j in range(tdeg + 1)]
+        return Poly.from_terms(F4, zt, [ic for ic in items if rng.random() < 0.6])
+
+    planted_seen = zero_seen = 0
+    for i in range(80):
+        fa, fb = rand_zt(rng.randint(0, 4), 3), rand_zt(rng.randint(0, 4), 3)
+        c = rand_zt(rng.randint(1, 2), 1) if i % 2 else Poly.const(F4, zt, 1)
+        fa, fb = fa * c, fb * c
+        if fa.is_zero() or fb.is_zero() or max(fa.degree_in("z"), fb.degree_in("z")) == 0:
+            continue
+        seq = d.subresultants(F4, to_columns(fa, "z", "t"), to_columns(fb, "z", "t"))
+        lens = [len(m) for m in seq]
+        assert lens[0] >= lens[1] and all(x > y for x, y in zip(lens[1:], lens[2:]))
+        assert all(m and m[-1] for m in seq)
+        last = from_columns(F4, zt, seq[-1], "z", "t")
+        res = sylvester_resultant(fa, fb, "z")
+        if len(seq[-1]) == 1:
+            assert last == res
+        else:
+            assert res.is_zero()
+            zero_seen += 1
+        if c.degree_in("z") > 0:
+            exact_div(last, c)  # the common factor divides the last subresultant
+            planted_seen += 1
+    assert planted_seen >= 20 and zero_seen >= 20

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conic2.gf2k import field_new
+from conic2.gf2k import field_new, section_bits
 from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print
 from conic2.factor import (
     UnluckySpecializationExhausted,
@@ -16,6 +16,8 @@ from conic2.factor import (
     univariate_factor,
     univariate_roots,
 )
+
+from _helpers import abs_irred_every_extension
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -135,6 +137,46 @@ def test_absolute_irreducibility_examples():
     assert is_absolutely_irreducible(plane_poly("x"))
     assert not is_absolutely_irreducible(plane_poly("x^2 + x*y + y^2"))  # splits over F4
     assert not is_absolutely_irreducible(plane_poly("x*y + z^2") * plane_poly("x"))
+
+
+def _conjugate_product(g, ctx):
+    """The product of g (over an extension of ctx) and its Frobenius
+    conjugates over ctx, pulled back to ctx: irreducible over ctx when g is
+    absolutely irreducible and not defined over a smaller field, but never
+    absolutely irreducible."""
+    ext = g.ctx
+    prod, h = g, g.map_coefficients(lambda c: ext.pow(c, ctx.q))
+    while h != g:
+        prod = prod * h
+        h = h.map_coefficients(lambda c: ext.pow(c, ctx.q))
+    return prod.map_coefficients(lambda c: section_bits(ctx, ext, c), ctx)
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_absolute_irreducibility_matches_every_extension_oracle(ctx):
+    rng = random.Random(60 + ctx.k)
+    cases = []
+    while len(cases) < 16:
+        d = rng.randint(2, 8)
+        items = [((i, j), rng.randrange(1, ctx.q)) for i in range(d + 1) for j in range(d + 1 - i)]
+        f = Poly.from_terms(ctx, XY, [m for m in items if rng.random() < 0.4] + [((d, 0), 1)])
+        if len(f.variables_used()) == 2:
+            cases.append(f)
+    for e, gdeg in ((2, 4), (2, 3), (3, 2), (2, 2), (4, 2), (3, 1)):
+        ext = field_new(ctx.k * e)
+        while True:
+            items = [((i, j), rng.randrange(ext.q)) for i in range(gdeg + 1) for j in range(gdeg + 1 - i)]
+            g = Poly.from_terms(ext, XY, items + [((gdeg, 0), 1), ((0, gdeg), 1)])
+            f = _conjugate_product(g, ctx)
+            if f.total_degree() == e * gdeg and len(bivariate_factor(f)) == 1:
+                cases.append(f)
+                break
+    verdicts = []
+    for f in cases:
+        want = abs_irred_every_extension(f)
+        assert is_absolutely_irreducible(f) == want, f
+        verdicts.append(want)
+    assert verdicts.count(False) >= 6 and verdicts.count(True) >= 4
 
 
 def test_absolute_irreducibility_rejects_bad_inputs():

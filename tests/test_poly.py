@@ -8,6 +8,7 @@ import random
 import pytest
 
 import conic2
+from conic2.factor import gcd_bivariate
 from conic2.gf2k import field_new
 from conic2.poly import (
     NotDivisible,
@@ -19,6 +20,7 @@ from conic2.poly import (
     binary_to_dense,
     dehomogenize,
     exact_div,
+    from_columns,
     from_dense,
     is_homogeneous,
     is_square,
@@ -32,8 +34,11 @@ from conic2.poly import (
     specialize,
     strip_monomial,
     substitute,
+    to_columns,
     to_dense,
 )
+
+from _helpers import sylvester_resultant
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -296,14 +301,93 @@ def test_resultant_detects_common_factors():
         if a.is_zero() or b.is_zero() or c.is_zero():
             continue
         f, g = a * c, b * c
-        from conic2.factor import gcd_bivariate
-
         res = resultant(f, g, "y")
         shared = gcd_bivariate(f, g)
         if shared.degree_in("y") > 0:
             assert res.is_zero()
         elif not res.is_zero():
             assert shared.degree_in("y") <= 0
+
+
+def _resultant_pairs(rng, ctx):
+    """Forms of degree <= 5 in x, y, z (random; with a planted common factor;
+    without the pure z-power, so the leading z-coefficient is a form that
+    vanishes somewhere), then inhomogeneous pairs in x, y and in z alone."""
+    for i in range(60):
+        df, dg = rng.randint(1, 5), rng.randint(1, 5)
+        f, g = rand_homogeneous(rng, ctx, V, df), rand_homogeneous(rng, ctx, V, dg)
+        if i % 3 == 1:
+            dc = rng.randint(1, 2)
+            c = rand_homogeneous(rng, ctx, V, dc)
+            f = rand_homogeneous(rng, ctx, V, max(df - dc, 1)) * c
+            g = rand_homogeneous(rng, ctx, V, max(dg - dc, 1)) * c
+        elif i % 3 == 2:
+            f = Poly.from_terms(ctx, V, [(m, c) for m, c in f.items() if m[2] < df])
+            g = Poly.from_terms(ctx, V, [(m, c) for m, c in g.items() if m[2] < dg])
+        yield f, g, "z"
+    for i in range(40):
+        f, g = rand_poly(rng, ctx, ("x", "y"), max_deg=4), rand_poly(rng, ctx, ("x", "y"), max_deg=4)
+        yield f, g, ("x", "y")[i % 2]
+    for _ in range(5):
+        yield rand_poly(rng, ctx, ("z",), max_deg=5), rand_poly(rng, ctx, ("z",), max_deg=5), "z"
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_resultant_matches_sylvester_oracle(ctx):
+    rng = random.Random(40 + ctx.k)
+    checked = zero = 0
+    for f, g, name in _resultant_pairs(rng, ctx):
+        if f.is_zero() or g.is_zero():
+            continue
+        r = resultant(f, g, name)
+        assert r == sylvester_resultant(f, g, name), (f, g, name)
+        checked += 1
+        zero += r.is_zero()
+    assert checked >= 70 and zero >= 10
+
+
+def test_resultant_needs_homogeneous_inputs_in_three_variables():
+    with pytest.raises(ValueError):
+        resultant(plane_poly("x*z + y"), plane_poly("z^2 + x"), "z")
+
+
+def test_resultant_and_gcd_match_sympy_over_f2():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x y z")
+
+    def lift(p):
+        return sum(sympy.Mul(*[s ** e for s, e in zip(syms, m)]) for m, _ in p.items())
+
+    def reduce(expr, vars):
+        terms = sympy.Poly(expr, *syms[: len(vars)], modulus=2).terms()
+        return Poly.from_terms(F2, vars, [(m, int(c) % 2) for m, c in terms])
+
+    rng = random.Random(44)
+    checked = 0
+    for f, g, name in _resultant_pairs(rng, F2):
+        if f.is_zero() or g.is_zero() or len(f.vars) == 1:
+            continue
+        want = reduce(sympy.resultant(lift(f), lift(g), syms[f.vars.index(name)]), f.vars)
+        assert resultant(f, g, name) == want, (f, g, name)
+        if len(f.vars) == 2:
+            assert gcd_bivariate(f, g) == reduce(sympy.gcd(lift(f), lift(g), modulus=2), f.vars).monic()
+        checked += 1
+    assert checked >= 60
+
+
+@pytest.mark.parametrize("ctx", [F4, F16], ids=["F4", "F16"])
+def test_column_view_round_trip(ctx):
+    rng = random.Random(50 + ctx.k)
+    for _ in range(30):
+        p = dehomogenize(rand_poly(rng, ctx, V, max_deg=4), "y").with_vars(V)
+        cols = to_columns(p, "z", "x")
+        assert from_columns(ctx, V, cols, "z", "x") == p
+        assert not cols or cols[-1]
+        for i, col in enumerate(cols):
+            assert col == [p.coefficient((j, 0, i)).bits for j in range(len(col))]
+            assert not col or col[-1]
+    with pytest.raises(ValueError):
+        to_columns(plane_poly("x*y*z"), "z", "x")  # y is in use
 
 
 def test_dense_round_trip():
