@@ -19,6 +19,7 @@ coefficient field; gcds of forms are stable under field extension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -543,18 +544,56 @@ def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
     B_ij is the coefficient of u_i*u_j in f(p + u), which is the mixed partial
     d_i d_j f(p) in every characteristic; a 4x4 alternating matrix has full
     rank exactly when its Pfaffian B01*B23 + B02*B13 + B03*B12 is nonzero.
+
+    The value, gradient and mixed partials at p come from one pass over the
+    terms (:func:`_node_jet`): in characteristic 2 the term c*u^m reaches
+    d_i f(p) only when m_i is odd, and d_i d_j f(p) only when m_i and m_j
+    are both odd.
     """
-    names = chart_eq.vars
-    if len(names) != 4:
-        raise ValueError("ordinary_node_check expects a 4-variable chart equation")
-    if chart_eq.eval_bits(ctx_q, point) != 0:
+    value, grad, b = _node_jet(chart_eq, point, ctx_q)
+    if value != 0:
         raise NotSingularHere("the equation does not vanish at the point")
-    firsts = [partial_derivative(chart_eq, v) for v in names]
-    if any(d.eval_bits(ctx_q, point) for d in firsts):
+    if any(grad):
         raise NotSingularHere("the gradient does not vanish at the point")
-    b = {
-        (i, j): partial_derivative(firsts[i], names[j]).eval_bits(ctx_q, point)
-        for i, j in itertools.combinations(range(4), 2)
-    }
     mul = ctx_q.mul
     return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0
+
+
+def _node_jet(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> tuple[int, list[int], dict]:
+    """f(p), the four first partials at p and the six mixed partials d_i d_j
+    f(p), keyed (i, j) with i < j, in one pass over the terms of f.
+
+    Each coordinate's powers are computed once and shared by all terms.  A
+    term c*u^m contributes c*m_i*u^(m - e_i) to d_i f; in characteristic 2
+    that is zero unless m_i is odd, and then u^(m - e_i) differs from u^m
+    only in the power of u_i.  The same holds for both indices of a mixed
+    partial.
+    """
+    if len(chart_eq.vars) != 4:
+        raise ValueError("ordinary_node_check expects a 4-variable chart equation")
+    if len(point) != 4:
+        raise ValueError("coordinate count does not match variables")
+    src, mul = chart_eq.ctx, ctx_q.mul
+    powers = [[1, x] for x in point]
+    value, grad = 0, [0, 0, 0, 0]
+    mixed = dict.fromkeys(itertools.combinations(range(4), 2), 0)
+    for m, c in chart_eq.items():
+        if src is not ctx_q:
+            c = embed_bits(src, ctx_q, c)
+        full, odd = [], []
+        for i, (pw, e) in enumerate(zip(powers, m)):
+            while len(pw) <= e:
+                pw.append(mul(pw[-1], pw[1]))
+            full.append(pw[e])
+            if e & 1:
+                odd.append((i, pw[e - 1]))
+        value ^= functools.reduce(mul, full, c)
+        for i, low in odd:
+            vals = full[:]
+            vals[i] = low
+            grad[i] ^= functools.reduce(mul, vals, c)
+        for (i, low_i), (j, low_j) in itertools.combinations(odd, 2):
+            vals = full[:]
+            vals[i], vals[j] = low_i, low_j
+            mixed[i, j] ^= functools.reduce(mul, vals, c)
+    return value, grad, mixed

@@ -16,6 +16,16 @@ field a computation is based on.
 The serialized form of an element is ``F<2^k>:<hex>`` with the
 most-significant basis coefficient first, e.g. ``F4:2`` for the generator j
 of F_4 (which satisfies j^2 + j + 1 = 0).
+
+Fields with k <= 12 (``_TABLE_MAX_K``) compute through log/antilog tables
+over their smallest primitive element (Greenan, Miller & Schwarz, MASCOTS
+2008), built on a context's first ``mul``, ``pow``, ``inv`` or ``sqrt``:
+a product is one lookup at the sum of two logarithms, a power one at a
+product of indices.  Larger fields multiply bit-serially
+(``FieldCtx._mul_serial``).  A context checks its modulus with Rabin's test
+on the bit-serial product when it is created, before any table exists,
+and the table build checks that one power cycle visits every nonzero
+element.
 """
 
 from __future__ import annotations
@@ -112,6 +122,12 @@ _MODULI = {
     64: 0x1000000000000001B,  # t^64+t^4+t^3+t+1
 }
 
+# Fields with k <= _TABLE_MAX_K multiply through log/antilog tables.  As
+# Python lists the tables hold about 0.31 MB at k = 12 and 5.2 MB at k = 16,
+# a fifth of the whole process's resident memory on the benchmark, so larger
+# fields keep the bit-serial product.
+_TABLE_MAX_K = 12
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
@@ -134,14 +150,18 @@ def _gf2x_gcd(a: int, b: int) -> int:
 
 def _is_irreducible_rabin(ctx: "FieldCtx") -> bool:
     """Rabin's test of the modulus m of degree k: t^(2^k) = t mod m, and
-    gcd(m, t^(2^(k/p)) - t) = 1 for every prime p dividing k."""
+    gcd(m, t^(2^(k/p)) - t) = 1 for every prime p dividing k.
+
+    It squares on the bit-serial path: the log tables assume a field, so
+    they must not be built before the modulus is known to give one."""
     k, m = ctx.k, ctx.modulus
     if _gf2x_deg(m) != k:
         return False
+    sq = ctx._mul_serial
     x = _gf2x_mod(2, m)
     xq = x
     for _ in range(k):
-        xq = ctx.sq(xq)
+        xq = sq(xq, xq)
     if xq != x:
         return False
     for p in _SMALL_PRIMES:
@@ -150,7 +170,7 @@ def _is_irreducible_rabin(ctx: "FieldCtx") -> bool:
         if k % p == 0:
             h = x
             for _ in range(k // p):
-                h = ctx.sq(h)
+                h = sq(h, h)
             if _gf2x_gcd(m, h ^ x) != 1:
                 return False
     return True
@@ -162,10 +182,11 @@ class FieldCtx:
     Raw operations (``mul``, ``inv``, ...) act on the int bit-vectors and are
     the fast path used by the polynomial layers; :class:`FieldElem` wraps
     them for convenient operator syntax.  Instances are immutable and
-    interned by :func:`field_new`.
+    interned by :func:`field_new`; the log/antilog tables of a field with
+    k <= ``_TABLE_MAX_K`` are filled in on its first multiplication.
     """
 
-    __slots__ = ("k", "q", "modulus", "_inv_cache")
+    __slots__ = ("k", "q", "modulus", "_inv_cache", "_log", "_exp")
 
     def __init__(self, k: int, _token: object = None) -> None:
         if _token is not _CTX_TOKEN:
@@ -175,13 +196,55 @@ class FieldCtx:
         self.k = k
         self.q = 1 << k
         self.modulus = _MODULI[k]
-        self._inv_cache: dict[int, int] = {}
+        self._inv_cache: dict[int, int] | None = {} if k > _TABLE_MAX_K else None
+        self._log: list[int] | None = None
+        self._exp: list[int] | None = None
         if not _is_irreducible_rabin(self):  # pragma: no cover - table is fixed
             raise AssertionError(f"modulus table entry for k={k} is not irreducible")
+
+    def _tables(self) -> list[int] | None:
+        """Build the tables and return the log table; None when k > _TABLE_MAX_K.
+
+        Callers build once, when ``_log`` is still None.
+
+        ``_log[a]`` is the discrete logarithm of a != 0 to the smallest
+        primitive element g, and ``_exp[i] = g^i`` for 0 <= i < 2(q - 1), so
+        the sum of two logarithms indexes ``_exp`` without a reduction.
+        """
+        if self.k > _TABLE_MAX_K:
+            return None
+        q = self.q
+        for g in range(1 if q == 2 else 2, q):
+            log = [-1] * q
+            exp = []
+            x = 1
+            while x and log[x] < 0:
+                log[x] = len(exp)
+                exp.append(x)
+                x = self._mul_serial(x, g)
+            if x == 1 and len(exp) == q - 1:
+                break
+        else:
+            raise AssertionError(
+                f"no power cycle of F_{{2^{self.k}}} visits all {q - 1} nonzero elements"
+            )
+        self._exp = exp + exp  # set before _log, which readers test
+        self._log = log
+        return log
 
     # -- raw int operations -------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
+        if not (a and b):
+            return 0
+        log = self._log
+        if log is None:
+            if self.k > _TABLE_MAX_K:
+                return self._mul_serial(a, b)
+            log = self._tables()
+        return self._exp[log[a] + log[b]]
+
+    def _mul_serial(self, a: int, b: int) -> int:
         m, k, r = self.modulus, self.k, 0
         while b:
             if b & 1:
@@ -196,19 +259,29 @@ class FieldCtx:
         return self.mul(a, a)
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        log = self._log or self._tables()
+        if log is None:
+            if e < 0:
+                return self.pow(self.inv(a), -e)
+            r = 1
+            while e:
+                if e & 1:
+                    r = self.mul(r, a)
+                a = self.mul(a, a)
+                e >>= 1
+            return r
+        if not a:
+            if e < 0:
+                raise DivisionByZero("inverse of 0 in F_{2^%d}" % self.k)
+            return 0 if e else 1
+        return self._exp[log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0 in F_{2^%d}" % self.k)
+        log = self._log or self._tables()
+        if log is not None:
+            return self._exp[self.q - 1 - log[a]]
         if a == 1:
             return 1
         cached = self._inv_cache.get(a)
@@ -220,10 +293,17 @@ class FieldCtx:
         return r
 
     def sqrt(self, a: int) -> int:
-        # Squaring is a bijection in characteristic 2: sqrt(a) = a^(2^(k-1)).
-        for _ in range(self.k - 1):
-            a = self.mul(a, a)
-        return a
+        # Squaring is a bijection in characteristic 2: sqrt(a) = a^(2^(k-1)),
+        # whose logarithm is half of log a modulo the odd q - 1.
+        log = self._log or self._tables()
+        if log is None:
+            for _ in range(self.k - 1):
+                a = self.mul(a, a)
+            return a
+        if not a:
+            return 0
+        e = log[a]
+        return self._exp[(e + (e & 1) * (self.q - 1)) >> 1]
 
     def trace(self, a: int) -> int:
         # Absolute trace to F_2; always lands in {0, 1}.

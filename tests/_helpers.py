@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random generators and brute oracles."""
 
-from itertools import product
+from itertools import combinations, product
 
 from conic2.conic import (
     BASE_VARS,
@@ -10,7 +10,8 @@ from conic2.conic import (
     chart_equation,
 )
 from conic2.factor import UnluckySpecializationExhausted, bivariate_factor
-from conic2.gf2k import field_new
+from conic2.gf2k import DivisionByZero, field_new
+from conic2.geom import NotSingularHere
 from conic2.poly import Poly, exact_div, partial_derivative, substitute
 
 
@@ -207,3 +208,79 @@ def abs_irred_every_extension(f):
         if sum(m for _, m in bivariate_factor(f.embed_to(field_new(f.ctx.k * e)))) != 1:
             return False
     return True
+
+
+class SerialField:
+    """Reference F_{2^k} arithmetic: shift-and-add products reduced by the
+    modulus, square-and-multiply powers, inverses as a^(q-2), square roots
+    as k-1 squarings and the trace as a sum of k conjugates."""
+
+    def __init__(self, k, modulus):
+        self.k, self.q, self.modulus = k, 1 << k, modulus
+
+    def mul(self, a, b):
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if (a >> self.k) & 1:
+                a ^= self.modulus
+        return r
+
+    def sq(self, a):
+        return self.mul(a, a)
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+    def inv(self, a):
+        if a == 0:
+            raise DivisionByZero("inverse of 0")
+        return self.pow(a, self.q - 2)
+
+    def sqrt(self, a):
+        for _ in range(self.k - 1):
+            a = self.mul(a, a)
+        return a
+
+    def trace(self, a):
+        acc = 0
+        for _ in range(self.k):
+            acc ^= a
+            a = self.mul(a, a)
+        return acc
+
+
+def derivative_node_jet(eq, point, ctx):
+    """Reference f(p), gradient and mixed partials {(i, j): d_i d_j f(p)},
+    from derivative polynomials built with partial_derivative."""
+    firsts = [partial_derivative(eq, v) for v in eq.vars]
+    mixed = {
+        (i, j): partial_derivative(firsts[i], eq.vars[j]).eval_bits(ctx, point)
+        for i, j in combinations(range(4), 2)
+    }
+    return eq.eval_bits(ctx, point), [d.eval_bits(ctx, point) for d in firsts], mixed
+
+
+def derivative_node_check(eq, point, ctx):
+    """Reference ordinary_node_check on the derivative polynomials: f(p)
+    must vanish, then the gradient, then the Pfaffian decides."""
+    if len(eq.vars) != 4:
+        raise ValueError("ordinary_node_check expects a 4-variable chart equation")
+    value, grad, b = derivative_node_jet(eq, point, ctx)
+    if value != 0:
+        raise NotSingularHere("the equation does not vanish at the point")
+    if any(grad):
+        raise NotSingularHere("the gradient does not vanish at the point")
+    mul = ctx.mul
+    return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0

@@ -19,6 +19,7 @@ from conic2.geom import (
     PositiveDimensional,
     brute_solutions,
     intersection_points,
+    _node_jet,
     ordinary_node_check,
     point_on_curve,
     singular_points,
@@ -26,10 +27,16 @@ from conic2.geom import (
     solve_system,
     transversal_at,
 )
-from conic2.gf2k import field_new
+from conic2.gf2k import embed_bits, field_new
 from conic2.poly import Poly, plane_poly, poly_parse, substitute
 
-from _helpers import brute_fiber_singular_points, brute_ordinary_node, rand_homogeneous
+from _helpers import (
+    brute_fiber_singular_points,
+    brute_ordinary_node,
+    derivative_node_check,
+    derivative_node_jet,
+    rand_homogeneous,
+)
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -297,6 +304,53 @@ def test_ordinary_node_matches_brute_force_radical(ctx):
         assert verdict == brute_ordinary_node(eq, point, ctx), (eq, point)
         verdicts.append(verdict)
     assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+
+def _node_outcome(check, eq, point, ctx):
+    try:
+        return check(eq, point, ctx)
+    except NotSingularHere as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("base, ctx", [(F2, F4), (F4, F16)], ids=["F2-F4", "F4-F16"])
+def test_one_pass_node_jet_matches_derivative_oracle(base, ctx):
+    # charts over the base field, evaluated over an extension: at embedded
+    # base points where the chart is singular, or has a nonzero value or
+    # gradient there, and at random extension points
+    rng = random.Random(41 + ctx.k)
+    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    outcomes = []
+    for _ in range(80):
+        point = tuple(rng.randrange(base.q) for _ in V4)
+        local = Poly.zero(base, V4)
+        if rng.random() < 0.5:
+            for pair in rng.choice(pairings):
+                mono = tuple(int(i in pair) for i in range(4))
+                local = local + Poly.from_terms(base, V4, [(mono, rng.randrange(1, base.q))])
+        for d, terms in ((2, rng.randint(0, 4)), (3, 3), (4, 2), (5, 1)):
+            local = local + rand_homogeneous(rng, base, d, max_terms=terms, vars=V4)
+        roll = rng.random()
+        if roll < 0.15:
+            local = local + Poly.const(base, V4, rng.randrange(1, base.q))
+        elif roll < 0.3:
+            local = local + rand_homogeneous(rng, base, 1, max_terms=2, vars=V4, nonzero=True)
+        shift = {v: Poly.var(base, V4, v) + Poly.const(base, V4, c) for v, c in zip(V4, point)}
+        eq = substitute(local, shift)
+        for q_point in (
+            tuple(embed_bits(base, ctx, c) for c in point),
+            tuple(rng.randrange(ctx.q) for _ in V4),
+        ):
+            assert _node_jet(eq, q_point, ctx) == derivative_node_jet(eq, q_point, ctx), (eq, q_point)
+            outcome = _node_outcome(ordinary_node_check, eq, q_point, ctx)
+            assert outcome == _node_outcome(derivative_node_check, eq, q_point, ctx), (eq, q_point)
+            outcomes.append(outcome)
+    # both verdicts and both NotSingularHere branches occur
+    assert outcomes.count(True) >= 5 and outcomes.count(False) >= 5
+    assert outcomes.count("the equation does not vanish at the point") >= 5
+    assert outcomes.count("the gradient does not vanish at the point") >= 5
+    with pytest.raises(ValueError):
+        ordinary_node_check(poly_parse("x*y", base, ("x", "y", "z")), (0, 0, 0), ctx)
 
 
 # -- gcd-based emptiness vs explicit enumeration ------------------------------------------

@@ -1,12 +1,17 @@
 """Field layer: fixed moduli, exact arithmetic, Frobenius, embeddings."""
 
 import random
+import time
 
 import pytest
 
 from conic2.gf2k import (
+    _CTX_TOKEN,
+    _MODULI,
+    _TABLE_MAX_K,
     ContextMismatch,
     DivisionByZero,
+    FieldCtx,
     NoEmbedding,
     UnsupportedDegree,
     elem_parse,
@@ -17,6 +22,8 @@ from conic2.gf2k import (
     frobenius_sqrt,
     section_bits,
 )
+
+from _helpers import SerialField
 
 
 def test_prime_field():
@@ -220,3 +227,88 @@ def test_moduli_are_irreducible_and_follow_the_table_rule():
             # numerically smallest: no smaller odd polynomial of degree k is
             # irreducible (even ones are divisible by t)
             assert not any(irreducible(c) for c in range((1 << k) | 1, m, 2)), k
+
+
+# -- the table-driven kernel against the bit-serial oracle ----------------------
+
+
+def _pow_exponents(q):
+    return (-2, -1, 0, 1, 2, q - 2, q - 1, q, 3 * q)
+
+
+def _assert_matches_serial(F, pairs, elems):
+    ref = SerialField(F.k, F.modulus)
+    for a, b in pairs:
+        assert F.mul(a, b) == ref.mul(a, b), (F.k, a, b)
+    for a in elems:
+        assert F.sq(a) == ref.sq(a), (F.k, a)
+        assert F.sqrt(a) == ref.sqrt(a), (F.k, a)
+        assert F.trace(a) == ref.trace(a), (F.k, a)
+        if a:
+            assert F.inv(a) == ref.inv(a), (F.k, a)
+        for e in _pow_exponents(F.q):
+            if a == 0 and e < 0:
+                with pytest.raises(DivisionByZero):
+                    F.pow(a, e)
+                with pytest.raises(DivisionByZero):
+                    ref.pow(a, e)
+            else:
+                assert F.pow(a, e) == ref.pow(a, e), (F.k, a, e)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_table_kernel_matches_serial_oracle_exhaustively(k):
+    F = field_new(k)
+    elems = range(F.q)
+    _assert_matches_serial(F, [(a, b) for a in elems for b in elems], elems)
+    assert F._log is not None
+
+
+@pytest.mark.parametrize("k", range(9, _TABLE_MAX_K + 1))
+def test_table_kernel_matches_serial_oracle_on_samples(k):
+    F = field_new(k)
+    rng = random.Random(k)
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3000)]
+    elems = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(200)]
+    _assert_matches_serial(F, pairs, elems)
+    assert F._log is not None
+
+
+@pytest.mark.parametrize("k", [13, 16])
+def test_fields_above_the_table_cap_stay_serial(k):
+    F = field_new(k)
+    rng = random.Random(k)
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(300)]
+    elems = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(20)]
+    _assert_matches_serial(F, pairs, elems)
+    assert F._log is None and F._exp is None
+
+
+def test_tables_are_built_lazily_and_cover_the_group():
+    for k in range(1, 17):
+        F = FieldCtx(k, _CTX_TOKEN)  # construction ran Rabin's test
+        assert F._log is None and F._exp is None, k
+        F.mul(1, 1)
+        if k > _TABLE_MAX_K:
+            assert F._log is None, k
+            continue
+        n = F.q - 1
+        assert len(F._exp) == 2 * n and F._exp[:n] == F._exp[n:], k
+        assert sorted(F._exp[:n]) == list(range(1, F.q)), k
+        assert all(F._log[F._exp[i]] == i for i in range(n)), k
+
+
+def test_reducible_modulus_raises_instead_of_hanging(monkeypatch):
+    # (t^2 + t + 1)^2: Rabin's test, on the serial path, rejects it
+    monkeypatch.setitem(_MODULI, 4, 0b10101)
+    t0 = time.perf_counter()
+    with pytest.raises(AssertionError):
+        FieldCtx(4, _CTX_TOKEN)
+    # the table build checks that one power cycle covers F_q^*, so a
+    # modulus that slipped past construction raises too
+    F = FieldCtx(5, _CTX_TOKEN)
+    F.modulus = 0b100001  # t^5 + 1 = (t + 1)(t^4 + t^3 + t^2 + t + 1)
+    with pytest.raises(AssertionError):
+        F.mul(2, 3)
+    assert F._log is None
+    assert time.perf_counter() - t0 < 5
