@@ -10,7 +10,7 @@ Layers, bottom up:
 - :mod:`conic2.factor`: factorization, the bivariate gcd, and the absolute
   irreducibility test over prime-degree extensions.
 - :mod:`conic2.conic`: the half-matrix bundle model, discriminant and
-  double-line locus, fiber classification, chart equations.
+  double-line locus, fiber classification, section jets, chart equations.
 - :mod:`conic2.geom`: exact plane geometry (solve_system, singular loci,
   Bezout-certified intersections, smoothness along degenerate fibers, node
   criterion).

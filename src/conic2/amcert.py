@@ -37,7 +37,9 @@ from .conic import (
     classify_fiber,
     cross_splitting_form,
     discriminant,
+    fiber_type,
     flatness_check,
+    section_jet,
     section_values,
     sigma_generators,
     spec_to_dict,
@@ -578,13 +580,14 @@ def _certify(
     h3_witnesses: list[ProjPoint] = []
     pairs = list(itertools.combinations(range(len(comps)), 2))
     meets = [geo.meet(i, j) for i, j in pairs]
-    # each point's fiber type and node, keyed by its exact representation
-    points = {
-        p.sort_key(): p for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points
+    # each point's section jet, fiber type and node, keyed by its exact representation
+    jets = {
+        p.sort_key(): section_jet(spec, p)
+        for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points
     }
-    fibers = {key: classify_fiber(spec, p) for key, p in points.items()}
+    fibers = {key: fiber_type(jet.value, jet.point.ctx) for key, jet in jets.items()}
     crosses = [key for key, ftype in fibers.items() if ftype is FiberType.CROSS]
-    node_of = dict(zip(crosses, cross_nodes(spec, [points[key] for key in crosses])))
+    node_of = dict(zip(crosses, cross_nodes([jets[key] for key in crosses])))
     for (i, j), inter in zip(pairs, meets):
         entry: dict = {"pair": [poly_print(comps[i]), poly_print(comps[j])]}
         if isinstance(inter, AlgebraicPointSet):

@@ -36,10 +36,12 @@ from .amcert import (
 from .conic import (
     AllZero,
     DegreeMismatch,
+    MalformedInput,
     ProjPoint,
     classify_fiber,
     discriminant,
     load_spec,
+    read_json,
     spec_from_dict,
     spec_to_dict,
 )
@@ -67,10 +69,13 @@ _RESOURCE_ERRORS = (ExtensionBound, UnluckySpecializationExhausted)
 
 
 def _load_factors(path: str, ctx) -> list[Poly]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict):
+        if "factors" not in data:
+            raise MalformedInput("a factors object needs a 'factors' list")
         data = data["factors"]
+    if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
+        raise MalformedInput("factors must be a list of polynomial strings")
     return [poly_parse(t, ctx, ("x", "y", "z")) for t in data]
 
 
@@ -107,7 +112,7 @@ def cmd_discriminant(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = load_spec(args.spec)
-    ctx = field_new(args.field) if args.field else None
+    ctx = field_new(args.field) if args.field is not None else None
     point = ProjPoint.parse(args.point, ctx)
     if point.ctx.k % spec.ctx.k != 0:
         point = point.embed_to(field_new(math.lcm(spec.ctx.k, point.ctx.k)))

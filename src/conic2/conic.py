@@ -52,6 +52,10 @@ class AllZero(ValueError):
     """All six sections vanish identically."""
 
 
+class MalformedInput(ValueError):
+    """An input file cannot be read, or its JSON does not have the expected shape."""
+
+
 class FiberType(enum.Enum):
     SMOOTH = "Smooth"
     CROSS = "Cross"
@@ -211,6 +215,63 @@ def section_values(spec: ConicBundleSpec, p: ProjPoint) -> dict:
     return {key: spec.sections[key].eval_bits(p.ctx, p.coords) for key in SECTION_KEYS}
 
 
+@dataclass(frozen=True)
+class SectionJet:
+    """The six sections' values, first partials and mixed partial at a point.
+
+    ``chart`` is the index w of the point's first nonzero coordinate, and
+    ``d1``, ``d2``, ``d12`` are the partials in the two other base variables
+    u1, u2 (in x, y, z order) and their mixed partial.  Since p_w = 1 they
+    are the partials of the sections dehomogenized at w = 1, i.e. on the
+    base chart of w.  Each field maps a section key to raw bits in the
+    point's field.
+    """
+
+    point: ProjPoint
+    chart: int
+    value: dict
+    d1: dict
+    d2: dict
+    d12: dict
+
+
+def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
+    """The :class:`SectionJet` of the spec at p, in one pass over each
+    section's terms with one list of coordinate powers for all six.
+
+    In characteristic 2 a term c*u1^e1*u2^e2 reaches d/du_i only when e_i
+    is odd, and then its derivative differs from it only in the power of
+    u_i; the mixed partial needs both exponents odd.
+    """
+    ctx, src = p.ctx, spec.ctx
+    mul = ctx.mul
+    w = next(k for k, c in enumerate(p.coords) if c)
+    i1, i2 = (k for k in range(3) if k != w)
+    pw1, pw2 = [1, p.coords[i1]], [1, p.coords[i2]]
+    value, d1, d2, d12 = {}, {}, {}, {}
+    for key in SECTION_KEYS:
+        v = v1 = v2 = v12 = 0
+        for m, c in spec.sections[key].items():
+            if src is not ctx:
+                c = embed_bits(src, ctx, c)
+            e1, e2 = m[i1], m[i2]
+            while len(pw1) <= e1:
+                pw1.append(mul(pw1[-1], pw1[1]))
+            while len(pw2) <= e2:
+                pw2.append(mul(pw2[-1], pw2[1]))
+            c2 = mul(c, pw2[e2])
+            v ^= mul(c2, pw1[e1])
+            if e1 & 1:
+                v1 ^= mul(c2, pw1[e1 - 1])
+            if e2 & 1:
+                c2 = mul(c, pw2[e2 - 1])
+                v2 ^= mul(c2, pw1[e1])
+                if e1 & 1:
+                    v12 ^= mul(c2, pw1[e1 - 1])
+        value[key], d1[key], d2[key], d12[key] = v, v1, v2, v12
+    return SectionJet(p, w, value, d1, d2, d12)
+
+
 def _delta_value(v: dict, ctx: FieldCtx) -> int:
     mul = ctx.mul
     return (
@@ -222,12 +283,16 @@ def _delta_value(v: dict, ctx: FieldCtx) -> int:
 
 
 def classify_fiber(spec: ConicBundleSpec, p: ProjPoint) -> FiberType:
-    v = section_values(spec, p)
+    return fiber_type(section_values(spec, p), p.ctx)
+
+
+def fiber_type(v: dict, ctx: FieldCtx) -> FiberType:
+    """The fiber type of the conic with section values v in ctx."""
     if all(v[k] == 0 for k in SECTION_KEYS):
         return FiberType.NOT_CONIC
     if all(v[k] == 0 for k in OFF_DIAGONAL):
         return FiberType.DOUBLE_LINE
-    if _delta_value(v, p.ctx) == 0:
+    if _delta_value(v, ctx) == 0:
         return FiberType.CROSS
     return FiberType.SMOOTH
 
@@ -253,10 +318,16 @@ def cross_splitting_form(v: dict):
 
 def cross_singular_point(spec: ConicBundleSpec, p: ProjPoint) -> ProjPoint:
     """The unique singular point of a cross fiber, in fiber coordinates."""
-    split = cross_splitting_form(section_values(spec, p))
+    return radical_point(section_values(spec, p), p.ctx)
+
+
+def radical_point(v: dict, ctx: FieldCtx) -> ProjPoint:
+    """The point n of :func:`cross_splitting_form` for section values v in
+    ctx: the singular point of a cross fiber, normalized."""
+    split = cross_splitting_form(v)
     if split is None:
         raise ValueError("fiber is a double line; the singular locus is a whole line")
-    return ProjPoint(p.ctx, split[0])
+    return ProjPoint(ctx, split[0])
 
 
 _FIBER_MONO = {
@@ -350,24 +421,50 @@ def spec_to_dict(spec: ConicBundleSpec) -> dict:
     }
 
 
+_SPEC_FIELDS = ("field_degree", "degree_vector", "value_degree", "sections")
+
+
 def spec_from_dict(data: dict) -> ConicBundleSpec:
-    ctx = field_new(int(data["field_degree"]))
-    dv = tuple(int(e) for e in data["degree_vector"])
+    if not isinstance(data, dict):
+        raise MalformedInput(f"a spec is a JSON object, not {type(data).__name__}")
+    missing = [key for key in _SPEC_FIELDS if key not in data]
+    if missing:
+        raise MalformedInput("the spec lacks " + ", ".join(missing))
+    if not isinstance(data["degree_vector"], (list, tuple)):
+        raise MalformedInput("degree_vector must be a list of three integers")
+    if not isinstance(data["sections"], dict):
+        raise MalformedInput("sections must be an object mapping section keys to polynomials")
+    texts = {key: data["sections"].get(key, "0") for key in SECTION_KEYS}
+    bad = [key for key, text in texts.items() if not isinstance(text, str)]
+    if bad:
+        raise MalformedInput("sections must be polynomial strings; not " + ", ".join(bad))
+    try:
+        k = int(data["field_degree"])
+        dv = tuple(int(e) for e in data["degree_vector"])
+        m = int(data["value_degree"])
+    except TypeError as exc:
+        raise MalformedInput(f"degrees must be integers: {exc}") from None
+    ctx = field_new(k)
     if len(dv) != 3:
         raise DegreeMismatch("degree_vector needs exactly three entries")
-    m = int(data["value_degree"])
-    sections = {}
-    for key in SECTION_KEYS:
-        text = data["sections"].get(key, "0")
-        sections[key] = poly_parse(text, ctx, BASE_VARS)
+    sections = {key: poly_parse(text, ctx, BASE_VARS) for key, text in texts.items()}
     spec = ConicBundleSpec(ctx, dv, m, sections)
     spec_validate(spec)
     return spec
 
 
+def read_json(path: str):
+    """The JSON document in the file at path; an unreadable file raises
+    MalformedInput, malformed JSON json.JSONDecodeError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_spec(path: str) -> ConicBundleSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(read_json(path))
 
 
 def save_spec(spec: ConicBundleSpec, path: str) -> None:

@@ -9,12 +9,13 @@ hop, never a tower), and the recorded eliminant factor degrees certify that
 no root was missed (EliminationClosure).  Transversal intersections carry an
 independent Bezout count certificate instead.
 
-Smoothness of the total space along a degenerate fiber is decided per base
-chart: the fiber-homogeneous chart equation and its five partials are
-restricted to the fiber, each line of the reduced fiber is parametrized by
-P^1, and the restrictions become binary forms whose gcd is constant exactly
-when no singular point lies on that line.  The gcd is computed over the
-coefficient field; gcds of forms are stable under field extension.
+Smoothness of the total space along a degenerate fiber, and the ordinary
+nodes above component intersections, are read from the six sections' jet at
+the base point (value, first partials and mixed partial): the five partials
+of the conic form, restricted to the fiber, are pulled back along each line
+of the reduced fiber to binary forms whose gcd is constant exactly when no
+singular point lies on that line.  The gcd is computed over the coefficient
+field; gcds of forms are stable under field extension.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from . import _dense
 from .conic import (
     BASE_VARS,
     FIBER_VARS,
+    SECTION_KEYS,
     ConicBundleSpec,
     FiberType,
     ProjPoint,
-    chart_equation,
-    classify_fiber,
-    cross_singular_point,
     cross_splitting_form,
-    fiber_form_on_chart,
-    section_values,
+    fiber_type,
+    radical_point,
+    section_jet,
 )
 from .factor import (
     binary_form_factor,
@@ -55,7 +55,6 @@ from .poly import (
     poly_print,
     resultant,
     specialize,
-    substitute,
     to_dense,
 )
 
@@ -403,10 +402,9 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
 # -- total-space smoothness along degenerate fibers ------------------------------
 
 
-def _fiber_lines(spec: ConicBundleSpec, p: ProjPoint, ftype: FiberType):
-    """Lines of the reduced fiber as (field, w1, w2) with [s:t] -> s*w1 + t*w2."""
-    ctx = p.ctx
-    v = section_values(spec, p)
+def _fiber_lines(v: dict, ctx: FieldCtx, ftype: FiberType):
+    """Lines of the reduced fiber of the conic with section values v in ctx,
+    as (field, w1, w2) with [s:t] -> s*w1 + t*w2."""
     if ftype is FiberType.DOUBLE_LINE:
         lam = (ctx.sqrt(v["aa"]), ctx.sqrt(v["bb"]), ctx.sqrt(v["cc"]))
         if all(c == 0 for c in lam):
@@ -448,89 +446,107 @@ def _fiber_lines(spec: ConicBundleSpec, p: ProjPoint, ftype: FiberType):
     return lines
 
 
-def _line_restriction(g: Poly, fld: FieldCtx, w1: tuple, w2: tuple) -> Poly:
-    """Binary form g(s*w1 + t*w2) in (s, t)."""
-    st = ("s", "t")
-    ge = g.embed_to(fld)
-    images = {}
-    for idx, name in enumerate(FIBER_VARS):
-        images[name] = Poly.from_terms(fld, st, [((1, 0), w1[idx]), ((0, 1), w2[idx])])
-    return substitute(ge, images, vars_out=st)
+# (i, j, key): the fiber monomial w_i*w_j that section `key` multiplies
+_FIBER_PAIRS = tuple((FIBER_VARS.index(k[0]), FIBER_VARS.index(k[1]), k) for k in SECTION_KEYS)
 
 
 def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
     """No singular point of the total space on the (degenerate) fiber over p.
 
-    On each base chart containing p, the chart form and its five partials are
-    restricted to the fiber and pulled back along each line of the reduced
-    fiber; the gcd of the resulting binary forms is constant exactly when the
-    line carries no singular point.  Both lines of a cross, and with them the
+    Singularity does not depend on the chart, so the base chart where p's
+    first nonzero coordinate is 1 suffices; there the fiber coordinates need
+    no twist.  On it the conic form F = sum_k S_k(u) m_k(a, b, c) has five
+    partials, read off the section jet at p (:func:`conic.section_jet`):
+    the two quadratic forms sum_k dS_k/du_i(p) m_k and the three linear
+    forms dF/da = s_ab b + s_ac c, dF/db = s_ab a + s_bc c and
+    dF/dc = s_ac a + s_bc b.  Along each line s*w1 + t*w2 of the reduced
+    fiber a quadratic form Q becomes Q(w1) s^2 + B(w1, w2) st + Q(w2) t^2,
+    with B its polar form, and a linear form L becomes L(w1) s + L(w2) t;
+    the gcd of these binary forms is constant exactly when the line carries
+    no singular point.  Both lines of a cross, and with them the
     intersection point, are covered.
     """
-    ftype = classify_fiber(spec, p)
+    jet = section_jet(spec, p)
+    v = jet.value
+    ftype = fiber_type(v, p.ctx)
     if ftype not in (FiberType.CROSS, FiberType.DOUBLE_LINE):
         raise FiberNotDegenerate(f"fiber over {p!r} is {ftype}")
-    lines = _fiber_lines(spec, p, ftype)
-    for w_idx, w in enumerate(BASE_VARS):
-        if p.coords[w_idx] == 0:
-            continue
-        scale = p.ctx.inv(p.coords[w_idx])
-        base_vals = _drop(tuple(p.ctx.mul(c, scale) for c in p.coords), w_idx)
-        # Chart fiber coordinates carry the line-bundle trivializations:
-        # a_i on the chart is a_i * p_w^(e_i) in the normalized picture.
-        twist = tuple(p.ctx.pow(p.coords[w_idx], e) for e in spec.degree_vector)
-        form = fiber_form_on_chart(spec, w)
-        partials = [partial_derivative(form, v) for v in form.vars]
-        restricted = [specialize(q, p.ctx, base_vals) for q in partials]
-        for fld, w1_raw, w2_raw in lines:
-            tw = tuple(embed_bits(p.ctx, fld, t) for t in twist)
-            w1 = tuple(fld.mul(c, t) for c, t in zip(w1_raw, tw))
-            w2 = tuple(fld.mul(c, t) for c, t in zip(w2_raw, tw))
-            binaries = []
-            for q in restricted:
-                if q.is_zero():
-                    continue
-                b = _line_restriction(q, fld, w1, w2)
-                if not b.is_zero():
-                    binaries.append(b)
-            if not binaries:
-                return False
-            acc = binaries[0]
-            for b in binaries[1:]:
-                acc = binary_gcd(acc, b)
-                if acc.is_constant():
-                    break
-            if not acc.is_constant():
-                return False
+    ab, ac, bc = v["ab"], v["ac"], v["bc"]
+    linear = ((0, ab, ac), (ab, 0, bc), (ac, bc, 0))
+    st = ("s", "t")
+    for fld, w1, w2 in _fiber_lines(v, p.ctx, ftype):
+        mul = fld.mul
+        binaries = []
+        for q in (jet.d1, jet.d2):
+            q = {key: embed_bits(p.ctx, fld, c) for key, c in q.items()}
+            q1 = q2 = polar = 0
+            for i, j, key in _FIBER_PAIRS:
+                q1 ^= mul(q[key], mul(w1[i], w1[j]))
+                q2 ^= mul(q[key], mul(w2[i], w2[j]))
+                if i != j:
+                    polar ^= mul(q[key], mul(w1[i], w2[j]) ^ mul(w1[j], w2[i]))
+            binaries.append(Poly.from_terms(fld, st, [((2, 0), q1), ((1, 1), polar), ((0, 2), q2)]))
+        for coeffs in linear:
+            lin = [embed_bits(p.ctx, fld, c) for c in coeffs]
+            l1 = l2 = 0
+            for c, x1, x2 in zip(lin, w1, w2):
+                l1 ^= mul(c, x1)
+                l2 ^= mul(c, x2)
+            binaries.append(Poly.from_terms(fld, st, [((1, 0), l1), ((0, 1), l2)]))
+        binaries = [b for b in binaries if not b.is_zero()]
+        if not binaries:
+            return False
+        acc = binaries[0]
+        for b in binaries[1:]:
+            acc = binary_gcd(acc, b)
+            if acc.is_constant():
+                break
+        if not acc.is_constant():
+            return False
     return True
 
 
-def _drop(coords: tuple, i: int) -> tuple:
-    """Affine chart coordinates of a point whose i-th coordinate is 1."""
-    return coords[:i] + coords[i + 1:]
+def cross_nodes(jets) -> list[tuple[tuple[str, str], ProjPoint, bool]]:
+    """Chart, fiber singular point n and ordinary-node verdict above each
+    point, given the section jet of each (:func:`conic.section_jet`).
 
-
-def cross_nodes(
-    spec: ConicBundleSpec, points
-) -> list[tuple[tuple[str, str], ProjPoint, bool]]:
-    """Chart, fiber singular point n and ordinary-node verdict above each cross.
-
-    The chart is the one where the first nonzero coordinates of p and of n
-    are 1.  Both are normalized points, so those coordinates already equal 1
-    and the chart point is the remaining coordinates, unscaled.  Each of the
-    at most nine chart equations is built once per call.
+    n = (s_bc, s_ac, s_ab) is the radical of the conic's bilinear form
+    (:func:`conic.radical_point`), and the chart is the one where
+    the first nonzero coordinates of p and of n are 1.  On it the total
+    space is f(u, t) = sum_k S_k(u) M_k(t), with M_k the fiber monomial of
+    section k with n's first nonzero coordinate set to 1.  The value,
+    gradient and mixed partials of f at (p, n) follow from the jet by the
+    product rule, so no chart equation is built; the verdict is then
+    :func:`ordinary_node_check`'s, with the same NotSingularHere errors.
+    A point whose fiber is a double line raises ValueError.
     """
-    charts: dict[tuple[str, str], Poly] = {}
     out = []
-    for p in points:
-        n = cross_singular_point(spec, p)
-        wi = next(k for k, c in enumerate(p.coords) if c)
+    for jet in jets:
+        ctx = jet.point.ctx
+        n = radical_point(jet.value, ctx)
         vi = next(k for k, c in enumerate(n.coords) if c)
-        chart = (BASE_VARS[wi], FIBER_VARS[vi])
-        if chart not in charts:
-            charts[chart] = chart_equation(spec, *chart).equation
-        ok = ordinary_node_check(charts[chart], _drop(p.coords, wi) + _drop(n.coords, vi), p.ctx)
-        out.append((chart, n, ok))
+        t = [k for k in range(3) if k != vi]
+        mul, nc = ctx.mul, n.coords
+        value, grad = 0, [0, 0, 0, 0]
+        b = dict.fromkeys(itertools.combinations(range(4), 2), 0)
+        for i, j, key in _FIBER_PAIRS:
+            s, s1, s2 = jet.value[key], jet.d1[key], jet.d2[key]
+            m = mul(nc[i], nc[j])
+            value ^= mul(s, m)
+            grad[0] ^= mul(s1, m)
+            grad[1] ^= mul(s2, m)
+            b[0, 1] ^= mul(jet.d12[key], m)
+            if i == j:
+                continue  # d(w_i^2) = 2 w_i = 0
+            for a, ta in enumerate(t, start=2):
+                dm = nc[j] if ta == i else nc[i] if ta == j else 0
+                grad[a] ^= mul(s, dm)
+                b[0, a] ^= mul(s1, dm)
+                b[1, a] ^= mul(s2, dm)
+            if vi not in (i, j):
+                b[2, 3] ^= s
+        chart = (BASE_VARS[jet.chart], FIBER_VARS[vi])
+        out.append((chart, n, _node_verdict(value, grad, b, ctx)))
     return out
 
 
@@ -548,14 +564,21 @@ def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
     The value, gradient and mixed partials at p come from one pass over the
     terms (:func:`_node_jet`): in characteristic 2 the term c*u^m reaches
     d_i f(p) only when m_i is odd, and d_i d_j f(p) only when m_i and m_j
-    are both odd.
+    are both odd.  The checks and the Pfaffian are shared with
+    :func:`cross_nodes`, which forms the same jet from the sections.
     """
-    value, grad, b = _node_jet(chart_eq, point, ctx_q)
+    return _node_verdict(*_node_jet(chart_eq, point, ctx_q), ctx_q)
+
+
+def _node_verdict(value: int, grad: list[int], b: dict, ctx: FieldCtx) -> bool:
+    """ordinary_node_check's verdict from f(p), the gradient and the mixed
+    partials {(i, j): d_i d_j f(p)}: f(p) must vanish, then the gradient,
+    then the Pfaffian of the mixed partials decides."""
     if value != 0:
         raise NotSingularHere("the equation does not vanish at the point")
     if any(grad):
         raise NotSingularHere("the gradient does not vanish at the point")
-    mul = ctx_q.mul
+    mul = ctx.mul
     return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0
 
 

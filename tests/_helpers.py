@@ -7,12 +7,23 @@ from conic2.conic import (
     FIBER_VARS,
     SECTION_KEYS,
     ConicBundleSpec,
+    FiberType,
     chart_equation,
+    classify_fiber,
+    fiber_form_on_chart,
+    section_values,
 )
 from conic2.factor import UnluckySpecializationExhausted, bivariate_factor
-from conic2.gf2k import DivisionByZero, field_new
-from conic2.geom import NotSingularHere
-from conic2.poly import Poly, exact_div, partial_derivative, substitute
+from conic2.gf2k import DivisionByZero, embed_bits, field_new
+from conic2.geom import FiberNotDegenerate, NotSingularHere, _fiber_lines
+from conic2.poly import (
+    Poly,
+    binary_gcd,
+    exact_div,
+    partial_derivative,
+    specialize,
+    substitute,
+)
 
 
 def monomials_of_degree(d, nvars=3):
@@ -122,6 +133,51 @@ def brute_fiber_singular_points(spec, p, ctx_big):
         if singular_here:
             sing.append(abc)
     return sing
+
+
+def chart_smooth_along_fiber(spec, p):
+    """Reference smooth_along_fiber on every base chart containing p.
+
+    On each chart w with p_w != 0 the chart form and its five partials are
+    built as polynomials, specialized at p and pulled back along each line
+    of the reduced fiber by substitution, with the fiber coordinates twisted
+    by p_w^(e_i); the gcd of the binary forms must be constant on every
+    line of every chart.
+    """
+    ftype = classify_fiber(spec, p)
+    if ftype not in (FiberType.CROSS, FiberType.DOUBLE_LINE):
+        raise FiberNotDegenerate(f"fiber over {p!r} is {ftype}")
+    lines = _fiber_lines(section_values(spec, p), p.ctx, ftype)
+    st = ("s", "t")
+    for w_idx, w in enumerate(BASE_VARS):
+        if p.coords[w_idx] == 0:
+            continue
+        scale = p.ctx.inv(p.coords[w_idx])
+        base_vals = tuple(p.ctx.mul(c, scale) for k, c in enumerate(p.coords) if k != w_idx)
+        # chart fiber coordinate a_i is a_i * p_w^(e_i) in the normalized picture
+        twist = tuple(p.ctx.pow(p.coords[w_idx], e) for e in spec.degree_vector)
+        form = fiber_form_on_chart(spec, w)
+        restricted = [
+            specialize(partial_derivative(form, v), p.ctx, base_vals) for v in form.vars
+        ]
+        for fld, w1_raw, w2_raw in lines:
+            tw = tuple(embed_bits(p.ctx, fld, t) for t in twist)
+            w1 = tuple(fld.mul(c, t) for c, t in zip(w1_raw, tw))
+            w2 = tuple(fld.mul(c, t) for c, t in zip(w2_raw, tw))
+            images = {
+                name: Poly.from_terms(fld, st, [((1, 0), w1[i]), ((0, 1), w2[i])])
+                for i, name in enumerate(FIBER_VARS)
+            }
+            binaries = [substitute(q.embed_to(fld), images, vars_out=st) for q in restricted]
+            binaries = [b for b in binaries if not b.is_zero()]
+            if not binaries:
+                return False
+            acc = binaries[0]
+            for b in binaries[1:]:
+                acc = binary_gcd(acc, b)
+            if not acc.is_constant():
+                return False
+    return True
 
 
 def brute_ordinary_node(eq, point, ctx):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conic2.cli import main
 from conic2.conic import ProjPoint, classify_fiber, load_spec
 from conic2.gf2k import field_new
@@ -108,6 +110,48 @@ def test_verify_without_spec_or_corpus(capsys):
 def test_missing_file_exits_two(capsys):
     code, _, _ = run(capsys, "discriminant", "--spec", "no_such_file.json")
     assert code == 2
+
+
+EX1 = json.loads((CORPUS / "ex1.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "option, content",
+    [
+        ("--spec", [EX1]),
+        ("--spec", {k: v for k, v in EX1.items() if k != "degree_vector"}),
+        ("--spec", {**EX1, "sections": {**EX1["sections"], "ab": 5}}),
+        ("--factors", {"factor": ["x^3*z + y^4", "x^3*y + z^4"]}),
+        ("--factors", 5),
+        ("--factors", [1]),
+        ("--spec", None),
+    ],
+    ids=["spec-list", "spec-no-degree-vector", "spec-numeric-section",
+         "factors-dict-without-factors", "factors-number", "factors-numeric-entry",
+         "spec-directory"],
+)
+def test_malformed_input_file_exits_two(capsys, tmp_path, option, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    if option == "--spec":
+        argv = ["discriminant", "--spec", str(path)]
+    else:
+        argv = ["discriminant", "--spec", str(CORPUS / "ex1.json"), "--factors", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("field", ["0", "65"])
+def test_classify_field_out_of_range_exits_two(capsys, field):
+    code, out, err = run(
+        capsys, "classify", "--spec", str(CORPUS / "ex1.json"), "--point", "0:1:0", "--field", field
+    )
+    assert code == 2 and out == ""
+    assert "outside 1..64" in err
 
 
 def test_search_smoke(capsys, tmp_path):

@@ -19,6 +19,7 @@ from conic2.conic import (
     fiber_form_on_chart,
     flatness_check,
     load_spec,
+    section_jet,
     section_values,
     sigma_generators,
     spec_from_dict,
@@ -27,7 +28,7 @@ from conic2.conic import (
     total_space_charts,
 )
 from conic2.gf2k import field_new
-from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, substitute
+from conic2.poly import Poly, dehomogenize, partial_derivative, plane_poly, poly_parse, substitute
 
 from _helpers import rand_spec, vanish_at
 
@@ -132,6 +133,26 @@ def test_not_conic_is_a_classification_outcome():
          "cc": plane_poly("y")},
     )
     assert classify_fiber(spec, ProjPoint.parse("0:0:1", F2)) is FiberType.NOT_CONIC
+
+
+@pytest.mark.parametrize("base, ext", [(F2, field_new(4)), (F4, field_new(6))], ids=["F2-F16", "F4-F64"])
+def test_section_jet_matches_partial_derivatives(base, ext):
+    # random specs over the base field, points over an extension whose first
+    # nonzero coordinate is x, y and z in turn, zero coordinates included
+    rng = random.Random(47 + ext.k)
+    for _ in range(30):
+        spec = rand_spec(rng, base)
+        for lead in range(3):
+            coords = [0] * lead + [1] + [rng.choice((0, rng.randrange(ext.q))) for _ in range(2 - lead)]
+            p = ProjPoint(ext, tuple(coords))
+            jet = section_jet(spec, p)
+            assert jet.point is p and jet.chart == lead
+            u1, u2 = (v for i, v in enumerate(BASE_VARS) if i != lead)
+            for key, s in spec.sections.items():
+                d1, d2 = partial_derivative(s, u1), partial_derivative(s, u2)
+                expected = [g.eval_bits(ext, p.coords) for g in (s, d1, d2, partial_derivative(d1, u2))]
+                got = [jet.value[key], jet.d1[key], jet.d2[key], jet.d12[key]]
+                assert got == expected, (key, s, p)
 
 
 def test_cross_singular_point():

@@ -1,11 +1,24 @@
 """Geometry layer: solve_system, singular loci, intersections, smoothness."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from conic2.cli import load_corpus_spec
-from conic2.conic import ConicBundleSpec, BASE_VARS, FiberType, ProjPoint, classify_fiber
+from conic2.conic import (
+    BASE_VARS,
+    FIBER_VARS,
+    ConicBundleSpec,
+    FiberType,
+    ProjPoint,
+    chart_equation,
+    classify_fiber,
+    cross_singular_point,
+    discriminant,
+    section_jet,
+    spec_validate,
+)
 from conic2.geom import (
     BezoutCount,
     BezoutMismatch,
@@ -18,6 +31,8 @@ from conic2.geom import (
     NotSingularHere,
     PositiveDimensional,
     brute_solutions,
+    cross_nodes,
+    enumerate_plane_points,
     intersection_points,
     _node_jet,
     ordinary_node_check,
@@ -28,14 +43,17 @@ from conic2.geom import (
     transversal_at,
 )
 from conic2.gf2k import embed_bits, field_new
-from conic2.poly import Poly, plane_poly, poly_parse, substitute
+from conic2.poly import Poly, partial_derivative, plane_poly, poly_parse, substitute
 
 from _helpers import (
     brute_fiber_singular_points,
     brute_ordinary_node,
+    chart_smooth_along_fiber,
     derivative_node_check,
     derivative_node_jet,
     rand_homogeneous,
+    rand_spec,
+    vanish_at,
 )
 
 F2 = field_new(1)
@@ -255,6 +273,45 @@ def test_smooth_along_fiber_agrees_with_brute_force_on_corpus():
             assert verdict, (name, point)
 
 
+def test_smooth_along_fiber_matches_chart_oracle_and_brute_force():
+    # degenerate fibers over F4-points with two or three nonzero coordinates,
+    # where the multi-chart oracle checks every chart with its twists.  Half
+    # of the specs get off-diagonals forced to vanish at such a point, so
+    # that double lines whose sections have nonzero partials there (the only
+    # fibers where the polar term decides) are common.
+    rng = random.Random(53)
+    multi = [p for p in enumerate_plane_points(F4) if sum(1 for c in p.coords if c) >= 2]
+    verdicts = Counter()
+    while sum(verdicts.values()) < 100:
+        forced = rng.random() < 0.5
+        spec = rand_spec(rng, rng.choice((F2, F4)), max_entry_degree=1 + forced)
+        if forced:
+            p = rng.choice(multi)
+            sections = dict(spec.sections)
+            for key in ("ab", "ac", "bc"):
+                sections[key] = vanish_at(rng, F4, spec.forced_degree(key), p.coords)
+            spec = ConicBundleSpec(F4, spec.degree_vector, spec.value_degree, sections)
+            points = [p]
+        else:
+            points = multi
+        try:
+            spec_validate(spec)
+        except ValueError:
+            continue
+        points = [
+            p for p in points
+            if classify_fiber(spec, p) in (FiberType.CROSS, FiberType.DOUBLE_LINE)
+        ]
+        for p in points[:2]:
+            verdict = smooth_along_fiber(spec, p)
+            assert verdict == chart_smooth_along_fiber(spec, p), (spec.sections, p)
+            brute = brute_fiber_singular_points(spec, p, F16)
+            # on these inputs every singular fiber has an F16-rational singular point
+            assert verdict == (not brute), (spec.sections, p)
+            verdicts[verdict, classify_fiber(spec, p)] += 1
+    assert all(verdicts[v, t] >= 3 for v in (True, False) for t in (FiberType.CROSS, FiberType.DOUBLE_LINE))
+
+
 # -- ordinary nodes ---------------------------------------------------------------------
 
 
@@ -351,6 +408,47 @@ def test_one_pass_node_jet_matches_derivative_oracle(base, ctx):
     assert outcomes.count("the gradient does not vanish at the point") >= 5
     with pytest.raises(ValueError):
         ordinary_node_check(poly_parse("x*y", base, ("x", "y", "z")), (0, 0, 0), ctx)
+
+
+def test_cross_nodes_match_the_chart_equation_node_check():
+    # random specs over F2 and F4, at F16-points with a cross-shaped fiber
+    # radical n != 0: every singular point of Delta, where the total space
+    # may be singular, and a sample of the rest, where f or its gradient
+    # does not vanish at (p, n)
+    rng = random.Random(59)
+    outcomes = Counter()
+    for _ in range(40):
+        spec = rand_spec(rng, rng.choice((F2, F4)), max_entry_degree=1)
+        delta = discriminant(spec)
+        if delta.is_zero():
+            continue
+        grads = [partial_derivative(delta, v) for v in BASE_VARS]
+        for p in enumerate_plane_points(F16):
+            jet = section_jet(spec, p)
+            if not any(jet.value[k] for k in ("ab", "ac", "bc")):
+                with pytest.raises(ValueError):
+                    cross_nodes([jet])
+                continue
+            singular = all(g.eval_bits(F16, p.coords) == 0 for g in [delta] + grads)
+            if not singular and rng.random() > 0.05:
+                continue
+            n = cross_singular_point(spec, p)
+            wi = next(k for k, c in enumerate(p.coords) if c)
+            vi = next(k for k, c in enumerate(n.coords) if c)
+            chart = (BASE_VARS[wi], FIBER_VARS[vi])
+            point = p.coords[:wi] + p.coords[wi + 1:] + n.coords[:vi] + n.coords[vi + 1:]
+            eq = chart_equation(spec, *chart).equation
+            expected = _node_outcome(ordinary_node_check, eq, point, F16)
+            try:
+                got_chart, got_n, got = cross_nodes([jet])[0]
+                assert (got_chart, got_n) == (chart, n)
+            except NotSingularHere as exc:
+                got = str(exc)
+            assert got == expected, (spec.sections, p)
+            outcomes[expected] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 5
+    assert outcomes["the equation does not vanish at the point"] >= 5
+    assert outcomes["the gradient does not vanish at the point"] >= 5
 
 
 # -- gcd-based emptiness vs explicit enumeration ------------------------------------------
