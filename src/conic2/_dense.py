@@ -200,27 +200,39 @@ def distinct_degree(ctx, f: Coeffs) -> list[tuple[Coeffs, int]]:
     return out
 
 
-def equal_degree(ctx, f: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
-    """Split monic squarefree f, all of whose irreducible factors have degree d."""
+def _trace_split(ctx, f: Coeffs, d: int, rng: random.Random) -> tuple[Coeffs, Coeffs]:
+    """A proper monic factorization (g, f / g) of monic squarefree f, all of
+    whose irreducible factors have degree d and which has at least two."""
     n = deg(f)
-    if n == d:
-        return [f]
-    bits_per_factor = ctx.k * d
     while True:
-        u = [rng.randrange(ctx.q) for _ in range(n)]
-        u = trim(u)
+        u = trim([rng.randrange(ctx.q) for _ in range(n)])
         if deg(u) < 1:
             continue
         # Additive trace from F_{2^(k d)} down to F_2, evaluated on u mod f.
-        t = list(u)
-        p = list(u)
-        for _ in range(bits_per_factor - 1):
+        t, p = list(u), list(u)
+        for _ in range(ctx.k * d - 1):
             p = mod(ctx, mul(ctx, p, p), f)
             t = add(t, p)
         g = gcd(ctx, f, t)
         if 0 < deg(g) < n:
-            rest = divmod_(ctx, f, g)[0]
-            return equal_degree(ctx, g, d, rng) + equal_degree(ctx, rest, d, rng)
+            return g, divmod_(ctx, f, g)[0]
+
+
+def equal_degree(ctx, f: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
+    """Split monic squarefree f, all of whose irreducible factors have degree d."""
+    if deg(f) == d:
+        return [f]
+    g, rest = _trace_split(ctx, f, d, rng)
+    return equal_degree(ctx, g, d, rng) + equal_degree(ctx, rest, d, rng)
+
+
+def one_root(ctx, f: Coeffs) -> int:
+    """One root of f, a product of distinct linear factors over ctx (keeps the smaller split)."""
+    f = monic(ctx, trim(list(f)))
+    rng = random.Random(0x5EED)
+    while deg(f) > 1:
+        f = min(_trace_split(ctx, f, 1, rng), key=len)
+    return f[0]
 
 
 def factor(ctx, f: Coeffs) -> tuple[int, list[tuple[Coeffs, int]]]:

@@ -258,15 +258,17 @@ def am_component_check(
 
 
 def _analyse_component(
-    spec: ConicBundleSpec, curves: _CurveGeometry, i: int, witness_bound: int
+    spec: ConicBundleSpec, curves: _CurveGeometry, i: int, witness_bound: int,
+    sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
-    """am_component_check of the i-th component, a known divisor of Delta."""
+    """am_component_check of the i-th component, a known divisor of Delta;
+    ``sigma``, a finite Sigma solved with the same k_max, confines its solve."""
     component, k_max = curves.components[i], curves.k_max
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
     try:
-        met = solve_system(system, k_max)
+        met = solve_system(system, k_max, within=sigma)
         sigma_meets = met.points
         for p in met.points:
             if classify_fiber(spec, p) is FiberType.DOUBLE_LINE:
@@ -539,7 +541,7 @@ def _certify(
             cert.sigma = sig.serialize()
             log.append(f"sigma: {len(sig.points)} points, closure {sig.certificate}")
     except PositiveDimensional as exc:
-        sigma_points = None
+        sig, sigma_points = None, None
         cert.sigma = {"error": str(exc), "positive_dimensional": True}
         log.append(f"sigma: positive-dimensional ({exc.common_factor!r})")
 
@@ -548,7 +550,7 @@ def _certify(
     geo = curves.setdefault((comps, k_max), _CurveGeometry(comps, k_max))
     analyses: list[ComponentAnalysis] = []
     for i, f in enumerate(comps):
-        ana = _analyse_component(spec, geo, i, witness_bound)
+        ana = _analyse_component(spec, geo, i, witness_bound, sig)
         analyses.append(ana)
         log.append(
             f"component {poly_print(f)}: am={ana.am_status.kind}, "

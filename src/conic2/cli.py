@@ -13,7 +13,8 @@ Subcommands:
   example search on the zero-corner template.
 
 Exit codes: 0 = all checks pass, 1 = checks ran and failed, 2 = input
-invalid, 3 = a resource bound (k_max / specialization budget) was hit.
+invalid or an output path unwritable, 3 = a resource bound (k_max /
+specialization budget) was hit.
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ def cmd_classify(args) -> int:
     return EXIT_PASS
 
 
+def _write(path: str, text: str) -> None:
+    """Write text and a newline to path; an unwritable path is invalid input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _print_verdict(name: str, cert) -> None:
     print(f"== {name}: spec {cert.spec_hash[:23]}")
     for key, h in cert.hypotheses.items():
@@ -138,9 +148,7 @@ def cmd_verify(args) -> int:
     cert = surface_criterion(spec, claimed, k_max=args.k_max)
     _print_verdict(args.spec, cert)
     if args.cert_out:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            fh.write(cert.to_json())
-            fh.write("\n")
+        _write(args.cert_out, cert.to_json())
     return EXIT_PASS if cert.all_pass else EXIT_FAIL
 
 
@@ -165,10 +173,7 @@ def _verify_corpus(args) -> int:
         else:
             print(f"  matches the expected profile ({'all-pass' if cert.all_pass else 'failing: ' + ', '.join(expected)})")
         if args.cert_out:
-            path = f"{args.cert_out.rstrip('/')}/{entry['name']}.cert.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(cert.to_json())
-                fh.write("\n")
+            _write(f"{args.cert_out.rstrip('/')}/{entry['name']}.cert.json", cert.to_json())
     return EXIT_PASS if all_matched else EXIT_FAIL
 
 
@@ -182,9 +187,7 @@ def cmd_search(args) -> int:
         print(f"  hit: bc = {poly_print(spec.sections['bc'])}, cc = {poly_print(spec.sections['cc'])}")
         payload.append({"spec": spec_to_dict(spec), "spec_hash": spec_hash(spec), "all_pass": cert.all_pass})
     if args.cert_out:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.cert_out, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_PASS
 
 

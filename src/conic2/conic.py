@@ -438,12 +438,10 @@ def spec_from_dict(data: dict) -> ConicBundleSpec:
     bad = [key for key, text in texts.items() if not isinstance(text, str)]
     if bad:
         raise MalformedInput("sections must be polynomial strings; not " + ", ".join(bad))
-    try:
-        k = int(data["field_degree"])
-        dv = tuple(int(e) for e in data["degree_vector"])
-        m = int(data["value_degree"])
-    except TypeError as exc:
-        raise MalformedInput(f"degrees must be integers: {exc}") from None
+    k, m, dv = data["field_degree"], data["value_degree"], tuple(data["degree_vector"])
+    bad = [e for e in (k, m, *dv) if type(e) is not int]  # no bool, float or str
+    if bad:
+        raise MalformedInput(f"degrees must be integers, not {bad[0]!r}")
     ctx = field_new(k)
     if len(dv) != 3:
         raise DegreeMismatch("degree_vector needs exactly three entries")

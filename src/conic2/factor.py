@@ -26,7 +26,7 @@ import itertools
 from functools import lru_cache
 
 from . import _dense
-from .gf2k import FieldCtx, embed_bits, field_new, section_bits
+from .gf2k import FieldCtx, field_new, section_bits
 from .poly import (
     NotDivisible,
     Poly,
@@ -80,15 +80,6 @@ def univariate_factor(f: Poly) -> list[tuple[Poly, int]]:
     name = active[0]
     _, fac = _dense.factor(f.ctx, to_dense(f, name))
     return sort_factors([(from_dense(f.ctx, f.vars, name, coeffs), m) for coeffs, m in fac])
-
-
-def univariate_roots(f: Poly, ctx_eval: FieldCtx) -> list[int]:
-    """Roots (raw bits) inside ctx_eval of a one-variable polynomial."""
-    active = f.variables_used()
-    if len(active) != 1:
-        raise ValueError("univariate_roots expects exactly one active variable")
-    dense = to_dense(f, active[0])
-    return _dense.roots(ctx_eval, [embed_bits(f.ctx, ctx_eval, c) for c in dense])
 
 
 # -- binary forms ------------------------------------------------------------------

@@ -3,11 +3,14 @@
 The workhorse is :func:`solve_system`: all common projective zeros, over the
 algebraic closure, of homogeneous polynomials in x, y, z with finite common
 zero locus.  Elimination produces a binary form whose roots are the
-candidate [x:y] directions; for each irreducible direction factor the points
-are re-extracted inside a single extension of the base field (one embedding
-hop, never a tower), and the recorded eliminant factor degrees certify that
-no root was missed (EliminationClosure).  Transversal intersections carry an
-independent Bezout count certificate instead.
+candidate [x:y] directions.  Each irreducible direction factor, of degree d
+over F_q, is solved at one root, inside the one extension its z-roots need
+(one embedding hop from F_q, never a tower); the other d - 1 directions carry
+the Frobenius images (x, y, z) -> (x^q, y^q, z^q).  The recorded eliminant
+factor degrees certify that no root was missed (EliminationClosure).  A solved
+set keeps the direction forms that carry its points, so a system containing
+its inputs is solved on those forms alone.  Transversal intersections carry
+an independent Bezout count certificate instead.
 
 Smoothness of the total space along a degenerate fiber, and the ordinary
 nodes above component intersections, are read from the six sections' jet at
@@ -23,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _dense
 from .conic import (
@@ -40,10 +43,8 @@ from .conic import (
 )
 from .factor import (
     binary_form_factor,
-    gcd_homogeneous,
     gcd_homogeneous_many,
     squarefree_homogeneous,
-    univariate_roots,
 )
 from .gf2k import FieldCtx, embed_bits, field_new
 from .poly import (
@@ -118,6 +119,8 @@ class EliminationClosure:
 class AlgebraicPointSet:
     points: tuple[ProjPoint, ...]
     certificate: "BezoutCount | EliminationClosure"
+    # solve_system's irreducible direction forms in (x, y) that carry points
+    directions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     def serialize(self) -> dict:
         cert: dict
@@ -181,11 +184,13 @@ def point_on_curve(curve: Poly, k_max: int = 24) -> ProjPoint:
 # -- solve_system ---------------------------------------------------------------
 
 
-def _direction_roots(form: Poly, fld: FieldCtx) -> list[tuple[int, int]]:
-    """The roots [x:y] in fld of an irreducible binary form in (x, y)."""
+def _direction_root(form: Poly, fld: FieldCtx) -> tuple[int, int]:
+    """One root [x:y] in fld of an irreducible binary form in (x, y) that
+    splits into linear factors over fld."""
     if form == Poly.var(form.ctx, form.vars, "y"):
-        return [(1, 0)]
-    return [(r, 1) for r in sorted(univariate_roots(dehomogenize(form, "y"), fld))]
+        return (1, 0)
+    dense = to_dense(dehomogenize(form, "y"), "x")
+    return (_dense.one_root(fld, [embed_bits(form.ctx, fld, c) for c in dense]), 1)
 
 
 def _z_gcd(polys: list[Poly], x0: int, y0: int, fld: FieldCtx) -> list[int]:
@@ -256,12 +261,16 @@ def plane_monomials(d: int):
             yield (ex, ey, d - ex - ey)
 
 
-def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
+def solve_system(
+    polys: list[Poly], k_max: int = 24, within: AlgebraicPointSet | None = None
+) -> AlgebraicPointSet:
     """All common projective zeros over the algebraic closure.
 
     Requires a finite zero locus (the gcd of the inputs must be constant) and
     extensions of degree at most k_max; certifies completeness by listing the
-    degrees of the eliminant factors every coordinate is a root of.
+    degrees of the eliminant factors every coordinate is a root of.  With
+    ``within``, its result for a subsystem, the subsystem's direction forms
+    stand in for the eliminant's factors and finiteness follows from its.
     """
     nonzero: list[Poly] = []
     ctx = None
@@ -278,53 +287,58 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
             nonzero.append(p)
     if ctx is None:
         raise PositiveDimensional(Poly.zero(field_new(1), BASE_VARS))
-    constants = [p for p in nonzero if p.is_constant()]
-    if constants:
+    if any(p.is_constant() for p in nonzero):
         return AlgebraicPointSet((), EliminationClosure(()))
-    common = gcd_homogeneous_many(nonzero)
-    if not common.is_constant():
-        raise PositiveDimensional(common)
+    if within is None:
+        common = gcd_homogeneous_many(nonzero)
+        if not common.is_constant():
+            raise PositiveDimensional(common)
+        eliminant = _direction_eliminant(nonzero, ctx)
+        forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
+    else:
+        forms = within.directions
 
     bound = min(k_max, 64)
-    eliminant = _direction_eliminant(nonzero, ctx)
     degrees: list[int] = []
     points: list[ProjPoint] = []
-
-    if not eliminant.is_constant():
-        for form, _mult in binary_form_factor(eliminant):
-            d = form.total_degree()
-            degrees.append(d)
-            if form == Poly.var(ctx, form.vars, "y"):
-                dir_field = ctx
-            elif ctx.k * d > bound:
-                raise ExtensionBound(
-                    f"direction factor of degree {d} needs F_{{2^{ctx.k * d}}} > bound {bound}"
-                )
-            else:
-                dir_field = field_new(ctx.k * d)
-            dir_roots = _direction_roots(form, dir_field)
-            if not dir_roots:
-                continue
-            # z-factor degree pattern from the first root, shared by conjugates
-            h = _z_gcd(nonzero, *dir_roots[0], dir_field)
-            if _dense.deg(h) < 1:
-                continue
-            _, hfac = _dense.factor(dir_field, h)
-            e_star = 1
-            for coeffs, _m in hfac:
-                e = _dense.deg(coeffs)
-                degrees.append(e)
-                e_star = math.lcm(e_star, e)
-            K = ctx.k * d * e_star
-            if K > bound:
-                raise ExtensionBound(
-                    f"a z-root over the degree-{d} direction needs F_{{2^{K}}} > bound {bound}"
-                )
-            final = field_new(K)
-            for x1, y1 in _direction_roots(form, final):
-                hf = _z_gcd(nonzero, x1, y1, final)
-                for z1 in _dense.roots(final, hf) if _dense.deg(hf) >= 1 else []:
-                    points.append(ProjPoint(final, (x1, y1, z1)))
+    dirs: list[Poly] = []
+    for form in forms:
+        d = form.total_degree()
+        degrees.append(d)
+        if form == Poly.var(ctx, form.vars, "y"):
+            dir_field = ctx
+        elif ctx.k * d > bound:
+            raise ExtensionBound(
+                f"direction factor of degree {d} needs F_{{2^{ctx.k * d}}} > bound {bound}"
+            )
+        else:
+            dir_field = field_new(ctx.k * d)
+        # z-factor degree pattern at one root, shared by its conjugates
+        x0, y0 = _direction_root(form, dir_field)
+        h = _z_gcd(nonzero, x0, y0, dir_field)
+        if _dense.deg(h) < 1:
+            continue
+        _, hfac = _dense.factor(dir_field, h)
+        e_star = 1
+        for coeffs, _m in hfac:
+            e = _dense.deg(coeffs)
+            degrees.append(e)
+            e_star = math.lcm(e_star, e)
+        K = ctx.k * d * e_star
+        if K > bound:
+            raise ExtensionBound(
+                f"a z-root over the degree-{d} direction needs F_{{2^{K}}} > bound {bound}"
+            )
+        final = field_new(K)
+        if final is not dir_field:  # embeddings do not compose: no tower, root again
+            x0, y0 = _direction_root(form, final)
+            h = _z_gcd(nonzero, x0, y0, final)
+        dirs.append(form)
+        for z0 in _dense.roots(final, h):
+            c = (x0, y0, z0)
+            for _ in range(d):  # the d conjugate directions: Frobenius x -> x^q
+                points.append(ProjPoint(final, c))
+                c = tuple(final.pow(v, ctx.q) for v in c)
 
     if all(g.eval_bits(ctx, (0, 0, 1)) == 0 for g in nonzero):
         points.append(ProjPoint(ctx, (0, 0, 1)))
@@ -333,7 +347,7 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
         if any(g.eval_bits(p.ctx, p.coords) != 0 for g in nonzero):  # pragma: no cover
             raise AssertionError("solver produced a non-solution")
     points.sort(key=lambda p: p.sort_key())
-    return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))))
+    return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))), tuple(dirs))
 
 
 # -- plane-curve geometry -----------------------------------------------------
@@ -357,21 +371,21 @@ def gradient_at(curve: Poly, p: ProjPoint) -> tuple:
     return tuple(partial_derivative(curve, v).eval_bits(p.ctx, p.coords) for v in BASE_VARS)
 
 
+def _independent(d1: list[Poly], d2: list[Poly], p: ProjPoint) -> bool:
+    """The gradients at p, from the partials d1 and d2, are nonzero and independent."""
+    g1, g2 = ([d.eval_bits(p.ctx, p.coords) for d in ds] for ds in (d1, d2))
+    if not any(g1) or not any(g2):
+        return False
+    mul = p.ctx.mul
+    return any(mul(g1[i], g2[j]) ^ mul(g1[j], g2[i]) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
 def transversal_at(c1: Poly, c2: Poly, p: ProjPoint) -> bool:
     """Rank-2 gradient pair at p, with each curve individually smooth there."""
     for c in (c1, c2):
         if c.eval_bits(p.ctx, p.coords) != 0:
             raise NotOnCurve(f"{poly_print(c)} does not vanish at {p!r}")
-    g1 = gradient_at(c1, p)
-    g2 = gradient_at(c2, p)
-    if all(v == 0 for v in g1) or all(v == 0 for v in g2):
-        return False
-    mul = p.ctx.mul
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if mul(g1[i], g2[j]) ^ mul(g1[j], g2[i]):
-                return True
-    return False
+    return _independent(*([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2)), p)
 
 
 def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSet:
@@ -384,12 +398,13 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
     for c in (c1, c2):
         if c.is_zero() or is_homogeneous(c) in (None, "zero"):
             raise ValueError("intersection_points expects nonzero homogeneous curves")
-    g = gcd_homogeneous(c1, c2)
-    if not g.is_constant():
-        raise CommonComponent(f"common component {poly_print(g)}")
-    found = solve_system([c1, c2], k_max)
+    try:
+        found = solve_system([c1, c2], k_max)
+    except PositiveDimensional as exc:
+        raise CommonComponent(f"common component {poly_print(exc.common_factor)}") from None
+    d1, d2 = ([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2))
     for p in found.points:
-        if not transversal_at(c1, c2, p):
+        if not _independent(d1, d2, p):
             raise BezoutMismatch(f"non-transversal intersection at {p!r}", witness=p)
     expected = c1.total_degree() * c2.total_degree()
     if len(found.points) != expected:

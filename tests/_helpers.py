@@ -1,28 +1,48 @@
 """Shared helpers for the test suite: random generators and brute oracles."""
 
 from itertools import combinations, product
+from math import lcm
 
+from conic2 import _dense
 from conic2.conic import (
     BASE_VARS,
     FIBER_VARS,
     SECTION_KEYS,
     ConicBundleSpec,
     FiberType,
+    ProjPoint,
     chart_equation,
     classify_fiber,
     fiber_form_on_chart,
     section_values,
 )
-from conic2.factor import UnluckySpecializationExhausted, bivariate_factor
+from conic2.factor import (
+    UnluckySpecializationExhausted,
+    binary_form_factor,
+    bivariate_factor,
+    gcd_homogeneous_many,
+)
 from conic2.gf2k import DivisionByZero, embed_bits, field_new
-from conic2.geom import FiberNotDegenerate, NotSingularHere, _fiber_lines
+from conic2.geom import (
+    AlgebraicPointSet,
+    EliminationClosure,
+    ExtensionBound,
+    FiberNotDegenerate,
+    NotSingularHere,
+    PositiveDimensional,
+    _direction_eliminant,
+    _fiber_lines,
+    _z_gcd,
+)
 from conic2.poly import (
     Poly,
     binary_gcd,
+    dehomogenize,
     exact_div,
     partial_derivative,
     specialize,
     substitute,
+    to_dense,
 )
 
 
@@ -340,3 +360,58 @@ def derivative_node_check(eq, point, ctx):
         raise NotSingularHere("the gradient does not vanish at the point")
     mul = ctx.mul
     return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0
+
+
+def per_root_solve_system(polys, k_max=24):
+    """geom.solve_system as it was before orbits were used: every root of
+    each direction factor is found again in the final field, with its own
+    z-gcd.  The oracle for the one-root, Frobenius-image solver."""
+    nonzero = []
+    for p in polys:
+        if not p.is_zero() and p not in nonzero:
+            nonzero.append(p)
+    ctx = nonzero[0].ctx
+    if any(p.is_constant() for p in nonzero):
+        return AlgebraicPointSet((), EliminationClosure(()))
+    common = gcd_homogeneous_many(nonzero)
+    if not common.is_constant():
+        raise PositiveDimensional(common)
+
+    def direction_roots(form, fld):
+        if form == Poly.var(form.ctx, form.vars, "y"):
+            return [(1, 0)]
+        dense = to_dense(dehomogenize(form, "y"), "x")
+        return [(r, 1) for r in _dense.roots(fld, [embed_bits(ctx, fld, c) for c in dense])]
+
+    bound = min(k_max, 64)
+    eliminant = _direction_eliminant(nonzero, ctx)
+    degrees, points = [], []
+    if not eliminant.is_constant():
+        for form, _mult in binary_form_factor(eliminant):
+            d = form.total_degree()
+            degrees.append(d)
+            if form == Poly.var(ctx, form.vars, "y"):
+                dir_field = ctx
+            elif ctx.k * d > bound:
+                raise ExtensionBound(f"direction degree {d}")
+            else:
+                dir_field = field_new(ctx.k * d)
+            dir_roots = direction_roots(form, dir_field)
+            h = _z_gcd(nonzero, *dir_roots[0], dir_field)
+            if _dense.deg(h) < 1:
+                continue
+            e_star = 1
+            for coeffs, _m in _dense.factor(dir_field, h)[1]:
+                degrees.append(_dense.deg(coeffs))
+                e_star = lcm(e_star, _dense.deg(coeffs))
+            if ctx.k * d * e_star > bound:
+                raise ExtensionBound(f"z-roots over a degree-{d} direction")
+            final = field_new(ctx.k * d * e_star)
+            for x1, y1 in direction_roots(form, final):
+                hf = _z_gcd(nonzero, x1, y1, final)
+                for z1 in _dense.roots(final, hf):
+                    points.append(ProjPoint(final, (x1, y1, z1)))
+    if all(g.eval_bits(ctx, (0, 0, 1)) == 0 for g in nonzero):
+        points.append(ProjPoint(ctx, (0, 0, 1)))
+    points.sort(key=lambda p: p.sort_key())
+    return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))))

@@ -173,3 +173,42 @@ def test_cert_outputs_reparse_as_inputs(capsys, tmp_path):
     spec_file.write_text(json.dumps(data["spec"]))
     again = load_spec(str(spec_file))
     assert again == load_spec(str(CORPUS / "ex4.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--spec", str(CORPUS / "ex1.json"), "--cert-out", "{dir}"],
+        ["search", "--budget", "1", "--cert-out", "{dir}"],
+        ["verify", "--corpus", "--cert-out", "{file}"],
+    ],
+    ids=["verify-spec-into-directory", "search-into-directory", "corpus-into-file"],
+)
+def test_unwritable_cert_out_exits_two(capsys, tmp_path, argv):
+    (tmp_path / "file.json").write_text("{}")
+    paths = {"{dir}": str(tmp_path), "{file}": str(tmp_path / "file.json")}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2
+    assert "cannot write " + str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("field_degree", 1.9),
+        ("field_degree", True),
+        ("field_degree", "1"),
+        ("degree_vector", [0.5, 1, 3]),
+        ("degree_vector", [False, 1, 3]),
+        ("value_degree", 0.0),
+    ],
+    ids=["field-float", "field-bool", "field-string", "vector-float", "vector-bool",
+         "value-float"],
+)
+def test_non_integer_degrees_exit_two(capsys, tmp_path, key, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**EX1, key: value}))
+    code, out, err = run(capsys, "verify", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and "integers" in err

@@ -11,6 +11,7 @@ from conic2.conic import (
     ConicBundleSpec,
     DegreeMismatch,
     FiberType,
+    MalformedInput,
     ProjPoint,
     chart_equation,
     classify_fiber,
@@ -381,3 +382,11 @@ def test_fiber_form_on_chart_matches_section_values():
     restricted = substitute(form, {"x": 0, "y": 1})
     for key, mono in (("aa", (0, 0, 2, 0, 0)), ("bb", (0, 0, 0, 2, 0)), ("cc", (0, 0, 0, 0, 2))):
         assert restricted.coefficient(mono).bits == v[key]
+
+
+@pytest.mark.parametrize("key, value", [("field_degree", 1.9), ("degree_vector", [0.5, 1, 3]),
+                                        ("value_degree", True)])
+def test_spec_from_dict_rejects_non_integer_degrees(key, value):
+    data = {**spec_to_dict(load_corpus_spec("ex1")), key: value}
+    with pytest.raises(MalformedInput, match="integers"):
+        spec_from_dict(data)

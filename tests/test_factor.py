@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from conic2 import _dense
 from conic2.gf2k import field_new, section_bits
-from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print
+from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print, to_dense
 from conic2.factor import (
     UnluckySpecializationExhausted,
     bivariate_factor,
@@ -14,7 +15,6 @@ from conic2.factor import (
     is_absolutely_irreducible,
     squarefree_homogeneous,
     univariate_factor,
-    univariate_roots,
 )
 
 from _helpers import abs_irred_every_extension
@@ -51,7 +51,7 @@ def test_quadratic_splits_over_f4():
     f = poly_parse("t^2 + t + 1", F4, T)
     fac = univariate_factor(f)
     assert [g.total_degree() for g, _ in fac] == [1, 1]
-    roots = sorted(univariate_roots(f, F4))
+    roots = _dense.roots(F4, to_dense(f, "t"))
     assert roots == [2, 3]  # j and j^2 = j + 1
 
 
