@@ -46,6 +46,7 @@ from .conic import (
     spec_validate,
 )
 from .factor import (
+    UnluckySpecializationExhausted,
     bivariate_factor,
     is_absolutely_irreducible,
     sort_factors,
@@ -56,6 +57,8 @@ from .geom import (
     AlgebraicPointSet,
     BezoutMismatch,
     CommonComponent,
+    EliminationDegenerate,
+    ExtensionBound,
     PositiveDimensional,
     cross_nodes,
     gradient_at,
@@ -447,6 +450,10 @@ def surface_criterion(
     return _certify(spec, claimed_factors, k_max, witness_bound, {})
 
 
+# what solve_system raises on a valid system it cannot finish
+_SOLVER_ERRORS = (PositiveDimensional, ExtensionBound, EliminationDegenerate, UnluckySpecializationExhausted)
+
+
 def _certify(
     spec: ConicBundleSpec,
     claimed_factors: list[Poly] | None,
@@ -459,11 +466,25 @@ def _certify(
 
     ``curves`` maps (component tuple, k_max) to its _CurveGeometry and gains
     an entry for a new tuple; ``sigma`` is the solved double-line locus
-    Sigma of this spec, or None to solve it here.
+    Sigma of this spec, or None to solve it here.  A finite Sigma confines
+    the flatness solve and each component's meeting with Sigma to its
+    direction forms.
     """
     log: list[str] = []
     report = spec_validate(spec)
-    flat = flatness_check(spec, k_max)
+    delta = discriminant(spec)
+    off = [s for s in sigma_generators(spec) if not s.is_zero()]
+    # Sigma first, so flatness is decided on its direction forms; a bundle
+    # that is not generically smooth stops after flatness and never uses it.
+    # If the solver fails, flatness is solved afresh as before, and the kept
+    # error is raised where Sigma is recorded, the point that solve ran at.
+    sigma_error: Exception | None = None
+    if sigma is None and off and not delta.is_zero():
+        try:
+            sigma = solve_system(off, k_max)
+        except _SOLVER_ERRORS as exc:
+            sigma_error = exc.with_traceback(None)  # kept without the frames that hold it
+    flat = flatness_check(spec, k_max, within=sigma)
     log.append(
         f"setup: degrees {report.section_degrees}, deg(Delta)={report.delta_degree}, "
         f"flat={flat.flat}, generically_smooth={flat.generically_smooth}"
@@ -508,7 +529,6 @@ def _certify(
         "base is P^2: H^2(P^2, Omega^1) = 0 (classical vanishing, fact table)",
     )
 
-    delta = discriminant(spec)
     cert.discriminant["poly"] = poly_print(delta)
     cert.discriminant["degree"] = delta.total_degree()
 
@@ -529,10 +549,9 @@ def _certify(
     # Sigma as a point set (positive-dimensional Sigma is recorded, not fatal).
     sigma_points: tuple[ProjPoint, ...] | None
     try:
+        if sigma_error is not None:
+            raise sigma_error
         sig = sigma
-        if sig is None:
-            off = [s for s in sigma_generators(spec) if not s.is_zero()]
-            sig = solve_system(off, k_max) if off else None
         if sig is None:
             sigma_points = None
             cert.sigma = {"error": "all off-diagonal sections vanish identically"}

@@ -388,11 +388,17 @@ class FlatnessReport:
     generically_smooth: bool
 
 
-def flatness_check(spec: ConicBundleSpec, k_max: int = 24) -> FlatnessReport:
+def flatness_check(
+    spec: ConicBundleSpec, k_max: int = 24, within: "geom.AlgebraicPointSet | None" = None
+) -> FlatnessReport:
     """Flat iff the six sections share no projective zero; smooth iff Delta != 0.
 
     Flatness failures surface as data (a witness point with NotConic fiber),
     not as exceptions, so search loops can discard candidates cheaply.
+    Common zeros of the six sections lie on Sigma, the zeros of the three
+    off-diagonal ones, so ``within``, a finite Sigma solved with the same
+    k_max, confines the solve to Sigma's direction forms
+    (geom.solve_system's restricted solve); the witness is the same.
     """
     from . import geom  # deferred: geom depends on this module
 
@@ -402,7 +408,7 @@ def flatness_check(spec: ConicBundleSpec, k_max: int = 24) -> FlatnessReport:
     if any(s.is_constant() for s in nonzero):
         return FlatnessReport(True, None, gen_smooth)
     try:
-        common = geom.solve_system(nonzero, k_max)
+        common = geom.solve_system(nonzero, k_max, within=within)
         witness = common.points[0] if common.points else None
     except geom.PositiveDimensional as exc:
         witness = geom.point_on_curve(exc.common_factor, k_max)

@@ -13,16 +13,26 @@ The bivariate gcd is the primitive part of the last member of the
 subresultant sequence of :func:`conic2._dense.subresultants`, times the gcd
 of the contents.
 
-Absolute irreducibility is decided by factoring over F_{2^(k e)} for each
-prime e dividing the total degree: the absolute irreducible factors of an
-F_{2^k}-irreducible polynomial form one Frobenius orbit, whose size r
-divides the degree, and over F_{2^(k e)} the orbit falls into gcd(e, r)
-groups, so the polynomial splits there for every prime e dividing r.
+Hensel lifting keeps each lifted factor, and the prefix products of the
+factors, as co-variable-adic digits, so each step computes one new digit of
+the product instead of the whole truncated product.
+
+Absolute irreducibility of an F_{2^k}-irreducible polynomial: its absolute
+irreducible factors form one Frobenius orbit, whose size r divides the
+degree, and over F_{2^(k e)} the orbit falls into gcd(e, r) groups, so the
+polynomial splits there for every prime e dividing r.  A smooth point over
+F_{2^(k m)} also bounds r: Frobenius^m fixes the point and so the one
+absolute factor through it, and r divides m.  Simple roots on the rational
+lines x = c and y = c, for at most eight values c, give such points, so the
+scan costs the same over every field; the polynomial is factored
+again over F_{2^(k e)} only for the primes e dividing the degree that no such
+m rules out.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from . import _dense
@@ -227,38 +237,52 @@ def _sp_mul(ctx, a, b, prec: int):
 
 
 def _hensel_lift(ctx, f_monic_cols, base_factors, prec: int):
-    """Lift pairwise-coprime monic base factors to a factorization mod t^prec."""
-    n = len(f_monic_cols) - 1
+    """Lift pairwise-coprime monic base factors to a factorization mod t^prec.
+
+    Each lifted factor and each prefix product of the factors is kept as its
+    t-adic digits, dense polynomials in the main variable.  Step j needs only
+    the t^j digit of the product, one convolution per prefix; the new digits
+    delta_i of the factors then add sum over i <= l of delta_i times the
+    product of the other base factors up to l to the t^j digit of prefix l.
+    """
     s = len(base_factors)
-    others = []
     bezout = []
     for i in range(s):
         g = [1]
         for j in range(s):
             if j != i:
                 g = _dense.mul(ctx, g, base_factors[j])
-        others.append(g)
         bezout.append(_dense.inv_mod(ctx, g, base_factors[i]))
-    lifted = [[[c] if c else [] for c in g] for g in base_factors]
+    f_digits = [
+        _dense.trim([col[j] if len(col) > j else 0 for col in f_monic_cols]) for j in range(prec)
+    ]
+    digits = [[list(g)] for g in base_factors]  # digits[i][j]: t^j digit of factor i
+    prefix = [digits[0]]  # prefix[l][j]: t^j digit of the product of factors 0..l, l < s - 1
+    for g in base_factors[1:-1]:
+        prefix.append([_dense.mul(ctx, prefix[-1][0], g)])
     for j in range(1, prec):
-        prod = lifted[0]
+        # t^j digit of each prefix product while the factors' t^j digits are 0
+        partial = [[]]
         for i in range(1, s):
-            prod = _sp_mul(ctx, prod, lifted[i], j + 1)
-        err = _dense.col_add(f_monic_cols, prod)
-        e = _dense.trim([col[j] if len(col) > j else 0 for col in err])
-        if not e:
-            continue
+            acc = _dense.mul(ctx, partial[-1], base_factors[i])
+            for a in range(1, j):
+                acc = _dense.add(acc, _dense.mul(ctx, prefix[i - 1][a], digits[i][j - a]))
+            partial.append(acc)
+        e = _dense.add(f_digits[j], partial[-1])
+        deltas = [_dense.mod(ctx, _dense.mul(ctx, e, b), g) for b, g in zip(bezout, base_factors)]
         for i in range(s):
-            delta = _dense.mod(ctx, _dense.mul(ctx, e, bezout[i]), base_factors[i])
-            cols = lifted[i]
-            for idx, c in enumerate(delta):
-                if c:
-                    col = cols[idx]
-                    if len(col) <= j:
-                        col.extend([0] * (j + 1 - len(col)))
-                    col[j] ^= c
-                    cols[idx] = _dense.trim(col)
-    return lifted
+            digits[i].append(deltas[i])
+        correction = deltas[0]
+        for i in range(1, s - 1):
+            correction = _dense.add(
+                _dense.mul(ctx, correction, base_factors[i]),
+                _dense.mul(ctx, prefix[i - 1][0], deltas[i]),
+            )
+            prefix[i].append(_dense.add(partial[i], correction))
+    return [  # back to columns: entry idx is the t-list of x^idx
+        [_dense.trim([d[idx] if len(d) > idx else 0 for d in fd]) for idx in range(len(fd[0]))]
+        for fd in digits
+    ]
 
 
 def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
@@ -405,16 +429,53 @@ def _split_bivariate(f: Poly, xn: str, yn: str, mult: int, acc: dict) -> None:
 # -- absolute irreducibility ------------------------------------------------------
 
 
+def _simple_root_degrees(ctx, u: list) -> set[int]:
+    """Degrees over ctx of the simple roots of the dense polynomial u."""
+    if _dense.deg(u) < 1:
+        return set()
+    simple = [g for g, m in _dense.squarefree_decomposition(ctx, u) if m == 1]
+    return {d for g in simple for _, d in _dense.distinct_degree(ctx, g)}
+
+
+_SCAN_VALUES = 8  # values c per direction that _orbit_primes tries
+
+
+def _orbit_primes(f: Poly) -> list[int]:
+    """The primes that may still divide the Frobenius orbit size r of the
+    absolute factors of f, a bivariate polynomial irreducible over F_q.
+
+    r divides deg f.  A simple root of degree m of f(x, c) or f(c, y), c in
+    F_q, is a smooth point of f over F_{q^m}; it lies on exactly one absolute
+    factor, which Frobenius^m maps to a factor through the same point, i.e.
+    to itself, so r divides m.  The lines with c among the first
+    _SCAN_VALUES elements of F_q are scanned until the gcd of deg f and the m
+    found is 1; over F_2, F_4 and F_8 that is every rational line.  The cap
+    keeps the scan at most 2 * _SCAN_VALUES univariate factorizations
+    whatever q is: when f is not absolutely irreducible the gcd never reaches
+    1, and a scan of all 2q lines would not end for large q.
+    """
+    ctx = f.ctx
+    bound = f.total_degree()
+    for main, co in (f.vars, f.vars[::-1]):
+        cols = to_columns(f, main, co)
+        for c in range(min(ctx.q, _SCAN_VALUES)):
+            u = _dense.trim([_dense.eval_at(ctx, col, c) for col in cols])
+            for m in _simple_root_degrees(ctx, u):
+                bound = math.gcd(bound, m)
+            if bound == 1:
+                return []
+    return [p for p in range(2, bound + 1) if bound % p == 0 and all(p % d for d in range(2, p))]
+
+
 @lru_cache(maxsize=4096)
 def _abs_irred_bivariate(f: Poly) -> bool:
-    deg = f.total_degree()
     factors = bivariate_factor(f)
     if sum(m for _, m in factors) != 1:
         return False
     ctx = f.ctx
     # The absolute factors of an F_q-irreducible f form one Frobenius orbit,
     # whose size r divides deg f; f splits over F_{q^e} for each prime e | r.
-    for e in (p for p in range(2, deg + 1) if deg % p == 0 and all(p % d for d in range(2, p))):
+    for e in _orbit_primes(f):
         if ctx.k * e > 64:
             raise UnluckySpecializationExhausted(
                 f"absolute irreducibility needs F_{{2^{ctx.k * e}}}, beyond the word bound"

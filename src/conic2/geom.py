@@ -41,11 +41,7 @@ from .conic import (
     radical_point,
     section_jet,
 )
-from .factor import (
-    binary_form_factor,
-    gcd_homogeneous_many,
-    squarefree_homogeneous,
-)
+from .factor import binary_form_factor, gcd_homogeneous_many
 from .gf2k import FieldCtx, embed_bits, field_new
 from .poly import (
     Poly,
@@ -70,6 +66,10 @@ class PositiveDimensional(RuntimeError):
 
 class ExtensionBound(RuntimeError):
     """A root lives in an extension beyond the configured degree bound."""
+
+
+class EliminationDegenerate(RuntimeError):
+    """No combination of the inputs gave a nonzero eliminant."""
 
 
 class CommonComponent(RuntimeError):
@@ -205,21 +205,51 @@ def _z_gcd(polys: list[Poly], x0: int, y0: int, fld: FieldCtx) -> list[int]:
     return h
 
 
-def _direction_eliminant(polys: list[Poly], ctx: FieldCtx) -> Poly:
-    """A nonzero binary form in (x, y) vanishing on all solution directions."""
+def _resultant_forms(polys: list[Poly]) -> list[Poly]:
+    """The z-free inputs and the nonzero pairwise z-resultants of the others,
+    as binary forms in (x, y); each vanishes on every solution direction.
+
+    Res_z(f, g) vanishes exactly when f and g share a factor of positive
+    z-degree, so a nonempty list proves that no common factor of the inputs
+    has positive z-degree.
+    """
     xy = ("x", "y")
-    collected: list[Poly] = []
-    zfree = [p.with_vars(xy) for p in polys if p.degree_in("z") <= 0]
-    collected.extend(zfree)
+    collected = [p.with_vars(xy) for p in polys if p.degree_in("z") <= 0]
     zpos = [p for p in polys if p.degree_in("z") > 0]
     for f, g in itertools.combinations(zpos, 2):
         r = resultant(f, g, "z")
         if not r.is_zero():
             collected.append(r.with_vars(xy))
+    return collected
+
+
+def _coefficient_forms_coprime(polys: list[Poly]) -> bool:
+    """Whether no nonconstant binary form in (x, y) divides every input: a
+    form divides a polynomial exactly when it divides each of its
+    z-coefficients, so this asks whether the gcd of all inputs'
+    z-coefficients is constant."""
+    acc = None
+    for p in polys:
+        forms: dict[int, list] = {}
+        for (ex, ey, ez), c in p.items():
+            forms.setdefault(ez, []).append(((ex, ey), c))
+        for terms in forms.values():
+            form = Poly.from_terms(p.ctx, ("x", "y"), terms)
+            acc = form if acc is None else binary_gcd(acc, form)
+            if acc.is_constant():
+                return True
+    return False
+
+
+def _direction_eliminant(polys: list[Poly], collected: list[Poly]) -> Poly:
+    """A nonzero binary form in (x, y) vanishing on all solution directions,
+    for a system with finite zero locus, from its :func:`_resultant_forms`."""
     if not collected:
         # Every pair of z-positive inputs shares a z-positive factor.  Adding
         # ideal elements g_i + monomial * g_j preserves the zero set and
         # breaks the shared factors.
+        xy = ("x", "y")
+        zpos = [p for p in polys if p.degree_in("z") > 0]
         for f, g in itertools.combinations(zpos, 2):
             df, dg = f.total_degree(), g.total_degree()
             if df < dg:
@@ -245,7 +275,7 @@ def _direction_eliminant(polys: list[Poly], ctx: FieldCtx) -> Poly:
             if collected:
                 break
         if not collected:
-            raise RuntimeError("elimination degenerated; could not build an eliminant")
+            raise EliminationDegenerate("elimination degenerated; could not build an eliminant")
     acc = collected[0]
     for item in collected[1:]:
         acc = binary_gcd(acc, item)
@@ -268,9 +298,15 @@ def solve_system(
 
     Requires a finite zero locus (the gcd of the inputs must be constant) and
     extensions of degree at most k_max; certifies completeness by listing the
-    degrees of the eliminant factors every coordinate is a root of.  With
-    ``within``, its result for a subsystem, the subsystem's direction forms
-    stand in for the eliminant's factors and finiteness follows from its.
+    degrees of the eliminant factors every coordinate is a root of.
+
+    Finiteness is proved from the eliminant's own inputs: a z-free input or a
+    nonzero pairwise z-resultant excludes common factors of positive
+    z-degree, and coprime z-coefficient forms exclude z-free ones.  Only when
+    this proof fails is the gcd of the inputs computed; a nonconstant gcd
+    raises PositiveDimensional, before any ExtensionBound.  With ``within``,
+    its result for a subsystem, the subsystem's direction forms stand in for
+    the eliminant's factors and finiteness follows from its.
     """
     nonzero: list[Poly] = []
     ctx = None
@@ -290,10 +326,12 @@ def solve_system(
     if any(p.is_constant() for p in nonzero):
         return AlgebraicPointSet((), EliminationClosure(()))
     if within is None:
-        common = gcd_homogeneous_many(nonzero)
-        if not common.is_constant():
-            raise PositiveDimensional(common)
-        eliminant = _direction_eliminant(nonzero, ctx)
+        collected = _resultant_forms(nonzero)
+        if not (collected and _coefficient_forms_coprime(nonzero)):
+            common = gcd_homogeneous_many(nonzero)
+            if not common.is_constant():
+                raise PositiveDimensional(common)
+        eliminant = _direction_eliminant(nonzero, collected)
         forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
     else:
         forms = within.directions
@@ -358,13 +396,19 @@ def singular_points(curve: Poly, k_max: int = 24) -> AlgebraicPointSet:
 
     In characteristic 2 the Euler relation only ties the curve to its
     partials in even degree, so the curve itself always joins the system.
+    The system has a positive-dimensional zero locus exactly when the curve
+    has a repeated factor (g^2 divides g^2 h and each of its partials, and
+    an irreducible factor dividing its own partials would be a square), so
+    solve_system's finiteness test is the squarefreeness test: its
+    PositiveDimensional becomes NotSquarefree.
     """
     if curve.is_zero() or is_homogeneous(curve) in (None, "zero"):
         raise ValueError("singular_points expects a nonzero homogeneous curve")
-    if not squarefree_homogeneous(curve):
-        raise NotSquarefree(f"{poly_print(curve)} has a repeated factor; pass the reduced curve")
     system = [curve] + [partial_derivative(curve, v) for v in BASE_VARS]
-    return solve_system([p for p in system if not p.is_zero()], k_max)
+    try:
+        return solve_system([p for p in system if not p.is_zero()], k_max)
+    except PositiveDimensional:
+        raise NotSquarefree(f"{poly_print(curve)} has a repeated factor; pass the reduced curve") from None
 
 
 def gradient_at(curve: Poly, p: ProjPoint) -> tuple:

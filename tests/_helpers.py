@@ -18,6 +18,7 @@ from conic2.conic import (
 )
 from conic2.factor import (
     UnluckySpecializationExhausted,
+    _sp_mul,
     binary_form_factor,
     bivariate_factor,
     gcd_homogeneous_many,
@@ -32,7 +33,9 @@ from conic2.geom import (
     PositiveDimensional,
     _direction_eliminant,
     _fiber_lines,
+    _resultant_forms,
     _z_gcd,
+    solve_system,
 )
 from conic2.poly import (
     Poly,
@@ -384,7 +387,7 @@ def per_root_solve_system(polys, k_max=24):
         return [(r, 1) for r in _dense.roots(fld, [embed_bits(ctx, fld, c) for c in dense])]
 
     bound = min(k_max, 64)
-    eliminant = _direction_eliminant(nonzero, ctx)
+    eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
     degrees, points = [], []
     if not eliminant.is_constant():
         for form, _mult in binary_form_factor(eliminant):
@@ -415,3 +418,56 @@ def per_root_solve_system(polys, k_max=24):
         points.append(ProjPoint(ctx, (0, 0, 1)))
     points.sort(key=lambda p: p.sort_key())
     return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))))
+
+
+def gcd_first_solve_system(polys, k_max=24):
+    """geom.solve_system as it was before finiteness was read from the
+    eliminant: the gcd of all inputs is computed first, a nonconstant gcd
+    raises PositiveDimensional, and the eliminant's irreducible factors are
+    then solved (the restricted solve on those forms is that solve)."""
+    nonzero = []
+    for p in polys:
+        if not p.is_zero() and p not in nonzero:
+            nonzero.append(p)
+    if any(p.is_constant() for p in nonzero):
+        return AlgebraicPointSet((), EliminationClosure(()))
+    common = gcd_homogeneous_many(nonzero)
+    if not common.is_constant():
+        raise PositiveDimensional(common)
+    eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
+    forms = () if eliminant.is_constant() else tuple(f for f, _ in binary_form_factor(eliminant))
+    return solve_system(nonzero, k_max, within=AlgebraicPointSet((), EliminationClosure(()), forms))
+
+
+def sp_mul_hensel_lift(ctx, f_monic_cols, base_factors, prec):
+    """factor._hensel_lift as it was before the digit-wise product: at each
+    step the whole product of the lifted factors, truncated below t^(j+1),
+    is rebuilt with factor._sp_mul to read the error digit."""
+    s = len(base_factors)
+    bezout = []
+    for i in range(s):
+        g = [1]
+        for j in range(s):
+            if j != i:
+                g = _dense.mul(ctx, g, base_factors[j])
+        bezout.append(_dense.inv_mod(ctx, g, base_factors[i]))
+    lifted = [[[c] if c else [] for c in g] for g in base_factors]
+    for j in range(1, prec):
+        prod = lifted[0]
+        for i in range(1, s):
+            prod = _sp_mul(ctx, prod, lifted[i], j + 1)
+        err = _dense.col_add(f_monic_cols, prod)
+        e = _dense.trim([col[j] if len(col) > j else 0 for col in err])
+        if not e:
+            continue
+        for i in range(s):
+            delta = _dense.mod(ctx, _dense.mul(ctx, e, bezout[i]), base_factors[i])
+            cols = lifted[i]
+            for idx, c in enumerate(delta):
+                if c:
+                    col = cols[idx]
+                    if len(col) <= j:
+                        col.extend([0] * (j + 1 - len(col)))
+                    col[j] ^= c
+                    cols[idx] = _dense.trim(col)
+    return lifted

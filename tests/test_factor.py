@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from conic2 import _dense
+from conic2 import _dense, factor
 from conic2.gf2k import field_new, section_bits
-from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print, to_dense
+from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print, to_columns, to_dense
 from conic2.factor import (
     UnluckySpecializationExhausted,
+    _orbit_primes,
+    _simple_root_degrees,
     bivariate_factor,
     gcd_bivariate,
     gcd_homogeneous,
@@ -152,8 +154,9 @@ def _conjugate_product(g, ctx):
     return prod.map_coefficients(lambda c: section_bits(ctx, ext, c), ctx)
 
 
-@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
-def test_absolute_irreducibility_matches_every_extension_oracle(ctx):
+def _oracle_cases(ctx):
+    """Random curves over ctx of degree 2..8, and products (f, e) of the
+    Frobenius conjugates of a random curve over F_{q^e}, irreducible over ctx."""
     rng = random.Random(60 + ctx.k)
     cases = []
     while len(cases) < 16:
@@ -162,6 +165,7 @@ def test_absolute_irreducibility_matches_every_extension_oracle(ctx):
         f = Poly.from_terms(ctx, XY, [m for m in items if rng.random() < 0.4] + [((d, 0), 1)])
         if len(f.variables_used()) == 2:
             cases.append(f)
+    conjugates = []
     for e, gdeg in ((2, 4), (2, 3), (3, 2), (2, 2), (4, 2), (3, 1)):
         ext = field_new(ctx.k * e)
         while True:
@@ -169,14 +173,136 @@ def test_absolute_irreducibility_matches_every_extension_oracle(ctx):
             g = Poly.from_terms(ext, XY, items + [((gdeg, 0), 1), ((0, gdeg), 1)])
             f = _conjugate_product(g, ctx)
             if f.total_degree() == e * gdeg and len(bivariate_factor(f)) == 1:
-                cases.append(f)
+                conjugates.append((f, e))
                 break
+    return cases, conjugates
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_absolute_irreducibility_matches_every_extension_oracle(ctx):
+    cases, conjugates = _oracle_cases(ctx)
     verdicts = []
-    for f in cases:
+    for f in cases + [f for f, _ in conjugates]:
         want = abs_irred_every_extension(f)
         assert is_absolutely_irreducible(f) == want, f
         verdicts.append(want)
     assert verdicts.count(False) >= 6 and verdicts.count(True) >= 4
+
+
+def _primes(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_line_scan_keeps_every_prime_of_the_orbit_size(ctx):
+    # over F_{q^n}, n = deg f, an F_q-irreducible f splits into gcd(n, r) = r
+    # absolute factors; the e conjugates of the construction make e divide r
+    for f, e in _oracle_cases(ctx)[1]:
+        n = f.total_degree()
+        r = len(bivariate_factor(f.embed_to(field_new(ctx.k * n))))
+        assert r % e == 0 and n % r == 0
+        assert _primes(r) <= set(_orbit_primes(f)), poly_print(f)
+
+
+def _extension_factorizations(monkeypatch, f):
+    """abs_irred_bivariate's verdict on f, uncached, and the number of
+    factorizations over a proper extension it ran."""
+    calls = []
+
+    def counted(g):
+        if g.ctx is not f.ctx:
+            calls.append(g.ctx.k)
+        return bivariate_factor(g)
+
+    monkeypatch.setattr(factor, "bivariate_factor", counted)
+    try:
+        return factor._abs_irred_bivariate.__wrapped__(f), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_line_scan_decides_most_absolutely_irreducible_curves(monkeypatch, ctx):
+    cases, conjugates = _oracle_cases(ctx)
+    runs = [_extension_factorizations(monkeypatch, f) for f in cases + [f for f, _ in conjugates]]
+    irreducible = [n for verdict, n in runs if verdict]
+    assert irreducible and irreducible.count(0) >= 0.75 * len(irreducible)
+
+
+@pytest.mark.parametrize(
+    "text, primes, want",
+    [
+        ("x^6 + x^3*y^2 + y^5 + x^4 + x^3*y + x^2*y^2 + x^2*y", [2, 3], True),
+        ("x^4 + x^2*y^2 + y^4 + x^2*y + x*y^2 + x^2 + x*y + y^2", [2], False),
+    ],
+)
+def test_curve_with_no_simple_root_on_a_rational_line_falls_back(monkeypatch, text, primes, want):
+    f = poly_parse(text, F2, XY)
+    for main, co in (XY, XY[::-1]):
+        cols = to_columns(f, main, co)
+        for c in range(F2.q):
+            u = _dense.trim([_dense.eval_at(F2, col, c) for col in cols])
+            assert not _simple_root_degrees(F2, u)
+    assert _orbit_primes(f) == primes
+    verdict, extensions = _extension_factorizations(monkeypatch, f)
+    assert extensions >= 1
+    assert verdict == abs_irred_every_extension(f) == is_absolutely_irreducible(f) == want
+
+
+def _count_scanned_lines(monkeypatch):
+    """Count the lines _orbit_primes scans; fail at once past 64, far below
+    the 2q lines of the fields these tests use."""
+    calls = []
+
+    def counted(ctx, u):
+        calls.append(ctx.k)
+        assert len(calls) <= 64, "the line scan grows with the field"
+        return _simple_root_degrees(ctx, u)
+
+    monkeypatch.setattr(factor, "_simple_root_degrees", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, gdeg", [(16, 1), (16, 2)])
+def test_line_scan_cost_does_not_grow_with_the_field(monkeypatch, k, gdeg):
+    # a conjugate pair over F_{2^k}: the scan never reaches gcd 1, so it
+    # would try all 2q lines if nothing capped it
+    ctx, ext = field_new(k), field_new(2 * k)
+    rng = random.Random(k + gdeg)
+    while True:
+        items = [((i, j), rng.randrange(ext.q)) for i in range(gdeg + 1) for j in range(gdeg + 1 - i)]
+        g = Poly.from_terms(ext, XY, items + [((gdeg, 0), 1), ((0, gdeg), 1)])
+        f = _conjugate_product(g, ctx)
+        if f.total_degree() == 2 * gdeg and len(bivariate_factor(f)) == 1:
+            break
+    lines = _count_scanned_lines(monkeypatch)
+    assert _orbit_primes(f) == [2]
+    assert 0 < len(lines) <= 2 * factor._SCAN_VALUES
+    assert not is_absolutely_irreducible(f)
+
+
+def _trace(ctx, a):
+    t, power = 0, a
+    for _ in range(ctx.k):
+        t ^= power
+        power = ctx.mul(power, power)
+    return t
+
+
+def test_orbit_beyond_the_word_bound_raises_after_a_short_scan(monkeypatch):
+    # (x + b y + 1)(x + b' y + 1) for conjugates b, b' over F_{2^80}:
+    # irreducible over F_{2^40}, and every simple root on a rational line
+    # has degree 2, so deciding it needs F_{2^80}
+    ctx = field_new(40)
+    a = next(1 << i for i in range(ctx.k) if _trace(ctx, 1 << i))  # the trace is linear
+    f = Poly.from_terms(ctx, XY, [((2, 0), 1), ((1, 1), 1), ((0, 2), a), ((0, 1), 1), ((0, 0), 1)])
+    assert len(bivariate_factor(f)) == 1
+    lines = _count_scanned_lines(monkeypatch)
+    with pytest.raises(UnluckySpecializationExhausted, match="F_\\{2\\^80\\}"):
+        is_absolutely_irreducible(f)
+    assert len(lines) == 2 * factor._SCAN_VALUES
+    # an absolutely irreducible curve over the same field is decided by the scan
+    assert is_absolutely_irreducible(poly_parse("x^3 + y^2 + x*y + 1", ctx, XY))
 
 
 def test_absolute_irreducibility_rejects_bad_inputs():

@@ -24,6 +24,7 @@ from conic2.geom import (
     PositiveDimensional,
     _direction_eliminant,
     _direction_root,
+    _resultant_forms,
     _z_gcd,
     solve_system,
 )
@@ -118,7 +119,7 @@ def _z_patterns(system):
     nonzero = [p for p in system if not p.is_zero()]
     ctx = nonzero[0].ctx
     out = []
-    eliminant = _direction_eliminant(nonzero, ctx)
+    eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
     if eliminant.is_constant():
         return out
     for form, _ in binary_form_factor(eliminant):
