@@ -328,32 +328,6 @@ def series_inverse(ctx, l: Coeffs, prec: int) -> Coeffs:
     return trim(out)
 
 
-def is_irreducible(ctx, f: Coeffs) -> bool:
-    """Rabin's irreducibility criterion over F_{2^k}."""
-    f = trim(list(f))
-    n = deg(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    f = monic(ctx, f)
-    if f[0] == 0:
-        return n == 1
-    h: Coeffs = [0, 1]
-    for _ in range(n):
-        h = pow_mod(ctx, h, ctx.q, f)
-    if h != [0, 1]:
-        return False
-    for p in range(2, n + 1):
-        if n % p == 0 and all(p % r for r in range(2, p)):
-            g: Coeffs = [0, 1]
-            for _ in range(n // p):
-                g = pow_mod(ctx, g, ctx.q, f)
-            if deg(gcd(ctx, f, add(g, [0, 1]))) != 0:
-                return False
-    return True
-
-
 # -- column polynomials: polynomials in z over F[t] ------------------------------
 
 

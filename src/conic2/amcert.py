@@ -270,6 +270,7 @@ def _analyse_component(
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
+    inside_sigma = False
     try:
         met = solve_system(system, k_max, within=sigma)
         sigma_meets = met.points
@@ -277,10 +278,11 @@ def _analyse_component(
             if classify_fiber(spec, p) is FiberType.DOUBLE_LINE:
                 witness = p
                 break
-    except PositiveDimensional:
-        # The component lies inside Sigma (or shares a curve with it): scan
-        # small fields for a double-line point on the component.
+    except PositiveDimensional as exc:
+        # The component shares a curve with Sigma: scan small fields for a
+        # double-line point on the component.
         sigma_meets = None
+        inside_sigma = exc.common_factor.total_degree() == component.total_degree()
         witness = next(
             (p for p in small_field_points(component, witness_bound)
              if classify_fiber(spec, p) is FiberType.DOUBLE_LINE),
@@ -292,6 +294,9 @@ def _analyse_component(
 
     if witness is not None:
         status = AmStatus("double_line_witness", witness)
+    elif inside_sigma:
+        # no fiber over the component is a cross, so no nonproduct witness
+        status = AmStatus("not_certified", None)
     else:
         np_witness = nonproduct_witness(spec, component, k_max, witness_bound)
         if np_witness is not None:

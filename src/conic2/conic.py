@@ -153,13 +153,6 @@ class ConicBundleSpec:
         i, j = FIBER_VARS.index(key[0]), FIBER_VARS.index(key[1])
         return self.degree_vector[i] + self.degree_vector[j] + self.value_degree
 
-    def twisted(self, t: int) -> "ConicBundleSpec":
-        """Simultaneous twist (e_a+t, e_b+t, e_c+t, m-2t): same sections."""
-        ea, eb, ec = self.degree_vector
-        return ConicBundleSpec(
-            self.ctx, (ea + t, eb + t, ec + t), self.value_degree - 2 * t, dict(self.sections)
-        )
-
 
 @dataclass(frozen=True)
 class SpecReport:
@@ -469,9 +462,3 @@ def read_json(path: str):
 
 def load_spec(path: str) -> ConicBundleSpec:
     return spec_from_dict(read_json(path))
-
-
-def save_spec(spec: ConicBundleSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")

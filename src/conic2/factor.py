@@ -174,19 +174,6 @@ def gcd_homogeneous_many(polys: list[Poly]) -> Poly:
     return acc
 
 
-def squarefree_homogeneous(f: Poly) -> bool:
-    """Whether a nonzero homogeneous polynomial has no repeated factor."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.is_constant():
-        return True
-    parts = [partial_derivative(f, v) for v in f.variables_used()]
-    nonzero = [p for p in parts if not p.is_zero()]
-    if not nonzero:
-        return False  # all partials vanish: f is a perfect square
-    return gcd_homogeneous_many([f] + nonzero).is_constant()
-
-
 # -- bivariate factorization ----------------------------------------------------
 
 

@@ -12,6 +12,10 @@ set keeps the direction forms that carry its points, so a system containing
 its inputs is solved on those forms alone.  Transversal intersections carry
 an independent Bezout count certificate instead.
 
+Explicit rational points of a curve, over the fields F_{q^e} up to a bound,
+come from :func:`small_field_points`: the points on a line are the roots of
+the curve restricted to it, so a field costs one root finding per line.
+
 Smoothness of the total space along a degenerate fiber, and the ordinary
 nodes above component intersections, are read from the six sections' jet at
 the base point (value, first partials and mixed partial): the five partials
@@ -52,6 +56,7 @@ from .poly import (
     poly_print,
     resultant,
     specialize,
+    to_columns,
     to_dense,
 )
 
@@ -138,40 +143,47 @@ class AlgebraicPointSet:
         return {"points": [p.serialize() for p in self.points], "certificate": cert}
 
 
-# -- plane point enumeration (brute-force oracle and witness search) ----------
-
-
-def enumerate_plane_points(ctx: FieldCtx):
-    """All points of P^2(F_{2^k}) in canonical order."""
-    for y in range(ctx.q):
-        for z in range(ctx.q):
-            yield ProjPoint(ctx, (1, y, z))
-    for z in range(ctx.q):
-        yield ProjPoint(ctx, (0, 1, z))
-    yield ProjPoint(ctx, (0, 0, 1))
-
-
-def brute_solutions(polys: list[Poly], ctx: FieldCtx) -> list[ProjPoint]:
-    """All rational solutions over one field, by exhaustive enumeration."""
-    out = []
-    for p in enumerate_plane_points(ctx):
-        if all(g.eval_bits(ctx, p.coords) == 0 for g in polys):
-            out.append(p)
-    return out
+# -- rational points of a plane curve, line by line ------------------------------
 
 
 def small_field_points(curve: Poly, bound: int):
     """The points of the curve in P^2(F_{2^(k e)}) for e = 1, 2, ... while
     k e <= min(bound, 64), where F_{2^k} is the curve's field; field by
-    field, each in canonical order."""
+    field, each in canonical order.
+
+    A field costs one root finding per line, not one evaluation per point:
+    the points on a line are the roots of the curve restricted to it
+    (:func:`_dense.roots`, sorted without repeats).  The lines are x = 1,
+    y = c for c = 0, 1, ..., then x = 0, y = 1, and last comes [0:0:1].  The
+    restrictions are formed once, and their coefficients embedded once per
+    field.  A line on the curve restricts to 0 and yields all its points; a
+    chart restriction f(1, y, z) that is a nonzero constant (f = c x^d)
+    leaves the chart x = 1 without points, so it is skipped whole.
+    """
     base = curve.ctx
+    chart = to_columns(dehomogenize(curve, "x"), "z", "y")  # f(1, y, z): z-columns over F[y]
+    chart_empty = len(chart) == 1 and _dense.deg(chart[0]) == 0
+    line = to_dense(specialize(curve, base, (0, 1)), "z")  # f(0, 1, z)
+    corner = curve.eval_bits(base, (0, 0, 1)) == 0
     e = 1
     while base.k * e <= min(bound, 64):
         ctx = field_new(base.k * e)
-        for p in enumerate_plane_points(ctx):
-            if curve.eval_bits(ctx, p.coords) == 0:
-                yield p
+        if not chart_empty:
+            cols = [[embed_bits(base, ctx, c) for c in col] for col in chart]
+            for y in range(ctx.q):
+                yield from _line_points(ctx, (1, y), [_dense.eval_at(ctx, col, y) for col in cols])
+        yield from _line_points(ctx, (0, 1), [embed_bits(base, ctx, c) for c in line])
+        if corner:
+            yield ProjPoint(ctx, (0, 0, 1))
         e += 1
+
+
+def _line_points(ctx: FieldCtx, head: tuple[int, int], restriction: list[int]):
+    """The points head + (z,) of P^2(ctx), for z a root of the curve's
+    restriction to the line (every z when the restriction is 0)."""
+    restriction = _dense.trim(restriction)
+    for z in _dense.roots(ctx, restriction) if restriction else range(ctx.q):
+        yield ProjPoint(ctx, (*head, z))
 
 
 def point_on_curve(curve: Poly, k_max: int = 24) -> ProjPoint:

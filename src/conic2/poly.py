@@ -115,9 +115,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self._terms)
 
-    def constant_bits(self) -> int:
-        return self._terms.get((0,) * len(self.vars), 0)
-
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self._terms), default=-1)

@@ -102,6 +102,57 @@ def vanish_at(rng, ctx, degree, point_bits, vars=BASE_VARS):
     raise AssertionError("no monomial is nonzero at a projective point")
 
 
+def enumerate_plane_points(ctx):
+    """All points of P^2(F_{2^k}) in canonical order."""
+    for y in range(ctx.q):
+        for z in range(ctx.q):
+            yield ProjPoint(ctx, (1, y, z))
+    for z in range(ctx.q):
+        yield ProjPoint(ctx, (0, 1, z))
+    yield ProjPoint(ctx, (0, 0, 1))
+
+
+def brute_solutions(polys, ctx):
+    """All rational solutions over one field, by exhaustive enumeration."""
+    return [p for p in enumerate_plane_points(ctx)
+            if all(g.eval_bits(ctx, p.coords) == 0 for g in polys)]
+
+
+def brute_small_field_points(curve, bound):
+    """geom.small_field_points by evaluating the curve at every plane point."""
+    base = curve.ctx
+    e = 1
+    while base.k * e <= min(bound, 64):
+        yield from brute_solutions([curve], field_new(base.k * e))
+        e += 1
+
+
+def is_irreducible(ctx, f):
+    """Rabin's irreducibility criterion over F_{2^k}, for dense f."""
+    f = _dense.trim(list(f))
+    n = _dense.deg(f)
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    f = _dense.monic(ctx, f)
+    if f[0] == 0:
+        return False
+    h = [0, 1]
+    for _ in range(n):
+        h = _dense.pow_mod(ctx, h, ctx.q, f)
+    if h != [0, 1]:
+        return False
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % r for r in range(2, p)):
+            g = [0, 1]
+            for _ in range(n // p):
+                g = _dense.pow_mod(ctx, g, ctx.q, f)
+            if _dense.deg(_dense.gcd(ctx, f, _dense.add(g, [0, 1]))) != 0:
+                return False
+    return True
+
+
 def brute_fiber_singular_points(spec, p, ctx_big):
     """Total-space singular points on the fiber over p, rational over ctx_big.
 

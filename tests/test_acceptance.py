@@ -28,7 +28,7 @@ from conic2.amcert import (
     search_spieghiamolo,
     surface_criterion,
 )
-from conic2.geom import brute_solutions, intersection_points, smooth_along_fiber, solve_system
+from conic2.geom import intersection_points, smooth_along_fiber, solve_system
 from conic2.gf2k import field_new
 from conic2.poly import (
     Poly,
@@ -122,7 +122,7 @@ def test_a3_full_certificate_for_example_81():
     F16 = field_new(4)
     checks.append(all(F16.k % p.ctx.k == 0 for p in inter.points))
     # independent brute-force oracle over F16
-    brute = sorted(p.coords for p in brute_solutions([d1.embed_to(F16), d2.embed_to(F16)], F16))
+    brute = sorted(p.coords for p in _helpers.brute_solutions([d1.embed_to(F16), d2.embed_to(F16)], F16))
     checks.append(brute == sorted(p.embed_to(F16).coords for p in inter.points))
     checks.append(all(classify_fiber(spec, p) is FiberType.CROSS for p in inter.points))
     nodes = cert.intersections[0]["nodes"]
@@ -165,7 +165,7 @@ def test_a4_cubic_quartic_example():
     F16 = field_new(4)
 
     def brute(system):
-        return set(brute_solutions([g.embed_to(F16) for g in system], F16))
+        return set(_helpers.brute_solutions([g.embed_to(F16) for g in system], F16))
 
     def brute_sing(f):
         return brute([f] + [partial_derivative(f, v) for v in BASE_VARS])
@@ -410,7 +410,7 @@ def test_a8_property_suites():
             for k in range(spec.ctx.k, 5, spec.ctx.k):
                 big = field_new(k)
                 brute = sorted(
-                    p.coords for p in brute_solutions([g.embed_to(big) for g in system], big)
+                    p.coords for p in _helpers.brute_solutions([g.embed_to(big) for g in system], big)
                 )
                 rational = sorted(
                     p.embed_to(big).coords for p in solved.points if big.k % p.ctx.k == 0

@@ -3,7 +3,6 @@ the chart-level elementary transformation, and the guided search."""
 
 import hashlib
 import json
-import pathlib
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -21,6 +20,8 @@ from conic2.conic import (
     ProjPoint,
     classify_fiber,
     discriminant,
+    load_spec,
+    spec_from_dict,
     spec_to_dict,
 )
 from conic2.amcert import (
@@ -39,6 +40,9 @@ from conic2.amcert import (
 )
 from conic2.gf2k import field_new
 from conic2.poly import Poly, plane_poly, poly_parse, poly_print
+
+from _helpers import brute_small_field_points
+from conftest import DATA
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -140,6 +144,37 @@ def test_nonproduct_witness_rejects_component_inside_sigma():
     spec = load_corpus_spec("rem_double_line")
     with pytest.raises(ValueError):
         nonproduct_witness(spec, plane_poly("x"))
+
+
+def test_component_inside_sigma_without_double_line_point_is_not_certified():
+    # Over F_65536, above witness_bound 8, the double-line scan covers no
+    # field.  The components y and x + c z lie inside Sigma, so no fiber over
+    # them is a cross and nonproduct_witness, which rejects them, is not asked.
+    cert = surface_criterion(load_spec(str(DATA / "inside_sigma_f65536.json")))
+    kinds = {c["component"]: c["am_status"]["kind"] for c in json.loads(cert.to_json())["components"]}
+    assert kinds == {
+        "y": "not_certified",
+        "y + F65536:A6D3*z": "double_line_witness",
+        "x + F65536:9C*z": "not_certified",
+    }
+
+
+# Over F_4 with one component, which carries no double-line point and no
+# nonproduct witness up to F_256: the criterion scans every point up to there.
+F4_SCANNED_SPEC = {
+    "field_degree": 2, "degree_vector": [1, 2, 0], "value_degree": 0,
+    "sections": {"aa": "F4:3*x^2 + x*y", "ab": "j*y^2*z + j*y*z^2", "ac": "j*y + F4:3*z",
+                 "bb": "x*z^3", "bc": "x^2 + F4:3*x*y + j*y^2", "cc": "0"},
+}
+
+
+def test_line_point_finder_keeps_the_plane_scan_certificate(monkeypatch):
+    spec = spec_from_dict(F4_SCANNED_SPEC)
+    found = surface_criterion(spec).to_json()
+    assert [c["am_status"]["kind"] for c in json.loads(found)["components"]] == ["not_certified"]
+    monkeypatch.setattr(geom, "small_field_points", brute_small_field_points)
+    monkeypatch.setattr(amcert, "small_field_points", brute_small_field_points)
+    assert surface_criterion(spec).to_json() == found
 
 
 # -- elementary transformation --------------------------------------------------------
@@ -274,7 +309,7 @@ def test_corpus_certificates_are_byte_stable():
     assert digests == CORPUS_CERT_DIGESTS
 
 
-DELTA20 = pathlib.Path(__file__).parent / "data" / "delta20.json"
+DELTA20 = DATA / "delta20.json"
 
 
 def delta20_spec() -> ConicBundleSpec:

@@ -8,7 +8,7 @@ from conic2.cli import main
 from conic2.conic import ProjPoint, classify_fiber, load_spec
 from conic2.gf2k import field_new
 
-from conftest import CORPUS
+from conftest import CORPUS, DATA
 
 
 def run(capsys, *argv):
@@ -94,6 +94,20 @@ def test_verify_failing_example_exit_one(capsys):
     code, out, _ = run(capsys, "verify", "--spec", str(CORPUS / "rem_double_line.json"))
     assert code == 1
     assert "[FAIL] h3_transversal_crosses_nodes" in out
+
+
+def test_nonflat_spec_over_f65536_exits_one(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", str(DATA / "nonflat_f65536.json"))
+    assert code == 1
+    assert "bundle not flat" in out
+
+
+def test_component_inside_sigma_over_f65536_exits_one(capsys):
+    # Valid input with a component inside Sigma and no double-line witness:
+    # a failing verdict (exit 1), not an input error (exit 2).
+    code, out, _ = run(capsys, "verify", "--spec", str(DATA / "inside_sigma_f65536.json"))
+    assert code == 1
+    assert "1 of 3 components certified Artin-Mumford" in out
 
 
 def test_verify_corpus_matches_profiles(capsys):

@@ -25,13 +25,13 @@ from conic2.geom import (
     ExtensionBound,
     PositiveDimensional,
     _resultant_forms,
-    enumerate_plane_points,
     solve_system,
 )
 from conic2.gf2k import field_new
 from conic2.poly import Poly
 
 from _helpers import (
+    enumerate_plane_points,
     gcd_first_solve_system,
     rand_homogeneous,
     rand_spec,

@@ -1,5 +1,6 @@
 """Bundle model: validation, discriminant, Sigma, fibers, charts, flatness."""
 
+import json
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from conic2.gf2k import field_new
 from conic2.poly import Poly, dehomogenize, partial_derivative, plane_poly, poly_parse, substitute
 
 from _helpers import rand_spec, vanish_at
+from conftest import DATA
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -70,14 +72,6 @@ def test_validate_all_zero():
     spec = ConicBundleSpec(F2, (0, 0, 0), 0, {k: z for k in ("aa", "ab", "ac", "bb", "bc", "cc")})
     with pytest.raises(AllZero):
         spec_validate(spec)
-
-
-def test_twist_normalization():
-    ex3 = load_corpus_spec("ex3")
-    tw = ex3.twisted(1)
-    assert tw.degree_vector == (1, 1, 3) and tw.value_degree == -1
-    assert tw.sections == ex3.sections
-    assert tw.twisted(-1) == ex3
 
 
 def test_discriminant_of_example_81():
@@ -251,6 +245,17 @@ def test_flatness_examples():
     assert classify_fiber(spec, rep.witness) is FiberType.NOT_CONIC
 
 
+def test_flatness_witness_on_a_common_line_over_f65536():
+    # The six sections share the factor x, and the chart x = 1 holds no
+    # point of x: the witness [0:1:0] on the line x = 0 is found without
+    # visiting the 2^32 points of that chart.
+    spec = load_spec(str(DATA / "nonflat_f65536.json"))
+    rep = flatness_check(spec)
+    assert not rep.flat
+    assert rep.witness == ProjPoint.parse("0:1:0", spec.ctx)
+    assert classify_fiber(spec, rep.witness) is FiberType.NOT_CONIC
+
+
 def test_proj_point_normalization_and_equality():
     p = ProjPoint(F4, (2, 3, 0))  # leading coordinate scaled to 1
     assert p.coords[0] == 1
@@ -276,11 +281,9 @@ def test_proj_point_equality_across_fields_compares_in_common_subfield():
 
 
 def test_spec_file_round_trip(tmp_path):
-    from conic2.conic import save_spec
-
     spec = load_corpus_spec("ex4")
     path = tmp_path / "spec.json"
-    save_spec(spec, str(path))
+    path.write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True))
     again = load_spec(str(path))
     assert again == spec
 

@@ -20,15 +20,19 @@ from conic2.geom import (
     CommonComponent,
     ExtensionBound,
     PositiveDimensional,
-    brute_solutions,
-    enumerate_plane_points,
     smooth_along_fiber,
     solve_system,
 )
 from conic2.gf2k import field_new
 from conic2.poly import Poly, plane_poly, poly_parse
 
-from _helpers import brute_fiber_singular_points, rand_homogeneous, rand_spec
+from _helpers import (
+    brute_fiber_singular_points,
+    brute_solutions,
+    enumerate_plane_points,
+    rand_homogeneous,
+    rand_spec,
+)
 
 F2 = field_new(1)
 F4 = field_new(2)

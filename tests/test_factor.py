@@ -15,9 +15,10 @@ from conic2.factor import (
     gcd_bivariate,
     gcd_homogeneous,
     is_absolutely_irreducible,
-    squarefree_homogeneous,
     univariate_factor,
 )
+
+from conic2.geom import NotSquarefree, singular_points
 
 from _helpers import abs_irred_every_extension
 
@@ -325,6 +326,8 @@ def test_gcd_homogeneous_and_squarefree():
     f = plane_poly("x^3*z + y^4") * plane_poly("x")
     g = plane_poly("x^2*y")
     assert gcd_homogeneous(f, g) == plane_poly("x")
-    assert squarefree_homogeneous(plane_poly("x^6*y*z + x^3*z^5 + x^3*y^5 + y^4*z^4"))
-    assert not squarefree_homogeneous(plane_poly("x^2*y"))
-    assert not squarefree_homogeneous(plane_poly("x^2 + y^2"))
+    # squarefreeness is read from the singular-locus solve
+    singular_points(plane_poly("x^6*y*z + x^3*z^5 + x^3*y^5 + y^4*z^4"))
+    for square in ("x^2*y", "x^2 + y^2"):
+        with pytest.raises(NotSquarefree):
+            singular_points(plane_poly(square))

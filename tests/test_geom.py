@@ -30,27 +30,29 @@ from conic2.geom import (
     NotSquarefree,
     NotSingularHere,
     PositiveDimensional,
-    brute_solutions,
     cross_nodes,
-    enumerate_plane_points,
     intersection_points,
     _node_jet,
     ordinary_node_check,
     point_on_curve,
     singular_points,
+    small_field_points,
     smooth_along_fiber,
     solve_system,
     transversal_at,
 )
 from conic2.gf2k import embed_bits, field_new
-from conic2.poly import Poly, partial_derivative, plane_poly, poly_parse, substitute
+from conic2.poly import Poly, partial_derivative, plane_poly, poly_parse, poly_print, substitute
 
 from _helpers import (
     brute_fiber_singular_points,
     brute_ordinary_node,
+    brute_small_field_points,
+    brute_solutions,
     chart_smooth_along_fiber,
     derivative_node_check,
     derivative_node_jet,
+    enumerate_plane_points,
     rand_homogeneous,
     rand_spec,
     vanish_at,
@@ -478,3 +480,36 @@ def test_binary_form_common_roots_match_enumeration_over_f4096():
 def test_point_on_curve():
     p = point_on_curve(plane_poly("x^2 + x*y + y^2"))
     assert plane_poly("x^2 + x*y + y^2").eval_bits(p.ctx, p.coords) == 0
+
+
+# -- small_field_points: root finding on lines against the plane scan ----------
+
+
+@pytest.mark.parametrize("k, bound, count", [(1, 4, 40), (2, 6, 24), (4, 8, 4)], ids=["F2", "F4", "F16"])
+def test_small_field_points_equal_the_plane_scan(k, bound, count):
+    # Same points, same order, as evaluating the curve at every point of
+    # P^2(F_{2^(k e)}) over each field the bound covers (four, three and
+    # two fields).  The curves cycle through four shapes: a random curve, a
+    # curve with the line y = c x as a component (a scanned chart line lies
+    # on it), c x^d (no point on the chart x = 1), and x g (the line x = 0
+    # lies on it).
+    ctx = field_new(k)
+    rng = random.Random(1100 + k)
+    x = Poly.var(ctx, BASE_VARS, "x")
+    for i in range(count):
+        d = rng.randint(1, 3)
+        g = rand_homogeneous(rng, ctx, d, nonzero=True)
+        shape = i % 4
+        if shape == 1:
+            g = g * Poly.from_terms(ctx, BASE_VARS, [((1, 0, 0), rng.randrange(ctx.q)), ((0, 1, 0), 1)])
+        elif shape == 2:
+            g = Poly.from_terms(ctx, BASE_VARS, [((d, 0, 0), rng.randrange(1, ctx.q))])
+        elif shape == 3:
+            g = x * g
+        found = [(p.ctx.k, p.coords) for p in small_field_points(g, bound)]
+        brute = [(p.ctx.k, p.coords) for p in brute_small_field_points(g, bound)]
+        assert found == brute, poly_print(g)
+        if shape == 2:
+            assert all(c[0] == 0 for _, c in found)
+        elif shape in (1, 3):  # a rational line: at least q^e points per field
+            assert len(found) >= sum(ctx.q ** e for e in range(1, bound // k + 1))

@@ -89,7 +89,7 @@ def test_parse_round_trips_through_print():
 
 def test_parse_j_plus_one_as_sum_of_terms():
     p = poly_parse("j + 1", F4, V)
-    assert p.constant_bits() == 3
+    assert dict(p.items()) == {(0, 0, 0): 3}
     assert dict(poly_parse("j^2*x", F4, V).items()) == {(1, 0, 0): 3}
     assert poly_parse("F4:3*x", F4, V) == poly_parse("j^2*x", F4, V)
 
