@@ -47,6 +47,7 @@ from .conic import (
 )
 from .factor import (
     UnluckySpecializationExhausted,
+    _is_absolutely_irreducible,
     bivariate_factor,
     is_absolutely_irreducible,
     sort_factors,
@@ -61,7 +62,6 @@ from .geom import (
     ExtensionBound,
     PositiveDimensional,
     cross_nodes,
-    gradient_at,
     plane_monomials,
     small_field_points,
     smooth_along_fiber,
@@ -73,6 +73,7 @@ from .poly import (
     dehomogenize,
     exact_div,
     homogenize,
+    partial_derivative,
     poly_print,
     strip_monomial,
     substitute,
@@ -124,8 +125,10 @@ def component_factorization(
     """Verified factorization of the discriminant into absolutely irreducible parts.
 
     With claimed factors: their product must equal Delta up to a nonzero
-    scalar.  Without: Delta is factored from scratch (monomial part plus
-    bivariate factorization on a chart, reglued by homogenization).
+    scalar, and each is factored over F_q before its absolute part is proved.
+    Without: Delta is factored from scratch (monomial part plus bivariate
+    factorization on a chart, reglued by homogenization); those factors are
+    irreducible over F_q, so only their absolute part is proved.
     """
     delta = discriminant(spec)
     if delta.is_zero():
@@ -148,7 +151,11 @@ def component_factorization(
     else:
         factors = _factor_homogeneous(delta)
     for f, _ in factors:
-        if not is_absolutely_irreducible(f):
+        if claimed is not None:
+            proved = is_absolutely_irreducible(f)
+        else:  # a factor of Delta is irreducible over F_q
+            proved = _is_absolutely_irreducible(f, True)
+        if not proved:
             raise NotAbsolutelyIrreducible(f)
     return factors
 
@@ -328,8 +335,9 @@ def nonproduct_witness(
     else:
         raise ValueError("component lies inside the double-line locus; fibers are not crosses")
 
+    partials = [partial_derivative(component, v) for v in BASE_VARS]
     for p in small_field_points(component, min(witness_bound, k_max)):
-        if all(v == 0 for v in gradient_at(component, p)):
+        if not any(d.eval_bits(p.ctx, p.coords) for d in partials):
             continue
         split = cross_splitting_form(section_values(spec, p))
         if split is None:

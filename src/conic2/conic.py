@@ -188,14 +188,23 @@ def spec_validate(spec: ConicBundleSpec) -> SpecReport:
 
 
 def discriminant(spec: ConicBundleSpec) -> Poly:
-    """Delta = s_ab s_bc s_ac + s_ab^2 s_cc + s_ac^2 s_bb + s_bc^2 s_aa."""
-    s = spec.sections
-    return (
-        s["ab"] * s["bc"] * s["ac"]
-        + s["ab"] * s["ab"] * s["cc"]
-        + s["ac"] * s["ac"] * s["bb"]
-        + s["bc"] * s["bc"] * s["aa"]
-    )
+    """Delta = s_ab s_bc s_ac + s_ab^2 s_cc + s_ac^2 s_bb + s_bc^2 s_aa.
+
+    Computed once per spec: the first call keeps Delta on the frozen spec as
+    an attribute that is not a dataclass field, so it takes no part in
+    equality or repr, and later calls return that same polynomial.
+    """
+    delta = spec.__dict__.get("_discriminant")
+    if delta is None:
+        s = spec.sections
+        delta = (
+            s["ab"] * s["bc"] * s["ac"]
+            + s["ab"] * s["ab"] * s["cc"]
+            + s["ac"] * s["ac"] * s["bb"]
+            + s["bc"] * s["bc"] * s["aa"]
+        )
+        object.__setattr__(spec, "_discriminant", delta)
+    return delta
 
 
 def sigma_generators(spec: ConicBundleSpec) -> tuple[Poly, Poly, Poly]:

@@ -9,6 +9,17 @@ co-variable degree, recombines factor subsets by exact division, and merges
 factors found over an auxiliary extension along Frobenius orbits back to the
 coefficient field.
 
+Recombination is degree-bounded (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 15).  For a true factor g of what remains, h, the lifted
+product of g's local factors times lc(h) is lc(h / g) g, whose co-variable
+degree is at most that of h and below the precision.  A candidate that
+divides h is such a product, since its content is a unit at the
+specialization point.  So a subset whose truncated product times lc(h) has a
+column of larger degree is skipped before it is shifted back and divided,
+and the same factors come out in the same order.  A subset gives a factor
+exactly when its complement does, so subsets of at most half the remaining
+local factors are tried.
+
 The bivariate gcd is the primitive part of the last member of the
 subresultant sequence of :func:`conic2._dense.subresultants`, times the gcd
 of the contents.
@@ -26,7 +37,10 @@ absolute factor through it, and r divides m.  Simple roots on the rational
 lines x = c and y = c, for at most eight values c, give such points, so the
 scan costs the same over every field; the polynomial is factored
 again over F_{2^(k e)} only for the primes e dividing the degree that no such
-m rules out.
+m rules out.  A factor that bivariate_factor returned is known irreducible
+over F_{2^k}, so for the discriminant's computed components only this
+absolute part runs; a polynomial of unknown origin, such as a claimed
+factor, is factored over F_{2^k} first.
 """
 
 from __future__ import annotations
@@ -281,9 +295,12 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
     if len(base_factors) == 1:
         return [f.monic()]
     prec = 2 * fe.degree_in(yn) + 1
-    # y -> y + r on every column; the shift is its own inverse in characteristic 2
-    shift = [r, 1]
-    tcols = [_dense.compose(ctx_e, c, shift) for c in cols]
+
+    def shift(c):
+        # y -> y + r; its own inverse in characteristic 2, the identity for r = 0
+        return _dense.compose(ctx_e, c, [r, 1]) if r else c
+
+    tcols = [shift(c) for c in cols]
     linv = _dense.series_inverse(ctx_e, tcols[-1], prec)
     monic_cols = [_dense.trim(_dense.mul(ctx_e, c, linv)[:prec]) if c else [] for c in tcols]
     lifted = _hensel_lift(ctx_e, monic_cols, base_factors, prec)
@@ -295,19 +312,19 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
     while pool:
         if remaining.is_constant():  # pragma: no cover - defensive
             break
-        lshift = _dense.compose(ctx_e, to_columns(remaining, xn, yn)[-1], shift)
+        lshift = shift(to_columns(remaining, xn, yn)[-1])
+        bound = remaining.degree_in(yn)
         extracted = False
-        max_size = len(pool)
-        for size in range(1, max_size):
+        # a subset gives a factor exactly when its complement does
+        for size in range(1, len(pool) // 2 + 1):
             for combo in itertools.combinations(range(len(pool)), size):
                 prod = pool[combo[0]]
                 for i in combo[1:]:
                     prod = _sp_mul(ctx_e, prod, pool[i], prec)
-                cand_cols = [
-                    _dense.compose(ctx_e, _dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]), shift)
-                    for c in prod
-                ]
-                _, cand_cols = _dense.col_primitive(ctx_e, cand_cols)
+                scaled = [_dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]) for c in prod]
+                if any(len(c) > bound + 1 for c in scaled):
+                    continue  # not lc(remaining) times a factor: the degree bound
+                _, cand_cols = _dense.col_primitive(ctx_e, [shift(c) for c in scaled])
                 cand = from_columns(ctx_e, fe.vars, cand_cols, xn, yn)
                 if cand.is_constant():
                     continue
@@ -454,11 +471,9 @@ def _orbit_primes(f: Poly) -> list[int]:
     return [p for p in range(2, bound + 1) if bound % p == 0 and all(p % d for d in range(2, p))]
 
 
-@lru_cache(maxsize=4096)
-def _abs_irred_bivariate(f: Poly) -> bool:
-    factors = bivariate_factor(f)
-    if sum(m for _, m in factors) != 1:
-        return False
+def _splits_over_an_extension(f: Poly) -> bool:
+    """True iff f, bivariate and irreducible over F_q, splits over some
+    F_{q^e}: the absolute part of absolute irreducibility."""
     ctx = f.ctx
     # The absolute factors of an F_q-irreducible f form one Frobenius orbit,
     # whose size r divides deg f; f splits over F_{q^e} for each prime e | r.
@@ -469,8 +484,17 @@ def _abs_irred_bivariate(f: Poly) -> bool:
             )
         fe = f.embed_to(field_new(ctx.k * e))
         if sum(m for _, m in bivariate_factor(fe)) != 1:
-            return False
-    return True
+            return True
+    return False
+
+
+@lru_cache(maxsize=4096)
+def _abs_irred_bivariate(f: Poly, irreducible: bool) -> bool:
+    """Absolute irreducibility of a bivariate f; ``irreducible`` says f is
+    already known irreducible over F_q, so it is not factored over F_q."""
+    if not irreducible and sum(m for _, m in bivariate_factor(f)) != 1:
+        return False
+    return not _splits_over_an_extension(f)
 
 
 def is_absolutely_irreducible(f: Poly) -> bool:
@@ -479,6 +503,14 @@ def is_absolutely_irreducible(f: Poly) -> bool:
     Accepts a polynomial in at most two variables, or a homogeneous one in
     three; trivariate input is dehomogenized on a chart not dividing it.
     """
+    return _is_absolutely_irreducible(f, False)
+
+
+def _is_absolutely_irreducible(f: Poly, irreducible: bool) -> bool:
+    """is_absolutely_irreducible; with ``irreducible`` true, f is known to be
+    irreducible over F_q, as each factor bivariate_factor returns is, and only
+    the absolute part is proved.  Dehomogenizing f on a chart it is not
+    divisible by keeps it irreducible."""
     if f.is_zero() or f.is_constant():
         raise ValueError("absolute irreducibility needs a nonzero non-constant input")
     active = f.variables_used()
@@ -503,4 +535,4 @@ def is_absolutely_irreducible(f: Poly) -> bool:
         raise ValueError("constant after dehomogenization")
     # canonicalize variable tuple for caching
     wa = tuple(sorted(wactive))
-    return _abs_irred_bivariate(work.with_vars(wa))
+    return _abs_irred_bivariate(work.with_vars(wa), irreducible)

@@ -423,10 +423,6 @@ def singular_points(curve: Poly, k_max: int = 24) -> AlgebraicPointSet:
         raise NotSquarefree(f"{poly_print(curve)} has a repeated factor; pass the reduced curve") from None
 
 
-def gradient_at(curve: Poly, p: ProjPoint) -> tuple:
-    return tuple(partial_derivative(curve, v).eval_bits(p.ctx, p.coords) for v in BASE_VARS)
-
-
 def _independent(d1: list[Poly], d2: list[Poly], p: ProjPoint) -> bool:
     """The gradients at p, from the partials d1 and d2, are nonzero and independent."""
     g1, g2 = ([d.eval_bits(p.ctx, p.coords) for d in ds] for ds in (d1, d2))

@@ -1,9 +1,13 @@
 """Shared helpers for the test suite: random generators and brute oracles."""
 
+import importlib.util
+import json
 from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 from conic2 import _dense
+from conic2.cli import corpus_manifest
 from conic2.conic import (
     BASE_VARS,
     FIBER_VARS,
@@ -18,6 +22,9 @@ from conic2.conic import (
 )
 from conic2.factor import (
     UnluckySpecializationExhausted,
+    _find_specialization,
+    _hensel_lift,
+    _merge_frobenius_orbits,
     _sp_mul,
     binary_form_factor,
     bivariate_factor,
@@ -38,15 +45,33 @@ from conic2.geom import (
     solve_system,
 )
 from conic2.poly import (
+    NotDivisible,
     Poly,
     binary_gcd,
     dehomogenize,
     exact_div,
+    from_columns,
     partial_derivative,
     specialize,
     substitute,
+    to_columns,
     to_dense,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def moved_stream(seed):
+    """The benchmark's seeded stream of moved corpus passes
+    (``perfbench/moved.py``, loaded by path: it is no package), over the
+    corpus specs in manifest order."""
+    spec = importlib.util.spec_from_file_location("moved", ROOT / "perfbench" / "moved.py")
+    moved = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(moved)
+    sources = [(e["name"], json.loads((ROOT / "src" / "conic2" / "corpus" / e["file"]).read_text()))
+               for e in corpus_manifest()["examples"]]
+    return moved.MovedStream(seed, sources)
 
 
 def monomials_of_degree(d, nvars=3):
@@ -522,3 +547,68 @@ def sp_mul_hensel_lift(ctx, f_monic_cols, base_factors, prec):
                     col[j] ^= c
                     cols[idx] = _dense.trim(col)
     return lifted
+
+
+def unpruned_factor_squarefree_primitive(f, xn, yn, trials=None):
+    """factor._factor_squarefree_primitive as it was before the degree-bounded
+    recombination: every subset of sizes 1 .. |pool| - 1 of the lifted factors
+    goes through the shift back, col_primitive and exact_div, and every
+    specialization is shifted, r = 0 included.  ``trials``, a list, gains one
+    entry per exact_div call."""
+    ctx = f.ctx
+    ctx_e, fe, cols, r, u = _find_specialization(f, xn, yn)
+    lc_u, base = _dense.factor(ctx_e, u)
+    base_factors = [g for g, _ in base]
+    if len(base_factors) == 1:
+        return [f.monic()]
+    prec = 2 * fe.degree_in(yn) + 1
+    shift = [r, 1]
+    tcols = [_dense.compose(ctx_e, c, shift) for c in cols]
+    linv = _dense.series_inverse(ctx_e, tcols[-1], prec)
+    monic_cols = [_dense.trim(_dense.mul(ctx_e, c, linv)[:prec]) if c else [] for c in tcols]
+    lifted = _hensel_lift(ctx_e, monic_cols, base_factors, prec)
+    order = sorted(range(len(lifted)), key=lambda i: (len(base_factors[i]), base_factors[i][::-1]))
+    pool = [lifted[i] for i in order]
+
+    remaining = fe
+    found = []
+    while pool:
+        if remaining.is_constant():
+            break
+        lshift = _dense.compose(ctx_e, to_columns(remaining, xn, yn)[-1], shift)
+        extracted = False
+        for size in range(1, len(pool)):
+            for combo in combinations(range(len(pool)), size):
+                prod = pool[combo[0]]
+                for i in combo[1:]:
+                    prod = _sp_mul(ctx_e, prod, pool[i], prec)
+                cand_cols = [
+                    _dense.compose(ctx_e, _dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]), shift)
+                    for c in prod
+                ]
+                _, cand_cols = _dense.col_primitive(ctx_e, cand_cols)
+                cand = from_columns(ctx_e, fe.vars, cand_cols, xn, yn)
+                if cand.is_constant():
+                    continue
+                if trials is not None:
+                    trials.append(size)
+                try:
+                    quo = exact_div(remaining, cand)
+                except NotDivisible:
+                    continue
+                found.append(cand.monic())
+                remaining = quo
+                pool = [p for i, p in enumerate(pool) if i not in combo]
+                extracted = True
+                break
+            if extracted:
+                break
+        if not extracted:
+            found.append(remaining.monic())
+            remaining = Poly.const(ctx_e, fe.vars, 1)
+            pool = []
+    if not remaining.is_constant():
+        found.append(remaining.monic())
+    if ctx_e is ctx:
+        return found
+    return _merge_frobenius_orbits(ctx, ctx_e, found)

@@ -6,8 +6,9 @@ finiteness from its eliminant's inputs (oracle: the gcd-first solver
 the product per step (oracle: ``_helpers.sp_mul_hensel_lift``), and the
 certifier decides flatness on Sigma's direction forms (oracle: a fresh
 flatness solve).  Absolute irreducibility is tested in ``test_factor.py``.
-A seeded family of random specs, certified without claimed factors, pins
-the cold path's certificates.
+A seeded family of random specs, and the first 20 passes of the benchmark's
+moved stream for two seeds, certified without claimed factors, pin the cold
+path's certificates.
 """
 
 import hashlib
@@ -19,7 +20,14 @@ import pytest
 from conic2 import _dense, amcert, factor, geom
 from conic2.amcert import surface_criterion
 from conic2.cli import corpus_manifest, load_corpus_spec
-from conic2.conic import BASE_VARS, SECTION_KEYS, ConicBundleSpec, flatness_check, sigma_generators
+from conic2.conic import (
+    BASE_VARS,
+    SECTION_KEYS,
+    ConicBundleSpec,
+    flatness_check,
+    sigma_generators,
+    spec_from_dict,
+)
 from conic2.factor import _hensel_lift, _sp_mul, gcd_homogeneous_many
 from conic2.geom import (
     ExtensionBound,
@@ -33,6 +41,7 @@ from conic2.poly import Poly
 from _helpers import (
     enumerate_plane_points,
     gcd_first_solve_system,
+    moved_stream,
     rand_homogeneous,
     rand_spec,
     sp_mul_hensel_lift,
@@ -310,3 +319,26 @@ def test_cold_path_certificates_are_byte_stable():
     specs = [rand_spec(rng, max_entry_degree=3) for _ in range(96)]
     texts = [surface_criterion(spec, witness_bound=4).to_json() for spec in specs]
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == COLD_FAMILY_SHA256
+
+
+# sha256 over the certificates of the first 20 passes of the benchmark's
+# moved stream (perfbench/moved.py MovedStream(seed, corpus sources in
+# manifest order)), each spec certified by surface_criterion(spec) without
+# claimed factors; each certificate's to_json() is followed by one NUL byte,
+# as perfbench's Moved.digest hashes them.  First computed at commit ce7bdce,
+# before components of Delta stopped being factored again.
+MOVED_SHA256 = {
+    "21.0": "2d7eb49720f788d37b5c465fd20ddd8d8f170577fbe145df19a3fc9738d37f58",
+    "21.1": "87741758b8406286347c2d6933c7cfe23b46675fe2c7c0dafd10afe15372bd81",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MOVED_SHA256))
+def test_moved_certificates_are_byte_stable(seed):
+    stream = moved_stream(seed)
+    h = hashlib.sha256()
+    for _ in range(20):
+        for _, _, data in stream.next_pass():
+            h.update(surface_criterion(spec_from_dict(data)).to_json().encode())
+            h.update(b"\0")
+    assert h.hexdigest() == MOVED_SHA256[seed]

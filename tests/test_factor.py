@@ -217,7 +217,7 @@ def _extension_factorizations(monkeypatch, f):
 
     monkeypatch.setattr(factor, "bivariate_factor", counted)
     try:
-        return factor._abs_irred_bivariate.__wrapped__(f), len(calls)
+        return factor._abs_irred_bivariate.__wrapped__(f, False), len(calls)
     finally:
         monkeypatch.undo()
 

@@ -7,10 +7,7 @@ finite Sigma's direction forms must give the same component-meets-Sigma
 points as a fresh solve.
 """
 
-import importlib.util
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -31,11 +28,10 @@ from conic2.geom import (
 from conic2.gf2k import field_new
 from conic2.poly import Poly
 
-from _helpers import per_root_solve_system, rand_homogeneous, rand_spec
+from _helpers import moved_stream, per_root_solve_system, rand_homogeneous, rand_spec
 
 F2 = field_new(1)
 F4 = field_new(2)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _exact(found):
@@ -216,18 +212,8 @@ def test_restricted_solve_matches_fresh_on_the_corpus():
     assert sum(n for n, _ in results) > 0
 
 
-def _load_moved():
-    spec = importlib.util.spec_from_file_location("moved", ROOT / "perfbench" / "moved.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_restricted_solve_matches_fresh_on_twenty_moved_passes():
-    moved = _load_moved()
-    sources = [(e["name"], json.loads((ROOT / "src" / "conic2" / "corpus" / e["file"]).read_text()))
-               for e in corpus_manifest()["examples"]]
-    stream = moved.MovedStream("21.0", sources)
+    stream = moved_stream("21.0")
     total, used = 0, set()
     for _ in range(20):
         for _, _, data in stream.next_pass():
