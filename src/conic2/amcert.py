@@ -62,6 +62,7 @@ from .geom import (
     ExtensionBound,
     PositiveDimensional,
     cross_nodes,
+    frobenius_orbits,
     plane_monomials,
     small_field_points,
     smooth_along_fiber,
@@ -444,7 +445,12 @@ class Certificate:
 
 
 def spec_hash(spec: ConicBundleSpec) -> str:
-    blob = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
+    return _hash_spec_data(spec_to_dict(spec))
+
+
+def _hash_spec_data(data: dict) -> str:
+    """spec_hash from the spec's :func:`conic.spec_to_dict`."""
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -512,9 +518,10 @@ def _certify(
         "flat_witness": flat.witness.serialize() if flat.witness else None,
         "generically_smooth": flat.generically_smooth,
     }
+    spec_data = spec_to_dict(spec)
     cert = Certificate(
-        spec_data=spec_to_dict(spec),
-        spec_hash=spec_hash(spec),
+        spec_data=spec_data,
+        spec_hash=_hash_spec_data(spec_data),
         config={"k_max": k_max, "witness_bound": witness_bound},
         setup=setup,
         discriminant={},
@@ -614,14 +621,22 @@ def _certify(
     h3_witnesses: list[ProjPoint] = []
     pairs = list(itertools.combinations(range(len(comps)), 2))
     meets = [geo.meet(i, j) for i, j in pairs]
-    # each point's section jet, fiber type and node, keyed by its exact representation
-    jets = {
-        p.sort_key(): section_jet(spec, p)
-        for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points
-    }
-    fibers = {key: fiber_type(jet.value, jet.point.ctx) for key, jet in jets.items()}
-    crosses = [key for key, ftype in fibers.items() if ftype is FiberType.CROSS]
-    node_of = dict(zip(crosses, cross_nodes([jets[key] for key in crosses])))
+    # each point's fiber type and node, keyed by its exact representation and
+    # decided from one section jet per Frobenius orbit over F_q: a conjugate
+    # shares the type, chart and verdict, and its n is the conjugate of n
+    met = [p for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points]
+    fibers: dict = {}
+    node_of: dict = {}
+    for orbit in frobenius_orbits(met, spec.ctx.q):  # a point two pairs share is grouped once
+        jet = section_jet(spec, orbit[0])
+        ftype = fiber_type(jet.value, jet.point.ctx)
+        if ftype is FiberType.CROSS:
+            [(chart, n, ok)] = cross_nodes([jet])
+        for p in orbit:
+            fibers[p.sort_key()] = ftype
+            if ftype is FiberType.CROSS:
+                node_of[p.sort_key()] = (chart, n, ok)
+                n = n.frobenius(spec.ctx.q)
     for (i, j), inter in zip(pairs, meets):
         entry: dict = {"pair": [poly_print(comps[i]), poly_print(comps[j])]}
         if isinstance(inter, AlgebraicPointSet):
@@ -693,8 +708,12 @@ def _certify(
     else:
         details5 = []
         singular = []
+        smooth_of = {}  # one decision per Frobenius orbit, shared by its conjugates
+        for orbit in frobenius_orbits(sigma_points, spec.ctx.q):
+            smooth = smooth_along_fiber(spec, orbit[0])
+            smooth_of.update((p.sort_key(), smooth) for p in orbit)
         for p in sigma_points:
-            smooth = smooth_along_fiber(spec, p)
+            smooth = smooth_of[p.sort_key()]
             h5_entries.append({"point": p.serialize(), "smooth": smooth})
             if not smooth:
                 details5.append(f"total space singular along the fiber over {p!r}")

@@ -112,6 +112,20 @@ class ProjPoint:
             return self
         return ProjPoint(target, tuple(embed_bits(self.ctx, target, c) for c in self.coords))
 
+    def frobenius(self, q: int) -> "ProjPoint":
+        """The conjugate [x^q : y^q : z^q] of the point, in the same field.
+
+        For F_q the field of a curve or a spec, this map sends its points to
+        its points, and any fact computed from the point by F_q-arithmetic to
+        the same fact at the image.  The image is normalized as it stands,
+        since x -> x^q fixes 0 and 1, so it is built without normalizing.
+        """
+        power = self.ctx.pow
+        x, y, z = self.coords
+        image = object.__new__(ProjPoint)
+        image.ctx, image.coords = self.ctx, (power(x, q), power(y, q), power(z, q))
+        return image
+
     def serialize(self) -> list[str]:
         return [elem_str(FieldElem(self.ctx, c)) for c in self.coords]
 

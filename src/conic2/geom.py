@@ -17,10 +17,14 @@ come from :func:`small_field_points`: the points on a line are the roots of
 the curve restricted to it, so a field costs one root finding per line.
 
 Smoothness of the total space along a degenerate fiber, and the ordinary
-nodes above component intersections, are read from the six sections' jet at
-the base point (value, first partials and mixed partial): the five partials
-of the conic form, restricted to the fiber, are pulled back along each line
-of the reduced fiber to binary forms whose gcd is constant exactly when no
+nodes above component intersections, are read from the six sections' jet
+(value, first partials and mixed partial) at one base point per Frobenius
+orbit (:func:`frobenius_orbits`): the sections have coefficients in F_q, so
+the jet at p^q is the jet at p with each entry raised to the q-th power, and
+the zero tests that decide the fiber type, the chart, the node and
+smoothness come out the same at p^q as at p.  The five partials of the conic
+form, restricted to the fiber, are pulled back along each line of the
+reduced fiber to binary forms whose gcd is constant exactly when no
 singular point lies on that line.  The gcd is computed over the coefficient
 field; gcds of forms are stable under field extension.
 """
@@ -385,10 +389,10 @@ def solve_system(
             h = _z_gcd(nonzero, x0, y0, final)
         dirs.append(form)
         for z0 in _dense.roots(final, h):
-            c = (x0, y0, z0)
-            for _ in range(d):  # the d conjugate directions: Frobenius x -> x^q
-                points.append(ProjPoint(final, c))
-                c = tuple(final.pow(v, ctx.q) for v in c)
+            p = ProjPoint(final, (x0, y0, z0))
+            for _ in range(d):  # the d conjugate directions
+                points.append(p)
+                p = p.frobenius(ctx.q)
 
     if all(g.eval_bits(ctx, (0, 0, 1)) == 0 for g in nonzero):
         points.append(ProjPoint(ctx, (0, 0, 1)))
@@ -398,6 +402,37 @@ def solve_system(
             raise AssertionError("solver produced a non-solution")
     points.sort(key=lambda p: p.sort_key())
     return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))), tuple(dirs))
+
+
+def frobenius_orbits(points, q: int) -> list[list[ProjPoint]]:
+    """The points grouped into orbits of the Frobenius p -> p^q
+    (:meth:`ProjPoint.frobenius`), for F_q the field the points' equations
+    are defined over.
+
+    The points are visited in their order, a repeated point (same field,
+    same coordinates) once; the first point of an orbit met is its
+    representative and comes first.  From it the walk follows the
+    Frobenius while the image is a point of the set not yet grouped, so
+    member i of an orbit is the i-th Frobenius image of its representative.
+    The walk ends at an image the set lacks: a result carried along an
+    orbit reaches only conjugates the set contains.
+    """
+    index = {p.sort_key(): p for p in points}
+    grouped: set = set()
+    orbits = []
+    for p in points:
+        key = p.sort_key()
+        if key in grouped:
+            continue
+        grouped.add(key)
+        orbit = [p]
+        image = p.frobenius(q).sort_key()
+        while image in index and image not in grouped:
+            grouped.add(image)
+            orbit.append(index[image])
+            image = index[image].frobenius(q).sort_key()
+        orbits.append(orbit)
+    return orbits
 
 
 # -- plane-curve geometry -----------------------------------------------------

@@ -18,6 +18,8 @@ from conic2.conic import (
     chart_equation,
     classify_fiber,
     fiber_form_on_chart,
+    fiber_type,
+    section_jet,
     section_values,
 )
 from conic2.factor import (
@@ -42,6 +44,8 @@ from conic2.geom import (
     _fiber_lines,
     _resultant_forms,
     _z_gcd,
+    cross_nodes,
+    smooth_along_fiber,
     solve_system,
 )
 from conic2.poly import (
@@ -62,16 +66,20 @@ from conic2.poly import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def moved_stream(seed):
-    """The benchmark's seeded stream of moved corpus passes
-    (``perfbench/moved.py``, loaded by path: it is no package), over the
-    corpus specs in manifest order."""
+def moved_module():
+    """The benchmark's ``perfbench/moved.py``, loaded by path: it is no package."""
     spec = importlib.util.spec_from_file_location("moved", ROOT / "perfbench" / "moved.py")
     moved = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(moved)
+    return moved
+
+
+def moved_stream(seed):
+    """The benchmark's seeded stream of moved corpus passes
+    (:func:`moved_module`), over the corpus specs in manifest order."""
     sources = [(e["name"], json.loads((ROOT / "src" / "conic2" / "corpus" / e["file"]).read_text()))
                for e in corpus_manifest()["examples"]]
-    return moved.MovedStream(seed, sources)
+    return moved_module().MovedStream(seed, sources)
 
 
 def monomials_of_degree(d, nvars=3):
@@ -494,6 +502,40 @@ def per_root_solve_system(polys, k_max=24):
         points.append(ProjPoint(ctx, (0, 0, 1)))
     points.sort(key=lambda p: p.sort_key())
     return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))))
+
+
+def per_point_nodes_and_smoothness(spec, cert):
+    """The H3 node entries and H5 smoothness entries of a certificate,
+    decided again at every point it lists, as _certify did before it
+    decided them once per Frobenius orbit: a section jet, fiber type and
+    node check at each point of each component pair's meeting, and
+    smooth_along_fiber at each point of a finite Sigma.
+
+    Returns the ``nodes`` list of each ``intersections`` entry (None for a
+    pair recorded as an error) and the ``double_line_smoothness`` list.
+    Points are read back from their serialization, which names their field.
+    """
+    def point(text):
+        return ProjPoint.parse(":".join(text))
+
+    nodes = []
+    for entry in cert.intersections:
+        if "points" not in entry:
+            nodes.append(None)
+            continue
+        out = []
+        for text in entry["points"]:
+            jet = section_jet(spec, point(text))
+            if fiber_type(jet.value, jet.point.ctx) is FiberType.CROSS:
+                [(chart, n, ok)] = cross_nodes([jet])
+                out.append({"point": text, "chart": list(chart),
+                            "fiber_singular_point": n.serialize(), "ordinary_node": ok})
+        nodes.append(out)
+    smoothness = []
+    if "points" in cert.sigma:  # a finite Sigma, recorded once H2 to H5 run
+        smoothness = [{"point": text, "smooth": smooth_along_fiber(spec, point(text))}
+                      for text in cert.sigma["points"]]
+    return nodes, smoothness
 
 
 def gcd_first_solve_system(polys, k_max=24):

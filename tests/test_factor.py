@@ -92,13 +92,31 @@ def test_bivariate_factor_needs_extension_specialization():
     assert reexpand(fac4, F4, XY) == f4
 
 
+def _reducible_up_to_degree_four():
+    """Every product of two nonconstant F_2[x, y] polynomials whose degrees
+    sum to at most 4: the reducible polynomials of degree at most 4."""
+    by_degree = {1: [], 2: [], 3: []}
+    monos = [(i, j) for i in range(4) for j in range(4) if i + j <= 3]
+    for bits in range(2, 1 << len(monos)):
+        g = Poly.from_terms(F2, XY, [(monos[i], 1) for i in range(len(monos)) if (bits >> i) & 1])
+        if not g.is_constant():
+            by_degree[g.total_degree()].append(g)
+    products = set()
+    for da, db in ((1, 1), (1, 2), (1, 3), (2, 2)):
+        for a in by_degree[da]:
+            products.update(a * b for b in by_degree[db])
+    return products
+
+
 def test_bivariate_factor_reexpands_exhaustively_small_degrees():
+    reducible = _reducible_up_to_degree_four()
     monos = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
     for bits in range(1, 1 << len(monos)):
         f = Poly.from_terms(F2, XY, [(monos[i], 1) for i in range(len(monos)) if (bits >> i) & 1])
         fac = bivariate_factor(f)
         _, lc = f.leading()
         assert reexpand(fac, F2, XY).scale(lc) == f
+        assert not any(g in reducible for g, _ in fac), poly_print(f)
 
 
 def test_bivariate_factor_random_products_over_f4():

@@ -4,7 +4,8 @@ The oracle is the per-root solver (``_helpers.per_root_solve_system``),
 which finds every root of every direction factor in the final field.  The
 one-root solver must give the same points, fields, order and closure.  A
 finite Sigma's direction forms must give the same component-meets-Sigma
-points as a fresh solve.
+points as a fresh solve.  ``geom.frobenius_orbits`` must partition a solved
+set into whole Frobenius orbits.
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from conic2 import _dense
-from conic2.amcert import _factor_homogeneous
+from conic2.amcert import _factor_homogeneous, example81_template
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import BASE_VARS, discriminant, sigma_generators, spec_from_dict
 from conic2.factor import binary_form_factor
@@ -23,6 +24,7 @@ from conic2.geom import (
     _direction_root,
     _resultant_forms,
     _z_gcd,
+    frobenius_orbits,
     solve_system,
 )
 from conic2.gf2k import field_new
@@ -232,3 +234,52 @@ def test_restricted_solve_matches_fresh_on_random_specs(k_max):
         spec = rand_spec(rng, max_entry_degree=1)
         total += _restricted_matches_fresh(spec, k_max)[0]
     assert total > 0
+
+
+# -- Frobenius orbits of a solved set ----------------------------------------------------
+
+
+def _orbit_sizes(found, q):
+    """frobenius_orbits of a solved set, checked: the orbits partition it,
+    each representative comes before its conjugates in the set's order, the
+    members are the successive Frobenius images of the representative, the
+    last one's image is the representative, and the orbit has the period of
+    its representative under coordinatewise q-th powers."""
+    points = list(found.points)
+    orbits = frobenius_orbits(points, q)
+    members = [p for orbit in orbits for p in orbit]
+    assert sorted(p.sort_key() for p in members) == [p.sort_key() for p in points]
+    assert len(members) == len(points)
+    position = {p.sort_key(): i for i, p in enumerate(points)}
+    reps = [position[orbit[0].sort_key()] for orbit in orbits]
+    assert reps == sorted(reps)
+    for orbit in orbits:
+        assert all(position[orbit[0].sort_key()] <= position[p.sort_key()] for p in orbit)
+        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
+            assert a.frobenius(q).sort_key() == b.sort_key()
+        ctx, start = orbit[0].ctx, orbit[0].coords
+        period, coords = 1, tuple(ctx.pow(c, q) for c in start)
+        while coords != start:
+            period, coords = period + 1, tuple(ctx.pow(c, q) for c in coords)
+        assert period == len(orbit)
+    return [len(orbit) for orbit in orbits]
+
+
+@pytest.mark.parametrize("ctx, count", [(F2, 60), (F4, 40)], ids=["F2", "F4"])
+def test_frobenius_orbits_partition_solved_sets(ctx, count):
+    rng = random.Random(9100 + ctx.k)
+    sizes = set()
+    for _ in range(count):
+        try:
+            found = solve_system(_random_system(rng, ctx))
+        except (PositiveDimensional, ExtensionBound):
+            continue
+        sizes.update(_orbit_sizes(found, ctx.q))
+    assert {1, 2, 3} <= sizes
+
+
+def test_search_template_meets_in_six_orbits():
+    d1, d2 = example81_template().target_components
+    found = solve_system([d1, d2])
+    assert len(found.points) == 16
+    assert _orbit_sizes(found, F2.q) == [1, 1, 2, 4, 4, 4]
