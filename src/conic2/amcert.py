@@ -19,6 +19,8 @@ of the diagonal, hence not stably rational); the conclusion itself is never
 re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
+Curve geometry is solved once per process, in bounded caches every call
+shares; certificates do not depend on what they hold.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .conic import (
     BASE_VARS,
@@ -188,11 +191,8 @@ class AmStatus:
     kind: str  # "double_line_witness" | "cross_nonproduct_witness" | "not_certified"
     point: ProjPoint | None
 
-    def serialize(self) -> dict:
-        return {
-            "kind": self.kind,
-            "point": self.point.serialize() if self.point is not None else None,
-        }
+    def serialize(self, point=ProjPoint.serialize) -> dict:
+        return {"kind": self.kind, "point": point(self.point) if self.point is not None else None}
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,16 @@ class ComponentAnalysis:
     sing_points: tuple[ProjPoint, ...]
     sigma_meets: tuple[ProjPoint, ...] | None  # None: positive-dimensional overlap
 
-    def serialize(self) -> dict:
+    def serialize(self, point=ProjPoint.serialize) -> dict:
+        """The component's certificate entry; ``point`` serializes each point."""
         return {
             "component": poly_print(self.component),
-            "am_status": self.am_status.serialize(),
+            "am_status": self.am_status.serialize(point),
             "sing_in_sigma": self.sing_in_sigma,
-            "sing_points": [p.serialize() for p in self.sing_points],
+            "sing_points": [point(p) for p in self.sing_points],
             "sigma_meets": None
             if self.sigma_meets is None
-            else [p.serialize() for p in self.sigma_meets],
+            else [point(p) for p in self.sigma_meets],
         }
 
 
@@ -220,37 +221,27 @@ def _in_sigma(spec: ConicBundleSpec, p: ProjPoint) -> bool:
     return all(v[k] == 0 for k in OFF_DIAGONAL)
 
 
-class _CurveGeometry:
-    """The part of the criterion that depends only on the components and k_max:
-    each component's singular locus, and each pair's Bezout-certified
-    intersection or the BezoutMismatch / CommonComponent it raised.
+# Curve geometry depends only on the curves and k_max, and the examples fix
+# the components while the bundle varies.  The caches call through ``geom.``,
+# so a rebinding there sees each miss.  A raised error is not kept, except a
+# pair's BezoutMismatch or CommonComponent, which is the pair's outcome.
+# A corpus meeting holds about 1.8 kB: 128 entries keep both caches near 0.3 MB.
+@lru_cache(maxsize=128)
+def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
+    """The points of ``geom.singular_points(component, k_max)``."""
+    return geom.singular_points(component, k_max).points
 
-    Each item is solved on first use, in the order the criterion asks for it,
-    so an input that raises still raises the same error first.  A search keeps
-    one instance per component tuple for the length of one call.
-    """
 
-    def __init__(self, components: tuple[Poly, ...], k_max: int) -> None:
-        self.components = components
-        self.k_max = k_max
-        self._sing: dict[int, AlgebraicPointSet] = {}
-        self._meets: dict[tuple[int, int], object] = {}
-
-    def singular(self, i: int) -> AlgebraicPointSet:
-        if i not in self._sing:
-            self._sing[i] = geom.singular_points(self.components[i], self.k_max)
-        return self._sing[i]
-
-    def meet(self, i: int, j: int) -> AlgebraicPointSet | BezoutMismatch | CommonComponent:
-        if (i, j) not in self._meets:
-            c1, c2 = self.components[i], self.components[j]
-            try:
-                self._meets[i, j] = geom.intersection_points(c1, c2, self.k_max)
-            except (BezoutMismatch, CommonComponent) as exc:
-                # without its traceback, whose frames hold self, the kept
-                # error forms no reference cycle and is freed with self
-                self._meets[i, j] = exc.with_traceback(None)
-        return self._meets[i, j]
+@lru_cache(maxsize=128)
+def _meeting(c1: Poly, c2: Poly, k_max: int) -> AlgebraicPointSet | BezoutMismatch | CommonComponent:
+    """``geom.intersection_points(c1, c2, k_max)``, or the BezoutMismatch or
+    CommonComponent it raised, kept without the frames of its traceback and
+    of the error it was raised from."""
+    try:
+        return geom.intersection_points(c1, c2, k_max)
+    except (BezoutMismatch, CommonComponent) as exc:
+        exc.__context__ = None
+        return exc.with_traceback(None)
 
 
 def am_component_check(
@@ -265,16 +256,15 @@ def am_component_check(
         exact_div(delta, component)
     except NotDivisible as exc:
         raise ValueError("the polynomial is not a discriminant component") from exc
-    return _analyse_component(spec, _CurveGeometry((component,), k_max), 0, witness_bound)
+    return _analyse_component(spec, component, k_max, witness_bound)
 
 
 def _analyse_component(
-    spec: ConicBundleSpec, curves: _CurveGeometry, i: int, witness_bound: int,
+    spec: ConicBundleSpec, component: Poly, k_max: int, witness_bound: int,
     sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
-    """am_component_check of the i-th component, a known divisor of Delta;
-    ``sigma``, a finite Sigma solved with the same k_max, confines its solve."""
-    component, k_max = curves.components[i], curves.k_max
+    """am_component_check of a known divisor of Delta; ``sigma``, a finite
+    Sigma solved with the same k_max, confines its solve."""
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
@@ -297,8 +287,8 @@ def _analyse_component(
             None,
         )
 
-    sing = curves.singular(i)
-    sing_ok = all(_in_sigma(spec, p) for p in sing.points)
+    sing = _singular_locus(component, k_max)
+    sing_ok = all(_in_sigma(spec, p) for p in sing)
 
     if witness is not None:
         status = AmStatus("double_line_witness", witness)
@@ -311,7 +301,7 @@ def _analyse_component(
             status = AmStatus("cross_nonproduct_witness", np_witness)
         else:
             status = AmStatus("not_certified", None)
-    return ComponentAnalysis(component, status, sing_ok, sing.points, sigma_meets)
+    return ComponentAnalysis(component, status, sing_ok, sing, sigma_meets)
 
 
 def nonproduct_witness(
@@ -454,8 +444,10 @@ def _hash_spec_data(data: dict) -> str:
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _point_list(points) -> list:
-    return [p.serialize() for p in points]
+def _point_serializer():
+    """ProjPoint.serialize run once per point: a point named again gets its first list."""
+    memo: dict = {}
+    return lambda p: memo.get(p.sort_key()) or memo.setdefault(p.sort_key(), p.serialize())
 
 
 def surface_criterion(
@@ -466,7 +458,7 @@ def surface_criterion(
 ) -> Certificate:
     """Run the five hypotheses of the surface criterion; never raises on a
     failing hypothesis - failures are recorded in the certificate."""
-    return _certify(spec, claimed_factors, k_max, witness_bound, {})
+    return _certify(spec, claimed_factors, k_max, witness_bound)
 
 
 # what solve_system raises on a valid system it cannot finish
@@ -478,18 +470,16 @@ def _certify(
     claimed_factors: list[Poly] | None,
     k_max: int,
     witness_bound: int,
-    curves: dict,
     sigma: AlgebraicPointSet | None = None,
 ) -> Certificate:
-    """surface_criterion, reusing what the caller already holds.
-
-    ``curves`` maps (component tuple, k_max) to its _CurveGeometry and gains
-    an entry for a new tuple; ``sigma`` is the solved double-line locus
-    Sigma of this spec, or None to solve it here.  A finite Sigma confines
-    the flatness solve and each component's meeting with Sigma to its
-    direction forms.
+    """surface_criterion, given the solved double-line locus Sigma of this
+    spec, or None to solve it here.  A finite Sigma confines the flatness
+    solve and each component's meeting with Sigma to its direction forms.
+    The components' singular loci and pairwise meetings come from the
+    process-wide curve caches, :func:`_singular_locus` and :func:`_meeting`.
     """
     log: list[str] = []
+    point = _point_serializer()  # each point serialized once per certificate
     report = spec_validate(spec)
     delta = discriminant(spec)
     off = [s for s in sigma_generators(spec) if not s.is_zero()]
@@ -515,7 +505,7 @@ def _certify(
         "value_degree": spec.value_degree,
         "field_degree": spec.ctx.k,
         "flat": flat.flat,
-        "flat_witness": flat.witness.serialize() if flat.witness else None,
+        "flat_witness": point(flat.witness) if flat.witness else None,
         "generically_smooth": flat.generically_smooth,
     }
     spec_data = spec_to_dict(spec)
@@ -577,7 +567,7 @@ def _certify(
             cert.sigma = {"error": "all off-diagonal sections vanish identically"}
         else:
             sigma_points = sig.points
-            cert.sigma = sig.serialize()
+            cert.sigma = sig.serialize(point)
             log.append(f"sigma: {len(sig.points)} points, closure {sig.certificate}")
     except PositiveDimensional as exc:
         sig, sigma_points = None, None
@@ -586,16 +576,15 @@ def _certify(
 
     # Per-component analysis (feeds H2 and H4).
     comps = tuple(f for f, _ in factors)
-    geo = curves.setdefault((comps, k_max), _CurveGeometry(comps, k_max))
     analyses: list[ComponentAnalysis] = []
-    for i, f in enumerate(comps):
-        ana = _analyse_component(spec, geo, i, witness_bound, sig)
+    for f in comps:
+        ana = _analyse_component(spec, f, k_max, witness_bound, sig)
         analyses.append(ana)
         log.append(
             f"component {poly_print(f)}: am={ana.am_status.kind}, "
             f"sing_in_sigma={ana.sing_in_sigma}"
         )
-    cert.components = [a.serialize() for a in analyses]
+    cert.components = [a.serialize(point) for a in analyses]
 
     reducible = sum(m for _, m in factors) >= 2
     bad_sing = [a for a in analyses if not a.sing_in_sigma]
@@ -613,14 +602,14 @@ def _certify(
         "h2_reducible_sing_in_sigma",
         h2_pass,
         "; ".join(detail) if detail else "discriminant reducible; all singular loci inside Sigma",
-        [p.serialize() for a in bad_sing for p in a.sing_points if not _in_sigma(spec, p)],
+        [point(p) for a in bad_sing for p in a.sing_points if not _in_sigma(spec, p)],
     )
 
     # H3: pairwise intersections: transversal, cross fibers, ordinary nodes.
     h3_details: list[str] = []
     h3_witnesses: list[ProjPoint] = []
     pairs = list(itertools.combinations(range(len(comps)), 2))
-    meets = [geo.meet(i, j) for i, j in pairs]
+    meets = [_meeting(comps[i], comps[j], k_max) for i, j in pairs]
     # each point's fiber type and node, keyed by its exact representation and
     # decided from one section jet per Frobenius orbit over F_q: a conjugate
     # shares the type, chart and verdict, and its n is the conjugate of n
@@ -640,7 +629,7 @@ def _certify(
     for (i, j), inter in zip(pairs, meets):
         entry: dict = {"pair": [poly_print(comps[i]), poly_print(comps[j])]}
         if isinstance(inter, AlgebraicPointSet):
-            entry["points"] = _point_list(inter.points)
+            entry["points"] = [point(p) for p in inter.points]
             entry["bezout"] = {
                 "expected": inter.certificate.expected,
                 "found": inter.certificate.found,
@@ -658,9 +647,9 @@ def _certify(
                 chart, n, ok = node_of[p.sort_key()]
                 nodes.append(
                     {
-                        "point": p.serialize(),
+                        "point": point(p),
                         "chart": list(chart),
-                        "fiber_singular_point": n.serialize(),
+                        "fiber_singular_point": point(n),
                         "ordinary_node": ok,
                     }
                 )
@@ -685,7 +674,7 @@ def _certify(
         "; ".join(h3_details)
         if h3_details
         else "all component pairs meet transversally in crosses with ordinary nodes",
-        _point_list(dict.fromkeys(h3_witnesses)),  # each point once, first seen first
+        [point(p) for p in dict.fromkeys(h3_witnesses)],  # each point once, first seen first
     )
 
     # H4: at least two Artin-Mumford components.
@@ -714,7 +703,7 @@ def _certify(
             smooth_of.update((p.sort_key(), smooth) for p in orbit)
         for p in sigma_points:
             smooth = smooth_of[p.sort_key()]
-            h5_entries.append({"point": p.serialize(), "smooth": smooth})
+            h5_entries.append({"point": point(p), "smooth": smooth})
             if not smooth:
                 details5.append(f"total space singular along the fiber over {p!r}")
                 singular.append(p)
@@ -724,7 +713,7 @@ def _certify(
             "; ".join(details5)
             if details5
             else f"smooth along all {len(sigma_points)} double-line fibers",
-            _point_list(singular),
+            [point(p) for p in singular],
         )
     cert.double_line_smoothness = h5_entries
 
@@ -805,9 +794,10 @@ def search_spieghiamolo(
     enumeration, then the divisibility filter extracts the determined entry,
     then the double-line locus must be exactly the expected points; whatever
     survives must pass the full surface criterion to count as a hit.  The
-    criterion takes the Sigma the filter solved, and the curve geometry of a
-    component tuple is solved once per call.  Exhausting the budget is legal
-    and returns the partial list.
+    criterion takes the Sigma the filter solved; the candidates share the
+    target components, whose curve geometry comes from the process-wide
+    curve caches.  Exhausting the budget is legal and returns the partial
+    list.
     """
     if target_components is None:
         target_components = template.target_components
@@ -822,7 +812,6 @@ def search_spieghiamolo(
     hits = []
     tried = 0
     exhausted = False
-    curves: dict = {}  # the candidates' shared curve geometry, for this call only
     # weight-ascending exhaustive enumeration of F_2 coefficient vectors
     for weight in range(len(monos) + 1):
         for subset in itertools.combinations(range(len(monos)), weight):
@@ -855,7 +844,7 @@ def search_spieghiamolo(
                 continue
             cert = _certify(
                 spec, list(template.target_components), k_max,
-                witness_bound=8, curves=curves, sigma=sig,
+                witness_bound=8, sigma=sig,
             )
             if cert.all_pass:
                 hits.append((spec, cert))

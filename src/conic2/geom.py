@@ -131,7 +131,8 @@ class AlgebraicPointSet:
     # solve_system's irreducible direction forms in (x, y) that carry points
     directions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
-    def serialize(self) -> dict:
+    def serialize(self, point=ProjPoint.serialize) -> dict:
+        """The set as certificate data; ``point`` serializes each point."""
         cert: dict
         if isinstance(self.certificate, BezoutCount):
             cert = {
@@ -144,7 +145,7 @@ class AlgebraicPointSet:
                 "kind": "elimination_closure",
                 "factor_degrees": list(self.certificate.factor_degrees),
             }
-        return {"points": [p.serialize() for p in self.points], "certificate": cert}
+        return {"points": [point(p) for p in self.points], "certificate": cert}
 
 
 # -- rational points of a plane curve, line by line ------------------------------

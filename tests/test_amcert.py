@@ -4,7 +4,6 @@ the chart-level elementary transformation, and the guided search."""
 import hashlib
 import json
 import random
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -400,37 +399,6 @@ def test_search_certificates_equal_standalone_criterion(monkeypatch):
     for spec, cert in result.hits:
         alone = surface_criterion(spec, list(template.target_components))
         assert cert.to_json() == alone.to_json()
-
-
-def test_search_solves_curve_geometry_once_per_call(monkeypatch):
-    counts = Counter()
-
-    def counted(name):
-        fn = getattr(geom, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("intersection_points", "singular_points"):
-        monkeypatch.setattr(geom, name, counted(name))
-    spec = load_corpus_spec("ex1")
-    before = surface_criterion(spec).to_json()
-    counts.clear()
-
-    result = search_spieghiamolo(example81_template(), budget=56)
-    assert len(result.hits) == 56
-    assert counts == {"intersection_points": 1, "singular_points": 2}
-    search_spieghiamolo(example81_template(), budget=56)
-    assert counts == {"intersection_points": 2, "singular_points": 4}
-
-    # nothing outlives a call: a standalone run and a search on other
-    # components see none of it
-    assert surface_criterion(spec).to_json() == before
-    d1 = plane_poly("x^3*z + y^4")
-    assert not search_spieghiamolo(example81_template(), target_components=(d1, d1), budget=56).hits
 
 
 def test_search_divisibility_filter_example():

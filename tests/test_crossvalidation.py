@@ -2,8 +2,10 @@
 plus the degenerate-elimination fallback and a concurrency smoke test."""
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from conic2 import amcert, factor
 from conic2.cli import load_corpus_spec
 from conic2.conic import (
     BASE_VARS,
@@ -159,9 +161,20 @@ def test_certificates_are_threadsafe_and_deterministic():
         return surface_criterion(spec, None).to_json()
 
     serial = {name: run(name) for name in names}
-    with ThreadPoolExecutor(max_workers=5) as pool:
-        parallel = dict(zip(names, pool.map(run, names)))
-    assert serial == parallel
+    # the serial pass warmed the process-wide caches; clear them so the
+    # threads fill them at the same time, then run a round that reads them
+    for cache in (amcert._singular_locus, amcert._meeting, factor._abs_irred_bivariate):
+        cache.cache_clear()
+    rounds = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave inside the cache fills
+    try:
+        for _ in range(2):
+            with ThreadPoolExecutor(max_workers=5) as pool:
+                rounds.append(dict(zip(names, pool.map(run, names, timeout=300))))
+    finally:
+        sys.setswitchinterval(switch)
+    assert rounds == [serial, serial]
 
 
 def test_search_with_wrong_target_returns_empty():
