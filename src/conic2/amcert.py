@@ -64,7 +64,7 @@ from .geom import (
     EliminationDegenerate,
     ExtensionBound,
     PositiveDimensional,
-    cross_nodes,
+    cross_node,
     frobenius_orbits,
     plane_monomials,
     small_field_points,
@@ -473,249 +473,201 @@ def _certify(
     sigma: AlgebraicPointSet | None = None,
 ) -> Certificate:
     """surface_criterion, given the solved double-line locus Sigma of this
-    spec, or None to solve it here.  A finite Sigma confines the flatness
+    spec, or None to solve it here.
+
+    Sigma is kept as its solve's outcome: the AlgebraicPointSet, or the
+    solver error without its frames.  A finite Sigma confines the flatness
     solve and each component's meeting with Sigma to its direction forms.
-    The components' singular loci and pairwise meetings come from the
+    Where Sigma is recorded, after the precondition and the factorization, a
+    PositiveDimensional outcome fails H5 and any other error is raised.  The
+    components' singular loci and pairwise meetings come from the
     process-wide curve caches, :func:`_singular_locus` and :func:`_meeting`.
     """
     log: list[str] = []
     point = _point_serializer()  # each point serialized once per certificate
+    hyps: dict[str, HypothesisResult] = {}
+
+    def record(name: str, passed: bool, detail: str, witnesses=()) -> None:
+        hyps[name] = HypothesisResult(name, passed, detail, [point(p) for p in witnesses])
+
     report = spec_validate(spec)
     delta = discriminant(spec)
-    off = [s for s in sigma_generators(spec) if not s.is_zero()]
-    # Sigma first, so flatness is decided on its direction forms; a bundle
-    # that is not generically smooth stops after flatness and never uses it.
-    # If the solver fails, flatness is solved afresh as before, and the kept
-    # error is raised where Sigma is recorded, the point that solve ran at.
-    sigma_error: Exception | None = None
-    if sigma is None and off and not delta.is_zero():
+    # Sigma first, so flatness is solved on its direction forms.  A bundle
+    # with Delta = 0 stops at the precondition; otherwise Sigma has equations.
+    if sigma is None and not delta.is_zero():
         try:
-            sigma = solve_system(off, k_max)
+            sigma = solve_system(sigma_generators(spec), k_max)
         except _SOLVER_ERRORS as exc:
-            sigma_error = exc.with_traceback(None)  # kept without the frames that hold it
-    flat = flatness_check(spec, k_max, within=sigma)
+            sigma = exc.with_traceback(None)  # kept without the frames that hold it
+    finite = sigma if isinstance(sigma, AlgebraicPointSet) else None
+    flat = flatness_check(spec, k_max, within=finite)
     log.append(
         f"setup: degrees {report.section_degrees}, deg(Delta)={report.delta_degree}, "
         f"flat={flat.flat}, generically_smooth={flat.generically_smooth}"
     )
-    hyps: dict[str, HypothesisResult] = {}
-    setup = {
-        "valid": True,
-        "degree_vector": list(spec.degree_vector),
-        "value_degree": spec.value_degree,
-        "field_degree": spec.ctx.k,
-        "flat": flat.flat,
-        "flat_witness": point(flat.witness) if flat.witness else None,
-        "generically_smooth": flat.generically_smooth,
-    }
     spec_data = spec_to_dict(spec)
     cert = Certificate(
-        spec_data=spec_data,
-        spec_hash=_hash_spec_data(spec_data),
+        spec_data=spec_data, spec_hash=_hash_spec_data(spec_data),
         config={"k_max": k_max, "witness_bound": witness_bound},
-        setup=setup,
-        discriminant={},
-        components=[],
-        sigma={},
-        intersections=[],
-        double_line_smoothness=[],
-        hypotheses=hyps,
-        all_pass=False,
-        conclusion=None,
-        caveats=list(CAVEATS),
-        replay_log=log,
+        setup={
+            "valid": True,
+            "degree_vector": list(spec.degree_vector),
+            "value_degree": spec.value_degree,
+            "field_degree": spec.ctx.k,
+            "flat": flat.flat,
+            "flat_witness": point(flat.witness) if flat.witness else None,
+            "generically_smooth": flat.generically_smooth,
+        },
+        discriminant={}, components=[], sigma={}, intersections=[], double_line_smoothness=[],
+        hypotheses=hyps, all_pass=False, conclusion=None, caveats=list(CAVEATS), replay_log=log,
     )
     if not flat.flat or not flat.generically_smooth:
         for name in HYPOTHESES:
-            hyps[name] = HypothesisResult(
-                name, False, "precondition failed: bundle not flat or not generically smooth"
-            )
+            record(name, False, "precondition failed: bundle not flat or not generically smooth")
         return cert
 
     # H1: hardcoded classical fact for the fixed base P^2.
-    hyps["h1_base_hodge_vanishing"] = HypothesisResult(
-        "h1_base_hodge_vanishing",
-        True,
-        "base is P^2: H^2(P^2, Omega^1) = 0 (classical vanishing, fact table)",
-    )
+    record("h1_base_hodge_vanishing", True,
+           "base is P^2: H^2(P^2, Omega^1) = 0 (classical vanishing, fact table)")
 
     cert.discriminant["poly"] = poly_print(delta)
     cert.discriminant["degree"] = delta.total_degree()
-
     try:
         factors = component_factorization(spec, claimed_factors, k_max)
-        cert.discriminant["factors"] = [
-            {"poly": poly_print(f), "multiplicity": m, "absolutely_irreducible": True}
-            for f, m in factors
-        ]
-        cert.discriminant["claimed_verified"] = claimed_factors is not None
-        log.append(f"factorization: {[poly_print(f) for f, _ in factors]}")
     except (FactorizationMismatch, NotAbsolutelyIrreducible) as exc:
         cert.discriminant["error"] = str(exc)
         for name in HYPOTHESES[1:]:
-            hyps[name] = HypothesisResult(name, False, f"component factorization failed: {exc}")
+            record(name, False, f"component factorization failed: {exc}")
         return cert
+    cert.discriminant["factors"] = [
+        {"poly": poly_print(f), "multiplicity": m, "absolutely_irreducible": True}
+        for f, m in factors
+    ]
+    cert.discriminant["claimed_verified"] = claimed_factors is not None
+    log.append(f"factorization: {[poly_print(f) for f, _ in factors]}")
 
     # Sigma as a point set (positive-dimensional Sigma is recorded, not fatal).
-    sigma_points: tuple[ProjPoint, ...] | None
-    try:
-        if sigma_error is not None:
-            raise sigma_error
-        sig = sigma
-        if sig is None:
-            sigma_points = None
-            cert.sigma = {"error": "all off-diagonal sections vanish identically"}
-        else:
-            sigma_points = sig.points
-            cert.sigma = sig.serialize(point)
-            log.append(f"sigma: {len(sig.points)} points, closure {sig.certificate}")
-    except PositiveDimensional as exc:
-        sig, sigma_points = None, None
-        cert.sigma = {"error": str(exc), "positive_dimensional": True}
-        log.append(f"sigma: positive-dimensional ({exc.common_factor!r})")
+    if finite is not None:
+        cert.sigma = finite.serialize(point)
+        log.append(f"sigma: {len(finite.points)} points, closure {finite.certificate}")
+    elif isinstance(sigma, PositiveDimensional):
+        cert.sigma = {"error": str(sigma), "positive_dimensional": True}
+        log.append(f"sigma: positive-dimensional ({sigma.common_factor!r})")
+    else:
+        raise sigma
 
     # Per-component analysis (feeds H2 and H4).
-    comps = tuple(f for f, _ in factors)
-    analyses: list[ComponentAnalysis] = []
-    for f in comps:
-        ana = _analyse_component(spec, f, k_max, witness_bound, sig)
-        analyses.append(ana)
-        log.append(
-            f"component {poly_print(f)}: am={ana.am_status.kind}, "
-            f"sing_in_sigma={ana.sing_in_sigma}"
-        )
+    comps = [f for f, _ in factors]
+    analyses = [_analyse_component(spec, f, k_max, witness_bound, finite) for f in comps]
+    log.extend(
+        f"component {poly_print(a.component)}: am={a.am_status.kind}, sing_in_sigma={a.sing_in_sigma}"
+        for a in analyses
+    )
     cert.components = [a.serialize(point) for a in analyses]
 
+    # H2: Delta reducible, each component's singular points inside Sigma.
     reducible = sum(m for _, m in factors) >= 2
-    bad_sing = [a for a in analyses if not a.sing_in_sigma]
-    h2_pass = reducible and not bad_sing
-    detail = []
-    if not reducible:
-        detail.append("discriminant is irreducible")
-    for a in bad_sing:
-        outside = [p for p in a.sing_points if not _in_sigma(spec, p)]
-        detail.append(
-            f"Sing({poly_print(a.component)}) leaves Sigma at "
-            + ", ".join(repr(p) for p in outside)
-        )
-    hyps["h2_reducible_sing_in_sigma"] = HypothesisResult(
+    outside = [
+        (a.component, [p for p in a.sing_points if not _in_sigma(spec, p)])
+        for a in analyses if not a.sing_in_sigma
+    ]
+    detail = [] if reducible else ["discriminant is irreducible"]
+    detail += [
+        f"Sing({poly_print(c)}) leaves Sigma at " + ", ".join(repr(p) for p in ps)
+        for c, ps in outside
+    ]
+    record(
         "h2_reducible_sing_in_sigma",
-        h2_pass,
-        "; ".join(detail) if detail else "discriminant reducible; all singular loci inside Sigma",
-        [point(p) for a in bad_sing for p in a.sing_points if not _in_sigma(spec, p)],
+        reducible and not outside,
+        "; ".join(detail) or "discriminant reducible; all singular loci inside Sigma",
+        [p for _, ps in outside for p in ps],
     )
 
     # H3: pairwise intersections: transversal, cross fibers, ordinary nodes.
     h3_details: list[str] = []
     h3_witnesses: list[ProjPoint] = []
-    pairs = list(itertools.combinations(range(len(comps)), 2))
-    meets = [_meeting(comps[i], comps[j], k_max) for i, j in pairs]
-    # each point's fiber type and node, keyed by its exact representation and
-    # decided from one section jet per Frobenius orbit over F_q: a conjugate
-    # shares the type, chart and verdict, and its n is the conjugate of n
+    pairs = list(itertools.combinations(comps, 2))
+    meets = [_meeting(c1, c2, k_max) for c1, c2 in pairs]
+    # each met point's (fiber type, (chart, n, ordinary) or None), keyed by
+    # its exact representation and decided from one section jet per
+    # Frobenius orbit over F_q: a conjugate shares the type, chart and
+    # verdict, and its n is the conjugate of n
     met = [p for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points]
-    fibers: dict = {}
-    node_of: dict = {}
+    facts: dict = {}
     for orbit in frobenius_orbits(met, spec.ctx.q):  # a point two pairs share is grouped once
         jet = section_jet(spec, orbit[0])
         ftype = fiber_type(jet.value, jet.point.ctx)
-        if ftype is FiberType.CROSS:
-            [(chart, n, ok)] = cross_nodes([jet])
+        node = cross_node(jet) if ftype is FiberType.CROSS else None
         for p in orbit:
-            fibers[p.sort_key()] = ftype
-            if ftype is FiberType.CROSS:
-                node_of[p.sort_key()] = (chart, n, ok)
-                n = n.frobenius(spec.ctx.q)
-    for (i, j), inter in zip(pairs, meets):
-        entry: dict = {"pair": [poly_print(comps[i]), poly_print(comps[j])]}
-        if isinstance(inter, AlgebraicPointSet):
-            entry["points"] = [point(p) for p in inter.points]
-            entry["bezout"] = {
-                "expected": inter.certificate.expected,
-                "found": inter.certificate.found,
-            }
-            nodes = []
-            all_cross = True
-            nodes_ok = True
-            for p in inter.points:
-                ftype = fibers[p.sort_key()]
-                if ftype is not FiberType.CROSS:
-                    all_cross = False
-                    h3_details.append(f"fiber over {p!r} is {ftype}, not a cross")
-                    h3_witnesses.append(p)
-                    continue
-                chart, n, ok = node_of[p.sort_key()]
-                nodes.append(
-                    {
-                        "point": point(p),
-                        "chart": list(chart),
-                        "fiber_singular_point": point(n),
-                        "ordinary_node": ok,
-                    }
-                )
-                if not ok:
-                    nodes_ok = False
-                    h3_details.append(f"total space not an ordinary node above {p!r}")
-                    h3_witnesses.append(p)
-            entry["all_cross"] = all_cross
-            entry["nodes"] = nodes
-            entry["nodes_ok"] = nodes_ok
-        else:  # the BezoutMismatch or CommonComponent the pair raised
+            facts[p.sort_key()] = (ftype, node)
+            if node is not None:
+                chart, n, ok = node
+                node = (chart, n.frobenius(spec.ctx.q), ok)
+    for (c1, c2), inter in zip(pairs, meets):
+        entry: dict = {"pair": [poly_print(c1), poly_print(c2)]}
+        cert.intersections.append(entry)
+        if not isinstance(inter, AlgebraicPointSet):  # the pair's BezoutMismatch or CommonComponent
             entry["error"] = str(inter)
-            h3_details.append(
-                f"{poly_print(comps[i])} and {poly_print(comps[j])}: {inter}"
-            )
+            h3_details.append(f"{poly_print(c1)} and {poly_print(c2)}: {inter}")
             if getattr(inter, "witness", None) is not None:
                 h3_witnesses.append(inter.witness)
-        cert.intersections.append(entry)
-    hyps["h3_transversal_crosses_nodes"] = HypothesisResult(
+            continue
+        nodes = []
+        for p in inter.points:
+            ftype, node = facts[p.sort_key()]
+            if node is None:
+                h3_details.append(f"fiber over {p!r} is {ftype}, not a cross")
+                h3_witnesses.append(p)
+                continue
+            chart, n, ok = node
+            nodes.append(
+                {"point": point(p), "chart": list(chart), "fiber_singular_point": point(n), "ordinary_node": ok}
+            )
+            if not ok:
+                h3_details.append(f"total space not an ordinary node above {p!r}")
+                h3_witnesses.append(p)
+        entry["points"] = [point(p) for p in inter.points]
+        entry["bezout"] = {"expected": inter.certificate.expected, "found": inter.certificate.found}
+        entry["all_cross"] = len(nodes) == len(inter.points)
+        entry["nodes"] = nodes
+        entry["nodes_ok"] = all(nd["ordinary_node"] for nd in nodes)
+    record(
         "h3_transversal_crosses_nodes",
         not h3_details,
-        "; ".join(h3_details)
-        if h3_details
-        else "all component pairs meet transversally in crosses with ordinary nodes",
-        [point(p) for p in dict.fromkeys(h3_witnesses)],  # each point once, first seen first
+        "; ".join(h3_details) or "all component pairs meet transversally in crosses with ordinary nodes",
+        dict.fromkeys(h3_witnesses),  # each point once, first seen first
     )
 
     # H4: at least two Artin-Mumford components.
     am_count = sum(1 for a in analyses if a.am_status.kind != "not_certified")
-    hyps["h4_two_am_components"] = HypothesisResult(
-        "h4_two_am_components",
-        am_count >= 2,
-        f"{am_count} of {len(analyses)} components certified Artin-Mumford",
-    )
+    record("h4_two_am_components", am_count >= 2,
+           f"{am_count} of {len(analyses)} components certified Artin-Mumford")
 
-    # H5: smoothness along every double-line fiber.
-    h5_entries = []
-    if sigma_points is None:
-        hyps["h5_smooth_along_double_lines"] = HypothesisResult(
+    # H5: smoothness along every double-line fiber, decided once per
+    # Frobenius orbit and shared by its conjugates.
+    if finite is None:
+        record(
             "h5_smooth_along_double_lines",
             False,
             "double-line locus is not a finite point set; smoothness along its fibers "
             "cannot be certified pointwise",
         )
     else:
-        details5 = []
-        singular = []
-        smooth_of = {}  # one decision per Frobenius orbit, shared by its conjugates
-        for orbit in frobenius_orbits(sigma_points, spec.ctx.q):
+        smooth_of = {}
+        for orbit in frobenius_orbits(finite.points, spec.ctx.q):
             smooth = smooth_along_fiber(spec, orbit[0])
             smooth_of.update((p.sort_key(), smooth) for p in orbit)
-        for p in sigma_points:
-            smooth = smooth_of[p.sort_key()]
-            h5_entries.append({"point": point(p), "smooth": smooth})
-            if not smooth:
-                details5.append(f"total space singular along the fiber over {p!r}")
-                singular.append(p)
-        hyps["h5_smooth_along_double_lines"] = HypothesisResult(
+        cert.double_line_smoothness = [
+            {"point": point(p), "smooth": smooth_of[p.sort_key()]} for p in finite.points
+        ]
+        singular = [p for p in finite.points if not smooth_of[p.sort_key()]]
+        record(
             "h5_smooth_along_double_lines",
-            not details5,
-            "; ".join(details5)
-            if details5
-            else f"smooth along all {len(sigma_points)} double-line fibers",
-            [point(p) for p in singular],
+            not singular,
+            "; ".join(f"total space singular along the fiber over {p!r}" for p in singular)
+            or f"smooth along all {len(finite.points)} double-line fibers",
+            singular,
         )
-    cert.double_line_smoothness = h5_entries
 
     cert.all_pass = all(h.passed for h in hyps.values())
     if cert.all_pass:
@@ -745,7 +697,7 @@ class SearchTemplate:
     sigma_expected: tuple[ProjPoint, ...]
 
 
-def example81_template(s_bb: Poly | None = None) -> SearchTemplate:
+def example81_template() -> SearchTemplate:
     """The zero-corner template: unit, x, 0 fixed; bc free; cc determined."""
     from .poly import plane_poly
 
@@ -759,7 +711,7 @@ def example81_template(s_bb: Poly | None = None) -> SearchTemplate:
             "aa": plane_poly("1"),
             "ab": plane_poly("x"),
             "ac": plane_poly("0"),
-            "bb": s_bb if s_bb is not None else plane_poly("z*y"),
+            "bb": plane_poly("z*y"),
         },
         free_key="bc",
         free_degree=4,
@@ -784,7 +736,6 @@ class SearchResult:
 
 def search_spieghiamolo(
     template: SearchTemplate,
-    target_components: tuple[Poly, ...] | None = None,
     budget: int = 2048,
     k_max: int = 24,
 ) -> SearchResult:
@@ -799,10 +750,6 @@ def search_spieghiamolo(
     curve caches.  Exhausting the budget is legal and returns the partial
     list.
     """
-    if target_components is None:
-        target_components = template.target_components
-    else:
-        template = SearchTemplate(**{**template.__dict__, "target_components": tuple(target_components)})
     ctx = template.congruence_residue.ctx
     target = Poly.const(ctx, BASE_VARS, 1)
     for c in template.target_components:

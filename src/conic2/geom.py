@@ -27,11 +27,12 @@ form, restricted to the fiber, are pulled back along each line of the
 reduced fiber to binary forms whose gcd is constant exactly when no
 singular point lies on that line.  The gcd is computed over the coefficient
 field; gcds of forms are stable under field extension.
+:func:`ordinary_node_check` takes the node verdict from a chart equation's
+derivative polynomials instead; the certifier never calls it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -609,9 +610,9 @@ def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
     return True
 
 
-def cross_nodes(jets) -> list[tuple[tuple[str, str], ProjPoint, bool]]:
-    """Chart, fiber singular point n and ordinary-node verdict above each
-    point, given the section jet of each (:func:`conic.section_jet`).
+def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
+    """Chart, fiber singular point n and ordinary-node verdict above a
+    point, given its section jet (:func:`conic.section_jet`).
 
     n = (s_bc, s_ac, s_ab) is the radical of the conic's bilinear form
     (:func:`conic.radical_point`), and the chart is the one where
@@ -623,34 +624,31 @@ def cross_nodes(jets) -> list[tuple[tuple[str, str], ProjPoint, bool]]:
     :func:`ordinary_node_check`'s, with the same NotSingularHere errors.
     A point whose fiber is a double line raises ValueError.
     """
-    out = []
-    for jet in jets:
-        ctx = jet.point.ctx
-        n = radical_point(jet.value, ctx)
-        vi = next(k for k, c in enumerate(n.coords) if c)
-        t = [k for k in range(3) if k != vi]
-        mul, nc = ctx.mul, n.coords
-        value, grad = 0, [0, 0, 0, 0]
-        b = dict.fromkeys(itertools.combinations(range(4), 2), 0)
-        for i, j, key in _FIBER_PAIRS:
-            s, s1, s2 = jet.value[key], jet.d1[key], jet.d2[key]
-            m = mul(nc[i], nc[j])
-            value ^= mul(s, m)
-            grad[0] ^= mul(s1, m)
-            grad[1] ^= mul(s2, m)
-            b[0, 1] ^= mul(jet.d12[key], m)
-            if i == j:
-                continue  # d(w_i^2) = 2 w_i = 0
-            for a, ta in enumerate(t, start=2):
-                dm = nc[j] if ta == i else nc[i] if ta == j else 0
-                grad[a] ^= mul(s, dm)
-                b[0, a] ^= mul(s1, dm)
-                b[1, a] ^= mul(s2, dm)
-            if vi not in (i, j):
-                b[2, 3] ^= s
-        chart = (BASE_VARS[jet.chart], FIBER_VARS[vi])
-        out.append((chart, n, _node_verdict(value, grad, b, ctx)))
-    return out
+    ctx = jet.point.ctx
+    n = radical_point(jet.value, ctx)
+    vi = next(k for k, c in enumerate(n.coords) if c)
+    t = [k for k in range(3) if k != vi]
+    mul, nc = ctx.mul, n.coords
+    value, grad = 0, [0, 0, 0, 0]
+    b = dict.fromkeys(itertools.combinations(range(4), 2), 0)
+    for i, j, key in _FIBER_PAIRS:
+        s, s1, s2 = jet.value[key], jet.d1[key], jet.d2[key]
+        m = mul(nc[i], nc[j])
+        value ^= mul(s, m)
+        grad[0] ^= mul(s1, m)
+        grad[1] ^= mul(s2, m)
+        b[0, 1] ^= mul(jet.d12[key], m)
+        if i == j:
+            continue  # d(w_i^2) = 2 w_i = 0
+        for a, ta in enumerate(t, start=2):
+            dm = nc[j] if ta == i else nc[i] if ta == j else 0
+            grad[a] ^= mul(s, dm)
+            b[0, a] ^= mul(s1, dm)
+            b[1, a] ^= mul(s2, dm)
+        if vi not in (i, j):
+            b[2, 3] ^= s
+    chart = (BASE_VARS[jet.chart], FIBER_VARS[vi])
+    return chart, n, _node_verdict(value, grad, b, ctx)
 
 
 def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
@@ -664,13 +662,20 @@ def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
     d_i d_j f(p) in every characteristic; a 4x4 alternating matrix has full
     rank exactly when its Pfaffian B01*B23 + B02*B13 + B03*B12 is nonzero.
 
-    The value, gradient and mixed partials at p come from one pass over the
-    terms (:func:`_node_jet`): in characteristic 2 the term c*u^m reaches
-    d_i f(p) only when m_i is odd, and d_i d_j f(p) only when m_i and m_j
-    are both odd.  The checks and the Pfaffian are shared with
-    :func:`cross_nodes`, which forms the same jet from the sections.
+    f(p), the gradient and the mixed partials are read from derivative
+    polynomials (:func:`poly.partial_derivative`) evaluated at p.  The
+    certifier takes the same verdict from the section jet
+    (:func:`cross_node`) and never calls this check.
     """
-    return _node_verdict(*_node_jet(chart_eq, point, ctx_q), ctx_q)
+    if len(chart_eq.vars) != 4:
+        raise ValueError("ordinary_node_check expects a 4-variable chart equation")
+    firsts = [partial_derivative(chart_eq, v) for v in chart_eq.vars]
+    mixed = {
+        (i, j): partial_derivative(firsts[i], chart_eq.vars[j]).eval_bits(ctx_q, point)
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    grad = [d.eval_bits(ctx_q, point) for d in firsts]
+    return _node_verdict(chart_eq.eval_bits(ctx_q, point), grad, mixed, ctx_q)
 
 
 def _node_verdict(value: int, grad: list[int], b: dict, ctx: FieldCtx) -> bool:
@@ -683,43 +688,3 @@ def _node_verdict(value: int, grad: list[int], b: dict, ctx: FieldCtx) -> bool:
         raise NotSingularHere("the gradient does not vanish at the point")
     mul = ctx.mul
     return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0
-
-
-def _node_jet(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> tuple[int, list[int], dict]:
-    """f(p), the four first partials at p and the six mixed partials d_i d_j
-    f(p), keyed (i, j) with i < j, in one pass over the terms of f.
-
-    Each coordinate's powers are computed once and shared by all terms.  A
-    term c*u^m contributes c*m_i*u^(m - e_i) to d_i f; in characteristic 2
-    that is zero unless m_i is odd, and then u^(m - e_i) differs from u^m
-    only in the power of u_i.  The same holds for both indices of a mixed
-    partial.
-    """
-    if len(chart_eq.vars) != 4:
-        raise ValueError("ordinary_node_check expects a 4-variable chart equation")
-    if len(point) != 4:
-        raise ValueError("coordinate count does not match variables")
-    src, mul = chart_eq.ctx, ctx_q.mul
-    powers = [[1, x] for x in point]
-    value, grad = 0, [0, 0, 0, 0]
-    mixed = dict.fromkeys(itertools.combinations(range(4), 2), 0)
-    for m, c in chart_eq.items():
-        if src is not ctx_q:
-            c = embed_bits(src, ctx_q, c)
-        full, odd = [], []
-        for i, (pw, e) in enumerate(zip(powers, m)):
-            while len(pw) <= e:
-                pw.append(mul(pw[-1], pw[1]))
-            full.append(pw[e])
-            if e & 1:
-                odd.append((i, pw[e - 1]))
-        value ^= functools.reduce(mul, full, c)
-        for i, low in odd:
-            vals = full[:]
-            vals[i] = low
-            grad[i] ^= functools.reduce(mul, vals, c)
-        for (i, low_i), (j, low_j) in itertools.combinations(odd, 2):
-            vals = full[:]
-            vals[i], vals[j] = low_i, low_j
-            mixed[i, j] ^= functools.reduce(mul, vals, c)
-    return value, grad, mixed

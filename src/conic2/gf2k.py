@@ -186,7 +186,7 @@ class FieldCtx:
     k <= ``_TABLE_MAX_K`` are filled in on its first multiplication.
     """
 
-    __slots__ = ("k", "q", "modulus", "_inv_cache", "_log", "_exp")
+    __slots__ = ("k", "q", "modulus", "_log", "_exp")
 
     def __init__(self, k: int, _token: object = None) -> None:
         if _token is not _CTX_TOKEN:
@@ -196,7 +196,6 @@ class FieldCtx:
         self.k = k
         self.q = 1 << k
         self.modulus = _MODULI[k]
-        self._inv_cache: dict[int, int] | None = {} if k > _TABLE_MAX_K else None
         self._log: list[int] | None = None
         self._exp: list[int] | None = None
         if not _is_irreducible_rabin(self):  # pragma: no cover - table is fixed
@@ -282,15 +281,7 @@ class FieldCtx:
         log = self._log or self._tables()
         if log is not None:
             return self._exp[self.q - 1 - log[a]]
-        if a == 1:
-            return 1
-        cached = self._inv_cache.get(a)
-        if cached is not None:
-            return cached
-        r = self.pow(a, self.q - 2)
-        if len(self._inv_cache) < 1 << 16:
-            self._inv_cache[a] = r
-        return r
+        return self.pow(a, self.q - 2)
 
     def sqrt(self, a: int) -> int:
         # Squaring is a bijection in characteristic 2: sqrt(a) = a^(2^(k-1)),

@@ -38,13 +38,12 @@ from conic2.geom import (
     EliminationClosure,
     ExtensionBound,
     FiberNotDegenerate,
-    NotSingularHere,
     PositiveDimensional,
     _direction_eliminant,
     _fiber_lines,
     _resultant_forms,
     _z_gcd,
-    cross_nodes,
+    cross_node,
     smooth_along_fiber,
     solve_system,
 )
@@ -424,31 +423,6 @@ class SerialField:
         return acc
 
 
-def derivative_node_jet(eq, point, ctx):
-    """Reference f(p), gradient and mixed partials {(i, j): d_i d_j f(p)},
-    from derivative polynomials built with partial_derivative."""
-    firsts = [partial_derivative(eq, v) for v in eq.vars]
-    mixed = {
-        (i, j): partial_derivative(firsts[i], eq.vars[j]).eval_bits(ctx, point)
-        for i, j in combinations(range(4), 2)
-    }
-    return eq.eval_bits(ctx, point), [d.eval_bits(ctx, point) for d in firsts], mixed
-
-
-def derivative_node_check(eq, point, ctx):
-    """Reference ordinary_node_check on the derivative polynomials: f(p)
-    must vanish, then the gradient, then the Pfaffian decides."""
-    if len(eq.vars) != 4:
-        raise ValueError("ordinary_node_check expects a 4-variable chart equation")
-    value, grad, b = derivative_node_jet(eq, point, ctx)
-    if value != 0:
-        raise NotSingularHere("the equation does not vanish at the point")
-    if any(grad):
-        raise NotSingularHere("the gradient does not vanish at the point")
-    mul = ctx.mul
-    return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0
-
-
 def per_root_solve_system(polys, k_max=24):
     """geom.solve_system as it was before orbits were used: every root of
     each direction factor is found again in the final field, with its own
@@ -527,7 +501,7 @@ def per_point_nodes_and_smoothness(spec, cert):
         for text in entry["points"]:
             jet = section_jet(spec, point(text))
             if fiber_type(jet.value, jet.point.ctx) is FiberType.CROSS:
-                [(chart, n, ok)] = cross_nodes([jet])
+                chart, n, ok = cross_node(jet)
                 out.append({"point": text, "chart": list(chart),
                             "fiber_singular_point": n.serialize(), "ordinary_node": ok})
         nodes.append(out)

@@ -24,6 +24,7 @@ from conic2.conic import (
     BASE_VARS,
     SECTION_KEYS,
     ConicBundleSpec,
+    discriminant,
     flatness_check,
     sigma_generators,
     spec_from_dict,
@@ -280,6 +281,29 @@ def test_sigma_is_not_solved_for_a_bundle_that_is_not_generically_smooth(monkeyp
     calls = _sigma_solves(monkeypatch)
     cert = surface_criterion(spec)
     assert not cert.setup["generically_smooth"] and calls == []
+
+
+def test_a_bundle_without_off_diagonal_sections_stops_at_the_precondition(monkeypatch):
+    # Delta = s_ab s_bc s_ac + s_ab^2 s_cc + s_ac^2 s_bb + s_bc^2 s_aa is 0
+    # when s_ab = s_ac = s_bc = 0, so such a bundle is not generically smooth
+    # and never reaches the point where Sigma, their common zeros, is recorded
+    rng = random.Random(11)
+    calls = _sigma_solves(monkeypatch)
+    for ctx in (F2, F4, F16):
+        for _ in range(4):
+            ev = tuple(rng.randint(0, 2) for _ in range(3))
+            sections = {key: Poly.zero(ctx, BASE_VARS) for key in SECTION_KEYS}
+            for key, e in zip(("aa", "bb", "cc"), ev):
+                sections[key] = rand_homogeneous(rng, ctx, 2 * e, nonzero=True)
+            spec = ConicBundleSpec(ctx, ev, 0, sections)
+            assert all(s.is_zero() for s in sigma_generators(spec))
+            assert discriminant(spec).is_zero()
+            cert = surface_criterion(spec)
+            assert not cert.setup["generically_smooth"] and cert.sigma == {}
+            assert [h.detail for h in cert.hypotheses.values()] == [
+                "precondition failed: bundle not flat or not generically smooth"
+            ] * 5
+    assert calls == []
 
 
 def test_sigma_first_solve_holds_back_only_solver_errors(monkeypatch):

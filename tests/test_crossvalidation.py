@@ -1,6 +1,7 @@
 """Randomized cross-validation of the geometry core against brute oracles,
 plus the degenerate-elimination fallback and a concurrency smoke test."""
 
+import dataclasses
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -181,8 +182,7 @@ def test_search_with_wrong_target_returns_empty():
     from conic2.amcert import example81_template, search_spieghiamolo
 
     d1 = plane_poly("x^3*z + y^4")
-    result = search_spieghiamolo(
-        example81_template(), target_components=(d1, d1), budget=2048
-    )
+    template = dataclasses.replace(example81_template(), target_components=(d1, d1))
+    result = search_spieghiamolo(template, budget=2048)
     assert result.hits == []
     assert not result.exhausted_budget  # enumeration completed, nothing survived
