@@ -11,7 +11,8 @@ Factorization is the classical squarefree / distinct-degree / equal-degree
 chain; the equal-degree split uses the additive trace map
 T(h) = h + h^2 + h^4 + ... , since the odd-characteristic power trick
 degenerates in characteristic 2.  All random choices come from a fixed-seed
-generator so results are reproducible.
+generator so results are reproducible; it is seeded at its first draw
+(:class:`_SeededDraws`), since most calls split nothing.
 
 A column polynomial is a polynomial in z over F[t], stored as the list over
 the z-exponent of dense t-lists ("columns"), with no trailing empty column.
@@ -200,7 +201,22 @@ def distinct_degree(ctx, f: Coeffs) -> list[tuple[Coeffs, int]]:
     return out
 
 
-def _trace_split(ctx, f: Coeffs, d: int, rng: random.Random) -> tuple[Coeffs, Coeffs]:
+class _SeededDraws:
+    """random.Random(0x5EED), seeded at its first draw: the draws are the
+    same, and a call that draws nothing seeds nothing."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self) -> None:
+        self._rng: random.Random | None = None
+
+    def randrange(self, n: int) -> int:
+        if self._rng is None:
+            self._rng = random.Random(0x5EED)
+        return self._rng.randrange(n)
+
+
+def _trace_split(ctx, f: Coeffs, d: int, rng: _SeededDraws) -> tuple[Coeffs, Coeffs]:
     """A proper monic factorization (g, f / g) of monic squarefree f, all of
     whose irreducible factors have degree d and which has at least two."""
     n = deg(f)
@@ -218,7 +234,7 @@ def _trace_split(ctx, f: Coeffs, d: int, rng: random.Random) -> tuple[Coeffs, Co
             return g, divmod_(ctx, f, g)[0]
 
 
-def equal_degree(ctx, f: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
+def equal_degree(ctx, f: Coeffs, d: int, rng: _SeededDraws) -> list[Coeffs]:
     """Split monic squarefree f, all of whose irreducible factors have degree d."""
     if deg(f) == d:
         return [f]
@@ -229,7 +245,7 @@ def equal_degree(ctx, f: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
 def one_root(ctx, f: Coeffs) -> int:
     """One root of f, a product of distinct linear factors over ctx (keeps the smaller split)."""
     f = monic(ctx, trim(list(f)))
-    rng = random.Random(0x5EED)
+    rng = _SeededDraws()
     while deg(f) > 1:
         f = min(_trace_split(ctx, f, 1, rng), key=len)
     return f[0]
@@ -255,7 +271,7 @@ def factor(ctx, f: Coeffs) -> tuple[int, list[tuple[Coeffs, int]]]:
         f = f[1:]
     if shift:
         found[(0, 1)] = shift
-    rng = random.Random(0x5EED)
+    rng = _SeededDraws()
     if deg(f) >= 1:
         for g, m in squarefree_decomposition(ctx, f):
             for h, d in distinct_degree(ctx, g):
@@ -281,7 +297,7 @@ def roots(ctx, f: Coeffs) -> list[int]:
         xq = pow_mod(ctx, [0, 1], ctx.q, f)
         g = gcd(ctx, f, add(xq, [0, 1]))
         if deg(g) >= 1:
-            rng = random.Random(0x5EED)
+            rng = _SeededDraws()
             for lin in equal_degree(ctx, g, 1, rng):
                 out.append(lin[0])
     out.sort()

@@ -20,7 +20,10 @@ re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
 Curve geometry is solved once per process, in bounded caches every call
-shares; certificates do not depend on what they hold.
+shares; certificates do not depend on what they hold.  Sigma is solved once
+per certificate: flatness and each component's meeting with Sigma contain
+Sigma's equations, so they are read off Sigma's points.  Polynomials and
+points keep their printed text, so each is rendered once per process.
 """
 
 from __future__ import annotations
@@ -191,8 +194,8 @@ class AmStatus:
     kind: str  # "double_line_witness" | "cross_nonproduct_witness" | "not_certified"
     point: ProjPoint | None
 
-    def serialize(self, point=ProjPoint.serialize) -> dict:
-        return {"kind": self.kind, "point": point(self.point) if self.point is not None else None}
+    def serialize(self) -> dict:
+        return {"kind": self.kind, "point": self.point.serialize() if self.point is not None else None}
 
 
 @dataclass(frozen=True)
@@ -203,16 +206,16 @@ class ComponentAnalysis:
     sing_points: tuple[ProjPoint, ...]
     sigma_meets: tuple[ProjPoint, ...] | None  # None: positive-dimensional overlap
 
-    def serialize(self, point=ProjPoint.serialize) -> dict:
-        """The component's certificate entry; ``point`` serializes each point."""
+    def serialize(self) -> dict:
+        """The component's certificate entry."""
         return {
             "component": poly_print(self.component),
-            "am_status": self.am_status.serialize(point),
+            "am_status": self.am_status.serialize(),
             "sing_in_sigma": self.sing_in_sigma,
-            "sing_points": [point(p) for p in self.sing_points],
+            "sing_points": [p.serialize() for p in self.sing_points],
             "sigma_meets": None
             if self.sigma_meets is None
-            else [point(p) for p in self.sigma_meets],
+            else [p.serialize() for p in self.sigma_meets],
         }
 
 
@@ -264,7 +267,7 @@ def _analyse_component(
     sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
     """am_component_check of a known divisor of Delta; ``sigma``, a finite
-    Sigma solved with the same k_max, confines its solve."""
+    Sigma solved with the same k_max, confines its solve to Sigma's points."""
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
@@ -444,12 +447,6 @@ def _hash_spec_data(data: dict) -> str:
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _point_serializer():
-    """ProjPoint.serialize run once per point: a point named again gets its first list."""
-    memo: dict = {}
-    return lambda p: memo.get(p.sort_key()) or memo.setdefault(p.sort_key(), p.serialize())
-
-
 def surface_criterion(
     spec: ConicBundleSpec,
     claimed_factors: list[Poly] | None = None,
@@ -477,18 +474,18 @@ def _certify(
 
     Sigma is kept as its solve's outcome: the AlgebraicPointSet, or the
     solver error without its frames.  A finite Sigma confines the flatness
-    solve and each component's meeting with Sigma to its direction forms.
+    solve and each component's meeting with Sigma to its points
+    (geom.solve_system with ``within``).
     Where Sigma is recorded, after the precondition and the factorization, a
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     components' singular loci and pairwise meetings come from the
     process-wide curve caches, :func:`_singular_locus` and :func:`_meeting`.
     """
     log: list[str] = []
-    point = _point_serializer()  # each point serialized once per certificate
     hyps: dict[str, HypothesisResult] = {}
 
     def record(name: str, passed: bool, detail: str, witnesses=()) -> None:
-        hyps[name] = HypothesisResult(name, passed, detail, [point(p) for p in witnesses])
+        hyps[name] = HypothesisResult(name, passed, detail, [p.serialize() for p in witnesses])
 
     report = spec_validate(spec)
     delta = discriminant(spec)
@@ -515,7 +512,7 @@ def _certify(
             "value_degree": spec.value_degree,
             "field_degree": spec.ctx.k,
             "flat": flat.flat,
-            "flat_witness": point(flat.witness) if flat.witness else None,
+            "flat_witness": flat.witness.serialize() if flat.witness else None,
             "generically_smooth": flat.generically_smooth,
         },
         discriminant={}, components=[], sigma={}, intersections=[], double_line_smoothness=[],
@@ -548,7 +545,7 @@ def _certify(
 
     # Sigma as a point set (positive-dimensional Sigma is recorded, not fatal).
     if finite is not None:
-        cert.sigma = finite.serialize(point)
+        cert.sigma = finite.serialize()
         log.append(f"sigma: {len(finite.points)} points, closure {finite.certificate}")
     elif isinstance(sigma, PositiveDimensional):
         cert.sigma = {"error": str(sigma), "positive_dimensional": True}
@@ -563,7 +560,7 @@ def _certify(
         f"component {poly_print(a.component)}: am={a.am_status.kind}, sing_in_sigma={a.sing_in_sigma}"
         for a in analyses
     )
-    cert.components = [a.serialize(point) for a in analyses]
+    cert.components = [a.serialize() for a in analyses]
 
     # H2: Delta reducible, each component's singular points inside Sigma.
     reducible = sum(m for _, m in factors) >= 2
@@ -621,12 +618,13 @@ def _certify(
                 continue
             chart, n, ok = node
             nodes.append(
-                {"point": point(p), "chart": list(chart), "fiber_singular_point": point(n), "ordinary_node": ok}
+                {"point": p.serialize(), "chart": list(chart), "fiber_singular_point": n.serialize(),
+                 "ordinary_node": ok}
             )
             if not ok:
                 h3_details.append(f"total space not an ordinary node above {p!r}")
                 h3_witnesses.append(p)
-        entry["points"] = [point(p) for p in inter.points]
+        entry["points"] = [p.serialize() for p in inter.points]
         entry["bezout"] = {"expected": inter.certificate.expected, "found": inter.certificate.found}
         entry["all_cross"] = len(nodes) == len(inter.points)
         entry["nodes"] = nodes
@@ -658,7 +656,7 @@ def _certify(
             smooth = smooth_along_fiber(spec, orbit[0])
             smooth_of.update((p.sort_key(), smooth) for p in orbit)
         cert.double_line_smoothness = [
-            {"point": point(p), "smooth": smooth_of[p.sort_key()]} for p in finite.points
+            {"point": p.serialize(), "smooth": smooth_of[p.sort_key()]} for p in finite.points
         ]
         singular = [p for p in finite.points if not smooth_of[p.sort_key()]]
         record(

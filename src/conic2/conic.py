@@ -73,7 +73,7 @@ class ProjPoint:
     equality of normalized coordinates in the common subfield.
     """
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "coords", "_text")
 
     def __init__(self, ctx: FieldCtx, coords: tuple) -> None:
         coords = tuple(coords)
@@ -85,6 +85,7 @@ class ProjPoint:
             coords = tuple(ctx.mul(c, s) for c in coords)
         self.ctx = ctx
         self.coords = coords
+        self._text: tuple[str, ...] | None = None  # serialize's rendering, once made
 
     @staticmethod
     def parse(text: str, ctx: FieldCtx | None = None) -> "ProjPoint":
@@ -124,10 +125,15 @@ class ProjPoint:
         x, y, z = self.coords
         image = object.__new__(ProjPoint)
         image.ctx, image.coords = self.ctx, (power(x, q), power(y, q), power(z, q))
+        image._text = None
         return image
 
     def serialize(self) -> list[str]:
-        return [elem_str(FieldElem(self.ctx, c)) for c in self.coords]
+        """The coordinates as element literals, in a new list; a point is
+        immutable, so they are rendered once and kept."""
+        if self._text is None:
+            self._text = tuple(elem_str(FieldElem(self.ctx, c)) for c in self.coords)
+        return list(self._text)
 
     def sort_key(self):
         return (self.ctx.k, self.coords)
@@ -413,8 +419,8 @@ def flatness_check(
     not as exceptions, so search loops can discard candidates cheaply.
     Common zeros of the six sections lie on Sigma, the zeros of the three
     off-diagonal ones, so ``within``, a finite Sigma solved with the same
-    k_max, confines the solve to Sigma's direction forms
-    (geom.solve_system's restricted solve); the witness is the same.
+    k_max, confines the solve to Sigma's points (geom.solve_system's
+    confined solve); the witness is the same.
     """
     from . import geom  # deferred: geom depends on this module
 

@@ -7,10 +7,13 @@ candidate [x:y] directions.  Each irreducible direction factor, of degree d
 over F_q, is solved at one root, inside the one extension its z-roots need
 (one embedding hop from F_q, never a tower); the other d - 1 directions carry
 the Frobenius images (x, y, z) -> (x^q, y^q, z^q).  The recorded eliminant
-factor degrees certify that no root was missed (EliminationClosure).  A solved
-set keeps the direction forms that carry its points, so a system containing
-its inputs is solved on those forms alone.  Transversal intersections carry
-an independent Bezout count certificate instead.
+factor degrees certify that no root was missed (EliminationClosure).  A system
+containing the inputs of a solved set vanishes only at its points, so it is
+solved by keeping the points where its other inputs vanish; where a kept
+point lies in a smaller field than the one it is written over, the system is
+solved again on the direction forms the set keeps, which carry its points.
+Transversal intersections carry an independent Bezout count certificate
+instead.
 
 Explicit rational points of a curve, over the fields F_{q^e} up to a bound,
 come from :func:`small_field_points`: the points on a line are the roots of
@@ -129,11 +132,11 @@ class EliminationClosure:
 class AlgebraicPointSet:
     points: tuple[ProjPoint, ...]
     certificate: "BezoutCount | EliminationClosure"
-    # solve_system's irreducible direction forms in (x, y) that carry points
+    # solve_system's irreducible direction forms in (x, y); its points lie on them
     directions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
-    def serialize(self, point=ProjPoint.serialize) -> dict:
-        """The set as certificate data; ``point`` serializes each point."""
+    def serialize(self) -> dict:
+        """The set as certificate data."""
         cert: dict
         if isinstance(self.certificate, BezoutCount):
             cert = {
@@ -146,7 +149,7 @@ class AlgebraicPointSet:
                 "kind": "elimination_closure",
                 "factor_degrees": list(self.certificate.factor_degrees),
             }
-        return {"points": [point(p) for p in self.points], "certificate": cert}
+        return {"points": [p.serialize() for p in self.points], "certificate": cert}
 
 
 # -- rational points of a plane curve, line by line ------------------------------
@@ -322,9 +325,16 @@ def solve_system(
     nonzero pairwise z-resultant excludes common factors of positive
     z-degree, and coprime z-coefficient forms exclude z-free ones.  Only when
     this proof fails is the gcd of the inputs computed; a nonconstant gcd
-    raises PositiveDimensional, before any ExtensionBound.  With ``within``,
-    its result for a subsystem, the subsystem's direction forms stand in for
-    the eliminant's factors and finiteness follows from its.
+    raises PositiveDimensional, before any ExtensionBound.
+
+    ``within`` is this function's result for a subsystem, solved with the same
+    k_max, so every zero is one of its points: the points of ``within`` at
+    which every input vanishes are returned, in its order, with its closure
+    as their certificate.  A kept point written over F_{2^K} whose
+    coordinates all lie in a proper subfield containing F_q would be written
+    over that subfield by a solve of this system, so then the system is
+    solved on ``within``'s direction forms instead, its finiteness following
+    from that of ``within``.
     """
     nonzero: list[Poly] = []
     ctx = None
@@ -343,17 +353,44 @@ def solve_system(
         raise PositiveDimensional(Poly.zero(field_new(1), BASE_VARS))
     if any(p.is_constant() for p in nonzero):
         return AlgebraicPointSet((), EliminationClosure(()))
-    if within is None:
-        collected = _resultant_forms(nonzero)
-        if not (collected and _coefficient_forms_coprime(nonzero)):
-            common = gcd_homogeneous_many(nonzero)
-            if not common.is_constant():
-                raise PositiveDimensional(common)
-        eliminant = _direction_eliminant(nonzero, collected)
-        forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
-    else:
-        forms = within.directions
+    if within is not None:
+        kept = tuple(p for p in within.points
+                     if all(g.eval_bits(p.ctx, p.coords) == 0 for g in nonzero))
+        if not any(_in_proper_subfield(p, ctx.k) for p in kept):
+            return AlgebraicPointSet(kept, within.certificate, within.directions)
+        return _solve_on_directions(nonzero, within.directions, k_max)
+    collected = _resultant_forms(nonzero)
+    if not (collected and _coefficient_forms_coprime(nonzero)):
+        common = gcd_homogeneous_many(nonzero)
+        if not common.is_constant():
+            raise PositiveDimensional(common)
+    eliminant = _direction_eliminant(nonzero, collected)
+    forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
+    return _solve_on_directions(nonzero, forms, k_max)
 
+
+def _in_proper_subfield(p: ProjPoint, k: int) -> bool:
+    """Whether p's coordinates, over F_{2^K}, all lie in a proper subfield
+    that contains F_{2^k}: in F_{2^(K/r)}, where c^(2^(K/r)) = c, for some
+    prime r dividing K/k."""
+    fld = p.ctx
+    n, r = fld.k // k, 2
+    while n > 1:  # r runs through the primes dividing K/k, each removed whole
+        if n % r == 0:
+            e = 1 << (fld.k // r)
+            if all(fld.pow(c, e) == c for c in p.coords):
+                return True
+            while n % r == 0:
+                n //= r
+        r += 1
+    return False
+
+
+def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPointSet:
+    """The common zeros of the nonzero inputs, over one field F_q, whose [x:y]
+    is a root of one of the irreducible binary forms, and [0:0:1] if it is
+    one; the forms must carry every other zero."""
+    ctx = nonzero[0].ctx
     bound = min(k_max, 64)
     degrees: list[int] = []
     points: list[ProjPoint] = []

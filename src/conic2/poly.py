@@ -61,13 +61,14 @@ def _grlex_key(mono: Monomial) -> tuple:
 class Poly:
     """Sparse polynomial over a fixed F_{2^k} in named variables."""
 
-    __slots__ = ("ctx", "vars", "_terms", "_hash")
+    __slots__ = ("ctx", "vars", "_terms", "_hash", "_text")
 
     def __init__(self, ctx: FieldCtx, vars: tuple[str, ...], terms: dict) -> None:
         self.ctx = ctx
         self.vars = vars
         self._terms = terms
         self._hash: int | None = None
+        self._text: str | None = None  # poly_print's rendering, once made
 
     # -- constructors -------------------------------------------------------
 
@@ -707,7 +708,14 @@ def _coeff_str(ctx: FieldCtx, bits: int) -> str:
 
 
 def poly_print(p: Poly) -> str:
-    """Canonical graded-lex (descending) rendering; round-trips with parse."""
+    """Canonical graded-lex (descending) rendering; round-trips with parse.
+    A polynomial is immutable, so it is rendered once and the text kept."""
+    if p._text is None:
+        p._text = _render(p)
+    return p._text
+
+
+def _render(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []

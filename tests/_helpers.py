@@ -42,10 +42,10 @@ from conic2.geom import (
     _direction_eliminant,
     _fiber_lines,
     _resultant_forms,
+    _solve_on_directions,
     _z_gcd,
     cross_node,
     smooth_along_fiber,
-    solve_system,
 )
 from conic2.poly import (
     NotDivisible,
@@ -516,7 +516,7 @@ def gcd_first_solve_system(polys, k_max=24):
     """geom.solve_system as it was before finiteness was read from the
     eliminant: the gcd of all inputs is computed first, a nonconstant gcd
     raises PositiveDimensional, and the eliminant's irreducible factors are
-    then solved (the restricted solve on those forms is that solve)."""
+    then solved (geom's per-form solve is that solve)."""
     nonzero = []
     for p in polys:
         if not p.is_zero() and p not in nonzero:
@@ -527,8 +527,8 @@ def gcd_first_solve_system(polys, k_max=24):
     if not common.is_constant():
         raise PositiveDimensional(common)
     eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
-    forms = () if eliminant.is_constant() else tuple(f for f, _ in binary_form_factor(eliminant))
-    return solve_system(nonzero, k_max, within=AlgebraicPointSet((), EliminationClosure(()), forms))
+    forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
+    return _solve_on_directions(nonzero, forms, k_max)
 
 
 def sp_mul_hensel_lift(ctx, f_monic_cols, base_factors, prec):

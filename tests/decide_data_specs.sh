@@ -2,9 +2,18 @@
 # Decide every spec in tests/data with `conic2 verify`, each within 60 s, and
 # check its exit code against the table below.  A spec missing from the
 # table fails the run, so a new spec must come with its expected code.
-# Run from the root of a checkout with the conic2 command installed:
+# Run from the root of a checkout:
 #     bash tests/decide_data_specs.sh
+# It uses the conic2 command where one is installed, and otherwise runs the
+# checkout's own source as `python -m conic2.cli`.
 set -u
+
+if command -v conic2 > /dev/null; then
+  conic2=(conic2)
+else
+  export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+  conic2=(python -m conic2.cli)
+fi
 
 # exit 1: delta20 fails hypotheses, nonflat_f65536 is not flat, and
 # inside_sigma_f65536 certifies 1 of 3 components
@@ -17,7 +26,7 @@ for path in tests/data/*.json; do
     echo "$name: no expected exit code in this table"; status=1; continue
   fi
   code=0
-  timeout 60 conic2 verify --spec "$path" > /dev/null || code=$?
+  timeout 60 "${conic2[@]}" verify --spec "$path" > /dev/null || code=$?
   echo "$name: exit $code, expected ${want[$name]}"
   [ "$code" -eq "${want[$name]}" ] || status=1
 done

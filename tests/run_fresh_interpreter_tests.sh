@@ -12,7 +12,7 @@ nodes=(
   tests/test_curve_cache.py::test_moved_certificates_do_not_depend_on_the_cache
   tests/test_curve_cache.py::test_solver_errors_are_raised_again_and_not_kept
   tests/test_curve_cache.py::test_a_pairs_bezout_or_common_component_error_is_kept
-  tests/test_curve_cache.py::test_each_point_is_serialized_once_per_certificate
+  tests/test_curve_cache.py::test_each_point_object_is_rendered_at_most_once_per_process
   tests/test_crossvalidation.py::test_certificates_are_threadsafe_and_deterministic
 )
 

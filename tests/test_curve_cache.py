@@ -1,14 +1,14 @@
 """The process-wide curve caches of amcert: each component's singular locus
 and each pair's meeting are solved once per process, errors other than a
 pair's BezoutMismatch or CommonComponent are never kept, and certificates do
-not depend on what the caches hold.  Each point a certificate names is
-serialized once."""
+not depend on what the caches hold.  Each point object is rendered at most
+once per process."""
 
 from collections import Counter
 
 import pytest
 
-from conic2 import amcert, geom
+from conic2 import amcert, geom, poly
 from conic2.amcert import example81_template, search_spieghiamolo, surface_criterion
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import ProjPoint, spec_from_dict
@@ -137,35 +137,36 @@ def test_a_pairs_bezout_or_common_component_error_is_kept(monkeypatch):
     assert counts == {"intersection_points": 2}
 
 
-def test_each_point_is_serialized_once_per_certificate(monkeypatch):
-    calls = []
+def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
+    rendered = []
     serialize = ProjPoint.serialize
-    monkeypatch.setattr(ProjPoint, "serialize", lambda p: calls.append(p) or serialize(p))
-    certify = amcert._certify
-    per_certificate = []
 
-    def counted(*args, **kwargs):
-        before = len(calls)
-        cert = certify(*args, **kwargs)
-        per_certificate.append((len(calls) - before, cert))
-        return cert
+    def counted(p):
+        if p._text is None:
+            rendered.append(p)  # kept alive, so no two points rendered share an id
+        return serialize(p)
 
-    monkeypatch.setattr(amcert, "_certify", counted)
-    search_spieghiamolo(example81_template(), budget=56)
+    printed = []  # and each polynomial object is printed at most once
+    render = poly._render
+    monkeypatch.setattr(ProjPoint, "serialize", counted)
+    monkeypatch.setattr(poly, "_render", lambda f: printed.append(f) or render(f))
+    clear_curve_caches()
+    per_search = []
+    for _ in range(2):
+        before = len(rendered)
+        assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+        per_search.append(len(rendered) - before)
     monkeypatch.undo()
 
-    def named_points(data, found):
-        """The distinct point literals anywhere in certificate data."""
-        if isinstance(data, list) and len(data) == 3 and all(
-                isinstance(s, str) and s.startswith("F") and ":" in s for s in data):
-            found.add(tuple(data))
-        elif isinstance(data, (list, dict)):
-            for v in data.values() if isinstance(data, dict) else data:
-                named_points(v, found)
-        return found
+    assert len({id(p) for p in rendered}) == len(rendered)
+    assert len({id(f) for f in printed}) == len(printed) > 0
+    # 1557 serializations when each point was serialized once per
+    # certificate.  Per candidate, its two Sigma points and the 16 fiber
+    # singular points of its nodes are new; the 18 points of the curve caches
+    # are rendered in the first search only
+    assert per_search == [56 * 18 + 18, 56 * 18]
 
-    assert len(per_certificate) == 56
-    for count, cert in per_certificate:
-        assert count == len(named_points(cert.to_dict(), set()))
-    # 3248 before the points were serialized once, 58 per candidate
-    assert sum(count for count, _ in per_certificate) == 1557
+    p = rendered[0]
+    text = p.serialize()
+    text.append("changed")
+    assert p.serialize() == text[:3] and p.serialize() is not p.serialize()

@@ -149,3 +149,21 @@ def test_subresultant_sequence_ends_in_resultant_or_gcd_multiple():
             exact_div(last, c)  # the common factor divides the last subresultant
             planted_seen += 1
     assert planted_seen >= 20 and zero_seen >= 20
+
+
+def test_the_generator_is_seeded_at_its_first_draw_with_the_same_draws(monkeypatch):
+    lazy, eager = d._SeededDraws(), random.Random(0x5EED)
+    assert [lazy.randrange(n) for n in (2, 4, 256, 2**16) * 5] == [
+        eager.randrange(n) for n in (2, 4, 256, 2**16) * 5]
+
+    seeded, Random = [], random.Random
+    monkeypatch.setattr(d.random, "Random", lambda seed: seeded.append(seed) or Random(seed))
+    f = d.mul(F4, [1, 1], [2, 1])  # (z + 1)(z + 2): a split draws
+    assert d.roots(F4, f) == [1, 2] and seeded == [0x5EED]
+    # one root, one linear factor, an irreducible quadratic, factors of
+    # distinct degrees: nothing to split, nothing seeded
+    assert d.roots(F2, d.mul(F2, [1, 1], [1, 1, 1])) == [1] and d.one_root(F4, [2, 1]) == 2
+    assert d.factor(F2, [1, 1, 1]) == (1, [([1, 1, 1], 1)])
+    assert d.factor(F2, d.mul(F2, [0, 1], d.mul(F2, [1, 1], [1, 1, 1])))[1] == [
+        ([0, 1], 1), ([1, 1], 1), ([1, 1, 1], 1)]
+    assert seeded == [0x5EED]

@@ -4,33 +4,36 @@ The oracle is the per-root solver (``_helpers.per_root_solve_system``),
 which finds every root of every direction factor in the final field.  The
 one-root solver must give the same points, fields, order and closure.  A
 finite Sigma's direction forms must give the same component-meets-Sigma
-points as a fresh solve.  ``geom.frobenius_orbits`` must partition a solved
-set into whole Frobenius orbits.
+points as a fresh solve, and so must a solve confined to Sigma, which reads
+its points off Sigma's: same fields, coordinates and order.
+``geom.frobenius_orbits`` must partition a solved set into whole Frobenius
+orbits.
 """
 
 import random
 
 import pytest
 
-from conic2 import _dense
-from conic2.amcert import _factor_homogeneous, example81_template
+from conic2 import _dense, amcert, geom
+from conic2.amcert import _factor_homogeneous, example81_template, search_spieghiamolo, surface_criterion
 from conic2.cli import corpus_manifest, load_corpus_spec
-from conic2.conic import BASE_VARS, discriminant, sigma_generators, spec_from_dict
+from conic2.conic import BASE_VARS, ProjPoint, discriminant, sigma_generators, spec_from_dict, spec_to_dict
 from conic2.factor import binary_form_factor
 from conic2.geom import (
     ExtensionBound,
     PositiveDimensional,
     _direction_eliminant,
     _direction_root,
+    _in_proper_subfield,
     _resultant_forms,
     _z_gcd,
     frobenius_orbits,
     solve_system,
 )
-from conic2.gf2k import field_new
-from conic2.poly import Poly
+from conic2.gf2k import embed_bits, field_new
+from conic2.poly import Poly, plane_poly, poly_parse
 
-from _helpers import moved_stream, per_root_solve_system, rand_homogeneous, rand_spec
+from _helpers import moved_module, moved_stream, per_root_solve_system, rand_homogeneous, rand_spec
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -234,6 +237,95 @@ def test_restricted_solve_matches_fresh_on_random_specs(k_max):
         spec = rand_spec(rng, max_entry_degree=1)
         total += _restricted_matches_fresh(spec, k_max)[0]
     assert total > 0
+
+
+# -- solves confined to Sigma read its points -------------------------------------------
+
+
+def _confined_solves(monkeypatch):
+    """Count the solves confined to a solved set, through geom and amcert,
+    and those of them that fall back to a solve on its direction forms."""
+    counts = {"confined": 0, "fallbacks": 0}
+    inside = []
+    solve, on_directions = geom.solve_system, geom._solve_on_directions
+
+    def confined(polys, k_max=24, within=None):
+        if within is None:
+            return solve(polys, k_max)
+        counts["confined"] += 1
+        inside.append(True)
+        try:
+            return solve(polys, k_max, within)
+        finally:
+            inside.pop()
+
+    def counted(*args):
+        counts["fallbacks"] += bool(inside)
+        return on_directions(*args)
+
+    for module in (geom, amcert):
+        monkeypatch.setattr(module, "solve_system", confined)
+    monkeypatch.setattr(geom, "_solve_on_directions", counted)
+    return counts
+
+
+def test_a_confined_solve_writes_a_point_over_the_field_a_fresh_solve_uses(monkeypatch):
+    # over the direction x = 0 the z-gcd is z(z^2 + yz + y^2), so Sigma's
+    # three points are written over F_4; the cubic meets it at [0:1:0] only,
+    # which a fresh solve writes over F_2
+    sigma_eqs = [plane_poly("x"), plane_poly("z^3 + z^2*y + z*y^2")]
+    sig = solve_system(sigma_eqs)
+    assert _exact(sig)[0] == [(2, (0, 1, 0)), (2, (0, 1, 2)), (2, (0, 1, 3))]
+    system = [plane_poly("x^3 + x^2*y + z^3")] + sigma_eqs
+    counts = _confined_solves(monkeypatch)
+    assert _exact(geom.solve_system(system, within=sig))[0] == [(1, (0, 1, 0))]
+    assert _exact(geom.solve_system(system))[0] == [(1, (0, 1, 0))]
+    assert counts == {"confined": 1, "fallbacks": 1}
+
+
+def test_the_subfield_test_tries_each_prime_dividing_the_degree():
+    f4, f8, f16, f64 = (field_new(k) for k in (2, 3, 4, 6))
+
+    def point(sub, ctx, coords):
+        return ProjPoint(ctx, tuple(embed_bits(sub, ctx, c) for c in coords))
+
+    # over F_64, K/k = 6 has the primes 2 (F_8) and 3 (F_4)
+    assert _in_proper_subfield(point(f8, f64, (1, 5, 3)), 1)
+    assert _in_proper_subfield(point(f4, f64, (1, 2, 0)), 1)
+    assert not _in_proper_subfield(ProjPoint(f64, (1, 5, 33)), 1)
+    # a subfield must contain F_q: F_4 in F_64 is one for q = 4, F_8 is not
+    assert _in_proper_subfield(point(f4, f64, (1, 2, 3)), 2)
+    assert not _in_proper_subfield(point(f8, f64, (1, 5, 3)), 2)
+    assert not _in_proper_subfield(ProjPoint(f4, (1, 2, 3)), 2)
+    assert _in_proper_subfield(point(f4, f16, (0, 1, 3)), 1)
+
+
+def test_a_confined_solve_matches_fresh_on_a_moved_ex3_that_falls_back(monkeypatch):
+    # a move of ex3 (one the benchmark's moved stream draws) where a component
+    # meets Sigma at a point that Sigma writes over a larger field than the
+    # one its coordinates lie in
+    matrix = ((1, 1, 0), (0, 1, 1), (0, 1, 0))
+    spec = spec_from_dict(moved_module().move_spec(spec_to_dict(load_corpus_spec("ex3")), matrix))
+    off = [s for s in sigma_generators(spec) if not s.is_zero()]
+    sig = solve_system(off)
+    counts = _confined_solves(monkeypatch)
+    for c, _ in _factor_homogeneous(discriminant(spec)):
+        system = [c] + off
+        assert _exact(geom.solve_system(system, within=sig))[0] == _exact(geom.solve_system(system))[0]
+    assert counts["fallbacks"] >= 1
+
+
+def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
+    counts = _confined_solves(monkeypatch)
+    for entry in corpus_manifest()["examples"]:
+        spec = load_corpus_spec(entry["name"])
+        claimed = [poly_parse(t, spec.ctx, BASE_VARS) for t in entry.get("claimed_factors") or []]
+        surface_criterion(spec, claimed or None)
+    assert counts == {"confined": 15, "fallbacks": 0}
+    assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+    # the two components' meetings with Sigma, per candidate (its constant
+    # section aa makes the bundle flat without a solve)
+    assert counts == {"confined": 15 + 56 * 2, "fallbacks": 0}
 
 
 # -- Frobenius orbits of a solved set ----------------------------------------------------
