@@ -22,7 +22,8 @@ of a witness within the budget yields NotCertified, never "product".
 Curve geometry is solved once per process, in bounded caches every call
 shares; certificates do not depend on what they hold.  Sigma is solved once
 per certificate: flatness and each component's meeting with Sigma contain
-Sigma's equations, so they are read off Sigma's points.  Polynomials and
+Sigma's equations, so they are read off Sigma's points.  Each point fact
+is read off one section jet per point per certificate.  Polynomials and
 points keep their printed text, so each is rendered once per process.
 """
 
@@ -40,6 +41,7 @@ from .conic import (
     ConicBundleSpec,
     FiberType,
     ProjPoint,
+    SectionJet,
     classify_fiber,
     cross_splitting_form,
     discriminant,
@@ -68,10 +70,10 @@ from .geom import (
     ExtensionBound,
     PositiveDimensional,
     cross_node,
+    fiber_smooth,
     frobenius_orbits,
     plane_monomials,
     small_field_points,
-    smooth_along_fiber,
     solve_system,
 )
 from .poly import (
@@ -219,9 +221,17 @@ class ComponentAnalysis:
         }
 
 
-def _in_sigma(spec: ConicBundleSpec, p: ProjPoint) -> bool:
-    v = section_values(spec, p)
-    return all(v[k] == 0 for k in OFF_DIAGONAL)
+def _jet(spec: ConicBundleSpec, jets: dict, p: ProjPoint) -> SectionJet:
+    """The section jet of the spec at p, taken once: ``jets`` keeps each
+    jet under its point's sort_key() for the life of one certificate."""
+    jet = jets.get(p.sort_key())
+    if jet is None:
+        jet = jets[p.sort_key()] = section_jet(spec, p)
+    return jet
+
+
+def _in_sigma(jet: SectionJet) -> bool:
+    return all(jet.value[k] == 0 for k in OFF_DIAGONAL)
 
 
 # Curve geometry depends only on the curves and k_max, and the examples fix
@@ -259,15 +269,17 @@ def am_component_check(
         exact_div(delta, component)
     except NotDivisible as exc:
         raise ValueError("the polynomial is not a discriminant component") from exc
-    return _analyse_component(spec, component, k_max, witness_bound)
+    return _analyse_component(spec, component, k_max, witness_bound, {})
 
 
 def _analyse_component(
     spec: ConicBundleSpec, component: Poly, k_max: int, witness_bound: int,
-    sigma: AlgebraicPointSet | None = None,
+    jets: dict, sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
     """am_component_check of a known divisor of Delta; ``sigma``, a finite
-    Sigma solved with the same k_max, confines its solve to Sigma's points."""
+    Sigma solved with the same k_max, confines its solve to Sigma's points.
+    The fibers over Sigma's meeting points and the singular points are
+    read off the certificate's jets (:func:`_jet`)."""
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
@@ -276,7 +288,7 @@ def _analyse_component(
         met = solve_system(system, k_max, within=sigma)
         sigma_meets = met.points
         for p in met.points:
-            if classify_fiber(spec, p) is FiberType.DOUBLE_LINE:
+            if fiber_type(_jet(spec, jets, p).value, p.ctx) is FiberType.DOUBLE_LINE:
                 witness = p
                 break
     except PositiveDimensional as exc:
@@ -291,7 +303,7 @@ def _analyse_component(
         )
 
     sing = _singular_locus(component, k_max)
-    sing_ok = all(_in_sigma(spec, p) for p in sing)
+    sing_ok = all(_in_sigma(_jet(spec, jets, p)) for p in sing)
 
     if witness is not None:
         status = AmStatus("double_line_witness", witness)
@@ -480,6 +492,12 @@ def _certify(
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     components' singular loci and pairwise meetings come from the
     process-wide curve caches, :func:`_singular_locus` and :func:`_meeting`.
+    Every point fact is read off one section jet per distinct point, kept
+    for this certificate only (:func:`_jet`): the fiber type over each
+    component's meeting with Sigma, whether each singular point lies on
+    Sigma (H2), the fiber type and node at each H3 orbit representative
+    (:func:`geom.cross_node`), and smoothness at each Sigma orbit
+    representative (:func:`geom.fiber_smooth`).
     """
     log: list[str] = []
     hyps: dict[str, HypothesisResult] = {}
@@ -555,7 +573,8 @@ def _certify(
 
     # Per-component analysis (feeds H2 and H4).
     comps = [f for f, _ in factors]
-    analyses = [_analyse_component(spec, f, k_max, witness_bound, finite) for f in comps]
+    jets: dict = {}  # each point's section jet, by sort_key(), for this certificate
+    analyses = [_analyse_component(spec, f, k_max, witness_bound, jets, finite) for f in comps]
     log.extend(
         f"component {poly_print(a.component)}: am={a.am_status.kind}, sing_in_sigma={a.sing_in_sigma}"
         for a in analyses
@@ -565,7 +584,7 @@ def _certify(
     # H2: Delta reducible, each component's singular points inside Sigma.
     reducible = sum(m for _, m in factors) >= 2
     outside = [
-        (a.component, [p for p in a.sing_points if not _in_sigma(spec, p)])
+        (a.component, [p for p in a.sing_points if not _in_sigma(_jet(spec, jets, p))])
         for a in analyses if not a.sing_in_sigma
     ]
     detail = [] if reducible else ["discriminant is irreducible"]
@@ -592,7 +611,7 @@ def _certify(
     met = [p for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points]
     facts: dict = {}
     for orbit in frobenius_orbits(met, spec.ctx.q):  # a point two pairs share is grouped once
-        jet = section_jet(spec, orbit[0])
+        jet = _jet(spec, jets, orbit[0])
         ftype = fiber_type(jet.value, jet.point.ctx)
         node = cross_node(jet) if ftype is FiberType.CROSS else None
         for p in orbit:
@@ -653,7 +672,7 @@ def _certify(
     else:
         smooth_of = {}
         for orbit in frobenius_orbits(finite.points, spec.ctx.q):
-            smooth = smooth_along_fiber(spec, orbit[0])
+            smooth = fiber_smooth(_jet(spec, jets, orbit[0]))
             smooth_of.update((p.sort_key(), smooth) for p in orbit)
         cert.double_line_smoothness = [
             {"point": p.serialize(), "smooth": smooth_of[p.sort_key()]} for p in finite.points

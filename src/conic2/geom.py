@@ -25,11 +25,11 @@ nodes above component intersections, are read from the six sections' jet
 orbit (:func:`frobenius_orbits`): the sections have coefficients in F_q, so
 the jet at p^q is the jet at p with each entry raised to the q-th power, and
 the zero tests that decide the fiber type, the chart, the node and
-smoothness come out the same at p^q as at p.  The five partials of the conic
-form, restricted to the fiber, are pulled back along each line of the
-reduced fiber to binary forms whose gcd is constant exactly when no
-singular point lies on that line.  The gcd is computed over the coefficient
-field; gcds of forms are stable under field extension.
+smoothness come out the same at p^q as at p.  In characteristic 2 the
+fiber conic's bilinear form is alternating, so a cross can be singular only
+at its radical and a double line only where two binary quadratics on its
+reduced line meet: :func:`fiber_smooth` and :func:`cross_node` decide both
+in closed form from the jet, in the point's field.
 :func:`ordinary_node_check` takes the node verdict from a chart equation's
 derivative polynomials instead; the certifier never calls it.
 """
@@ -43,12 +43,12 @@ from dataclasses import dataclass, field
 from . import _dense
 from .conic import (
     BASE_VARS,
+    DIAGONAL,
     FIBER_VARS,
     SECTION_KEYS,
     ConicBundleSpec,
     FiberType,
     ProjPoint,
-    cross_splitting_form,
     fiber_type,
     radical_point,
     section_jet,
@@ -106,11 +106,7 @@ class NotSquarefree(ValueError):
 
 
 class FiberNotDegenerate(ValueError):
-    """smooth_along_fiber needs a Cross or DoubleLine fiber."""
-
-
-class UnreducedParametrization(RuntimeError):
-    """The reduced line of a double-line fiber could not be extracted."""
+    """fiber_smooth and smooth_along_fiber need a Cross or DoubleLine fiber."""
 
 
 class NotSingularHere(ValueError):
@@ -543,108 +539,70 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
 # -- total-space smoothness along degenerate fibers ------------------------------
 
 
-def _fiber_lines(v: dict, ctx: FieldCtx, ftype: FiberType):
-    """Lines of the reduced fiber of the conic with section values v in ctx,
-    as (field, w1, w2) with [s:t] -> s*w1 + t*w2."""
-    if ftype is FiberType.DOUBLE_LINE:
-        lam = (ctx.sqrt(v["aa"]), ctx.sqrt(v["bb"]), ctx.sqrt(v["cc"]))
-        if all(c == 0 for c in lam):
-            raise UnreducedParametrization("double line with no reduced line; internal bug")
-        i = next(k for k, c in enumerate(lam) if c)
-        inv = ctx.inv(lam[i])
-        basis = []
-        for j in range(3):
-            if j == i:
-                continue
-            w = [0, 0, 0]
-            w[j] = 1
-            w[i] = ctx.mul(lam[j], inv)
-            basis.append(tuple(w))
-        return [(ctx, basis[0], basis[1])]
-    n, (i, j), (qi, bij, qj) = cross_splitting_form(v)
-    # line directions through n: roots of the splitting form qi*T^2 + bij*T + qj
-    lines = []
-    root_data: list[tuple[FieldCtx, tuple[int, int]]] = []
-    roots = _dense.roots(ctx, _dense.trim([qj, bij, qi]))
-    if qi == 0:
-        root_data.append((ctx, (1, 0)))
-    for r in roots:
-        root_data.append((ctx, (r, 1)))
-    if len(root_data) < 2:
-        if 2 * ctx.k > 64:
-            raise ExtensionBound("cross lines need a quadratic extension beyond the word bound")
-        ext = field_new(2 * ctx.k)
-        roots2 = _dense.roots(ext, [embed_bits(ctx, ext, qj), embed_bits(ctx, ext, bij), embed_bits(ctx, ext, qi)])
-        root_data = [(ext, (r, 1)) for r in roots2]
-    if len(root_data) != 2:  # pragma: no cover - defensive
-        raise AssertionError("a cross fiber must have exactly two line directions")
-    for fld, (al, be) in root_data:
-        w = [0, 0, 0]
-        w[i] = al
-        w[j] = be
-        nf = tuple(embed_bits(ctx, fld, c) for c in n)
-        lines.append((fld, nf, tuple(w)))
-    return lines
-
-
 # (i, j, key): the fiber monomial w_i*w_j that section `key` multiplies
 _FIBER_PAIRS = tuple((FIBER_VARS.index(k[0]), FIBER_VARS.index(k[1]), k) for k in SECTION_KEYS)
+# d/dw_t of sum_k q_k m_k is q_k1 w_o1 + q_k2 w_o2, for ((k1, o1), (k2, o2)) = _POLAR[t]
+_POLAR = ((("ab", 1), ("ac", 2)), (("ab", 0), ("bc", 2)), (("ac", 0), ("bc", 1)))
+
+
+def _monomials(w: tuple, mul) -> list[int]:
+    """The six fiber monomials w_i*w_j at w, in section-key order."""
+    return [mul(w[i], w[j]) for i, j, _ in _FIBER_PAIRS]
+
+
+def _form_at(q: dict, monos: list[int], mul) -> int:
+    """sum_k q_k m_k(w), for the :func:`_monomials` of w."""
+    acc = 0
+    for key, m in zip(SECTION_KEYS, monos):
+        acc ^= mul(q[key], m)
+    return acc
+
+
+def fiber_smooth(jet) -> bool:
+    """No singular point of the total space on the degenerate fiber above a
+    point, given its section jet (:func:`conic.section_jet`).
+
+    On the jet's base chart the total space F = sum_k S_k(u) m_k(w) has, on
+    the fiber, the partials Q_i = sum_k dS_k/du_i(p) m_k and the rows dF/dw
+    of the fiber conic's bilinear form, alternating in characteristic 2.
+    A cross is smooth iff Q_1 or Q_2 is nonzero at the radical
+    n = (s_bc, s_ac, s_ab), the one fiber point where the rows vanish.  On a
+    double line the rows vanish; on its reduced line lambda . w = 0,
+    lambda = sqrt(s_aa, s_bb, s_cc), with basis w1, w2, Q_i is the binary
+    quadratic (a, b, c) = (Q_i(w1), B_i(w1, w2), Q_i(w2)), and the fiber is
+    smooth iff both are nonzero with resultant
+    (a c' + a' c)^2 + (a b' + a' b)(b c' + b' c) != 0.  No extension field
+    is needed.  Any other fiber raises FiberNotDegenerate.
+    """
+    ctx, v = jet.point.ctx, jet.value
+    mul = ctx.mul
+    ftype = fiber_type(v, ctx)
+    if ftype is FiberType.CROSS:
+        monos = _monomials((v["bc"], v["ac"], v["ab"]), mul)
+        return _form_at(jet.d1, monos, mul) != 0 or _form_at(jet.d2, monos, mul) != 0
+    if ftype is not FiberType.DOUBLE_LINE:
+        raise FiberNotDegenerate(f"fiber over {jet.point!r} is {ftype}")
+    lam = [ctx.sqrt(v[k]) for k in DIAGONAL]
+    i = next(k for k, c in enumerate(lam) if c)
+    inv = ctx.inv(lam[i])
+    w1, w2 = (tuple(mul(lam[j], inv) if k == i else int(k == j) for k in range(3))
+              for j in range(3) if j != i)
+    monos = [_monomials(w, mul) for w in (w1, w2, tuple(x ^ y for x, y in zip(w1, w2)))]
+    (a, c, s), (a2, c2, s2) = ([_form_at(q, m, mul) for m in monos] for q in (jet.d1, jet.d2))
+    b, b2 = s ^ a ^ c, s2 ^ a2 ^ c2  # B(w1, w2) = Q(w1 + w2) + Q(w1) + Q(w2)
+    if not (a or b or c) or not (a2 or b2 or c2):
+        return False  # one restriction vanishes on the line, the other has a root there
+    res = ctx.sq(mul(a, c2) ^ mul(a2, c)) ^ mul(mul(a, b2) ^ mul(a2, b), mul(b, c2) ^ mul(b2, c))
+    return res != 0
 
 
 def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
-    """No singular point of the total space on the (degenerate) fiber over p.
-
-    Singularity does not depend on the chart, so the base chart where p's
-    first nonzero coordinate is 1 suffices; there the fiber coordinates need
-    no twist.  On it the conic form F = sum_k S_k(u) m_k(a, b, c) has five
-    partials, read off the section jet at p (:func:`conic.section_jet`):
-    the two quadratic forms sum_k dS_k/du_i(p) m_k and the three linear
-    forms dF/da = s_ab b + s_ac c, dF/db = s_ab a + s_bc c and
-    dF/dc = s_ac a + s_bc b.  Along each line s*w1 + t*w2 of the reduced
-    fiber a quadratic form Q becomes Q(w1) s^2 + B(w1, w2) st + Q(w2) t^2,
-    with B its polar form, and a linear form L becomes L(w1) s + L(w2) t;
-    the gcd of these binary forms is constant exactly when the line carries
-    no singular point.  Both lines of a cross, and with them the
-    intersection point, are covered.
-    """
-    jet = section_jet(spec, p)
-    v = jet.value
-    ftype = fiber_type(v, p.ctx)
-    if ftype not in (FiberType.CROSS, FiberType.DOUBLE_LINE):
-        raise FiberNotDegenerate(f"fiber over {p!r} is {ftype}")
-    ab, ac, bc = v["ab"], v["ac"], v["bc"]
-    linear = ((0, ab, ac), (ab, 0, bc), (ac, bc, 0))
-    st = ("s", "t")
-    for fld, w1, w2 in _fiber_lines(v, p.ctx, ftype):
-        mul = fld.mul
-        binaries = []
-        for q in (jet.d1, jet.d2):
-            q = {key: embed_bits(p.ctx, fld, c) for key, c in q.items()}
-            q1 = q2 = polar = 0
-            for i, j, key in _FIBER_PAIRS:
-                q1 ^= mul(q[key], mul(w1[i], w1[j]))
-                q2 ^= mul(q[key], mul(w2[i], w2[j]))
-                if i != j:
-                    polar ^= mul(q[key], mul(w1[i], w2[j]) ^ mul(w1[j], w2[i]))
-            binaries.append(Poly.from_terms(fld, st, [((2, 0), q1), ((1, 1), polar), ((0, 2), q2)]))
-        for coeffs in linear:
-            lin = [embed_bits(p.ctx, fld, c) for c in coeffs]
-            l1 = l2 = 0
-            for c, x1, x2 in zip(lin, w1, w2):
-                l1 ^= mul(c, x1)
-                l2 ^= mul(c, x2)
-            binaries.append(Poly.from_terms(fld, st, [((1, 0), l1), ((0, 1), l2)]))
-        binaries = [b for b in binaries if not b.is_zero()]
-        if not binaries:
-            return False
-        acc = binaries[0]
-        for b in binaries[1:]:
-            acc = binary_gcd(acc, b)
-            if acc.is_constant():
-                break
-        if not acc.is_constant():
-            return False
-    return True
+    """No singular point of the total space on the (degenerate) fiber over p:
+    :func:`fiber_smooth` of the section jet at p, with its FiberNotDegenerate.
+    Singularity does not depend on the chart, so the jet's chart, where p's
+    first nonzero coordinate is 1 and the fiber coordinates need no twist,
+    suffices."""
+    return fiber_smooth(section_jet(spec, p))
 
 
 def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
@@ -652,40 +610,32 @@ def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
     point, given its section jet (:func:`conic.section_jet`).
 
     n = (s_bc, s_ac, s_ab) is the radical of the conic's bilinear form
-    (:func:`conic.radical_point`), and the chart is the one where
-    the first nonzero coordinates of p and of n are 1.  On it the total
-    space is f(u, t) = sum_k S_k(u) M_k(t), with M_k the fiber monomial of
-    section k with n's first nonzero coordinate set to 1.  The value,
-    gradient and mixed partials of f at (p, n) follow from the jet by the
-    product rule, so no chart equation is built; the verdict is then
-    :func:`ordinary_node_check`'s, with the same NotSingularHere errors.
-    A point whose fiber is a double line raises ValueError.
+    (:func:`conic.radical_point`), and the chart is the one where the first
+    nonzero coordinates of p and of n are 1; t_a, t_b are the other fiber
+    coordinates.  With Q_1, Q_2, Q_12 the forms with the jet's partials as
+    coefficients, the total space f(u, t) = sum_k S_k(u) M_k(t) has at
+    (p, n) the value F(n) and the gradient (Q_1(n), Q_2(n), 0, 0), since the
+    t-partials are rows of the bilinear form at its radical; its mixed
+    partials are b01 = Q_12(n), the polar forms dQ_i/dw_t(n) for t = t_a,
+    t_b, and b23 = s_{t_a t_b}.  n's six monomials are formed once.  The
+    verdict is :func:`ordinary_node_check`'s, with the same NotSingularHere
+    errors.  A point whose fiber is a double line raises ValueError.
     """
     ctx = jet.point.ctx
+    mul = ctx.mul
     n = radical_point(jet.value, ctx)
-    vi = next(k for k, c in enumerate(n.coords) if c)
-    t = [k for k in range(3) if k != vi]
-    mul, nc = ctx.mul, n.coords
-    value, grad = 0, [0, 0, 0, 0]
-    b = dict.fromkeys(itertools.combinations(range(4), 2), 0)
-    for i, j, key in _FIBER_PAIRS:
-        s, s1, s2 = jet.value[key], jet.d1[key], jet.d2[key]
-        m = mul(nc[i], nc[j])
-        value ^= mul(s, m)
-        grad[0] ^= mul(s1, m)
-        grad[1] ^= mul(s2, m)
-        b[0, 1] ^= mul(jet.d12[key], m)
-        if i == j:
-            continue  # d(w_i^2) = 2 w_i = 0
-        for a, ta in enumerate(t, start=2):
-            dm = nc[j] if ta == i else nc[i] if ta == j else 0
-            grad[a] ^= mul(s, dm)
-            b[0, a] ^= mul(s1, dm)
-            b[1, a] ^= mul(s2, dm)
-        if vi not in (i, j):
-            b[2, 3] ^= s
+    nc = n.coords
+    vi = next(k for k, c in enumerate(nc) if c)
+    ta, tb = (k for k in range(3) if k != vi)
+    monos = _monomials(nc, mul)
+    b = {(0, 1): _form_at(jet.d12, monos, mul), (2, 3): jet.value[FIBER_VARS[ta] + FIBER_VARS[tb]]}
+    for i, q in enumerate((jet.d1, jet.d2)):
+        for a, t in ((2, ta), (3, tb)):
+            (k1, o1), (k2, o2) = _POLAR[t]
+            b[i, a] = mul(q[k1], nc[o1]) ^ mul(q[k2], nc[o2])
+    grad = [_form_at(jet.d1, monos, mul), _form_at(jet.d2, monos, mul)]
     chart = (BASE_VARS[jet.chart], FIBER_VARS[vi])
-    return chart, n, _node_verdict(value, grad, b, ctx)
+    return chart, n, _node_verdict(_form_at(jet.value, monos, mul), grad, b, ctx)
 
 
 def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:

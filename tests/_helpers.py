@@ -17,6 +17,7 @@ from conic2.conic import (
     ProjPoint,
     chart_equation,
     classify_fiber,
+    cross_splitting_form,
     fiber_form_on_chart,
     fiber_type,
     section_jet,
@@ -40,7 +41,6 @@ from conic2.geom import (
     FiberNotDegenerate,
     PositiveDimensional,
     _direction_eliminant,
-    _fiber_lines,
     _resultant_forms,
     _solve_on_directions,
     _z_gcd,
@@ -241,6 +241,57 @@ def brute_fiber_singular_points(spec, p, ctx_big):
     return sing
 
 
+class UnreducedParametrization(RuntimeError):
+    """The reduced line of a double-line fiber could not be extracted."""
+
+
+def fiber_lines(v, ctx, ftype):
+    """Lines of the reduced fiber of the conic with section values v in ctx,
+    as (field, w1, w2) with [s:t] -> s*w1 + t*w2.
+
+    A double line gives its reduced line lambda . w = 0 with
+    lambda = sqrt(s_aa, s_bb, s_cc); a cross gives the two lines through
+    its radical n, whose directions are the roots of the splitting form
+    (:func:`conic.cross_splitting_form`), over F_{q^2} when they are
+    conjugate.
+    """
+    if ftype is FiberType.DOUBLE_LINE:
+        lam = (ctx.sqrt(v["aa"]), ctx.sqrt(v["bb"]), ctx.sqrt(v["cc"]))
+        if all(c == 0 for c in lam):
+            raise UnreducedParametrization("double line with no reduced line")
+        i = next(k for k, c in enumerate(lam) if c)
+        inv = ctx.inv(lam[i])
+        basis = []
+        for j in range(3):
+            if j == i:
+                continue
+            w = [0, 0, 0]
+            w[j] = 1
+            w[i] = ctx.mul(lam[j], inv)
+            basis.append(tuple(w))
+        return [(ctx, basis[0], basis[1])]
+    n, (i, j), (qi, bij, qj) = cross_splitting_form(v)
+    root_data = []
+    if qi == 0:
+        root_data.append((ctx, (1, 0)))
+    for r in _dense.roots(ctx, _dense.trim([qj, bij, qi])):
+        root_data.append((ctx, (r, 1)))
+    if len(root_data) < 2:
+        if 2 * ctx.k > 64:
+            raise ExtensionBound("cross lines need a quadratic extension beyond the word bound")
+        ext = field_new(2 * ctx.k)
+        roots = _dense.roots(ext, [embed_bits(ctx, ext, c) for c in (qj, bij, qi)])
+        root_data = [(ext, (r, 1)) for r in roots]
+    assert len(root_data) == 2, "a cross fiber has exactly two line directions"
+    lines = []
+    for fld, (al, be) in root_data:
+        w = [0, 0, 0]
+        w[i] = al
+        w[j] = be
+        lines.append((fld, tuple(embed_bits(ctx, fld, c) for c in n), tuple(w)))
+    return lines
+
+
 def chart_smooth_along_fiber(spec, p):
     """Reference smooth_along_fiber on every base chart containing p.
 
@@ -253,7 +304,7 @@ def chart_smooth_along_fiber(spec, p):
     ftype = classify_fiber(spec, p)
     if ftype not in (FiberType.CROSS, FiberType.DOUBLE_LINE):
         raise FiberNotDegenerate(f"fiber over {p!r} is {ftype}")
-    lines = _fiber_lines(section_values(spec, p), p.ctx, ftype)
+    lines = fiber_lines(section_values(spec, p), p.ctx, ftype)
     st = ("s", "t")
     for w_idx, w in enumerate(BASE_VARS):
         if p.coords[w_idx] == 0:

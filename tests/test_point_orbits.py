@@ -1,4 +1,5 @@
-"""Hypotheses 3 and 5 decide each point fact once per Frobenius orbit.
+"""Hypotheses 3 and 5 decide each point fact once per Frobenius orbit,
+from one section jet per distinct point of a certificate.
 
 The six sections have coefficients in F_q, so the section jet at the
 conjugate p^q of a point p is the conjugate of the jet at p, and the fiber
@@ -7,7 +8,10 @@ fiber's singular point n is conjugated along.  The oracle is the per-point
 path (``_helpers.per_point_nodes_and_smoothness``): the certificate's node
 and smoothness entries must equal its on the corpus, on moved passes, and
 on a spec over F_4, where the Frobenius x -> x^4 is not squaring.  Call
-counts check that the jets and smoothness checks really run once per orbit.
+counts check that the smoothness decisions run once per orbit of Sigma and
+that a certificate takes exactly one jet at each point it reads: the H3
+and Sigma orbit representatives, the meeting points with Sigma that the
+double-line test visits, and the components' singular points.
 """
 
 import json
@@ -42,14 +46,46 @@ def _orbit_count(points, q):
     return round(sum(1 / _period(p, q) for p in points))
 
 
+def _representatives(points, q):
+    """The points of a list of Galois-stable sets that no conjugate
+    precedes: the first point of each Frobenius orbit."""
+    seen, reps = set(), []
+    for p in points:
+        if p.sort_key() in seen:
+            continue
+        reps.append(p)
+        image = p
+        for _ in range(_period(p, q)):
+            seen.add(image.sort_key())
+            image = image.frobenius(q)
+    return reps
+
+
+def _read_points(cert, q):
+    """The distinct points, by sort_key(), at which the certificate's facts
+    are read: the H3 and Sigma orbit representatives, each component's
+    meeting points with Sigma up to the first double-line fiber (where the
+    double-line test stops), and each component's singular points."""
+    met = [_point(t) for e in cert.intersections for t in e.get("points", [])]
+    sigma = [_point(e["point"]) for e in cert.double_line_smoothness]
+    meets = []
+    for c in cert.components:
+        visited = [_point(t) for t in c["sigma_meets"] or []]
+        status = c["am_status"]
+        if c["sigma_meets"] is not None and status["kind"] == "double_line_witness":
+            visited = visited[:c["sigma_meets"].index(status["point"]) + 1]
+        meets += visited + [_point(t) for t in c["sing_points"]]
+    read = _representatives(met, q) + _representatives(sigma, q) + meets
+    return {p.sort_key() for p in read}
+
+
 def _certify_counting(monkeypatch, spec, claimed=None):
     """The certificate, with the points _certify took a section jet at and
-    decided smoothness at."""
+    the jets it decided smoothness from."""
     jets, smooth = [], []
-    section_jet, smooth_along_fiber = amcert.section_jet, amcert.smooth_along_fiber
+    section_jet, fiber_smooth = amcert.section_jet, amcert.fiber_smooth
     monkeypatch.setattr(amcert, "section_jet", lambda s, p: jets.append(p) or section_jet(s, p))
-    monkeypatch.setattr(amcert, "smooth_along_fiber",
-                        lambda s, p: smooth.append(p) or smooth_along_fiber(s, p))
+    monkeypatch.setattr(amcert, "fiber_smooth", lambda jet: smooth.append(jet) or fiber_smooth(jet))
     cert = surface_criterion(spec, claimed)
     monkeypatch.undo()
     return cert, jets, smooth
@@ -57,18 +93,20 @@ def _certify_counting(monkeypatch, spec, claimed=None):
 
 def _check(monkeypatch, spec, claimed=None):
     """Certify the spec, compare its node and smoothness entries with the
-    per-point oracle and its call counts with the orbit counts.  Returns
-    the certificate, the number of jets taken, and how many node entries
-    and Sigma points are not fixed by the Frobenius, so carry a result
-    derived from another point."""
+    per-point oracle, and its calls with the points it reads: one jet at
+    each, and one smoothness decision per orbit of Sigma.  Returns the
+    certificate, the number of jets taken, and how many node entries and
+    Sigma points are not fixed by the Frobenius, so carry a result derived
+    from another point."""
     cert, jets, smooth = _certify_counting(monkeypatch, spec, claimed)
     nodes, smoothness = per_point_nodes_and_smoothness(spec, cert)
     assert [e.get("nodes") for e in cert.intersections] == nodes
     assert cert.double_line_smoothness == smoothness
     q = spec.ctx.q
-    met = {tuple(t): _point(t) for e in cert.intersections for t in e.get("points", [])}
     sigma = [_point(e["point"]) for e in cert.double_line_smoothness]
-    assert len(jets) == _orbit_count(met.values(), q)
+    keys = [p.sort_key() for p in jets]
+    assert len(set(keys)) == len(keys)  # no point is jetted twice
+    assert set(keys) == _read_points(cert, q)
     assert len(smooth) == _orbit_count(sigma, q)
     moved_nodes = sum(_period(_point(n["fiber_singular_point"]), q) > 1
                       for e in cert.intersections for n in e.get("nodes", []))
@@ -119,12 +157,13 @@ def test_spec_over_f4_conjugates_by_the_fourth_power(monkeypatch):
     assert cert.all_pass and moved_nodes > 0
     [entry] = cert.intersections
     points = [_point(t) for t in entry["points"]]
-    assert len(points) == 16 and jets == 10
+    # 10 orbits of the 16 points under x -> x^4, and Sigma's two points
+    assert len(points) == 16 and len(cert.sigma["points"]) == 2 and jets == 12
     outside = [p for p in points if _period(p, 4) > 1]
     assert outside and all(p.frobenius(2) not in points for p in outside)
 
 
-def test_search_candidate_takes_six_jets_for_sixteen_points(monkeypatch):
+def test_search_candidate_takes_eight_jets_for_sixteen_points_and_two_sigma_points(monkeypatch):
     certified = []
     jets = []
     section_jet, certify = amcert.section_jet, amcert._certify
@@ -141,4 +180,8 @@ def test_search_candidate_takes_six_jets_for_sixteen_points(monkeypatch):
     cert, count = certified[0]
     [entry] = cert.intersections  # d1 and d2 of the template
     assert len(entry["points"]) == 16 and len(entry["nodes"]) == 16
-    assert count == 6  # orbits of sizes 1, 1, 2, 4, 4, 4 over F_2
+    # orbits of sizes 1, 1, 2, 4, 4, 4 over F_2, and Sigma's two rational
+    # points, which are also each component's meeting with Sigma and its
+    # singular point
+    assert count == 8
+    assert cert.sigma["points"] == [["F2:0", "F2:0", "F2:1"], ["F2:0", "F2:1", "F2:0"]]
