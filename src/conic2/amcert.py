@@ -19,12 +19,13 @@ of the diagonal, hence not stably rational); the conclusion itself is never
 re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
-Curve geometry is solved once per process, in bounded caches every call
-shares; certificates do not depend on what they hold.  Sigma is solved once
-per certificate: flatness and each component's meeting with Sigma contain
-Sigma's equations, so they are read off Sigma's points.  Each point fact
-is read off one section jet per point per certificate.  Polynomials and
-points keep their printed text, so each is rendered once per process.
+Curve geometry and the facts of a claim of factors are settled once per
+process, in bounded caches every call shares; certificates do not depend
+on what they hold.  Sigma is solved once per certificate: flatness and
+each component's meeting with Sigma contain Sigma's equations, so they are
+read off Sigma's points.  Each point fact is read off one section jet per
+point per certificate.  Polynomials and points keep their printed text, so
+each is rendered once per process.
 """
 
 from __future__ import annotations
@@ -135,6 +136,10 @@ def component_factorization(
 
     With claimed factors: their product must equal Delta up to a nonzero
     scalar, and each is factored over F_q before its absolute part is proved.
+    The product, the grouped and sorted factors and each factor's verdict
+    depend on the claim alone, so they come from the process-wide
+    :func:`_claim`; each call still compares the scaled product with its
+    own Delta, before any factor is proved.
     Without: Delta is factored from scratch (monomial part plus bivariate
     factorization on a chart, reglued by homogenization); those factors are
     irreducible over F_q, so only their absolute part is proved.
@@ -142,31 +147,59 @@ def component_factorization(
     delta = discriminant(spec)
     if delta.is_zero():
         raise ValueError("the discriminant vanishes identically; no components")
-    if claimed is not None:
+    if claimed is None:
+        factors = _factor_homogeneous(delta)
+        for f, _ in factors:  # a factor of Delta is irreducible over F_q
+            if not _is_absolutely_irreducible(f, True):
+                raise NotAbsolutelyIrreducible(f)
+        return factors
+    claim = _claim(spec.ctx, tuple(claimed))
+    _, lc_prod = claim.product.leading()
+    _, lc_delta = delta.leading()
+    scale = spec.ctx.mul(lc_delta, spec.ctx.inv(lc_prod))
+    if claim.product.scale(scale) != delta:
+        raise FactorizationMismatch(
+            "claimed factors times a scalar do not expand to the discriminant"
+        )
+    for f, _ in claim.factors:
+        if not claim.proved(f):
+            raise NotAbsolutelyIrreducible(f)
+    return list(claim.factors)
+
+
+class _Claim:
+    """A claim's product, its factors grouped by monic associate and sorted,
+    and each factor's absolute-irreducibility verdict once proved."""
+
+    __slots__ = ("product", "factors", "_verdicts")
+
+    def __init__(self, ctx, claimed: tuple[Poly, ...]) -> None:
         grouped: dict[Poly, int] = {}
-        prod = Poly.const(spec.ctx, BASE_VARS, 1)
+        product = Poly.const(ctx, BASE_VARS, 1)
         for f in claimed:
             g = f.monic()
             grouped[g] = grouped.get(g, 0) + 1
-            prod = prod * f
-        _, lc_prod = prod.leading()
-        _, lc_delta = delta.leading()
-        scale = spec.ctx.mul(lc_delta, spec.ctx.inv(lc_prod))
-        if prod.scale(scale) != delta:
-            raise FactorizationMismatch(
-                "claimed factors times a scalar do not expand to the discriminant"
-            )
-        factors = sort_factors(list(grouped.items()))
-    else:
-        factors = _factor_homogeneous(delta)
-    for f, _ in factors:
-        if claimed is not None:
-            proved = is_absolutely_irreducible(f)
-        else:  # a factor of Delta is irreducible over F_q
-            proved = _is_absolutely_irreducible(f, True)
-        if not proved:
-            raise NotAbsolutelyIrreducible(f)
-    return factors
+            product = product * f
+        self.product = product
+        self.factors = tuple(sort_factors(list(grouped.items())))
+        self._verdicts: dict[Poly, bool] = {}
+
+    def proved(self, f: Poly) -> bool:
+        """is_absolutely_irreducible(f), proved once; an error the proof
+        raises is raised again on the next call.  Threads that race here
+        each prove f and store the same verdict."""
+        verdict = self._verdicts.get(f)
+        if verdict is None:
+            verdict = self._verdicts[f] = is_absolutely_irreducible(f)
+        return verdict
+
+
+@lru_cache(maxsize=128)
+def _claim(ctx, claimed: tuple[Poly, ...]) -> _Claim:
+    """The :class:`_Claim` of the claimed factors over ctx.  Examples and
+    search candidates repeat a claim while the bundle varies.  A claim that
+    does not multiply in ctx raises, and nothing is kept."""
+    return _Claim(ctx, claimed)
 
 
 def _factor_homogeneous(delta: Poly) -> list[tuple[Poly, int]]:
@@ -238,7 +271,8 @@ def _in_sigma(jet: SectionJet) -> bool:
 # the components while the bundle varies.  The caches call through ``geom.``,
 # so a rebinding there sees each miss.  A raised error is not kept, except a
 # pair's BezoutMismatch or CommonComponent, which is the pair's outcome.
-# A corpus meeting holds about 1.8 kB: 128 entries keep both caches near 0.3 MB.
+# A corpus meeting holds about 1.8 kB: 128 entries keep both caches near 0.3 MB;
+# a meeting's orbits are tuples of its own points, so they add little more.
 @lru_cache(maxsize=128)
 def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
     """The points of ``geom.singular_points(component, k_max)``."""
@@ -255,6 +289,16 @@ def _meeting(c1: Poly, c2: Poly, k_max: int) -> AlgebraicPointSet | BezoutMismat
     except (BezoutMismatch, CommonComponent) as exc:
         exc.__context__ = None
         return exc.with_traceback(None)
+
+
+@lru_cache(maxsize=128)
+def _meeting_orbits(c1: Poly, c2: Poly, k_max: int) -> tuple[tuple[ProjPoint, ...], ...]:
+    """The Frobenius orbits over the components' F_q of the points of
+    :func:`_meeting`, which must be an AlgebraicPointSet
+    (:func:`geom.frobenius_orbits`: representatives first, in the
+    points' order)."""
+    points = _meeting(c1, c2, k_max).points
+    return tuple(tuple(orbit) for orbit in frobenius_orbits(points, c1.ctx.q))
 
 
 def am_component_check(
@@ -490,8 +534,11 @@ def _certify(
     (geom.solve_system with ``within``).
     Where Sigma is recorded, after the precondition and the factorization, a
     PositiveDimensional outcome fails H5 and any other error is raised.  The
-    components' singular loci and pairwise meetings come from the
-    process-wide curve caches, :func:`_singular_locus` and :func:`_meeting`.
+    spec's validation report and Delta are kept on the spec; a claim's
+    product, factors and verdicts come from :func:`_claim`; the components'
+    singular loci, pairwise meetings and their Frobenius orbits come from
+    the process-wide curve caches, :func:`_singular_locus`,
+    :func:`_meeting` and :func:`_meeting_orbits`.
     Every point fact is read off one section jet per distinct point, kept
     for this certificate only (:func:`_jet`): the fiber type over each
     component's meeting with Sigma, whether each singular point lies on
@@ -607,18 +654,24 @@ def _certify(
     # each met point's (fiber type, (chart, n, ordinary) or None), keyed by
     # its exact representation and decided from one section jet per
     # Frobenius orbit over F_q: a conjugate shares the type, chart and
-    # verdict, and its n is the conjugate of n
-    met = [p for m in meets if isinstance(m, AlgebraicPointSet) for p in m.points]
+    # verdict, and its n is the conjugate of n.  The pairs are walked in
+    # order, and an orbit an earlier pair decided (a point two pairs
+    # share) is skipped.
     facts: dict = {}
-    for orbit in frobenius_orbits(met, spec.ctx.q):  # a point two pairs share is grouped once
-        jet = _jet(spec, jets, orbit[0])
-        ftype = fiber_type(jet.value, jet.point.ctx)
-        node = cross_node(jet) if ftype is FiberType.CROSS else None
-        for p in orbit:
-            facts[p.sort_key()] = (ftype, node)
-            if node is not None:
-                chart, n, ok = node
-                node = (chart, n.frobenius(spec.ctx.q), ok)
+    for (c1, c2), inter in zip(pairs, meets):
+        if not isinstance(inter, AlgebraicPointSet):
+            continue
+        for orbit in _meeting_orbits(c1, c2, k_max):
+            if orbit[0].sort_key() in facts:
+                continue
+            jet = _jet(spec, jets, orbit[0])
+            ftype = fiber_type(jet.value, jet.point.ctx)
+            node = cross_node(jet) if ftype is FiberType.CROSS else None
+            for p in orbit:
+                facts[p.sort_key()] = (ftype, node)
+                if node is not None:
+                    chart, n, ok = node
+                    node = (chart, n.frobenius(spec.ctx.q), ok)
     for (c1, c2), inter in zip(pairs, meets):
         entry: dict = {"pair": [poly_print(c1), poly_print(c2)]}
         cert.intersections.append(entry)

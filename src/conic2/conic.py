@@ -181,7 +181,20 @@ class SpecReport:
 
 
 def spec_validate(spec: ConicBundleSpec) -> SpecReport:
-    """Check homogeneity degrees and nonzeroness; report the forced deg(Delta)."""
+    """Check homogeneity degrees and nonzeroness; report the forced deg(Delta).
+
+    A spec is checked once: the first report is kept on the frozen spec,
+    as :func:`discriminant` keeps Delta, and later calls return it.  An
+    invalid spec keeps nothing, so it raises on every call.
+    """
+    report = spec.__dict__.get("_report")
+    if report is None:
+        report = _validate(spec)
+        object.__setattr__(spec, "_report", report)
+    return report
+
+
+def _validate(spec: ConicBundleSpec) -> SpecReport:
     degrees = {}
     any_nonzero = False
     for key in SECTION_KEYS:
@@ -259,18 +272,47 @@ class SectionJet:
 
 def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     """The :class:`SectionJet` of the spec at p, in one pass over each
-    section's terms with one list of coordinate powers for all six.
+    section's terms.
 
     In characteristic 2 a term c*u1^e1*u2^e2 reaches d/du_i only when e_i
     is odd, and then its derivative differs from it only in the power of
-    u_i; the mixed partial needs both exponents odd.
+    u_i; the mixed partial needs both exponents odd.  Over a field with log
+    tables (:meth:`FieldCtx.log_tables`) each of these is one lookup at
+    log c + e1 log u1 + e2 log u2, less log u_i per derivative, and a zero
+    coordinate zeroes every power of it above the zeroth; larger fields
+    multiply through one list of coordinate powers for all six sections.
     """
     ctx, src = p.ctx, spec.ctx
-    mul = ctx.mul
     w = next(k for k, c in enumerate(p.coords) if c)
     i1, i2 = (k for k in range(3) if k != w)
-    pw1, pw2 = [1, p.coords[i1]], [1, p.coords[i2]]
+    u1, u2 = p.coords[i1], p.coords[i2]
     value, d1, d2, d12 = {}, {}, {}, {}
+    tables = ctx.log_tables()
+    if tables is not None:
+        log, exp = tables
+        order = ctx.q - 1
+        l1, l2 = (log[u] if u else 0 for u in (u1, u2))
+        # u^e is nonzero iff e < cap: every power of a nonzero u, u^0 of a zero u
+        cap1, cap2 = (math.inf if u else 1 for u in (u1, u2))
+        for key in SECTION_KEYS:
+            v = v1 = v2 = v12 = 0
+            for m, c in spec.sections[key].items():
+                if src is not ctx:
+                    c = embed_bits(src, ctx, c)
+                e1, e2 = m[i1], m[i2]
+                s = log[c] + e1 * l1 + e2 * l2
+                if e1 < cap1 and e2 < cap2:
+                    v ^= exp[s % order]
+                if e1 & 1 and e1 <= cap1 and e2 < cap2:
+                    v1 ^= exp[(s - l1) % order]
+                if e2 & 1 and e2 <= cap2 and e1 < cap1:
+                    v2 ^= exp[(s - l2) % order]
+                if e1 & e2 & 1 and e1 <= cap1 and e2 <= cap2:
+                    v12 ^= exp[(s - l1 - l2) % order]
+            value[key], d1[key], d2[key], d12[key] = v, v1, v2, v12
+        return SectionJet(p, w, value, d1, d2, d12)
+    mul = ctx.mul
+    pw1, pw2 = [1, u1], [1, u2]
     for key in SECTION_KEYS:
         v = v1 = v2 = v12 = 0
         for m, c in spec.sections[key].items():

@@ -21,7 +21,8 @@ Fields with k <= 12 (``_TABLE_MAX_K``) compute through log/antilog tables
 over their smallest primitive element (Greenan, Miller & Schwarz, MASCOTS
 2008), built on a context's first ``mul``, ``pow``, ``inv`` or ``sqrt``:
 a product is one lookup at the sum of two logarithms, a power one at a
-product of indices.  Larger fields multiply bit-serially
+product of indices.  :meth:`FieldCtx.log_tables` hands the tables to the
+polynomial layers, which evaluate a whole term with one lookup.  Larger fields multiply bit-serially
 (``FieldCtx._mul_serial``).  A context checks its modulus with Rabin's test
 on the bit-serial product when it is created, before any table exists,
 and the table build checks that one power cycle visits every nonzero
@@ -230,6 +231,14 @@ class FieldCtx:
         self._exp = exp + exp  # set before _log, which readers test
         self._log = log
         return log
+
+    def log_tables(self) -> tuple[list[int], list[int]] | None:
+        """The (log, exp) tables of :meth:`_tables`, built on first use; None
+        when k > _TABLE_MAX_K.  A product of powers of nonzero elements is
+        one lookup, ``exp[(log a * e + log b * f) % (q - 1)]``; the tables
+        are shared and must not be written."""
+        log = self._log or self._tables()
+        return None if log is None else (log, self._exp)
 
     # -- raw int operations -------------------------------------------------
 

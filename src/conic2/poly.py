@@ -29,6 +29,7 @@ is insignificant and there is no ``-`` in characteristic 2.
 from __future__ import annotations
 
 import re
+from operator import mul as _mul, sub as _sub
 from typing import Iterable, Mapping
 
 from . import _dense
@@ -273,10 +274,30 @@ class Poly:
     # -- evaluation --------------------------------------------------------------
 
     def eval_bits(self, ctx_eval: FieldCtx, coords: tuple) -> int:
-        """Evaluate at raw coordinates in ctx_eval (coefficients embed there)."""
+        """Evaluate at raw coordinates in ctx_eval (coefficients embed there).
+
+        Over a field with log tables (:meth:`FieldCtx.log_tables`) each term
+        c * prod x_i^e_i is one lookup, exp[(log c + sum e_i log x_i) mod
+        (q - 1)], and a zero coordinate under a positive exponent zeroes its
+        term; larger fields multiply through ctx_eval's mul and pow.
+        """
         if len(coords) != len(self.vars):
             raise ValueError("coordinate count does not match variables")
         src = self.ctx
+        tables = ctx_eval.log_tables()
+        if tables is not None:
+            log, exp = tables
+            order = ctx_eval.q - 1
+            logs = [log[x] if x else 0 for x in coords]
+            zero = [i for i, x in enumerate(coords) if not x]
+            acc = 0
+            for m, c in self._terms.items():
+                if zero and any(m[i] for i in zero):
+                    continue
+                if src is not ctx_eval:
+                    c = embed_bits(src, ctx_eval, c)
+                acc ^= exp[(log[c] + sum(map(_mul, logs, m))) % order]
+            return acc
         fmul = ctx_eval.mul
         fpow = ctx_eval.pow
         acc = 0
@@ -304,13 +325,27 @@ class Poly:
 
 
 def exact_div(p: Poly, q: Poly) -> Poly:
-    """Exact quotient p/q; raises NotDivisible when q does not divide p."""
+    """Exact quotient p/q; raises NotDivisible when q does not divide p.
+
+    A monomial q divides termwise: each exponent vector drops by q's and
+    each coefficient is scaled by q's inverse coefficient.  Any other q
+    runs the leading-term loop, each step cancelling the remainder's
+    graded-lex leading term.
+    """
     p._check(q)
     if q.is_zero():
         raise NotDivisible("division by the zero polynomial")
     ctx = p.ctx
     lm, lc = q.leading()
     inv_lc = ctx.inv(lc)
+    if len(q._terms) == 1:
+        terms = {}
+        for m, c in p._terms.items():
+            mono = tuple(map(_sub, m, lm))
+            if min(mono, default=0) < 0:
+                raise NotDivisible("leading term not divisible; remainder nonzero")
+            terms[mono] = c if inv_lc == 1 else ctx.mul(c, inv_lc)
+        return Poly(ctx, p.vars, terms)
     quot_terms: dict = {}
     r = p
     while not r.is_zero():
@@ -523,7 +558,8 @@ def to_columns(p: Poly, main: str, co: str) -> list:
     entry i is the dense co-list of the coefficient of main^i.  p may use no
     other variable; inverse of from_columns."""
     im, ic = p.vars.index(main), p.vars.index(co)
-    cols = [[0] * (p.degree_in(co) + 1) for _ in range(p.degree_in(main) + 1)]
+    height = p.degree_in(co) + 1
+    cols = [[0] * height for _ in range(p.degree_in(main) + 1)]
     for m, c in p._terms.items():
         if m[im] + m[ic] != sum(m):
             raise ValueError(f"polynomial uses more than the variables {main}, {co}")
@@ -615,9 +651,13 @@ _INT_RE = re.compile(r"\d+")
 
 
 def poly_parse(text: str, ctx: FieldCtx, vars: Iterable[str]) -> Poly:
-    """Parse the grammar described in the module docstring."""
+    """Parse the grammar described in the module docstring.
+
+    Each term is read into one coefficient and one exponent vector, and
+    the terms are XOR-combined into a single dict, so ``x + x`` is 0.
+    """
     vars = tuple(vars)
-    acc = Poly.zero(ctx, vars)
+    terms: dict = {}
     pos = 0
     n = len(text)
 
@@ -625,6 +665,15 @@ def poly_parse(text: str, ctx: FieldCtx, vars: Iterable[str]) -> Poly:
         while i < n and text[i].isspace():
             i += 1
         return i
+
+    def exponent(i: int) -> tuple[int, int]:
+        """The power after a factor ending at i, and the position after it."""
+        if i < n and text[i] == "^":
+            mi = _INT_RE.match(text, i + 1)
+            if not mi:
+                raise ParseError("expected an integer exponent after '^'", i + 1)
+            return int(mi.group(0)), mi.end()
+        return 1, i
 
     pos = skip_ws(pos)
     if pos >= n:
@@ -637,23 +686,21 @@ def poly_parse(text: str, ctx: FieldCtx, vars: Iterable[str]) -> Poly:
             pos = skip_ws(pos + 1)
             expect_term = True
             continue
-        term = Poly.const(ctx, vars, 1)
-        is_zero_term = False
+        coeff = 1
+        mono = [0] * len(vars)
         while True:
             pos = skip_ws(pos)
             if pos >= n:
                 raise ParseError("unexpected end of text inside a term", pos)
             mco = _COEFF_RE.match(text, pos)
             if mco:
-                e = elem_parse(mco.group(0), ctx)
-                term = term.scale(e.bits)
-                is_zero_term = is_zero_term or e.bits == 0
+                coeff = ctx.mul(coeff, elem_parse(mco.group(0), ctx).bits)
                 pos = mco.end()
             elif text[pos].isdigit():
                 mi = _INT_RE.match(text, pos)
                 lit = mi.group(0)
                 if lit == "0":
-                    is_zero_term = True
+                    coeff = 0
                 elif lit != "1":
                     raise ParseError(
                         f"coefficient literal {lit!r} is not valid in characteristic 2", pos
@@ -664,26 +711,13 @@ def poly_parse(text: str, ctx: FieldCtx, vars: Iterable[str]) -> Poly:
                 if not mid:
                     raise ParseError(f"unexpected character {text[pos]!r}", pos)
                 name = mid.group(0)
-                pos = mid.end()
                 if name == "j":
-                    e = elem_parse("j", ctx)
-                    exp = 1
-                    if pos < n and text[pos] == "^":
-                        mi = _INT_RE.match(text, pos + 1)
-                        if not mi:
-                            raise ParseError("expected an integer exponent after '^'", pos + 1)
-                        exp = int(mi.group(0))
-                        pos = mi.end()
-                    term = term.scale(ctx.pow(e.bits, exp))
+                    j = elem_parse("j", ctx).bits
+                    exp, pos = exponent(mid.end())
+                    coeff = ctx.mul(coeff, ctx.pow(j, exp))
                 elif name in vars:
-                    exp = 1
-                    if pos < n and text[pos] == "^":
-                        mi = _INT_RE.match(text, pos + 1)
-                        if not mi:
-                            raise ParseError("expected an integer exponent after '^'", pos + 1)
-                        exp = int(mi.group(0))
-                        pos = mi.end()
-                    term = term * Poly.var(ctx, vars, name, exp)
+                    exp, pos = exponent(mid.end())
+                    mono[vars.index(name)] += exp
                 else:
                     raise UnknownVariable(f"unknown variable {name!r}", mid.start())
             pos = skip_ws(pos)
@@ -691,12 +725,17 @@ def poly_parse(text: str, ctx: FieldCtx, vars: Iterable[str]) -> Poly:
                 pos += 1
                 continue
             break
-        if not is_zero_term:
-            acc = acc + term
+        if coeff:
+            key = tuple(mono)
+            cur = terms.get(key, 0) ^ coeff
+            if cur:
+                terms[key] = cur
+            else:
+                del terms[key]
         expect_term = False
     if expect_term:
         raise ParseError("dangling '+'", pos)
-    return acc
+    return Poly(ctx, vars, terms)
 
 
 def _coeff_str(ctx: FieldCtx, bits: int) -> str:

@@ -164,7 +164,8 @@ def test_certificates_are_threadsafe_and_deterministic():
     serial = {name: run(name) for name in names}
     # the serial pass warmed the process-wide caches; clear them so the
     # threads fill them at the same time, then run a round that reads them
-    for cache in (amcert._singular_locus, amcert._meeting, factor._abs_irred_bivariate):
+    for cache in (amcert._singular_locus, amcert._meeting, amcert._meeting_orbits, amcert._claim,
+                  factor._abs_irred_bivariate):
         cache.cache_clear()
     rounds = []
     switch = sys.getswitchinterval()

@@ -1,21 +1,34 @@
-"""The process-wide curve caches of amcert: each component's singular locus
-and each pair's meeting are solved once per process, errors other than a
-pair's BezoutMismatch or CommonComponent are never kept, and certificates do
-not depend on what the caches hold.  Each point object is rendered at most
-once per process."""
+"""The process-wide caches of amcert: each component's singular locus,
+each pair's meeting and its Frobenius orbits are solved once per process,
+and each claim of factors is multiplied, grouped and proved once; errors
+other than a pair's BezoutMismatch or CommonComponent are never kept, and
+certificates do not depend on what the caches hold.  Each point object is
+rendered at most once per process.  The termwise division by a monomial
+and the log-domain point evaluation these certificates run on agree with
+the general paths."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from conic2 import amcert, geom, poly
-from conic2.amcert import example81_template, search_spieghiamolo, surface_criterion
+from conic2 import amcert, conic, geom, poly
+from conic2.amcert import (
+    FactorizationMismatch,
+    NotAbsolutelyIrreducible,
+    component_factorization,
+    example81_template,
+    search_spieghiamolo,
+    surface_criterion,
+)
 from conic2.cli import corpus_manifest, load_corpus_spec
-from conic2.conic import ProjPoint, spec_from_dict
+from conic2.conic import BASE_VARS, SECTION_KEYS, ProjPoint, section_jet, spec_from_dict
+from conic2.factor import UnluckySpecializationExhausted
 from conic2.geom import BezoutMismatch, CommonComponent, ExtensionBound
-from conic2.poly import plane_poly, poly_parse
+from conic2.gf2k import embed_bits, field_new
+from conic2.poly import NotDivisible, Poly, exact_div, partial_derivative, plane_poly, poly_parse
 
-from _helpers import moved_stream
+from _helpers import moved_stream, rand_homogeneous, rand_spec
 
 D1 = plane_poly("x^3*z + y^4")
 D2 = plane_poly("x^3*y + z^4")
@@ -24,6 +37,8 @@ D2 = plane_poly("x^3*y + z^4")
 def clear_curve_caches():
     amcert._singular_locus.cache_clear()
     amcert._meeting.cache_clear()
+    amcert._meeting_orbits.cache_clear()
+    amcert._claim.cache_clear()
 
 
 def _counting_solves(monkeypatch):
@@ -170,3 +185,206 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     text = p.serialize()
     text.append("changed")
     assert p.serialize() == text[:3] and p.serialize() is not p.serialize()
+
+
+# -- a search candidate certifies only its own data ---------------------------------
+
+
+def test_search_certificates_do_not_depend_on_the_cache():
+    clear_curve_caches()
+    cold = [cert.to_json() for _, cert in search_spieghiamolo(example81_template(), budget=56).hits]
+    warm = [cert.to_json() for _, cert in search_spieghiamolo(example81_template(), budget=56).hits]
+    assert len(cold) == 56 and cold == warm
+
+
+def test_search_builds_the_claim_and_groups_the_meeting_once(monkeypatch):
+    built, proved, grouped = [], [], []
+    claim, prove, orbits = amcert._Claim, amcert.is_absolutely_irreducible, amcert.frobenius_orbits
+    monkeypatch.setattr(amcert, "_Claim", lambda ctx, claimed: built.append(claimed) or claim(ctx, claimed))
+    monkeypatch.setattr(amcert, "is_absolutely_irreducible", lambda f: proved.append(f) or prove(f))
+    monkeypatch.setattr(amcert, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
+    clear_curve_caches()
+    assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+    assert built == [(D1, D2)]
+    assert sorted(proved, key=poly.poly_print) == sorted([D1, D2], key=poly.poly_print)
+    # the 16 meeting points once; each candidate's two Sigma points for H5
+    assert grouped.count(16) == 1 and grouped.count(2) == 56 and len(grouped) == 57
+    assert amcert._claim.cache_info().hits == 55
+
+
+def test_a_mismatched_claim_fails_before_any_factor_is_proved(monkeypatch):
+    proved = []
+    prove = amcert.is_absolutely_irreducible
+    monkeypatch.setattr(amcert, "is_absolutely_irreducible", lambda f: proved.append(f) or prove(f))
+    clear_curve_caches()
+    ex1, ex3 = load_corpus_spec("ex1"), load_corpus_spec("ex3")
+    for _ in range(2):  # D1^2 is reducible, and it is not Delta
+        with pytest.raises(FactorizationMismatch):
+            component_factorization(ex1, [D1 * D1])
+    assert proved == []
+    with pytest.raises(NotAbsolutelyIrreducible) as err:
+        component_factorization(ex1, [D1 * D2])
+    assert err.value.factor == D1 * D2 and proved == [D1 * D2]
+    # a claim proved for ex1 is still compared with each spec's own Delta
+    assert component_factorization(ex1, [D1, D2]) == [(D1, 1), (D2, 1)]
+    with pytest.raises(FactorizationMismatch):
+        component_factorization(ex3, [D1, D2])
+
+
+def test_a_proof_error_is_raised_again_and_not_kept(monkeypatch):
+    calls = []
+    prove = amcert.is_absolutely_irreducible
+
+    def unlucky(f):
+        calls.append(f)
+        if len(calls) == 1:
+            raise UnluckySpecializationExhausted("no specialization within the budget")
+        return prove(f)
+
+    monkeypatch.setattr(amcert, "is_absolutely_irreducible", unlucky)
+    clear_curve_caches()
+    ex1 = load_corpus_spec("ex1")
+    with pytest.raises(UnluckySpecializationExhausted):
+        component_factorization(ex1, [D1, D2])
+    assert component_factorization(ex1, [D1, D2]) == [(D1, 1), (D2, 1)]
+    assert calls == [D1, D1, D2]  # the failed proof ran again; no verdict was kept for it
+    component_factorization(ex1, [D1, D2])
+    assert len(calls) == 3
+
+
+# -- termwise division by a monomial -------------------------------------------------
+
+
+def _leading_term_div(p, q):
+    """p / q by the leading-term loop, for any nonzero q."""
+    ctx = p.ctx
+    lm, lc = q.leading()
+    quotient = Poly.zero(ctx, p.vars)
+    r = p
+    while not r.is_zero():
+        rm, rc = r.leading()
+        mono = tuple(a - b for a, b in zip(rm, lm))
+        if min(mono) < 0:
+            raise NotDivisible("leading term not divisible; remainder nonzero")
+        t = Poly.from_terms(ctx, p.vars, [(mono, ctx.mul(rc, ctx.inv(lc)))])
+        quotient, r = quotient + t, r + t * q
+    return quotient
+
+
+@pytest.mark.parametrize("k", [1, 2, 4], ids=["F2", "F4", "F16"])
+def test_monomial_division_agrees_with_the_leading_term_loop(k):
+    ctx = field_new(k)
+    rng = random.Random(1830 + k)
+    outcomes = Counter()
+    for _ in range(200):
+        mono = tuple(rng.randint(0, 2) for _ in BASE_VARS)
+        q = Poly.from_terms(ctx, BASE_VARS, [(mono, rng.randrange(1, ctx.q))])
+        f = Poly.from_terms(ctx, BASE_VARS, [
+            (tuple(rng.randint(0, 3) for _ in BASE_VARS), rng.randrange(1, ctx.q))
+            for _ in range(rng.randint(0, 6))
+        ])
+        p = f * q if rng.random() < 0.6 else f
+        try:
+            want = _leading_term_div(p, q)
+        except NotDivisible as exc:
+            with pytest.raises(NotDivisible) as err:
+                exact_div(p, q)
+            assert str(err.value) == str(exc)
+            outcomes["not divisible"] += 1
+            continue
+        assert exact_div(p, q) == want and want * q == p
+        outcomes["constant" if sum(mono) == 0 else "unit" if q.leading()[1] == 1 else "scaled"] += 1
+    assert outcomes["not divisible"] >= 20 and outcomes["constant"] >= 5
+    assert outcomes["unit"] >= 5 and (k == 1 or outcomes["scaled"] >= 20)
+
+
+def test_monomial_division_examples():
+    F4 = field_new(2)
+    p = poly_parse("j*x^3*y + x^2*z + F4:3*x^2*y^2", F4, BASE_VARS)
+    assert exact_div(p, poly_parse("j*x^2", F4, BASE_VARS)) == poly_parse("x*y + F4:3*z + j*y^2", F4, BASE_VARS)
+    assert exact_div(p, poly_parse("j", F4, BASE_VARS)) == poly_parse("x^3*y + F4:3*x^2*z + j*x^2*y^2", F4, BASE_VARS)
+    with pytest.raises(NotDivisible):
+        exact_div(p, poly_parse("x^2*y", F4, BASE_VARS))
+    assert exact_div(Poly.zero(F4, BASE_VARS), poly_parse("x", F4, BASE_VARS)).is_zero()
+
+
+# -- log-domain point evaluation ------------------------------------------------------
+
+
+def _serial_eval(f, ctx, coords):
+    """f at coords in ctx, by bit-serial products: no log table is read."""
+    mul = ctx._mul_serial
+    acc = 0
+    for m, c in f.items():
+        t = embed_bits(f.ctx, ctx, c)
+        for x, e in zip(coords, m):
+            for _ in range(e):
+                t = mul(t, x)
+        acc ^= t
+    return acc
+
+
+def _random_coords(rng, ctx):
+    """Three coordinates, each zero with probability 1/4, not all zero."""
+    while True:
+        coords = tuple(0 if rng.random() < 0.25 else rng.randrange(1, ctx.q) for _ in range(3))
+        if any(coords):
+            return coords
+
+
+@pytest.mark.parametrize("k", list(range(1, 13)) + [16])
+def test_log_domain_evaluation_agrees_with_products(k):
+    ctx = field_new(k)
+    assert (ctx.log_tables() is None) == (k > 12)
+    rng = random.Random(1840 + k)
+    zeros = 0
+    for _ in range(30):
+        coords = _random_coords(rng, ctx)
+        zeros += 0 in coords
+        for src in {field_new(1), field_new(2) if k % 2 == 0 else field_new(1), ctx}:
+            f = rand_homogeneous(rng, src, rng.randint(0, 5), max_terms=6)
+            assert f.eval_bits(ctx, coords) == _serial_eval(f, ctx, coords)
+    assert zeros >= 5
+
+
+@pytest.mark.parametrize("k", list(range(1, 13)) + [16])
+def test_log_domain_section_jet_agrees_with_products(k):
+    ctx = field_new(k)
+    rng = random.Random(1850 + k)
+    zeros = 0
+    for _ in range(20):
+        spec = rand_spec(rng, field_new(rng.choice((1, 2)) if k % 2 == 0 else 1), max_entry_degree=2)
+        coords = _random_coords(rng, ctx)
+        p = ProjPoint(ctx, coords)
+        zeros += 0 in p.coords
+        jet = section_jet(spec, p)
+        u1, u2 = (BASE_VARS[i] for i in range(3) if i != jet.chart)
+        assert p.coords[jet.chart] == 1
+        for key in SECTION_KEYS:
+            s = spec.sections[key]
+            d1, d2 = partial_derivative(s, u1), partial_derivative(s, u2)
+            assert jet.value[key] == _serial_eval(s, ctx, p.coords)
+            assert jet.d1[key] == _serial_eval(d1, ctx, p.coords)
+            assert jet.d2[key] == _serial_eval(d2, ctx, p.coords)
+            assert jet.d12[key] == _serial_eval(partial_derivative(d1, u2), ctx, p.coords)
+    assert zeros >= 5
+
+
+def test_spec_is_validated_once_per_certification(monkeypatch):
+    data = conic.spec_to_dict(load_corpus_spec("ex3"))
+    checked = []
+    validate = conic._validate
+    monkeypatch.setattr(conic, "_validate", lambda spec: checked.append(id(spec)) or validate(spec))
+    spec = spec_from_dict(data)  # validated here, once
+    surface_criterion(spec)
+    assert checked == [id(spec)]
+    fresh = conic.ConicBundleSpec(spec.ctx, spec.degree_vector, spec.value_degree, dict(spec.sections))
+    cert = surface_criterion(fresh)  # validated by the certifier, once
+    assert checked == [id(spec), id(fresh)]
+    assert cert.to_json() == surface_criterion(spec).to_json()
+    # an invalid spec keeps nothing: it raises on every call
+    bad = conic.ConicBundleSpec(spec.ctx, (0, 0, 0), 0, dict(spec.sections))
+    for _ in range(2):
+        with pytest.raises(conic.DegreeMismatch):
+            conic.spec_validate(bad)
+    assert checked == [id(spec), id(fresh), id(bad), id(bad)]

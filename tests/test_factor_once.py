@@ -114,6 +114,7 @@ def test_claimed_factors_are_still_factored_over_the_field(monkeypatch):
     # so only the factorization over F_2 tells that the claim is reducible
     assert not factor._splits_over_an_extension(dehomogenize(delta, "z").with_vars(XY))
     factor._abs_irred_bivariate.cache_clear()
+    amcert._claim.cache_clear()  # no verdict kept for the claim
     calls = _counting_bivariate_factor(monkeypatch)
     with pytest.raises(NotAbsolutelyIrreducible):
         component_factorization(spec, [delta])

@@ -8,8 +8,9 @@ fiber's singular point n is conjugated along.  The oracle is the per-point
 path (``_helpers.per_point_nodes_and_smoothness``): the certificate's node
 and smoothness entries must equal its on the corpus, on moved passes, and
 on a spec over F_4, where the Frobenius x -> x^4 is not squaring.  Call
-counts check that the smoothness decisions run once per orbit of Sigma and
-that a certificate takes exactly one jet at each point it reads: the H3
+counts check that the smoothness decisions run once per orbit of Sigma,
+that a point several component pairs share is decided once, and that a
+certificate takes exactly one jet at each point it reads: the H3
 and Sigma orbit representatives, the meeting points with Sigma that the
 double-line test visits, and the components' singular points.
 """
@@ -185,3 +186,24 @@ def test_search_candidate_takes_eight_jets_for_sixteen_points_and_two_sigma_poin
     # singular point
     assert count == 8
     assert cert.sigma["points"] == [["F2:0", "F2:0", "F2:1"], ["F2:0", "F2:1", "F2:0"]]
+
+
+def test_a_point_two_pairs_share_is_decided_once(monkeypatch):
+    # Delta = x*y*z*(x + z): the lines x, z and x + z all pass through
+    # [0:1:0], which three pairs meet in.  The pairs are walked in order, and
+    # an orbit an earlier pair decided is skipped
+    spec = spec_from_dict({
+        "field_degree": 1, "degree_vector": [0, 1, 1], "value_degree": 0,
+        "sections": {"aa": "0", "ab": "y", "ac": "x + z", "bb": "0", "bc": "x*z", "cc": "0"},
+    })
+    decided = []
+    cross_node = amcert.cross_node
+    monkeypatch.setattr(amcert, "cross_node", lambda jet: decided.append(jet.point.sort_key()) or cross_node(jet))
+    cert = surface_criterion(spec)
+    monkeypatch.undo()
+    met = [_point(t) for e in cert.intersections for t in e.get("points", [])]
+    assert len({p.sort_key() for p in met}) < len(met)  # some point lies on three components
+    crosses = {_point(n["point"]).sort_key(): _point(n["point"])
+               for e in cert.intersections for n in e.get("nodes", [])}
+    assert len(decided) == len(set(decided)) == _orbit_count(list(crosses.values()), spec.ctx.q)
+    _check(monkeypatch, spec)

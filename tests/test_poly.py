@@ -87,6 +87,37 @@ def test_parse_round_trips_through_print():
             assert poly_parse(poly_print(p), ctx, V) == p
 
 
+@pytest.mark.parametrize("ctx", [F2, F4, F16], ids=["F2", "F4", "F16"])
+def test_parse_round_trips_long_polynomials(ctx):
+    rng = random.Random(1800 + ctx.k)
+    for _ in range(40):
+        p = rand_poly(rng, ctx, V, max_terms=60, max_deg=6)
+        text = poly_print(p)
+        assert poly_parse(text, ctx, V) == p
+        # a term written twice cancels, and one written three times stays
+        assert poly_parse(text + " + " + text, ctx, V).is_zero()
+        assert poly_parse(" + ".join([text] * 3), ctx, V) == p
+
+
+def test_parse_error_messages_and_positions():
+    cases = [
+        ("", "empty polynomial text (at position 0)"),
+        ("x + ", "dangling '+' (at position 4)"),
+        ("x y", "expected '+', found 'y' (at position 2)"),
+        ("x*", "unexpected end of text inside a term (at position 2)"),
+        ("x^", "expected an integer exponent after '^' (at position 2)"),
+        ("j^*x", "expected an integer exponent after '^' (at position 2)"),
+        ("3*x", "coefficient literal '3' is not valid in characteristic 2 (at position 0)"),
+        ("x + $", "unexpected character '$' (at position 4)"),
+        ("x + w^2", "unknown variable 'w' (at position 4)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            poly_parse(text, F4, V)
+        assert str(err.value) == message
+    assert isinstance(err.value, UnknownVariable)
+
+
 def test_parse_j_plus_one_as_sum_of_terms():
     p = poly_parse("j + 1", F4, V)
     assert dict(p.items()) == {(0, 0, 0): 3}
