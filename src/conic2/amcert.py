@@ -153,53 +153,38 @@ def component_factorization(
             if not _is_absolutely_irreducible(f, True):
                 raise NotAbsolutelyIrreducible(f)
         return factors
-    claim = _claim(spec.ctx, tuple(claimed))
-    _, lc_prod = claim.product.leading()
+    product, factors, verdicts = _claim(spec.ctx, tuple(claimed))
+    _, lc_prod = product.leading()
     _, lc_delta = delta.leading()
     scale = spec.ctx.mul(lc_delta, spec.ctx.inv(lc_prod))
-    if claim.product.scale(scale) != delta:
+    if product.scale(scale) != delta:
         raise FactorizationMismatch(
             "claimed factors times a scalar do not expand to the discriminant"
         )
-    for f, _ in claim.factors:
-        if not claim.proved(f):
+    for f, _ in factors:
+        # proved once; a proof's error is raised again on the next call, and
+        # threads that race here each prove f and store the same verdict
+        if f not in verdicts:
+            verdicts[f] = is_absolutely_irreducible(f)
+        if not verdicts[f]:
             raise NotAbsolutelyIrreducible(f)
-    return list(claim.factors)
-
-
-class _Claim:
-    """A claim's product, its factors grouped by monic associate and sorted,
-    and each factor's absolute-irreducibility verdict once proved."""
-
-    __slots__ = ("product", "factors", "_verdicts")
-
-    def __init__(self, ctx, claimed: tuple[Poly, ...]) -> None:
-        grouped: dict[Poly, int] = {}
-        product = Poly.const(ctx, BASE_VARS, 1)
-        for f in claimed:
-            g = f.monic()
-            grouped[g] = grouped.get(g, 0) + 1
-            product = product * f
-        self.product = product
-        self.factors = tuple(sort_factors(list(grouped.items())))
-        self._verdicts: dict[Poly, bool] = {}
-
-    def proved(self, f: Poly) -> bool:
-        """is_absolutely_irreducible(f), proved once; an error the proof
-        raises is raised again on the next call.  Threads that race here
-        each prove f and store the same verdict."""
-        verdict = self._verdicts.get(f)
-        if verdict is None:
-            verdict = self._verdicts[f] = is_absolutely_irreducible(f)
-        return verdict
+    return list(factors)
 
 
 @lru_cache(maxsize=128)
-def _claim(ctx, claimed: tuple[Poly, ...]) -> _Claim:
-    """The :class:`_Claim` of the claimed factors over ctx.  Examples and
-    search candidates repeat a claim while the bundle varies.  A claim that
-    does not multiply in ctx raises, and nothing is kept."""
-    return _Claim(ctx, claimed)
+def _claim(ctx, claimed: tuple[Poly, ...]) -> tuple[Poly, tuple[tuple[Poly, int], ...], dict]:
+    """The claimed factors' product over ctx, the factors grouped by monic
+    associate and sorted, and the dict of each factor's proved
+    absolute-irreducibility verdict.  Examples and search candidates repeat
+    a claim while the bundle varies.  A claim that does not multiply in ctx
+    raises, and nothing is kept."""
+    grouped: dict[Poly, int] = {}
+    product = Poly.const(ctx, BASE_VARS, 1)
+    for f in claimed:
+        g = f.monic()
+        grouped[g] = grouped.get(g, 0) + 1
+        product = product * f
+    return product, tuple(sort_factors(list(grouped.items()))), {}
 
 
 def _factor_homogeneous(delta: Poly) -> list[tuple[Poly, int]]:
@@ -280,25 +265,35 @@ def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
 
 
 @lru_cache(maxsize=128)
-def _meeting(c1: Poly, c2: Poly, k_max: int) -> AlgebraicPointSet | BezoutMismatch | CommonComponent:
-    """``geom.intersection_points(c1, c2, k_max)``, or the BezoutMismatch or
+def _meeting(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet | BezoutMismatch | CommonComponent, tuple]:
+    """``geom.intersection_points(c1, c2, k_max)`` and the Frobenius orbits
+    over the components' F_q of its points (:func:`geom.frobenius_orbits`:
+    representatives first, in the points' order); or the BezoutMismatch or
     CommonComponent it raised, kept without the frames of its traceback and
-    of the error it was raised from."""
+    of the error it was raised from, and no orbits."""
     try:
-        return geom.intersection_points(c1, c2, k_max)
+        met = geom.intersection_points(c1, c2, k_max)
     except (BezoutMismatch, CommonComponent) as exc:
         exc.__context__ = None
-        return exc.with_traceback(None)
+        return exc.with_traceback(None), ()
+    return met, tuple(tuple(orbit) for orbit in frobenius_orbits(met.points, c1.ctx.q))
 
 
-@lru_cache(maxsize=128)
-def _meeting_orbits(c1: Poly, c2: Poly, k_max: int) -> tuple[tuple[ProjPoint, ...], ...]:
-    """The Frobenius orbits over the components' F_q of the points of
-    :func:`_meeting`, which must be an AlgebraicPointSet
-    (:func:`geom.frobenius_orbits`: representatives first, in the
-    points' order)."""
-    points = _meeting(c1, c2, k_max).points
-    return tuple(tuple(orbit) for orbit in frobenius_orbits(points, c1.ctx.q))
+def _per_orbit(orbits, decide, facts: dict, conjugate=None) -> dict:
+    """Add each point's fact to ``facts``, keyed by its sort_key(), and
+    return it.  The orbits are walked in order, and an orbit already in
+    ``facts`` is skipped.  ``decide`` runs at each orbit's representative;
+    each next point of the orbit gets ``conjugate`` of the fact before it,
+    or the same fact when ``conjugate`` is None."""
+    for orbit in orbits:
+        if orbit[0].sort_key() in facts:
+            continue
+        fact = decide(orbit[0])
+        for p in orbit:
+            facts[p.sort_key()] = fact
+            if conjugate is not None:
+                fact = conjugate(fact)
+    return facts
 
 
 def am_component_check(
@@ -341,7 +336,7 @@ def _analyse_component(
         sigma_meets = None
         inside_sigma = exc.common_factor.total_degree() == component.total_degree()
         witness = next(
-            (p for p in small_field_points(component, witness_bound)
+            (p for p in small_field_points(component, min(witness_bound, k_max))
              if classify_fiber(spec, p) is FiberType.DOUBLE_LINE),
             None,
         )
@@ -536,14 +531,15 @@ def _certify(
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     spec's validation report and Delta are kept on the spec; a claim's
     product, factors and verdicts come from :func:`_claim`; the components'
-    singular loci, pairwise meetings and their Frobenius orbits come from
-    the process-wide curve caches, :func:`_singular_locus`,
-    :func:`_meeting` and :func:`_meeting_orbits`.
+    singular loci and their pairwise meetings, each with its Frobenius
+    orbits, come from the process-wide curve caches,
+    :func:`_singular_locus` and :func:`_meeting`.
     Every point fact is read off one section jet per distinct point, kept
     for this certificate only (:func:`_jet`): the fiber type over each
     component's meeting with Sigma, whether each singular point lies on
-    Sigma (H2), the fiber type and node at each H3 orbit representative
-    (:func:`geom.cross_node`), and smoothness at each Sigma orbit
+    Sigma (H2), and, through the one orbit walker :func:`_per_orbit`, the
+    fiber type and node at each H3 orbit representative
+    (:func:`geom.cross_node`) and smoothness at each Sigma orbit
     representative (:func:`geom.fiber_smooth`).
     """
     log: list[str] = []
@@ -649,30 +645,23 @@ def _certify(
     # H3: pairwise intersections: transversal, cross fibers, ordinary nodes.
     h3_details: list[str] = []
     h3_witnesses: list[ProjPoint] = []
-    pairs = list(itertools.combinations(comps, 2))
-    meets = [_meeting(c1, c2, k_max) for c1, c2 in pairs]
-    # each met point's (fiber type, (chart, n, ordinary) or None), keyed by
-    # its exact representation and decided from one section jet per
-    # Frobenius orbit over F_q: a conjugate shares the type, chart and
-    # verdict, and its n is the conjugate of n.  The pairs are walked in
-    # order, and an orbit an earlier pair decided (a point two pairs
-    # share) is skipped.
+    # each met point's (fiber type, (chart, n, ordinary) or None), decided
+    # from one section jet per Frobenius orbit over F_q: a conjugate shares
+    # the type, chart and verdict, and its n is the conjugate of n.  An
+    # orbit an earlier pair decided (a point two pairs share) is skipped.
     facts: dict = {}
-    for (c1, c2), inter in zip(pairs, meets):
-        if not isinstance(inter, AlgebraicPointSet):
-            continue
-        for orbit in _meeting_orbits(c1, c2, k_max):
-            if orbit[0].sort_key() in facts:
-                continue
-            jet = _jet(spec, jets, orbit[0])
-            ftype = fiber_type(jet.value, jet.point.ctx)
-            node = cross_node(jet) if ftype is FiberType.CROSS else None
-            for p in orbit:
-                facts[p.sort_key()] = (ftype, node)
-                if node is not None:
-                    chart, n, ok = node
-                    node = (chart, n.frobenius(spec.ctx.q), ok)
-    for (c1, c2), inter in zip(pairs, meets):
+
+    def node_fact(p: ProjPoint):
+        jet = _jet(spec, jets, p)
+        ftype = fiber_type(jet.value, p.ctx)
+        return ftype, cross_node(jet) if ftype is FiberType.CROSS else None
+
+    def conjugate_node(fact):
+        ftype, node = fact
+        return fact if node is None else (ftype, (node[0], node[1].frobenius(spec.ctx.q), node[2]))
+
+    for c1, c2 in itertools.combinations(comps, 2):
+        inter, orbits = _meeting(c1, c2, k_max)
         entry: dict = {"pair": [poly_print(c1), poly_print(c2)]}
         cert.intersections.append(entry)
         if not isinstance(inter, AlgebraicPointSet):  # the pair's BezoutMismatch or CommonComponent
@@ -681,6 +670,7 @@ def _certify(
             if getattr(inter, "witness", None) is not None:
                 h3_witnesses.append(inter.witness)
             continue
+        _per_orbit(orbits, node_fact, facts, conjugate_node)
         nodes = []
         for p in inter.points:
             ftype, node = facts[p.sort_key()]
@@ -723,10 +713,9 @@ def _certify(
             "cannot be certified pointwise",
         )
     else:
-        smooth_of = {}
-        for orbit in frobenius_orbits(finite.points, spec.ctx.q):
-            smooth = fiber_smooth(_jet(spec, jets, orbit[0]))
-            smooth_of.update((p.sort_key(), smooth) for p in orbit)
+        smooth_of = _per_orbit(
+            frobenius_orbits(finite.points, spec.ctx.q), lambda p: fiber_smooth(_jet(spec, jets, p)), {}
+        )
         cert.double_line_smoothness = [
             {"point": p.serialize(), "smooth": smooth_of[p.sort_key()]} for p in finite.points
         ]

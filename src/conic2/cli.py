@@ -196,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("--spec", required=True, help="spec JSON path")
+    def common(p, spec="required"):
+        """--spec ("required", "optional" or None: absent) and --k-max."""
+        if spec is not None:
+            p.add_argument("--spec", required=spec == "required", help="spec JSON path")
         p.add_argument("--k-max", type=int, default=24, dest="k_max",
                        help="largest extension degree over F_2 (default 24)")
 
@@ -214,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the surface criterion, write a certificate")
-    p.add_argument("--spec", help="spec JSON path")
-    p.add_argument("--k-max", type=int, default=24, dest="k_max")
+    common(p, spec="optional")
     p.add_argument("--factors", help="JSON file with claimed factors")
     p.add_argument("--cert-out", dest="cert_out", help="write the certificate JSON here")
     p.add_argument("--corpus", action="store_true",
@@ -223,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="guided example search (zero-corner template)")
+    common(p, spec=None)
     p.add_argument("--budget", type=int, default=2048, help="max candidates to enumerate")
-    p.add_argument("--k-max", type=int, default=24, dest="k_max")
     p.add_argument("--cert-out", dest="cert_out", help="write discovered specs here")
     p.set_defaults(func=cmd_search)
     return ap

@@ -33,6 +33,7 @@ from .poly import (
     Poly,
     dehomogenize,
     is_homogeneous,
+    partial_derivative,
     poly_parse,
     poly_print,
 )
@@ -279,8 +280,9 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     u_i; the mixed partial needs both exponents odd.  Over a field with log
     tables (:meth:`FieldCtx.log_tables`) each of these is one lookup at
     log c + e1 log u1 + e2 log u2, less log u_i per derivative, and a zero
-    coordinate zeroes every power of it above the zeroth; larger fields
-    multiply through one list of coordinate powers for all six sections.
+    coordinate zeroes every power of it above the zeroth.  A larger field
+    evaluates each section and its partials (:func:`poly.partial_derivative`)
+    with :meth:`Poly.eval_bits`.
     """
     ctx, src = p.ctx, spec.ctx
     w = next(k for k, c in enumerate(p.coords) if c)
@@ -311,28 +313,12 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
                     v12 ^= exp[(s - l1 - l2) % order]
             value[key], d1[key], d2[key], d12[key] = v, v1, v2, v12
         return SectionJet(p, w, value, d1, d2, d12)
-    mul = ctx.mul
-    pw1, pw2 = [1, u1], [1, u2]
     for key in SECTION_KEYS:
-        v = v1 = v2 = v12 = 0
-        for m, c in spec.sections[key].items():
-            if src is not ctx:
-                c = embed_bits(src, ctx, c)
-            e1, e2 = m[i1], m[i2]
-            while len(pw1) <= e1:
-                pw1.append(mul(pw1[-1], pw1[1]))
-            while len(pw2) <= e2:
-                pw2.append(mul(pw2[-1], pw2[1]))
-            c2 = mul(c, pw2[e2])
-            v ^= mul(c2, pw1[e1])
-            if e1 & 1:
-                v1 ^= mul(c2, pw1[e1 - 1])
-            if e2 & 1:
-                c2 = mul(c, pw2[e2 - 1])
-                v2 ^= mul(c2, pw1[e1])
-                if e1 & 1:
-                    v12 ^= mul(c2, pw1[e1 - 1])
-        value[key], d1[key], d2[key], d12[key] = v, v1, v2, v12
+        s = spec.sections[key]
+        s1, s2 = partial_derivative(s, s.vars[i1]), partial_derivative(s, s.vars[i2])
+        value[key], d1[key], d2[key], d12[key] = (
+            f.eval_bits(ctx, p.coords) for f in (s, s1, s2, partial_derivative(s1, s.vars[i2]))
+        )
     return SectionJet(p, w, value, d1, d2, d12)
 
 

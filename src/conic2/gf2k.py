@@ -19,14 +19,13 @@ of F_4 (which satisfies j^2 + j + 1 = 0).
 
 Fields with k <= 12 (``_TABLE_MAX_K``) compute through log/antilog tables
 over their smallest primitive element (Greenan, Miller & Schwarz, MASCOTS
-2008), built on a context's first ``mul``, ``pow``, ``inv`` or ``sqrt``:
-a product is one lookup at the sum of two logarithms, a power one at a
-product of indices.  :meth:`FieldCtx.log_tables` hands the tables to the
-polynomial layers, which evaluate a whole term with one lookup.  Larger fields multiply bit-serially
-(``FieldCtx._mul_serial``).  A context checks its modulus with Rabin's test
-on the bit-serial product when it is created, before any table exists,
-and the table build checks that one power cycle visits every nonzero
-element.
+2008), built when the context is created: a product is one lookup at the
+sum of two logarithms, a power one at a product of indices.
+:meth:`FieldCtx.log_tables` hands the tables to the polynomial layers,
+which evaluate a whole term with one lookup.  Larger fields multiply
+bit-serially (``FieldCtx._mul_serial``).  A context checks its modulus with
+Rabin's test on the bit-serial product before it builds its tables, and the
+table build checks that one power cycle visits every nonzero element.
 """
 
 from __future__ import annotations
@@ -183,8 +182,8 @@ class FieldCtx:
     Raw operations (``mul``, ``inv``, ...) act on the int bit-vectors and are
     the fast path used by the polynomial layers; :class:`FieldElem` wraps
     them for convenient operator syntax.  Instances are immutable and
-    interned by :func:`field_new`; the log/antilog tables of a field with
-    k <= ``_TABLE_MAX_K`` are filled in on its first multiplication.
+    interned by :func:`field_new`; a context has log/antilog tables exactly
+    when k <= ``_TABLE_MAX_K``, built as it is created.
     """
 
     __slots__ = ("k", "q", "modulus", "_log", "_exp")
@@ -197,22 +196,17 @@ class FieldCtx:
         self.k = k
         self.q = 1 << k
         self.modulus = _MODULI[k]
-        self._log: list[int] | None = None
-        self._exp: list[int] | None = None
         if not _is_irreducible_rabin(self):  # pragma: no cover - table is fixed
             raise AssertionError(f"modulus table entry for k={k} is not irreducible")
+        self._log, self._exp = self._tables() if k <= _TABLE_MAX_K else (None, None)
 
-    def _tables(self) -> list[int] | None:
-        """Build the tables and return the log table; None when k > _TABLE_MAX_K.
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """The log and exp tables of F_q^*, by bit-serial products.
 
-        Callers build once, when ``_log`` is still None.
-
-        ``_log[a]`` is the discrete logarithm of a != 0 to the smallest
-        primitive element g, and ``_exp[i] = g^i`` for 0 <= i < 2(q - 1), so
-        the sum of two logarithms indexes ``_exp`` without a reduction.
+        ``log[a]`` is the discrete logarithm of a != 0 to the smallest
+        primitive element g, and ``exp[i] = g^i`` for 0 <= i < 2(q - 1), so
+        the sum of two logarithms indexes ``exp`` without a reduction.
         """
-        if self.k > _TABLE_MAX_K:
-            return None
         q = self.q
         for g in range(1 if q == 2 else 2, q):
             log = [-1] * q
@@ -223,22 +217,17 @@ class FieldCtx:
                 exp.append(x)
                 x = self._mul_serial(x, g)
             if x == 1 and len(exp) == q - 1:
-                break
-        else:
-            raise AssertionError(
-                f"no power cycle of F_{{2^{self.k}}} visits all {q - 1} nonzero elements"
-            )
-        self._exp = exp + exp  # set before _log, which readers test
-        self._log = log
-        return log
+                return log, exp + exp
+        raise AssertionError(
+            f"no power cycle of F_{{2^{self.k}}} visits all {q - 1} nonzero elements"
+        )
 
     def log_tables(self) -> tuple[list[int], list[int]] | None:
-        """The (log, exp) tables of :meth:`_tables`, built on first use; None
-        when k > _TABLE_MAX_K.  A product of powers of nonzero elements is
-        one lookup, ``exp[(log a * e + log b * f) % (q - 1)]``; the tables
-        are shared and must not be written."""
-        log = self._log or self._tables()
-        return None if log is None else (log, self._exp)
+        """The (log, exp) tables of :meth:`_tables`; None when k >
+        _TABLE_MAX_K.  A product of powers of nonzero elements is one
+        lookup, ``exp[(log a * e + log b * f) % (q - 1)]``; the tables are
+        shared and must not be written."""
+        return None if self._log is None else (self._log, self._exp)
 
     # -- raw int operations -------------------------------------------------
 
@@ -247,9 +236,7 @@ class FieldCtx:
             return 0
         log = self._log
         if log is None:
-            if self.k > _TABLE_MAX_K:
-                return self._mul_serial(a, b)
-            log = self._tables()
+            return self._mul_serial(a, b)
         return self._exp[log[a] + log[b]]
 
     def _mul_serial(self, a: int, b: int) -> int:
@@ -267,7 +254,7 @@ class FieldCtx:
         return self.mul(a, a)
 
     def pow(self, a: int, e: int) -> int:
-        log = self._log or self._tables()
+        log = self._log
         if log is None:
             if e < 0:
                 return self.pow(self.inv(a), -e)
@@ -287,7 +274,7 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0 in F_{2^%d}" % self.k)
-        log = self._log or self._tables()
+        log = self._log
         if log is not None:
             return self._exp[self.q - 1 - log[a]]
         return self.pow(a, self.q - 2)
@@ -295,7 +282,7 @@ class FieldCtx:
     def sqrt(self, a: int) -> int:
         # Squaring is a bijection in characteristic 2: sqrt(a) = a^(2^(k-1)),
         # whose logarithm is half of log a modulo the odd q - 1.
-        log = self._log or self._tables()
+        log = self._log
         if log is None:
             for _ in range(self.k - 1):
                 a = self.mul(a, a)
@@ -358,10 +345,8 @@ def field_new(k: int) -> FieldCtx:
     """Return the interned context for F_{2^k}, 1 <= k <= 64."""
     ctx = _CTX_CACHE.get(k)
     if ctx is None:
-        if not isinstance(k, int) or k < 1 or k > 64:
-            raise UnsupportedDegree(f"extension degree {k!r} outside 1..64")
-        ctx = FieldCtx(k, _CTX_TOKEN)
-        _CTX_CACHE[k] = ctx
+        # threads that race here each build a context; all keep the first stored
+        ctx = _CTX_CACHE.setdefault(k, FieldCtx(k, _CTX_TOKEN))
     return ctx
 
 

@@ -279,7 +279,8 @@ class Poly:
         Over a field with log tables (:meth:`FieldCtx.log_tables`) each term
         c * prod x_i^e_i is one lookup, exp[(log c + sum e_i log x_i) mod
         (q - 1)], and a zero coordinate under a positive exponent zeroes its
-        term; larger fields multiply through ctx_eval's mul and pow.
+        term; a larger field reads the constant of :func:`specialize` at all
+        the coordinates.
         """
         if len(coords) != len(self.vars):
             raise ValueError("coordinate count does not match variables")
@@ -298,18 +299,7 @@ class Poly:
                     c = embed_bits(src, ctx_eval, c)
                 acc ^= exp[(log[c] + sum(map(_mul, logs, m))) % order]
             return acc
-        fmul = ctx_eval.mul
-        fpow = ctx_eval.pow
-        acc = 0
-        for m, c in self._terms.items():
-            t = c if src is ctx_eval else embed_bits(src, ctx_eval, c)
-            for base, e in zip(coords, m):
-                if e:
-                    t = fmul(t, fpow(base, e)) if t else 0
-                    if t == 0:
-                        break
-            acc ^= t
-        return acc
+        return specialize(self, ctx_eval, coords)._terms.get((), 0)
 
     def __call__(self, *coords: FieldElem) -> FieldElem:
         if not coords:
@@ -431,7 +421,8 @@ def specialize(p: Poly, ctx_e: FieldCtx, values: tuple) -> Poly:
 
     The result lies over ctx_e, whose subfield p's coefficients embed into,
     in the variables after the specialized ones.  Full evaluation is
-    :meth:`Poly.eval_bits`.
+    :meth:`Poly.eval_bits`, which specializes every variable over a field
+    without log tables.
     """
     n = len(values)
     if n > len(p.vars):

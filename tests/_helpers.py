@@ -1,11 +1,14 @@
 """Shared helpers for the test suite: random generators and brute oracles."""
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 from itertools import combinations, product
 from math import lcm
 from pathlib import Path
 
+import conic2
 from conic2 import _dense
 from conic2.cli import corpus_manifest
 from conic2.conic import (
@@ -63,6 +66,16 @@ from conic2.poly import (
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def clear_caches():
+    """Clear every ``functools.lru_cache`` a ``conic2`` module binds, so a
+    test can start from empty process-wide caches, a new cache included."""
+    for info in pkgutil.iter_modules(conic2.__path__):
+        module = importlib.import_module(f"conic2.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                value.cache_clear()
 
 
 def moved_module():

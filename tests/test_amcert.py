@@ -145,6 +145,23 @@ def test_nonproduct_witness_rejects_component_inside_sigma():
         nonproduct_witness(spec, plane_poly("x"))
 
 
+def test_inside_sigma_double_line_scan_stays_within_k_max(monkeypatch):
+    # Sigma is the line x = 0, so the component x lies inside it and its
+    # double-line witness comes from the small-field scan, which, like the
+    # nonproduct scan, must not pass the field bound k_max
+    spec = ConicBundleSpec(F2, (0, 0, 0), 1, {
+        "aa": plane_poly("y"), "bb": plane_poly("z"), "cc": Poly.zero(F2, BASE_VARS),
+        "ab": plane_poly("x"), "ac": plane_poly("x"), "bc": plane_poly("x"),
+    })
+    bounds = []
+    scan = amcert.small_field_points
+    monkeypatch.setattr(amcert, "small_field_points", lambda curve, bound: bounds.append(bound) or scan(curve, bound))
+    ana = am_component_check(spec, plane_poly("x"), k_max=4, witness_bound=8)
+    assert bounds == [4]
+    assert ana.sigma_meets is None and ana.am_status.kind == "double_line_witness"
+    assert classify_fiber(spec, ana.am_status.point) is FiberType.DOUBLE_LINE
+
+
 def test_component_inside_sigma_without_double_line_point_is_not_certified():
     # Over F_65536, above witness_bound 8, the double-line scan covers no
     # field.  The components y and x + c z lie inside Sigma, so no fiber over

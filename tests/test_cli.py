@@ -17,6 +17,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("command", ["discriminant", "classify", "verify", "search"])
+def test_every_subcommand_documents_k_max(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--k-max K_MAX largest extension degree over F_2 (default 24)" in help_text
+
+
 def test_discriminant_command(capsys):
     code, out, _ = run(capsys, "discriminant", "--spec", str(CORPUS / "ex1.json"))
     assert code == 0

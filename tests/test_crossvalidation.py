@@ -6,7 +6,8 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from conic2 import amcert, factor
+import pytest
+
 from conic2.cli import load_corpus_spec
 from conic2.conic import (
     BASE_VARS,
@@ -32,6 +33,7 @@ from conic2.poly import Poly, plane_poly, poly_parse
 from _helpers import (
     brute_fiber_singular_points,
     brute_solutions,
+    clear_caches,
     enumerate_plane_points,
     rand_homogeneous,
     rand_spec,
@@ -154,6 +156,7 @@ def test_smooth_verdicts_exact_on_f2_specs_with_closure_sample():
     assert checked == 25
 
 
+@pytest.mark.fresh_interpreter
 def test_certificates_are_threadsafe_and_deterministic():
     names = ["ex1", "ex3", "ex4", "ex5", "rem_double_line"]
 
@@ -164,9 +167,7 @@ def test_certificates_are_threadsafe_and_deterministic():
     serial = {name: run(name) for name in names}
     # the serial pass warmed the process-wide caches; clear them so the
     # threads fill them at the same time, then run a round that reads them
-    for cache in (amcert._singular_locus, amcert._meeting, amcert._meeting_orbits, amcert._claim,
-                  factor._abs_irred_bivariate):
-        cache.cache_clear()
+    clear_caches()
     rounds = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads interleave inside the cache fills

@@ -1,5 +1,5 @@
-"""The process-wide caches of amcert: each component's singular locus,
-each pair's meeting and its Frobenius orbits are solved once per process,
+"""The process-wide caches of amcert: each component's singular locus and
+each pair's meeting with its Frobenius orbits are solved once per process,
 and each claim of factors is multiplied, grouped and proved once; errors
 other than a pair's BezoutMismatch or CommonComponent are never kept, and
 certificates do not depend on what the caches hold.  Each point object is
@@ -28,17 +28,10 @@ from conic2.geom import BezoutMismatch, CommonComponent, ExtensionBound
 from conic2.gf2k import embed_bits, field_new
 from conic2.poly import NotDivisible, Poly, exact_div, partial_derivative, plane_poly, poly_parse
 
-from _helpers import moved_stream, rand_homogeneous, rand_spec
+from _helpers import clear_caches, moved_stream, rand_homogeneous, rand_spec
 
 D1 = plane_poly("x^3*z + y^4")
 D2 = plane_poly("x^3*y + z^4")
-
-
-def clear_curve_caches():
-    amcert._singular_locus.cache_clear()
-    amcert._meeting.cache_clear()
-    amcert._meeting_orbits.cache_clear()
-    amcert._claim.cache_clear()
 
 
 def _counting_solves(monkeypatch):
@@ -69,9 +62,10 @@ def _corpus():
     return out
 
 
+@pytest.mark.fresh_interpreter
 def test_search_solves_curve_geometry_once_per_process(monkeypatch):
     counts = _counting_solves(monkeypatch)
-    clear_curve_caches()
+    clear_caches()
     result = search_spieghiamolo(example81_template(), budget=56)
     assert len(result.hits) == 56
     assert counts == {"intersection_points": 1, "singular_points": 2}
@@ -90,7 +84,7 @@ def _certificates(specs, clear_each):
     texts = []
     for spec, claimed in specs:
         if clear_each:
-            clear_curve_caches()
+            clear_caches()
         texts.append(surface_criterion(spec, claimed).to_json())
     return texts
 
@@ -99,7 +93,7 @@ def _assert_cache_independent(specs):
     """Each spec certified from a cleared cache, then the whole list twice
     from one shared cache: a first pass that fills it and a warm pass."""
     cold = _certificates(specs, clear_each=True)
-    clear_curve_caches()
+    clear_caches()
     shared = _certificates(specs, clear_each=False)
     hits = amcert._singular_locus.cache_info().hits
     warm = _certificates(specs, clear_each=False)
@@ -107,12 +101,14 @@ def _assert_cache_independent(specs):
     assert cold == shared == warm
 
 
+@pytest.mark.fresh_interpreter
 def test_corpus_certificates_do_not_depend_on_the_cache():
     specs = [(spec, claimed) for _, spec, claimed in _corpus()]
     specs += [(spec, None) for spec, _ in specs]
     _assert_cache_independent(specs)
 
 
+@pytest.mark.fresh_interpreter
 @pytest.mark.parametrize("seed", ["21.0", "21.1"])
 def test_moved_certificates_do_not_depend_on_the_cache(seed):
     stream = moved_stream(seed)
@@ -120,9 +116,10 @@ def test_moved_certificates_do_not_depend_on_the_cache(seed):
     _assert_cache_independent(specs)
 
 
+@pytest.mark.fresh_interpreter
 def test_solver_errors_are_raised_again_and_not_kept(monkeypatch):
     counts = _counting_solves(monkeypatch)
-    clear_curve_caches()
+    clear_caches()
     # d1 and d2 meet in 16 points over F_16, and d1*d2 is singular there:
     # neither fits in F_4
     for _ in range(2):
@@ -139,19 +136,22 @@ def test_solver_errors_are_raised_again_and_not_kept(monkeypatch):
         surface_criterion(load_corpus_spec("ex1"), [D1, D2], k_max=2)
 
 
+@pytest.mark.fresh_interpreter
 def test_a_pairs_bezout_or_common_component_error_is_kept(monkeypatch):
     counts = _counting_solves(monkeypatch)
-    clear_curve_caches()
+    clear_caches()
     tangent = plane_poly("x*z + y^2")  # the line x is tangent to it at [0:0:1]
     line = plane_poly("x")
     for c1, c2, kind in ((line, tangent, BezoutMismatch), (D1, D1, CommonComponent)):
-        kept = amcert._meeting(c1, c2, 24)
-        assert isinstance(kept, kind)
+        met = amcert._meeting(c1, c2, 24)
+        kept, orbits = met
+        assert isinstance(kept, kind) and orbits == ()
         assert kept.__traceback__ is None and kept.__context__ is None
-        assert amcert._meeting(c1, c2, 24) is kept
+        assert amcert._meeting(c1, c2, 24) is met
     assert counts == {"intersection_points": 2}
 
 
+@pytest.mark.fresh_interpreter
 def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     rendered = []
     serialize = ProjPoint.serialize
@@ -165,7 +165,7 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     render = poly._render
     monkeypatch.setattr(ProjPoint, "serialize", counted)
     monkeypatch.setattr(poly, "_render", lambda f: printed.append(f) or render(f))
-    clear_curve_caches()
+    clear_caches()
     per_search = []
     for _ in range(2):
         before = len(rendered)
@@ -190,33 +190,37 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
 # -- a search candidate certifies only its own data ---------------------------------
 
 
+@pytest.mark.fresh_interpreter
 def test_search_certificates_do_not_depend_on_the_cache():
-    clear_curve_caches()
+    clear_caches()
     cold = [cert.to_json() for _, cert in search_spieghiamolo(example81_template(), budget=56).hits]
     warm = [cert.to_json() for _, cert in search_spieghiamolo(example81_template(), budget=56).hits]
     assert len(cold) == 56 and cold == warm
 
 
+@pytest.mark.fresh_interpreter
 def test_search_builds_the_claim_and_groups_the_meeting_once(monkeypatch):
-    built, proved, grouped = [], [], []
-    claim, prove, orbits = amcert._Claim, amcert.is_absolutely_irreducible, amcert.frobenius_orbits
-    monkeypatch.setattr(amcert, "_Claim", lambda ctx, claimed: built.append(claimed) or claim(ctx, claimed))
+    proved, grouped = [], []
+    prove, orbits = amcert.is_absolutely_irreducible, amcert.frobenius_orbits
     monkeypatch.setattr(amcert, "is_absolutely_irreducible", lambda f: proved.append(f) or prove(f))
     monkeypatch.setattr(amcert, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
-    clear_curve_caches()
+    clear_caches()
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    assert built == [(D1, D2)]
     assert sorted(proved, key=poly.poly_print) == sorted([D1, D2], key=poly.poly_print)
     # the 16 meeting points once; each candidate's two Sigma points for H5
     assert grouped.count(16) == 1 and grouped.count(2) == 56 and len(grouped) == 57
-    assert amcert._claim.cache_info().hits == 55
+    assert amcert._claim.cache_info().misses == 1 and amcert._claim.cache_info().hits == 55
+    # the claim is built once, and a second search rebuilds nothing
+    assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+    assert amcert._claim.cache_info().misses == 1 and len(proved) == 2
 
 
+@pytest.mark.fresh_interpreter
 def test_a_mismatched_claim_fails_before_any_factor_is_proved(monkeypatch):
     proved = []
     prove = amcert.is_absolutely_irreducible
     monkeypatch.setattr(amcert, "is_absolutely_irreducible", lambda f: proved.append(f) or prove(f))
-    clear_curve_caches()
+    clear_caches()
     ex1, ex3 = load_corpus_spec("ex1"), load_corpus_spec("ex3")
     for _ in range(2):  # D1^2 is reducible, and it is not Delta
         with pytest.raises(FactorizationMismatch):
@@ -231,6 +235,7 @@ def test_a_mismatched_claim_fails_before_any_factor_is_proved(monkeypatch):
         component_factorization(ex3, [D1, D2])
 
 
+@pytest.mark.fresh_interpreter
 def test_a_proof_error_is_raised_again_and_not_kept(monkeypatch):
     calls = []
     prove = amcert.is_absolutely_irreducible
@@ -242,7 +247,7 @@ def test_a_proof_error_is_raised_again_and_not_kept(monkeypatch):
         return prove(f)
 
     monkeypatch.setattr(amcert, "is_absolutely_irreducible", unlucky)
-    clear_curve_caches()
+    clear_caches()
     ex1 = load_corpus_spec("ex1")
     with pytest.raises(UnluckySpecializationExhausted):
         component_factorization(ex1, [D1, D2])
@@ -332,7 +337,7 @@ def _random_coords(rng, ctx):
             return coords
 
 
-@pytest.mark.parametrize("k", list(range(1, 13)) + [16])
+@pytest.mark.parametrize("k", list(range(1, 14)) + [16, 24])
 def test_log_domain_evaluation_agrees_with_products(k):
     ctx = field_new(k)
     assert (ctx.log_tables() is None) == (k > 12)
@@ -347,7 +352,7 @@ def test_log_domain_evaluation_agrees_with_products(k):
     assert zeros >= 5
 
 
-@pytest.mark.parametrize("k", list(range(1, 13)) + [16])
+@pytest.mark.parametrize("k", list(range(1, 14)) + [16, 24])
 def test_log_domain_section_jet_agrees_with_products(k):
     ctx = field_new(k)
     rng = random.Random(1850 + k)
@@ -370,6 +375,7 @@ def test_log_domain_section_jet_agrees_with_products(k):
     assert zeros >= 5
 
 
+@pytest.mark.fresh_interpreter
 def test_spec_is_validated_once_per_certification(monkeypatch):
     data = conic.spec_to_dict(load_corpus_spec("ex3"))
     checked = []

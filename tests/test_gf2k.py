@@ -1,10 +1,14 @@
 """Field layer: fixed moduli, exact arithmetic, Frobenius, embeddings."""
 
 import random
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conic2 import gf2k
 from conic2.gf2k import (
     _CTX_TOKEN,
     _MODULI,
@@ -284,14 +288,13 @@ def test_fields_above_the_table_cap_stay_serial(k):
     assert F._log is None and F._exp is None
 
 
-def test_tables_are_built_lazily_and_cover_the_group():
+def test_tables_are_built_with_the_context_and_cover_the_group():
     for k in range(1, 17):
-        F = FieldCtx(k, _CTX_TOKEN)  # construction ran Rabin's test
-        assert F._log is None and F._exp is None, k
-        F.mul(1, 1)
+        F = FieldCtx(k, _CTX_TOKEN)  # construction ran Rabin's test, then built the tables
         if k > _TABLE_MAX_K:
-            assert F._log is None, k
+            assert F._log is None and F._exp is None and F.log_tables() is None, k
             continue
+        assert F.log_tables() == (F._log, F._exp), k
         n = F.q - 1
         assert len(F._exp) == 2 * n and F._exp[:n] == F._exp[n:], k
         assert sorted(F._exp[:n]) == list(range(1, F.q)), k
@@ -305,10 +308,32 @@ def test_reducible_modulus_raises_instead_of_hanging(monkeypatch):
     with pytest.raises(AssertionError):
         FieldCtx(4, _CTX_TOKEN)
     # the table build checks that one power cycle covers F_q^*, so a
-    # modulus that slipped past construction raises too
+    # modulus that slipped past Rabin's test raises too
     F = FieldCtx(5, _CTX_TOKEN)
     F.modulus = 0b100001  # t^5 + 1 = (t + 1)(t^4 + t^3 + t^2 + t + 1)
     with pytest.raises(AssertionError):
-        F.mul(2, 3)
-    assert F._log is None
+        F._tables()
     assert time.perf_counter() - t0 < 5
+
+
+def test_field_new_interns_one_context_per_degree_under_threads(monkeypatch):
+    # every thread asks for each fresh k at once, so the lookups and the
+    # stores interleave; all must get the one context that was kept
+    ks = range(13, 65)  # no tables, so each context is cheap to build
+
+    def run(start):
+        start.wait()
+        return [field_new(k) for k in ks]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(gf2k, "_CTX_CACHE", {})
+            start = threading.Barrier(4)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(run, [start] * 4, timeout=60))
+            for i, k in enumerate(ks):
+                assert {id(ctxs[i]) for ctxs in got} == {id(gf2k._CTX_CACHE[k])}, k
+    finally:
+        sys.setswitchinterval(switch)
