@@ -1,7 +1,7 @@
 """The elementary transformation and the guided example search.
 
-Run with:  python demos/04_search_and_transform.py          (a few seconds)
-           python demos/04_search_and_transform.py --full   (~30 s, exhaustive)
+Run with:  python demos/04_search_and_transform.py          (under a second)
+           python demos/04_search_and_transform.py --full   (~2 s, exhaustive)
 """
 
 import sys

@@ -23,9 +23,10 @@ Curve geometry and the facts of a claim of factors are settled once per
 process, in bounded caches every call shares; certificates do not depend
 on what they hold.  Sigma is solved once per certificate: flatness and
 each component's meeting with Sigma contain Sigma's equations, so they are
-read off Sigma's points.  Each point fact is read off one section jet per
-point per certificate.  Polynomials and points keep their printed text, so
-each is rendered once per process.
+read off Sigma's points.  A search whose template fixes Sigma solves it
+once and reads each candidate's Sigma off it.  Each point fact is read off
+one section jet per point per certificate.  Polynomials and points keep
+their printed text, so each is rendered once per process.
 """
 
 from __future__ import annotations
@@ -793,6 +794,31 @@ class SearchResult:
     exhausted_budget: bool
 
 
+def _shared_sigma_system(template: SearchTemplate) -> list[Poly] | None:
+    """Equations whose zeros are every candidate's Sigma, or None when Sigma
+    depends on the candidate.
+
+    The determined entry must be diagonal.  A diagonal free entry leaves the
+    fixed off-diagonals as Sigma's equations.  A free off-diagonal entry is
+    residue + modulus * q: where a nonzero fixed off-diagonal section divides
+    the modulus, the modulus vanishes on Sigma, so there the free entry is
+    the residue, whatever q is.
+    """
+    if template.quotient_key in OFF_DIAGONAL:
+        return None
+    fixed = [template.fixed[k] for k in OFF_DIAGONAL
+             if k in template.fixed and not template.fixed[k].is_zero()]
+    if template.free_key not in OFF_DIAGONAL:
+        return fixed
+    for s in fixed:
+        try:
+            exact_div(template.congruence_modulus, s)
+        except NotDivisible:
+            continue
+        return fixed + [template.congruence_residue]
+    return None
+
+
 def search_spieghiamolo(
     template: SearchTemplate,
     budget: int = 2048,
@@ -803,11 +829,16 @@ def search_spieghiamolo(
     Filters run in the remark's order: the congruence is built into the
     enumeration, then the divisibility filter extracts the determined entry,
     then the double-line locus must be exactly the expected points; whatever
-    survives must pass the full surface criterion to count as a hit.  The
-    criterion takes the Sigma the filter solved; the candidates share the
-    target components, whose curve geometry comes from the process-wide
-    curve caches.  Exhausting the budget is legal and returns the partial
-    list.
+    survives must pass the full surface criterion to count as a hit.  When
+    the template forces every candidate's Sigma to be one set (see
+    ``_shared_sigma_system``; in the zero-corner family ab = x divides the
+    modulus x, so bc = y^2 z^2 on Sigma), that set is solved once, at the
+    first candidate past the divisibility filter, and each candidate's Sigma
+    is read off its points; a positive-dimensional one skips every
+    candidate.  The criterion takes the Sigma the filter solved; the
+    candidates share the target components, whose curve geometry comes from
+    the process-wide curve caches.  Exhausting the budget is legal and
+    returns the partial list.
     """
     ctx = template.congruence_residue.ctx
     target = Poly.const(ctx, BASE_VARS, 1)
@@ -815,6 +846,9 @@ def search_spieghiamolo(
         target = target * c
     free_residual_degree = template.free_degree - template.congruence_modulus.total_degree()
     monos = list(plane_monomials(free_residual_degree))
+    expected = sorted(p.sort_key() for p in template.sigma_expected)
+    sigma_system = _shared_sigma_system(template)
+    shared = None  # the shared Sigma once solved, False if it is infinite
     hits = []
     tried = 0
     exhausted = False
@@ -832,6 +866,13 @@ def search_spieghiamolo(
                 gamma = exact_div(target + beta * beta, template.quotient_divisor)
             except NotDivisible:
                 continue
+            if sigma_system is not None and shared is None:
+                try:
+                    shared = solve_system(sigma_system, k_max)
+                except PositiveDimensional:
+                    shared = False
+            if shared is False:
+                continue
             sections = dict(template.fixed)
             sections[template.free_key] = beta
             sections[template.quotient_key] = gamma
@@ -841,12 +882,10 @@ def search_spieghiamolo(
             # Sigma condition: the off-diagonals vanish exactly at the expected points
             off = [s for s in sigma_generators(spec) if not s.is_zero()]
             try:
-                sig = solve_system(off, k_max)
+                sig = solve_system(off, k_max, within=shared)
             except PositiveDimensional:
                 continue
-            if sorted(p.sort_key() for p in sig.points) != sorted(
-                p.sort_key() for p in template.sigma_expected
-            ):
+            if sorted(p.sort_key() for p in sig.points) != expected:
                 continue
             cert = _certify(
                 spec, list(template.target_components), k_max,

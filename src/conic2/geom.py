@@ -323,8 +323,9 @@ def solve_system(
     this proof fails is the gcd of the inputs computed; a nonconstant gcd
     raises PositiveDimensional, before any ExtensionBound.
 
-    ``within`` is this function's result for a subsystem, solved with the same
-    k_max, so every zero is one of its points: the points of ``within`` at
+    ``within`` is a set this function solved, with the same k_max, that
+    contains every zero of the system: the solve of a subsystem, or of an
+    equivalent system (one with the same zeros).  The points of ``within`` at
     which every input vanishes are returned, in its order, with its closure
     as their certificate.  A kept point written over F_{2^K} whose
     coordinates all lie in a proper subfield containing F_q would be written

@@ -176,10 +176,11 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     assert len({id(p) for p in rendered}) == len(rendered)
     assert len({id(f) for f in printed}) == len(printed) > 0
     # 1557 serializations when each point was serialized once per
-    # certificate.  Per candidate, its two Sigma points and the 16 fiber
-    # singular points of its nodes are new; the 18 points of the curve caches
-    # are rendered in the first search only
-    assert per_search == [56 * 18 + 18, 56 * 18]
+    # certificate.  Per candidate, the 16 fiber singular points of its nodes
+    # are new; the two points of the Sigma the candidates share are new once
+    # per search; the 18 points of the curve caches are rendered in the
+    # first search only
+    assert per_search == [56 * 16 + 2 + 18, 56 * 16 + 2]
 
     p = rendered[0]
     text = p.serialize()

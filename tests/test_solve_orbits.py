@@ -5,11 +5,14 @@ which finds every root of every direction factor in the final field.  The
 one-root solver must give the same points, fields, order and closure.  A
 finite Sigma's direction forms must give the same component-meets-Sigma
 points as a fresh solve, and so must a solve confined to Sigma, which reads
-its points off Sigma's: same fields, coordinates and order.
+its points off Sigma's: same fields, coordinates and order.  The Sigma a
+search's candidates share must give each candidate's Sigma as its own solve
+does, and be solved once per search.
 ``geom.frobenius_orbits`` must partition a solved set into whole Frobenius
 orbits.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -28,6 +31,7 @@ from conic2.geom import (
     _resultant_forms,
     _z_gcd,
     frobenius_orbits,
+    plane_monomials,
     solve_system,
 )
 from conic2.gf2k import embed_bits, field_new
@@ -323,9 +327,95 @@ def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
         surface_criterion(spec, claimed or None)
     assert counts == {"confined": 15, "fallbacks": 0}
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    # the two components' meetings with Sigma, per candidate (its constant
-    # section aa makes the bundle flat without a solve)
-    assert counts == {"confined": 15 + 56 * 2, "fallbacks": 0}
+    # per candidate, its Sigma, read off the Sigma the candidates share, and
+    # the two components' meetings with Sigma (its constant section aa makes
+    # the bundle flat without a solve)
+    assert counts == {"confined": 15 + 56 * 3, "fallbacks": 0}
+
+
+# -- one Sigma per search -------------------------------------------------------------
+
+
+def _amcert_solves(monkeypatch):
+    """Record each solve amcert makes: True when it is not confined to a
+    solved set."""
+    calls = []
+    solve = amcert.solve_system
+
+    def counted(polys, k_max=24, within=None):
+        calls.append(within is None)
+        return solve(polys, k_max, within)
+
+    monkeypatch.setattr(amcert, "solve_system", counted)
+    return calls
+
+
+def test_sigma_is_shared_only_when_the_template_fixes_it():
+    template = example81_template()
+    x, residue = template.fixed["ab"], template.congruence_residue
+    # ab = x divides the modulus x, so bc is the residue on Sigma
+    assert amcert._shared_sigma_system(template) == [x, residue]
+    # a diagonal free entry leaves the fixed off-diagonals
+    fixed = {"aa": template.fixed["aa"], "ab": x, "ac": plane_poly("0"), "bc": residue}
+    diagonal = dataclasses.replace(template, fixed=fixed, free_key="bb")
+    assert amcert._shared_sigma_system(diagonal) == [x, residue]
+    # an off-diagonal determined entry varies Sigma with the candidate
+    fixed = {**template.fixed, "cc": plane_poly("z^6")}
+    assert amcert._shared_sigma_system(dataclasses.replace(diagonal, fixed=fixed, quotient_key="bc")) is None
+    assert amcert._shared_sigma_system(dataclasses.replace(template, fixed=fixed, quotient_key="ac")) is None
+
+
+def test_the_shared_sigma_gives_each_zero_corner_candidate_its_own_sigma():
+    template = example81_template()
+    shared = solve_system(amcert._shared_sigma_system(template))
+    monos = list(plane_monomials(template.free_degree - 1))
+    assert len(monos) == 10
+    ab = template.fixed["ab"]
+    for bits in range(1 << len(monos)):
+        q = Poly.from_terms(F2, BASE_VARS, [(m, 1) for i, m in enumerate(monos) if bits >> i & 1])
+        off = [ab, template.congruence_residue + template.congruence_modulus * q]
+        confined, fresh = solve_system(off, within=shared), solve_system(off)
+        assert confined.serialize() == fresh.serialize()
+        assert confined.directions == fresh.directions
+
+
+def test_a_zero_corner_search_solves_sigma_once(monkeypatch):
+    calls = _amcert_solves(monkeypatch)
+    assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+    # the shared Sigma first; then, per candidate, its Sigma and the two
+    # components' meetings with it, each read off the shared points
+    assert calls == [True] + [False] * (56 * 3)
+
+
+def test_a_template_whose_fixed_sections_miss_the_modulus_solves_each_sigma(monkeypatch):
+    # ab = y does not divide the modulus x, so bc on Sigma, and Sigma, vary
+    # with the candidate
+    template = example81_template()
+    template = dataclasses.replace(template, fixed={**template.fixed, "ab": plane_poly("y")})
+    assert amcert._shared_sigma_system(template) is None
+    calls = _amcert_solves(monkeypatch)
+    assert search_spieghiamolo(template, budget=56).hits == []
+    assert calls == [True] * 56
+
+
+def test_an_infinite_shared_sigma_is_solved_once_and_skips_every_candidate(monkeypatch):
+    # bc = x*y^3 + x*q: Sigma is the line x = 0 for every candidate
+    template = dataclasses.replace(
+        example81_template(), congruence_residue=plane_poly("x*y^3"), quotient_divisor=plane_poly("1")
+    )
+    calls = _amcert_solves(monkeypatch)
+    result = search_spieghiamolo(template, budget=56)
+    assert result.hits == [] and result.tried == 56 and result.exhausted_budget
+    assert calls == [True]
+
+
+def test_a_search_with_no_candidate_past_the_divisibility_filter_solves_nothing(monkeypatch):
+    d1 = plane_poly("x^3*z + y^4")
+    template = dataclasses.replace(example81_template(), target_components=(d1, d1))
+    calls = _amcert_solves(monkeypatch)
+    result = search_spieghiamolo(template, budget=2048)
+    assert result.hits == [] and not result.exhausted_budget
+    assert calls == []
 
 
 # -- Frobenius orbits of a solved set ----------------------------------------------------
