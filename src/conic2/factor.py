@@ -4,25 +4,29 @@ Univariate factorization is the squarefree / distinct-degree / equal-degree
 chain from :mod:`conic2._dense`.  Bivariate factorization specializes the
 co-variable at a point keeping the leading coefficient nonzero and the
 specialized polynomial squarefree (extending the field when the base is too
-small), Hensel-lifts the univariate factors to precision beyond twice the
+small), Hensel-lifts the univariate factors to precision two beyond the
 co-variable degree, recombines factor subsets by exact division, and merges
 factors found over an auxiliary extension along Frobenius orbits back to the
-coefficient field.
+coefficient field.  Before that, a polynomial primitive in both variables
+is squarefree when some such specialization over its own field is: a
+repeated factor keeps its degree in the main variable there, so it stays
+repeated.  Only when the first few values give none is its gcd with a
+derivative computed.
 
 Recombination is degree-bounded (von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 15).  For a true factor g of what remains, h, the lifted
 product of g's local factors times lc(h) is lc(h / g) g, whose co-variable
-degree is at most that of h and below the precision.  A candidate that
+degree is at most that of h and so below the precision.  A candidate that
 divides h is such a product, since its content is a unit at the
 specialization point.  So a subset whose truncated product times lc(h) has a
 column of larger degree is skipped before it is shifted back and divided,
-and the same factors come out in the same order.  A subset gives a factor
-exactly when its complement does, so subsets of at most half the remaining
-local factors are tried.
+and the same factors come out in the same order; the one digit of precision
+beyond the degree bound is what lets that filter see a false subset.  A
+subset gives a factor exactly when its complement does, so subsets of at
+most half the remaining local factors are tried.
 
-The bivariate gcd is the primitive part of the last member of the
-subresultant sequence of :func:`conic2._dense.subresultants`, times the gcd
-of the contents.
+The bivariate gcd is :func:`conic2._dense.col_gcd`: the primitive part of
+the last member of the subresultant sequence, times the gcd of the contents.
 
 Hensel lifting keeps each lifted factor, and the prefix products of the
 factors, as co-variable-adic digits, so each step computes one new digit of
@@ -76,6 +80,7 @@ class UnluckySpecializationExhausted(RuntimeError):
 
 
 _SPECIALIZATION_BUDGET = 4096
+_SQUAREFREE_PROBES = 16  # values r that _split_bivariate tries before a gcd
 
 
 # -- canonical ordering --------------------------------------------------------
@@ -148,9 +153,7 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
     if len(active) > 2:
         raise ValueError(f"gcd_bivariate got more than two variables: {active}")
     xn, yn = active
-    (ca, a), (cb, b) = (_dense.col_primitive(ctx, to_columns(h, xn, yn)) for h in (f, g))
-    _, last = _dense.col_primitive(ctx, _dense.subresultants(ctx, a, b)[-1])
-    last = _dense.col_scale(ctx, last, _dense.gcd(ctx, ca, cb))
+    last = _dense.col_gcd(ctx, to_columns(f, xn, yn), to_columns(g, xn, yn))
     return from_columns(ctx, f.vars, last, xn, yn).monic()
 
 
@@ -191,15 +194,22 @@ def gcd_homogeneous_many(polys: list[Poly]) -> Poly:
 # -- bivariate factorization ----------------------------------------------------
 
 
-def _dense_is_squarefree(ctx, u) -> bool:
-    du = _dense.deriv(u)
-    if not du:
-        return _dense.deg(u) == 0
-    return _dense.deg(_dense.gcd(ctx, u, du)) == 0
+def _specialize(ctx, cols, values):
+    """(r, u) for the first r among values with lc(r) != 0 and u, the column
+    polynomial cols evaluated at r, squarefree; None if there is none."""
+    lead = cols[-1]
+    for r in values:
+        if _dense.eval_at(ctx, lead, r) == 0:
+            continue
+        u = _dense.trim([_dense.eval_at(ctx, c, r) for c in cols])
+        if _dense.is_squarefree(ctx, u):
+            return r, u
+    return None
 
 
 def _find_specialization(f: Poly, xn: str, yn: str):
-    """(field, embedded poly, r) with lc_x(f)(r) != 0 and f(x, r) squarefree."""
+    """(field, embedded poly, columns, r, f(x, r)) with lc_x(f)(r) != 0 and
+    f(x, r) squarefree, over the smallest field that has such an r."""
     ctx = f.ctx
     tried = 0
     ext = 1
@@ -207,18 +217,15 @@ def _find_specialization(f: Poly, xn: str, yn: str):
         ctx_e = field_new(ctx.k * ext)
         fe = f.embed_to(ctx_e)
         cols = to_columns(fe, xn, yn)
-        lead = cols[-1]
-        for r in range(ctx_e.q):
-            tried += 1
-            if tried > _SPECIALIZATION_BUDGET:
-                raise UnluckySpecializationExhausted(
-                    f"no good specialization of {yn} within {_SPECIALIZATION_BUDGET} tries"
-                )
-            if _dense.eval_at(ctx_e, lead, r) == 0:
-                continue
-            u = _dense.trim([_dense.eval_at(ctx_e, c, r) for c in cols])
-            if _dense_is_squarefree(ctx_e, u):
-                return ctx_e, fe, cols, r, u
+        n = min(ctx_e.q, _SPECIALIZATION_BUDGET - tried)
+        found = _specialize(ctx_e, cols, range(n))
+        if found is not None:
+            return (ctx_e, fe, cols, *found)
+        if n < ctx_e.q:
+            raise UnluckySpecializationExhausted(
+                f"no good specialization of {yn} within {_SPECIALIZATION_BUDGET} tries"
+            )
+        tried += n
         ext += 1
     raise UnluckySpecializationExhausted("field tower exhausted while specializing")
 
@@ -286,15 +293,16 @@ def _hensel_lift(ctx, f_monic_cols, base_factors, prec: int):
     ]
 
 
-def _factor_squarefree_primitive(f: Poly, xn: str, yn: str) -> list[Poly]:
-    """Irreducible factors of f: squarefree, primitive in xn, specializing yn."""
+def _factor_squarefree_primitive(f: Poly, xn: str, yn: str, spec=None) -> list[Poly]:
+    """Irreducible factors of f: squarefree, primitive in xn, specializing yn
+    at spec, a result of _find_specialization, or at the one it finds."""
     ctx = f.ctx
-    ctx_e, fe, cols, r, u = _find_specialization(f, xn, yn)
+    ctx_e, fe, cols, r, u = spec or _find_specialization(f, xn, yn)
     lc_u, base = _dense.factor(ctx_e, u)
     base_factors = [g for g, _ in base]
     if len(base_factors) == 1:
         return [f.monic()]
-    prec = 2 * fe.degree_in(yn) + 1
+    prec = fe.degree_in(yn) + 2
 
     def shift(c):
         # y -> y + r; its own inverse in characteristic 2, the identity for r = 0
@@ -420,13 +428,20 @@ def _split_bivariate(f: Poly, xn: str, yn: str, mult: int, acc: dict) -> None:
         _split_bivariate(poly_sqrt(f).monic(), xn, yn, 2 * mult, acc)
         return
     fx = partial_derivative(f, xn)
-    main, co, d = (xn, yn, fx) if not fx.is_zero() else (yn, xn, partial_derivative(f, yn))
-    g = gcd_bivariate(f, d)
-    if not g.is_constant():
-        _split_bivariate(g, xn, yn, mult, acc)
-        _split_bivariate(exact_div(f, g).monic(), xn, yn, mult, acc)
-        return
-    for irr in _factor_squarefree_primitive(f, main, co):
+    main, co = (xn, yn) if not fx.is_zero() else (yn, xn)
+    # f is primitive in both variables, so a squarefree f(main, r) of full
+    # degree proves f squarefree: a repeated factor would stay repeated in it
+    cols = to_columns(f, main, co)
+    probes = min(f.ctx.q, _SQUAREFREE_PROBES, _SPECIALIZATION_BUDGET)
+    found = _specialize(f.ctx, cols, range(probes))
+    if found is None:
+        g = gcd_bivariate(f, fx if main == xn else partial_derivative(f, yn))
+        if not g.is_constant():
+            _split_bivariate(g, xn, yn, mult, acc)
+            _split_bivariate(exact_div(f, g).monic(), xn, yn, mult, acc)
+            return
+    spec = None if found is None else (f.ctx, f, cols, *found)
+    for irr in _factor_squarefree_primitive(f, main, co, spec):
         acc[irr] = acc.get(irr, 0) + mult
 
 

@@ -408,11 +408,16 @@ def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPoi
         h = _z_gcd(nonzero, x0, y0, dir_field)
         if _dense.deg(h) < 1:
             continue
-        _, hfac = _dense.factor(dir_field, h)
+        # the degrees of h's distinct irreducible factors: a distinct-degree
+        # part of degree n holds n / e factors of degree e
+        parts = [
+            part
+            for g, _m in _dense.squarefree_decomposition(dir_field, h)
+            for part in _dense.distinct_degree(dir_field, g)
+        ]
         e_star = 1
-        for coeffs, _m in hfac:
-            e = _dense.deg(coeffs)
-            degrees.append(e)
+        for coeffs, e in parts:
+            degrees += [e] * (_dense.deg(coeffs) // e)
             e_star = math.lcm(e_star, e)
         K = ctx.k * d * e_star
         if K > bound:
@@ -420,11 +425,13 @@ def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPoi
                 f"a z-root over the degree-{d} direction needs F_{{2^{K}}} > bound {bound}"
             )
         final = field_new(K)
-        if final is not dir_field:  # embeddings do not compose: no tower, root again
+        if e_star == 1:  # final is dir_field, and every part is a product of linear factors
+            zs = [z for coeffs, _ in parts for z in _dense.split_roots(final, coeffs)]
+        else:  # embeddings do not compose: no tower, root again
             x0, y0 = _direction_root(form, final)
-            h = _z_gcd(nonzero, x0, y0, final)
+            zs = _dense.roots(final, _z_gcd(nonzero, x0, y0, final))
         dirs.append(form)
-        for z0 in _dense.roots(final, h):
+        for z0 in zs:
             p = ProjPoint(final, (x0, y0, z0))
             for _ in range(d):  # the d conjugate directions
                 points.append(p)

@@ -624,7 +624,7 @@ def resultant(f: Poly, g: Poly, name: str) -> Poly:
         cols = [to_columns(h, name, others[0]) for h in pair]
     else:
         cols = [[[c] if c else [] for c in to_dense(h, name)] for h in pair]
-    last = _dense.subresultants(ctx, *cols)[-1]
+    last = _dense.last_subresultant(ctx, *cols)
     r = last[0] if len(last) == 1 else []
     if not others:
         return Poly.const(ctx, f.vars, r[0] if r else 0)

@@ -172,6 +172,28 @@ def brute_small_field_points(curve, bound):
         e += 1
 
 
+def naive_mul(ctx, a, b):
+    """Schoolbook product of coefficient lists, one field product per pair."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= ctx.mul(x, y)
+    return _dense.trim(out)
+
+
+def naive_divmod(ctx, a, b):
+    """Long division of coefficient lists, one quotient coefficient per step."""
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = ctx.inv(b[-1])
+    for i in range(len(q) - 1, -1, -1):
+        c = ctx.mul(r[i + len(b) - 1], inv)
+        q[i] = c
+        for j, y in enumerate(b):
+            r[i + j] ^= ctx.mul(c, y)
+    return _dense.trim(q), _dense.trim(r)
+
+
 def is_irreducible(ctx, f):
     """Rabin's irreducibility criterion over F_{2^k}, for dense f."""
     f = _dense.trim(list(f))

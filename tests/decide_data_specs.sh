@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Decide every spec in tests/data with `conic2 verify`, each within 60 s, and
 # check its exit code against the table below.  A spec missing from the
-# table fails the run, so a new spec must come with its expected code.
+# table fails the run, so a new spec must come with its expected code.  Each
+# line also gives the spec's wall time, so a log shows the cold path's speed.
 # Run from the root of a checkout:
 #     bash tests/decide_data_specs.sh
 # It uses the conic2 command where one is installed, and otherwise runs the
@@ -26,8 +27,10 @@ for path in tests/data/*.json; do
     echo "$name: no expected exit code in this table"; status=1; continue
   fi
   code=0
+  start=${EPOCHREALTIME/[.,]/}  # microseconds
   timeout 60 "${conic2[@]}" verify --spec "$path" > /dev/null || code=$?
-  echo "$name: exit $code, expected ${want[$name]}"
+  ms=$(( (${EPOCHREALTIME/[.,]/} - start) / 1000 ))
+  printf '%s: exit %s, expected %s, %d.%03d s\n' "$name" "$code" "${want[$name]}" $((ms / 1000)) $((ms % 1000))
   [ "$code" -eq "${want[$name]}" ] || status=1
 done
 exit $status

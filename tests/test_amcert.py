@@ -342,6 +342,9 @@ def delta20_spec() -> ConicBundleSpec:
     return ConicBundleSpec(F2, dv, 0, sections)
 
 
+DELTA20_CERT_SHA256 = "9ac8a99c6d7f1625ef3630b91505704a062feb1805e5a40ead6da72c757cd231"
+
+
 def test_degree_20_spec_is_decided():
     spec = delta20_spec()
     assert spec_to_dict(spec) == json.loads(DELTA20.read_text())
@@ -354,6 +357,7 @@ def test_degree_20_spec_is_decided():
     assert cert.discriminant["degree"] == 20
     assert [f["multiplicity"] for f in cert.discriminant["factors"]] == [1]
     assert len(cert.components) == 1
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == DELTA20_CERT_SHA256
 
 
 def test_certificate_serializes_to_json(tmp_path):

@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
+
 from conic2 import _dense as d
 from conic2.gf2k import field_new
 
-from _helpers import is_irreducible
+from _helpers import is_irreducible, naive_divmod, naive_mul
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -167,3 +169,83 @@ def test_the_generator_is_seeded_at_its_first_draw_with_the_same_draws(monkeypat
     assert d.factor(F2, d.mul(F2, [0, 1], d.mul(F2, [1, 1], [1, 1, 1])))[1] == [
         ([0, 1], 1), ([1, 1], 1), ([1, 1, 1], 1)]
     assert seeded == [0x5EED]
+
+
+def test_high_degree_mul_and_divmod_match_the_schoolbook():
+    rng = random.Random(28)
+    for ctx in (F2, F4):
+        for _ in range(6):
+            a = rand_coeffs(rng, ctx, rng.randint(100, 300))
+            b = rand_coeffs(rng, ctx, rng.randint(100, 300))
+            assert d.mul(ctx, a, b) == naive_mul(ctx, a, b)
+            if b:
+                big = d.add(d.mul(ctx, a, b), rand_coeffs(rng, ctx, 99))
+                assert d.divmod_(ctx, big, b) == naive_divmod(ctx, big, b)
+                assert d.divmod_(ctx, a, b) == naive_divmod(ctx, a, b)
+
+
+def test_f2_factor_matches_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(29)
+    for n in range(1, 41):
+        for _ in range(3):
+            f = [rng.randrange(2) for _ in range(n)] + [1]
+            lc, fac = d.factor(F2, f)
+            want_lc, want = galoistools.gf_factor([ZZ(c) for c in reversed(f)], 2, ZZ)
+            assert lc == want_lc == 1
+            assert sorted((tuple(g), m) for g, m in fac) == sorted(
+                (tuple(int(c) for c in reversed(g)), m) for g, m in want), f
+
+
+class _RecordedDraws(d._SeededDraws):
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def randrange(self, n):
+        self.seen.append((n, super().randrange(n)))
+        return self.seen[-1][1]
+
+
+def test_packed_and_list_rings_agree_over_f2():
+    """The F_2 algorithms give the same results on packed ints as on lists,
+    and the equal-degree split draws the same randrange(2) sequence."""
+    packed, lists = d._ring(F2), d._Lists(F2)
+    assert isinstance(packed, d._Packed)
+    rng = random.Random(30)
+    for _ in range(150):
+        f = rand_coeffs(rng, F2, 40)
+        if d.deg(f) < 1:
+            continue
+        g = rand_coeffs(rng, F2, 12) or [1]
+        out = []
+        for R in (packed, lists):
+            pf, pg = R.pack(f), R.pack(g)
+            lc, fac = R.factor(pf)
+            sqf = [(R.unpack(h), m) for h, m in R.squarefree(pf)]
+            out.append((
+                lc, sorted((R.unpack(h), m) for h, m in fac), sqf,
+                [(R.unpack(h), e) for h, m in R.squarefree(pf) for h, e in R.distinct_degree(h)],
+                R.roots(pf), R.is_squarefree(pf), R.unpack(R.gcd(pf, pg)),
+                R.unpack(R.compose(pf, pg)), R.unpack(R.deriv(pf)),
+            ))
+        assert out[0] == out[1], f
+    for deg_each, count in ((1, 2), (3, 2), (4, 3), (5, 4)):
+        irrs = set()
+        while len(irrs) < count:
+            h = [rng.randrange(2) for _ in range(deg_each)] + [1]
+            if is_irreducible(F2, h):
+                irrs.add(tuple(h))
+        prod = [1]
+        for h in irrs:
+            prod = d.mul(F2, prod, list(h))
+        runs = []
+        for R in (packed, lists):
+            draws = _RecordedDraws()
+            split = sorted(R.unpack(h) for h in R.equal_degree(R.pack(prod), deg_each, draws))
+            runs.append((split, draws.seen))
+        assert runs[0] == runs[1] and runs[0][0] == sorted(map(list, irrs))

@@ -406,6 +406,31 @@ def test_resultant_and_gcd_match_sympy_over_f2():
     assert checked >= 60
 
 
+def test_resultants_of_f2_curves_of_degree_6_to_10_match_sympy():
+    """Plane curves over F_2 of degree 6 to 10, each monomial kept with
+    probability 1/2 and the pure z-power kept always, so z keeps its degree
+    on the chart y = 1: Res_z of the forms, read on that chart, is sympy's
+    Res_z of the affine curves in (x, z)."""
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+    rng = random.Random(45)
+
+    def curve(d):
+        monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        return Poly.from_terms(F2, V, [(m, 1) for m in monos if m[2] == d or rng.random() < 0.5])
+
+    def affine(p):  # f(x, 1, z) as a sympy expression
+        return sum(x ** i * z ** k for (i, k), _ in dehomogenize(p, "y").items())
+
+    for d in range(6, 11):
+        f, g = curve(d), curve(d)
+        res = resultant(f, g, "z")
+        assert is_homogeneous(res) == d * d
+        want = sympy.Poly(sympy.resultant(affine(f), affine(g), z, x, modulus=2), x, modulus=2)
+        got = dehomogenize(res, "y")  # in (x, z)
+        assert got == Poly.from_terms(F2, got.vars, [((e, 0), int(c) % 2) for (e,), c in want.terms()]), d
+
+
 @pytest.mark.parametrize("ctx", [F4, F16], ids=["F4", "F16"])
 def test_column_view_round_trip(ctx):
     rng = random.Random(50 + ctx.k)
