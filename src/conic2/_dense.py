@@ -1,11 +1,20 @@
-"""Dense univariate polynomial arithmetic over F_{2^k}.
+"""Dense arithmetic on F[t] and on column polynomials over F_{2^k}.
+
+This module is the only one that does arithmetic on univariate polynomials
+and on column polynomials; :mod:`conic2.factor` and :mod:`conic2.poly` work
+on :class:`~conic2.poly.Poly` and call it.  Of factorization it owns
+univariate factorization, the search for a squarefree specialization at the
+values it is given, Hensel lifting and the construction of each
+recombination candidate; :mod:`conic2.factor` chooses the field and the
+precision, enumerates the subsets, divides exactly and merges Frobenius
+orbits.
 
 At its public functions a polynomial is a Python list of raw element bits,
 index = exponent, with no trailing zeros (the zero polynomial is the empty
 list).  The field is passed in as a context object exposing the raw int
 operations ``mul``, ``inv``, ``sqrt``, ``pow`` and the attributes ``k``, ``q``
 (addition is xor).  This module has no package dependencies so the field
-layer can use its root finder for embeddings.
+layer can use it to check its moduli and to find embeddings.
 
 Inside, the context's ring (:func:`_ring`) chooses one of two
 representations from ``ctx.k``.  Over F_2 a polynomial is packed into a
@@ -16,8 +25,8 @@ Zimmermann, "Faster multiplication in GF(2)[x]", ANTS-VIII, 2008).  Over
 F_{2^k}, k > 1, it stays a coefficient list (:class:`_Lists`).  Each
 algorithm is written once, as a method of :class:`_Ring`, against the
 primitive operations the two representations supply.  A public function
-packs its input once, runs the whole algorithm, a factorization or a
-subresultant sequence, in the ring, and unpacks its output once.  Packing
+packs its input once, runs the whole algorithm, a factorization, a lift or
+a subresultant sequence, in the ring, and unpacks its output once.  Packing
 each primitive call instead does not pay: most operands have degree below 8,
 where converting costs as much as the list loop it replaces.
 
@@ -31,10 +40,29 @@ representations draw the same sequence.
 
 A column polynomial is a polynomial in z over F[t], stored as the list over
 the z-exponent of dense t-polynomials ("columns"), with no trailing zero
-column.  Its arithmetic (``col_*``) and :func:`subresultants` are the one
-bivariate elimination engine: the subresultant sequence (Collins 1967;
-Brown & Traub 1971) ends in the subresultant of least degree, which is the
-resultant when the inputs are coprime and a multiple of their gcd otherwise.
+column.  Bivariate elimination has one engine, the subresultant sequence
+(``col_*`` and :meth:`_Ring.subresultants`; Collins 1967, Brown & Traub
+1971).  It ends in the subresultant of least degree, which is the resultant
+when the inputs are coprime and a multiple of their gcd otherwise:
+:func:`last_subresultant` is what ``poly.resultant`` reads, and
+:func:`col_gcd`, the primitive part of that member times the gcd of the
+contents, is ``factor.gcd_bivariate``.
+
+Hensel lifting (:func:`hensel_lift`) shifts t to t + r, so that the
+specialization point is 0, makes the column polynomial monic by a power
+series inverse of its leading column, and lifts the factors of its
+specialization digit by digit in t.  Each lifted factor and each prefix
+product of the factors is kept as its t-adic digits, so each step computes
+one new digit of the product instead of the whole truncated product.
+
+A recombination candidate (:func:`recombination_candidate`) is the
+truncated product of a subset of the lifted factors times the shifted
+leading coefficient of what remains, h.  For a true factor g of h, that is
+lc(h / g) g, whose co-variable degree is at most that of h and so below the
+precision; a product with a column of larger degree is refused before it is
+shifted back and made primitive (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 15).  The one digit of precision beyond the degree bound is
+what lets that filter see a false subset.
 """
 
 from __future__ import annotations
@@ -57,37 +85,12 @@ def deg(c: Coeffs) -> int:
     return len(c) - 1
 
 
-def add(a: Coeffs, b: Coeffs) -> Coeffs:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] ^= x
-    return trim(out)
-
-
 def eval_at(ctx, c: Coeffs, x: int) -> int:
     acc = 0
     fmul = ctx.mul
     for coeff in reversed(c):
         acc = fmul(acc, x) ^ coeff
     return acc
-
-
-def series_inverse(ctx, l: Coeffs, prec: int) -> Coeffs:
-    """Inverse of l(t) in F[[t]]/(t^prec); requires l(0) != 0."""
-    if not l or l[0] == 0:
-        raise ZeroDivisionError("series inverse needs a unit constant term")
-    inv0 = ctx.inv(l[0])
-    out = [inv0] + [0] * (prec - 1)
-    fmul = ctx.mul
-    for i in range(1, prec):
-        acc = 0
-        for j in range(1, min(i, len(l) - 1) + 1):
-            if j < len(l) and l[j]:
-                acc ^= fmul(l[j], out[i - j])
-        out[i] = fmul(inv0, acc)
-    return trim(out)
 
 
 class _SeededDraws:
@@ -113,9 +116,10 @@ class _Ring:
     a subclass supplies the representation: the constants ``zero``, ``one``
     and ``t``, and the primitives ``pack`` (from a list) and ``unpack`` (to
     one), ``key`` (hashable), ``deg``, ``lc``, ``const`` (the value at 0),
-    ``add``, ``mul``, ``divmod``, ``mod``, ``monic``, ``scale`` (by a field
-    element), ``deriv``, ``sqrt`` (of a square), ``strip_t`` (split off the
-    largest power of t) and ``draw`` (n random coefficients)."""
+    ``coeff`` (of t^i), ``value_at`` (at a field element), ``truncate`` (mod
+    t^n), ``add``, ``mul``, ``divmod``, ``mod``, ``monic``, ``scale`` (by a
+    field element), ``deriv``, ``sqrt`` (of a square), ``strip_t`` (split
+    off the largest power of t) and ``draw`` (n random coefficients)."""
 
     def __init__(self, ctx) -> None:
         self.ctx, self.k, self.q = ctx, ctx.k, ctx.q
@@ -273,6 +277,21 @@ class _Ring:
             raise ZeroDivisionError("element not invertible modulo the given polynomial")
         return self.scale(self.mod(s0, m), self.ctx.inv(self.lc(r0)))
 
+    def series_inverse(self, a, prec: int):
+        """Inverse of a mod t^prec; requires a(0) != 0.  Newton's step
+        g -> g (2 - a g) is g -> a g^2 in characteristic 2: if a g = 1 + e,
+        then a (a g^2) = 1 + e^2, so each step doubles the precision."""
+        g = self.scale(self.one, self.ctx.inv(self.const(a)))
+        n = 1
+        while n < prec:
+            n = min(2 * n, prec)
+            g = self.truncate(self.mul(self.truncate(a, n), self.mul(g, g)), n)
+        return g
+
+    def shift(self, a, r: int):
+        """a(t + r): its own inverse in characteristic 2, the identity for r = 0."""
+        return self.compose(a, self.add(self.t, self.pack([r]))) if r else a
+
     # -- column polynomials: polynomials in z over F[t] --------------------------
 
     @classmethod
@@ -306,6 +325,95 @@ class _Ring:
         _, last = self.col_primitive(self.subresultants(a, b)[-1])
         return self.col_scale(last, self.gcd(ca, cb))
 
+    def col_eval(self, cols: list, x: int) -> Coeffs:
+        """The polynomial in z, as a list, that cols gives at t = x."""
+        return trim([self.value_at(c, x) for c in cols])
+
+    def col_mul_trunc(self, a: list, b: list, prec: int) -> list:
+        """The product of column polynomials, each column truncated mod t^prec."""
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] = self.add(out[i + j], self.mul(ca, cb))
+        return trim([self.truncate(c, prec) for c in out])
+
+    def squarefree_specialization(self, cols: list, values) -> tuple | None:
+        """(r, u) for the first r among values at which the leading column
+        is nonzero and u = cols at t = r is squarefree; None if none is."""
+        lead = cols[-1]
+        for r in values:
+            if self.value_at(lead, r):
+                u = self.col_eval(cols, r)
+                if self.is_squarefree(self.pack(u)):
+                    return r, u
+        return None
+
+    def hensel_lift(self, cols: list, base: list, r: int, prec: int) -> list:
+        """Lift base, the monic pairwise coprime factors of cols at t = r,
+        to factors mod t^prec of cols(t + r) made monic by a series inverse
+        of its leading column.
+
+        Each lifted factor and each prefix product of the factors is kept as
+        its t-adic digits, polynomials in z.  Step j needs only the t^j digit
+        of the product, one convolution per prefix; the new digits delta_i of
+        the factors then add sum over i <= l of delta_i times the product of
+        the other base factors up to l to the t^j digit of prefix l.
+        """
+        mul, add, truncate, coeff, pack = self.mul, self.add, self.truncate, self.coeff, self.pack
+        shifted = [self.shift(c, r) for c in cols]
+        linv = self.series_inverse(shifted[-1], prec)
+        monic = [truncate(mul(c, linv), prec) for c in shifted]
+        s = len(base)
+        bezout = []
+        for i in range(s):
+            g = self.one
+            for j in range(s):
+                if j != i:
+                    g = mul(g, base[j])
+            bezout.append(self.inv_mod(g, base[i]))
+        f_digits = [pack([coeff(c, j) for c in monic]) for j in range(prec)]
+        digits = [[g] for g in base]  # digits[i][j]: t^j digit of factor i
+        prefix = [digits[0]]  # prefix[l][j]: t^j digit of the product of factors 0..l, l < s - 1
+        for g in base[1:-1]:
+            prefix.append([mul(prefix[-1][0], g)])
+        for j in range(1, prec):
+            # t^j digit of each prefix product while the factors' t^j digits are 0
+            partial = [self.zero]
+            for i in range(1, s):
+                acc = mul(partial[-1], base[i])
+                for a in range(1, j):
+                    acc = add(acc, mul(prefix[i - 1][a], digits[i][j - a]))
+                partial.append(acc)
+            e = add(f_digits[j], partial[-1])
+            deltas = [self.mod(mul(e, b), g) for b, g in zip(bezout, base)]
+            for i in range(s):
+                digits[i].append(deltas[i])
+            correction = deltas[0]
+            for i in range(1, s - 1):
+                correction = add(mul(correction, base[i]), mul(prefix[i - 1][0], deltas[i]))
+                prefix[i].append(add(partial[i], correction))
+        return [  # back to columns: entry idx is the t-polynomial of z^idx
+            [pack([coeff(d, idx) for d in fd]) for idx in range(self.deg(fd[0]) + 1)]
+            for fd in digits
+        ]
+
+    def recombination_candidate(self, factors: list, target: list, r: int, prec: int):
+        """The primitive part of lc(target) times the product of the lifted
+        factors, shifted back to t - r; None when the degree bound refuses
+        it, that is when a column of the product times the shifted lc(target)
+        mod t^prec has larger degree than target."""
+        prod = factors[0]
+        for g in factors[1:]:
+            prod = self.col_mul_trunc(prod, g, prec)
+        lead = self.shift(target[-1], r)
+        bound = max(map(self.deg, target))
+        scaled = [self.truncate(self.mul(c, lead), prec) for c in prod]
+        if any(self.deg(c) > bound for c in scaled):
+            return None
+        return self.col_primitive([self.shift(c, r) for c in scaled])[1]
+
     def exact_quo(self, a, b):
         if b == self.one:
             return a
@@ -332,7 +440,7 @@ class _Ring:
 
     def subresultants(self, a: list, b: list) -> list:
         """The subresultant sequence of nonzero column polynomials a, b; see
-        :func:`subresultants`."""
+        :func:`last_subresultant`."""
         if len(a) < len(b):
             a, b = b, a
         seq = [a, b]
@@ -364,6 +472,9 @@ class _Packed(_Ring):
     deg = staticmethod(lambda a: a.bit_length() - 1)
     lc = staticmethod(lambda a: 1)
     const = staticmethod(lambda a: a & 1)
+    coeff = staticmethod(lambda a, i: (a >> i) & 1)
+    value_at = staticmethod(lambda a, x: (a.bit_count() if x else a) & 1)  # x is 0 or 1
+    truncate = staticmethod(lambda a, n: a & ((1 << n) - 1))
     scale = staticmethod(lambda a, s: a if s else 0)
 
     @staticmethod
@@ -435,17 +546,30 @@ class _Lists(_Ring):
     zero: Coeffs = []
     one: Coeffs = [1]
     t: Coeffs = [0, 1]
-    add = staticmethod(add)
     pack = staticmethod(trim)
     unpack = staticmethod(lambda a: a)
     key = staticmethod(tuple)
     deg = staticmethod(deg)
     lc = staticmethod(lambda a: a[-1])
     const = staticmethod(lambda a: a[0] if a else 0)
+    coeff = staticmethod(lambda a, i: a[i] if i < len(a) else 0)
+    truncate = staticmethod(lambda a, n: trim(a[:n]))
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
         self.fmul = ctx.mul
+
+    def value_at(self, a: Coeffs, x: int) -> int:
+        return eval_at(self.ctx, a, x)
+
+    @staticmethod
+    def add(a: Coeffs, b: Coeffs) -> Coeffs:
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] ^= x
+        return trim(out)
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         if not a or not b:
@@ -538,46 +662,9 @@ def _ring(ctx) -> _Ring:
 # -- the public list functions: pack once, run the algorithm, unpack once ---------
 
 
-def smul(ctx, c: Coeffs, s: int) -> Coeffs:
-    R = _ring(ctx)
-    return R.unpack(R.scale(R.pack(c), s))
-
-
-def mul(ctx, a: Coeffs, b: Coeffs) -> Coeffs:
-    R = _ring(ctx)
-    return R.unpack(R.mul(R.pack(a), R.pack(b)))
-
-
-def divmod_(ctx, a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    R = _ring(ctx)
-    q, r = R.divmod(R.pack(a), R.pack(b))
-    return R.unpack(q), R.unpack(r)
-
-
-def mod(ctx, a: Coeffs, b: Coeffs) -> Coeffs:
-    R = _ring(ctx)
-    return R.unpack(R.mod(R.pack(a), R.pack(b)))
-
-
-def monic(ctx, c: Coeffs) -> Coeffs:
-    R = _ring(ctx)
-    return R.unpack(R.monic(R.pack(c)))
-
-
 def gcd(ctx, a: Coeffs, b: Coeffs) -> Coeffs:
     R = _ring(ctx)
     return R.unpack(R.gcd(R.pack(a), R.pack(b)))
-
-
-def pow_mod(ctx, base: Coeffs, e: int, m: Coeffs) -> Coeffs:
-    R = _ring(ctx)
-    return R.unpack(R.pow_mod(R.pack(base), e, R.pack(m)))
-
-
-def is_squarefree(ctx, f: Coeffs) -> bool:
-    """Whether the nonzero f has no repeated factor."""
-    R = _ring(ctx)
-    return R.is_squarefree(R.pack(f))
 
 
 def squarefree_decomposition(ctx, f: Coeffs) -> list[tuple[Coeffs, int]]:
@@ -628,21 +715,6 @@ def roots(ctx, f: Coeffs) -> list[int]:
     return R.roots(f)
 
 
-def compose(ctx, f: Coeffs, g: Coeffs) -> Coeffs:
-    """f(g(x)) by Horner's rule."""
-    R = _ring(ctx)
-    return R.unpack(R.compose(R.pack(f), R.pack(g)))
-
-
-def inv_mod(ctx, a: Coeffs, m: Coeffs) -> Coeffs:
-    """Inverse of a modulo m (extended Euclid); requires gcd(a, m) = 1."""
-    R = _ring(ctx)
-    return R.unpack(R.inv_mod(R.pack(a), R.pack(m)))
-
-
-col_add = _Lists.col_add  # addition needs no field
-
-
 def _pack_cols(R: _Ring, cols: list) -> list:
     return [R.pack(c) for c in cols]
 
@@ -665,8 +737,9 @@ def col_gcd(ctx, a: list, b: list) -> list:
     return _unpack_cols(R, R.col_gcd(_pack_cols(R, a), _pack_cols(R, b)))
 
 
-def subresultants(ctx, a: list, b: list) -> list:
-    """The subresultant sequence of nonzero column polynomials a, b.
+def last_subresultant(ctx, a: list, b: list) -> list:
+    """The last member of the subresultant sequence of nonzero column
+    polynomials a, b, the only one unpacked.
 
     Members fall in z-degree, from the input of larger degree down to the
     subresultant S_d of least degree d = deg gcd(a, b): an F[t]-multiple of
@@ -676,11 +749,34 @@ def subresultants(ctx, a: list, b: list) -> list:
     linearly; a last member whose degree gap exceeds one is rescaled to S_d.
     """
     R = _ring(ctx)
-    seq = R.subresultants(_pack_cols(R, a), _pack_cols(R, b))
-    return [_unpack_cols(R, member) for member in seq]
-
-
-def last_subresultant(ctx, a: list, b: list) -> list:
-    """The last member of :func:`subresultants`, the only one unpacked."""
-    R = _ring(ctx)
     return _unpack_cols(R, R.subresultants(_pack_cols(R, a), _pack_cols(R, b))[-1])
+
+
+def col_eval(ctx, cols: list, x: int) -> Coeffs:
+    """The polynomial in z that the column polynomial cols gives at t = x."""
+    R = _ring(ctx)
+    return R.col_eval(_pack_cols(R, cols), x)
+
+
+def squarefree_specialization(ctx, cols: list, values) -> tuple[int, Coeffs] | None:
+    """(r, u) for the first r among values with lc_z(cols)(r) != 0 and u, the
+    column polynomial cols at t = r, squarefree; None if there is none."""
+    R = _ring(ctx)
+    return R.squarefree_specialization(_pack_cols(R, cols), values)
+
+
+def hensel_lift(ctx, cols: list, base: list, r: int, prec: int) -> list:
+    """:meth:`_Ring.hensel_lift` on lists.  The lifted factors stay in the
+    ring's representation: they are only passed back to
+    :func:`recombination_candidate`."""
+    R = _ring(ctx)
+    return R.hensel_lift(_pack_cols(R, cols), [R.pack(g) for g in base], r, prec)
+
+
+def recombination_candidate(ctx, factors: list, target: list, r: int, prec: int) -> list | None:
+    """The columns of the candidate factor of the column polynomial target
+    that a subset of :func:`hensel_lift`'s factors gives, or None when the
+    degree bound refuses the subset (:meth:`_Ring.recombination_candidate`)."""
+    R = _ring(ctx)
+    cand = R.recombination_candidate(factors, _pack_cols(R, target), r, prec)
+    return None if cand is None else _unpack_cols(R, cand)

@@ -1,50 +1,47 @@
-"""Polynomial gcds and factorization over F_{2^k}.
+"""Polynomial gcds and factorization over F_{2^k}, on :class:`Poly`.
 
-Univariate factorization is the squarefree / distinct-degree / equal-degree
-chain from :mod:`conic2._dense`.  Bivariate factorization specializes the
-co-variable at a point keeping the leading coefficient nonzero and the
-specialized polynomial squarefree (extending the field when the base is too
-small), Hensel-lifts the univariate factors to precision two beyond the
-co-variable degree, recombines factor subsets by exact division, and merges
-factors found over an auxiliary extension along Frobenius orbits back to the
-coefficient field.  Before that, a polynomial primitive in both variables
-is squarefree when some such specialization over its own field is: a
-repeated factor keeps its degree in the main variable there, so it stays
-repeated.  Only when the first few values give none is its gcd with a
-derivative computed.
+This module decides what to factor and where; every operation on F[t] and
+on column polynomials is :mod:`conic2._dense`'s.  Univariate factorization
+is :func:`conic2._dense.factor`, and the bivariate gcd is
+:func:`conic2._dense.col_gcd`.
 
-Recombination is degree-bounded (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 15).  For a true factor g of what remains, h, the lifted
-product of g's local factors times lc(h) is lc(h / g) g, whose co-variable
-degree is at most that of h and so below the precision.  A candidate that
-divides h is such a product, since its content is a unit at the
-specialization point.  So a subset whose truncated product times lc(h) has a
-column of larger degree is skipped before it is shifted back and divided,
-and the same factors come out in the same order; the one digit of precision
-beyond the degree bound is what lets that filter see a false subset.  A
-subset gives a factor exactly when its complement does, so subsets of at
-most half the remaining local factors are tried.
+Bivariate factorization specializes the co-variable at a point keeping the
+leading coefficient nonzero and the specialized polynomial squarefree.
+This module chooses the field, extending it when the base is too small,
+and counts the tries against a budget; ``_dense`` evaluates and tests each
+value.  ``_dense`` then Hensel-lifts the univariate factors to precision two
+beyond the co-variable degree.  Here the subsets of lifted factors are
+enumerated, smallest first, and ``_dense`` builds each subset's candidate,
+refusing those its degree bound excludes; a candidate is kept when it
+divides what remains exactly.  A candidate that divides it is a true
+factor's lifted product scaled by a leading coefficient, since its content
+is a unit at the specialization point, so the degree bound refuses no true
+factor and the same factors come out in the same order.  A subset gives a
+factor exactly when its complement does, so subsets of at most half the
+remaining local factors are tried.  Factors found over an auxiliary
+extension are merged along Frobenius orbits back to the coefficient field.
 
-The bivariate gcd is :func:`conic2._dense.col_gcd`: the primitive part of
-the last member of the subresultant sequence, times the gcd of the contents.
+Before that, a polynomial primitive in both variables is squarefree when
+some such specialization over its own field is: a repeated factor keeps its
+degree in the main variable there, so it stays repeated.  Only when the
+first few values give none is its gcd with a derivative computed; when that
+gcd shows it squarefree, the specialization search resumes after the values
+already tried.
 
-Hensel lifting keeps each lifted factor, and the prefix products of the
-factors, as co-variable-adic digits, so each step computes one new digit of
-the product instead of the whole truncated product.
-
-Absolute irreducibility of an F_{2^k}-irreducible polynomial: its absolute
-irreducible factors form one Frobenius orbit, whose size r divides the
-degree, and over F_{2^(k e)} the orbit falls into gcd(e, r) groups, so the
+Absolute irreducibility of an F_{2^k}-irreducible polynomial of degree d:
+its absolute irreducible factors form one Frobenius orbit, whose size r
+divides d, and over F_{2^(k e)} the orbit falls into gcd(e, r) groups, so the
 polynomial splits there for every prime e dividing r.  A smooth point over
 F_{2^(k m)} also bounds r: Frobenius^m fixes the point and so the one
 absolute factor through it, and r divides m.  Simple roots on the rational
-lines x = c and y = c, for at most eight values c, give such points, so the
-scan costs the same over every field; the polynomial is factored
-again over F_{2^(k e)} only for the primes e dividing the degree that no such
-m rules out.  A factor that bivariate_factor returned is known irreducible
-over F_{2^k}, so for the discriminant's computed components only this
-absolute part runs; a polynomial of unknown origin, such as a claimed
-factor, is factored over F_{2^k} first.
+lines x = c and y = c, for at most eight values c (every line over F_2,
+F_4 and F_8), give such points, so the scan costs the same over every
+field; the polynomial is factored again over F_{2^(k e)} only for the
+primes e dividing d that no such m rules out.  A factor that
+bivariate_factor returned is known irreducible over F_{2^k}, so for the
+discriminant's computed components only this absolute part runs; a
+polynomial of unknown origin, such as a claimed factor, is factored over
+F_{2^k} first.
 """
 
 from __future__ import annotations
@@ -194,22 +191,11 @@ def gcd_homogeneous_many(polys: list[Poly]) -> Poly:
 # -- bivariate factorization ----------------------------------------------------
 
 
-def _specialize(ctx, cols, values):
-    """(r, u) for the first r among values with lc(r) != 0 and u, the column
-    polynomial cols evaluated at r, squarefree; None if there is none."""
-    lead = cols[-1]
-    for r in values:
-        if _dense.eval_at(ctx, lead, r) == 0:
-            continue
-        u = _dense.trim([_dense.eval_at(ctx, c, r) for c in cols])
-        if _dense.is_squarefree(ctx, u):
-            return r, u
-    return None
-
-
-def _find_specialization(f: Poly, xn: str, yn: str):
+def _find_specialization(f: Poly, xn: str, yn: str, skip: int = 0):
     """(field, embedded poly, columns, r, f(x, r)) with lc_x(f)(r) != 0 and
-    f(x, r) squarefree, over the smallest field that has such an r."""
+    f(x, r) squarefree, over the smallest field that has such an r.  The
+    first ``skip`` values of F_q are known to fail: they are not evaluated
+    again, but the budget counts them."""
     ctx = f.ctx
     tried = 0
     ext = 1
@@ -218,7 +204,7 @@ def _find_specialization(f: Poly, xn: str, yn: str):
         fe = f.embed_to(ctx_e)
         cols = to_columns(fe, xn, yn)
         n = min(ctx_e.q, _SPECIALIZATION_BUDGET - tried)
-        found = _specialize(ctx_e, cols, range(n))
+        found = _dense.squarefree_specialization(ctx_e, cols, range(skip, n))
         if found is not None:
             return (ctx_e, fe, cols, *found)
         if n < ctx_e.q:
@@ -226,71 +212,9 @@ def _find_specialization(f: Poly, xn: str, yn: str):
                 f"no good specialization of {yn} within {_SPECIALIZATION_BUDGET} tries"
             )
         tried += n
+        skip = 0
         ext += 1
     raise UnluckySpecializationExhausted("field tower exhausted while specializing")
-
-
-def _sp_mul(ctx, a, b, prec: int):
-    """Product of column polynomials, co-variable truncated below prec."""
-    out = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            prod = _dense.mul(ctx, ca, cb)
-            out[i + j] = _dense.add(out[i + j], prod[:prec])
-    return _dense.trim([_dense.trim(c[:prec]) for c in out])
-
-
-def _hensel_lift(ctx, f_monic_cols, base_factors, prec: int):
-    """Lift pairwise-coprime monic base factors to a factorization mod t^prec.
-
-    Each lifted factor and each prefix product of the factors is kept as its
-    t-adic digits, dense polynomials in the main variable.  Step j needs only
-    the t^j digit of the product, one convolution per prefix; the new digits
-    delta_i of the factors then add sum over i <= l of delta_i times the
-    product of the other base factors up to l to the t^j digit of prefix l.
-    """
-    s = len(base_factors)
-    bezout = []
-    for i in range(s):
-        g = [1]
-        for j in range(s):
-            if j != i:
-                g = _dense.mul(ctx, g, base_factors[j])
-        bezout.append(_dense.inv_mod(ctx, g, base_factors[i]))
-    f_digits = [
-        _dense.trim([col[j] if len(col) > j else 0 for col in f_monic_cols]) for j in range(prec)
-    ]
-    digits = [[list(g)] for g in base_factors]  # digits[i][j]: t^j digit of factor i
-    prefix = [digits[0]]  # prefix[l][j]: t^j digit of the product of factors 0..l, l < s - 1
-    for g in base_factors[1:-1]:
-        prefix.append([_dense.mul(ctx, prefix[-1][0], g)])
-    for j in range(1, prec):
-        # t^j digit of each prefix product while the factors' t^j digits are 0
-        partial = [[]]
-        for i in range(1, s):
-            acc = _dense.mul(ctx, partial[-1], base_factors[i])
-            for a in range(1, j):
-                acc = _dense.add(acc, _dense.mul(ctx, prefix[i - 1][a], digits[i][j - a]))
-            partial.append(acc)
-        e = _dense.add(f_digits[j], partial[-1])
-        deltas = [_dense.mod(ctx, _dense.mul(ctx, e, b), g) for b, g in zip(bezout, base_factors)]
-        for i in range(s):
-            digits[i].append(deltas[i])
-        correction = deltas[0]
-        for i in range(1, s - 1):
-            correction = _dense.add(
-                _dense.mul(ctx, correction, base_factors[i]),
-                _dense.mul(ctx, prefix[i - 1][0], deltas[i]),
-            )
-            prefix[i].append(_dense.add(partial[i], correction))
-    return [  # back to columns: entry idx is the t-list of x^idx
-        [_dense.trim([d[idx] if len(d) > idx else 0 for d in fd]) for idx in range(len(fd[0]))]
-        for fd in digits
-    ]
 
 
 def _factor_squarefree_primitive(f: Poly, xn: str, yn: str, spec=None) -> list[Poly]:
@@ -298,41 +222,26 @@ def _factor_squarefree_primitive(f: Poly, xn: str, yn: str, spec=None) -> list[P
     at spec, a result of _find_specialization, or at the one it finds."""
     ctx = f.ctx
     ctx_e, fe, cols, r, u = spec or _find_specialization(f, xn, yn)
-    lc_u, base = _dense.factor(ctx_e, u)
-    base_factors = [g for g, _ in base]
-    if len(base_factors) == 1:
+    base = [g for g, _ in _dense.factor(ctx_e, u)[1]]
+    if len(base) == 1:
         return [f.monic()]
     prec = fe.degree_in(yn) + 2
-
-    def shift(c):
-        # y -> y + r; its own inverse in characteristic 2, the identity for r = 0
-        return _dense.compose(ctx_e, c, [r, 1]) if r else c
-
-    tcols = [shift(c) for c in cols]
-    linv = _dense.series_inverse(ctx_e, tcols[-1], prec)
-    monic_cols = [_dense.trim(_dense.mul(ctx_e, c, linv)[:prec]) if c else [] for c in tcols]
-    lifted = _hensel_lift(ctx_e, monic_cols, base_factors, prec)
-    order = sorted(range(len(lifted)), key=lambda i: (len(base_factors[i]), base_factors[i][::-1]))
-    pool = [lifted[i] for i in order]
+    pool = _dense.hensel_lift(ctx_e, cols, base, r, prec)
 
     remaining = fe
     found: list[Poly] = []
     while pool:
         if remaining.is_constant():  # pragma: no cover - defensive
             break
-        lshift = shift(to_columns(remaining, xn, yn)[-1])
-        bound = remaining.degree_in(yn)
+        target = to_columns(remaining, xn, yn)
         extracted = False
         # a subset gives a factor exactly when its complement does
         for size in range(1, len(pool) // 2 + 1):
             for combo in itertools.combinations(range(len(pool)), size):
-                prod = pool[combo[0]]
-                for i in combo[1:]:
-                    prod = _sp_mul(ctx_e, prod, pool[i], prec)
-                scaled = [_dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]) for c in prod]
-                if any(len(c) > bound + 1 for c in scaled):
+                cand_cols = _dense.recombination_candidate(
+                    ctx_e, [pool[i] for i in combo], target, r, prec)
+                if cand_cols is None:
                     continue  # not lc(remaining) times a factor: the degree bound
-                _, cand_cols = _dense.col_primitive(ctx_e, [shift(c) for c in scaled])
                 cand = from_columns(ctx_e, fe.vars, cand_cols, xn, yn)
                 if cand.is_constant():
                     continue
@@ -433,14 +342,14 @@ def _split_bivariate(f: Poly, xn: str, yn: str, mult: int, acc: dict) -> None:
     # degree proves f squarefree: a repeated factor would stay repeated in it
     cols = to_columns(f, main, co)
     probes = min(f.ctx.q, _SQUAREFREE_PROBES, _SPECIALIZATION_BUDGET)
-    found = _specialize(f.ctx, cols, range(probes))
+    found = _dense.squarefree_specialization(f.ctx, cols, range(probes))
     if found is None:
         g = gcd_bivariate(f, fx if main == xn else partial_derivative(f, yn))
         if not g.is_constant():
             _split_bivariate(g, xn, yn, mult, acc)
             _split_bivariate(exact_div(f, g).monic(), xn, yn, mult, acc)
             return
-    spec = None if found is None else (f.ctx, f, cols, *found)
+    spec = (f.ctx, f, cols, *found) if found else _find_specialization(f, main, co, probes)
     for irr in _factor_squarefree_primitive(f, main, co, spec):
         acc[irr] = acc.get(irr, 0) + mult
 
@@ -478,7 +387,7 @@ def _orbit_primes(f: Poly) -> list[int]:
     for main, co in (f.vars, f.vars[::-1]):
         cols = to_columns(f, main, co)
         for c in range(min(ctx.q, _SCAN_VALUES)):
-            u = _dense.trim([_dense.eval_at(ctx, col, c) for col in cols])
+            u = _dense.col_eval(ctx, cols, c)
             for m in _simple_root_degrees(ctx, u):
                 bound = math.gcd(bound, m)
             if bound == 1:

@@ -23,14 +23,17 @@ over their smallest primitive element (Greenan, Miller & Schwarz, MASCOTS
 sum of two logarithms, a power one at a product of indices.
 :meth:`FieldCtx.log_tables` hands the tables to the polynomial layers,
 which evaluate a whole term with one lookup.  Larger fields multiply
-bit-serially (``FieldCtx._mul_serial``).  A context checks its modulus with
-Rabin's test on the bit-serial product before it builds its tables, and the
-table build checks that one power cycle visits every nonzero element.
+bit-serially (``FieldCtx._mul_serial``).  A context checks that its modulus
+is irreducible by a distinct-degree split in :mod:`conic2._dense`'s packed
+F_2[t] before it builds its tables, and the table build checks that one
+power cycle visits every nonzero element.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+from . import _dense  # the one F[t]; it has no package dependencies
 
 
 class UnsupportedDegree(ValueError):
@@ -128,52 +131,10 @@ _MODULI = {
 # fields keep the bit-serial product.
 _TABLE_MAX_K = 12
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
-
-def _gf2x_deg(a: int) -> int:
-    return a.bit_length() - 1
-
-
-def _gf2x_mod(a: int, m: int) -> int:
-    dm = _gf2x_deg(m)
-    while a and _gf2x_deg(a) >= dm:
-        a ^= m << (_gf2x_deg(a) - dm)
-    return a
-
-
-def _gf2x_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2x_mod(a, b)
-    return a
-
-
-def _is_irreducible_rabin(ctx: "FieldCtx") -> bool:
-    """Rabin's test of the modulus m of degree k: t^(2^k) = t mod m, and
-    gcd(m, t^(2^(k/p)) - t) = 1 for every prime p dividing k.
-
-    It squares on the bit-serial path: the log tables assume a field, so
-    they must not be built before the modulus is known to give one."""
-    k, m = ctx.k, ctx.modulus
-    if _gf2x_deg(m) != k:
-        return False
-    sq = ctx._mul_serial
-    x = _gf2x_mod(2, m)
-    xq = x
-    for _ in range(k):
-        xq = sq(xq, xq)
-    if xq != x:
-        return False
-    for p in _SMALL_PRIMES:
-        if p > k:
-            break
-        if k % p == 0:
-            h = x
-            for _ in range(k // p):
-                h = sq(h, h)
-            if _gf2x_gcd(m, h ^ x) != 1:
-                return False
-    return True
+def _coeff_list(m: int) -> list[int]:
+    """The polynomial m over F_2 (bit i the coefficient of t^i) as a list."""
+    return [(m >> i) & 1 for i in range(m.bit_length())]
 
 
 class FieldCtx:
@@ -196,7 +157,12 @@ class FieldCtx:
         self.k = k
         self.q = 1 << k
         self.modulus = _MODULI[k]
-        if not _is_irreducible_rabin(self):  # pragma: no cover - table is fixed
+        # A distinct-degree split over F_2 of the modulus m, of degree k, is
+        # [(m, k)] exactly when m has no irreducible factor of degree <= k / 2,
+        # that is when it is irreducible.  It runs on _dense's packed F_2[t],
+        # before the log tables, which assume a field, are built.
+        m = _coeff_list(self.modulus)
+        if k > 1 and _dense.distinct_degree(field_new(1), m) != [(m, k)]:
             raise AssertionError(f"modulus table entry for k={k} is not irreducible")
         self._log, self._exp = self._tables() if k <= _TABLE_MAX_K else (None, None)
 
@@ -435,10 +401,7 @@ def _embedding_powers(src: FieldCtx, dst: FieldCtx) -> list[int]:
     powers = _EMBED_CACHE.get(key)
     if powers is not None:
         return powers
-    from . import _dense  # local import: _dense has no package dependencies
-
-    mod_coeffs = [(_MODULI[src.k] >> i) & 1 for i in range(src.k + 1)]
-    roots = _dense.roots(dst, mod_coeffs)
+    roots = _dense.roots(dst, _coeff_list(src.modulus))
     if len(roots) != src.k:  # pragma: no cover - defensive
         raise AssertionError("defining modulus did not split in the target field")
     r = min(roots)

@@ -29,9 +29,7 @@ from conic2.conic import (
 from conic2.factor import (
     UnluckySpecializationExhausted,
     _find_specialization,
-    _hensel_lift,
     _merge_frobenius_orbits,
-    _sp_mul,
     binary_form_factor,
     bivariate_factor,
     gcd_homogeneous_many,
@@ -195,27 +193,29 @@ def naive_divmod(ctx, a, b):
 
 
 def is_irreducible(ctx, f):
-    """Rabin's irreducibility criterion over F_{2^k}, for dense f."""
-    f = _dense.trim(list(f))
-    n = _dense.deg(f)
+    """Rabin's irreducibility criterion over F_{2^k}, for dense f, on the
+    ring primitives of :mod:`conic2._dense`."""
+    R = _dense._ring(ctx)
+    f = R.pack(list(f))
+    n = R.deg(f)
     if n <= 0:
         return False
     if n == 1:
         return True
-    f = _dense.monic(ctx, f)
-    if f[0] == 0:
+    f = R.monic(f)
+    if not R.const(f):
         return False
-    h = [0, 1]
+    h = R.t
     for _ in range(n):
-        h = _dense.pow_mod(ctx, h, ctx.q, f)
-    if h != [0, 1]:
+        h = R.pow_mod(h, ctx.q, f)
+    if h != R.t:
         return False
     for p in range(2, n + 1):
         if n % p == 0 and all(p % r for r in range(2, p)):
-            g = [0, 1]
+            g = R.t
             for _ in range(n // p):
-                g = _dense.pow_mod(ctx, g, ctx.q, f)
-            if _dense.deg(_dense.gcd(ctx, f, _dense.add(g, [0, 1]))) != 0:
+                g = R.pow_mod(g, ctx.q, f)
+            if R.deg(R.gcd(f, R.add(g, R.t))) != 0:
                 return False
     return True
 
@@ -617,29 +617,80 @@ def gcd_first_solve_system(polys, k_max=24):
     return _solve_on_directions(nonzero, forms, k_max)
 
 
+def list_add(a, b):
+    """Sum of coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _dense.trim([x ^ (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def list_inv_mod(ctx, a, m):
+    """Inverse of a modulo m by the extended Euclidean algorithm on lists."""
+    r0, r1 = m, naive_divmod(ctx, a, m)[1]
+    s0, s1 = [], [1]
+    while r1:
+        q, r2 = naive_divmod(ctx, r0, r1)
+        r0, r1 = r1, r2
+        s0, s1 = s1, list_add(s0, naive_mul(ctx, q, s1))
+    assert len(r0) == 1, "not invertible"
+    inv = ctx.inv(r0[0])
+    return [ctx.mul(c, inv) for c in naive_divmod(ctx, s0, m)[1]]
+
+
+def list_compose(ctx, f, g):
+    """f(g(t)) by Horner's rule on lists."""
+    acc = []
+    for c in reversed(f):
+        acc = list_add(naive_mul(ctx, acc, g), [c])
+    return acc
+
+
+def list_series_inverse(ctx, l, prec):
+    """Inverse of l mod t^prec, one coefficient at a time; l[0] != 0."""
+    inv0 = ctx.inv(l[0])
+    out = [inv0] + [0] * (prec - 1)
+    for i in range(1, prec):
+        acc = 0
+        for j in range(1, min(i, len(l) - 1) + 1):
+            acc ^= ctx.mul(l[j], out[i - j])
+        out[i] = ctx.mul(inv0, acc)
+    return _dense.trim(out)
+
+
+def list_sp_mul(ctx, a, b, prec):
+    """Product of column polynomials of lists, each column truncated below t^prec."""
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = list_add(out[i + j], naive_mul(ctx, ca, cb)[:prec])
+    return _dense.trim([_dense.trim(c[:prec]) for c in out])
+
+
 def sp_mul_hensel_lift(ctx, f_monic_cols, base_factors, prec):
-    """factor._hensel_lift as it was before the digit-wise product: at each
-    step the whole product of the lifted factors, truncated below t^(j+1),
-    is rebuilt with factor._sp_mul to read the error digit."""
+    """The Hensel lift as it was before the digit-wise product, on lists: at
+    each step the whole product of the lifted factors, truncated below
+    t^(j+1), is rebuilt to read the error digit."""
     s = len(base_factors)
     bezout = []
     for i in range(s):
         g = [1]
         for j in range(s):
             if j != i:
-                g = _dense.mul(ctx, g, base_factors[j])
-        bezout.append(_dense.inv_mod(ctx, g, base_factors[i]))
+                g = naive_mul(ctx, g, base_factors[j])
+        bezout.append(list_inv_mod(ctx, g, base_factors[i]))
     lifted = [[[c] if c else [] for c in g] for g in base_factors]
     for j in range(1, prec):
         prod = lifted[0]
         for i in range(1, s):
-            prod = _sp_mul(ctx, prod, lifted[i], j + 1)
-        err = _dense.col_add(f_monic_cols, prod)
+            prod = list_sp_mul(ctx, prod, lifted[i], j + 1)
+        err = [list_add(f_monic_cols[idx] if idx < len(f_monic_cols) else [],
+                        prod[idx] if idx < len(prod) else [])
+               for idx in range(max(len(f_monic_cols), len(prod)))]
         e = _dense.trim([col[j] if len(col) > j else 0 for col in err])
         if not e:
             continue
         for i in range(s):
-            delta = _dense.mod(ctx, _dense.mul(ctx, e, bezout[i]), base_factors[i])
+            delta = naive_divmod(ctx, naive_mul(ctx, e, bezout[i]), base_factors[i])[1]
             cols = lifted[i]
             for idx, c in enumerate(delta):
                 if c:
@@ -653,39 +704,36 @@ def sp_mul_hensel_lift(ctx, f_monic_cols, base_factors, prec):
 
 def unpruned_factor_squarefree_primitive(f, xn, yn, trials=None):
     """factor._factor_squarefree_primitive as it was before the degree-bounded
-    recombination: every subset of sizes 1 .. |pool| - 1 of the lifted factors
-    goes through the shift back, col_primitive and exact_div, and every
-    specialization is shifted, r = 0 included.  ``trials``, a list, gains one
-    entry per exact_div call."""
+    recombination, on lists: every subset of sizes 1 .. |pool| - 1 of the
+    lifted factors goes through the shift back, col_primitive and exact_div,
+    and every specialization is shifted, r = 0 included.  ``trials``, a
+    list, gains one entry per exact_div call."""
     ctx = f.ctx
     ctx_e, fe, cols, r, u = _find_specialization(f, xn, yn)
-    lc_u, base = _dense.factor(ctx_e, u)
-    base_factors = [g for g, _ in base]
+    base_factors = [g for g, _ in _dense.factor(ctx_e, u)[1]]
     if len(base_factors) == 1:
         return [f.monic()]
     prec = 2 * fe.degree_in(yn) + 1
     shift = [r, 1]
-    tcols = [_dense.compose(ctx_e, c, shift) for c in cols]
-    linv = _dense.series_inverse(ctx_e, tcols[-1], prec)
-    monic_cols = [_dense.trim(_dense.mul(ctx_e, c, linv)[:prec]) if c else [] for c in tcols]
-    lifted = _hensel_lift(ctx_e, monic_cols, base_factors, prec)
-    order = sorted(range(len(lifted)), key=lambda i: (len(base_factors[i]), base_factors[i][::-1]))
-    pool = [lifted[i] for i in order]
+    tcols = [list_compose(ctx_e, c, shift) for c in cols]
+    linv = list_series_inverse(ctx_e, tcols[-1], prec)
+    monic_cols = [_dense.trim(naive_mul(ctx_e, c, linv)[:prec]) for c in tcols]
+    pool = sp_mul_hensel_lift(ctx_e, monic_cols, base_factors, prec)
 
     remaining = fe
     found = []
     while pool:
         if remaining.is_constant():
             break
-        lshift = _dense.compose(ctx_e, to_columns(remaining, xn, yn)[-1], shift)
+        lshift = list_compose(ctx_e, to_columns(remaining, xn, yn)[-1], shift)
         extracted = False
         for size in range(1, len(pool)):
             for combo in combinations(range(len(pool)), size):
                 prod = pool[combo[0]]
                 for i in combo[1:]:
-                    prod = _sp_mul(ctx_e, prod, pool[i], prec)
+                    prod = list_sp_mul(ctx_e, prod, pool[i], prec)
                 cand_cols = [
-                    _dense.compose(ctx_e, _dense.trim(_dense.mul(ctx_e, c, lshift)[:prec]), shift)
+                    list_compose(ctx_e, _dense.trim(naive_mul(ctx_e, c, lshift)[:prec]), shift)
                     for c in prod
                 ]
                 _, cand_cols = _dense.col_primitive(ctx_e, cand_cols)

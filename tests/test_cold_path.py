@@ -17,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from conic2 import _dense, amcert, factor, geom
+from conic2 import _dense, amcert, geom
 from conic2.amcert import surface_criterion
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import (
@@ -29,7 +29,7 @@ from conic2.conic import (
     sigma_generators,
     spec_from_dict,
 )
-from conic2.factor import _hensel_lift, _sp_mul, gcd_homogeneous_many
+from conic2.factor import gcd_homogeneous_many
 from conic2.geom import (
     ExtensionBound,
     PositiveDimensional,
@@ -42,7 +42,10 @@ from conic2.poly import Poly
 from _helpers import (
     enumerate_plane_points,
     gcd_first_solve_system,
+    list_compose,
+    list_sp_mul,
     moved_stream,
+    naive_mul,
     rand_homogeneous,
     rand_spec,
     sp_mul_hensel_lift,
@@ -170,43 +173,92 @@ def _coprime_monic(rng, ctx, s):
             return fs
 
 
+def _product(ctx, base):
+    prod = [1]
+    for g in base:
+        prod = naive_mul(ctx, prod, g)
+    return prod
+
+
 def _lift_input(rng, ctx, base, prec):
     """A monic column polynomial whose t^0 digit is the product of base and
     whose higher digits are random of lower degree."""
-    prod = [1]
-    for g in base:
-        prod = _dense.mul(ctx, prod, g)
+    prod = _product(ctx, base)
     n = _dense.deg(prod)
     digits = [prod] + [_dense.trim([rng.randrange(ctx.q) for _ in range(n)]) for _ in range(prec - 1)]
     return [_dense.trim([d[idx] if len(d) > idx else 0 for d in digits]) for idx in range(n + 1)]
 
 
+def _ring_lift(R, cols, base, prec, r=0):
+    """The ring's lift of list inputs, its factors unpacked to lists."""
+    lifted = R.hensel_lift([R.pack(c) for c in cols], [R.pack(g) for g in base], r, prec)
+    return [[R.unpack(c) for c in g] for g in lifted]
+
+
 @pytest.mark.parametrize("ctx", [F2, F4, F16], ids=["F2", "F4", "F16"])
 def test_hensel_lift_matches_the_rebuilt_product_oracle(ctx):
+    R = _dense._ring(ctx)
     rng = random.Random(77 + ctx.k)
     for s in (2, 3, 4, 5):
         for _ in range(4):
             base = _coprime_monic(rng, ctx, s)
             prec = rng.randint(2, 9)
             cols = _lift_input(rng, ctx, base, prec)
-            lifted = _hensel_lift(ctx, cols, base, prec)
+            lifted = _ring_lift(R, cols, base, prec)
             assert lifted == sp_mul_hensel_lift(ctx, cols, [list(g) for g in base], prec)
             prod = lifted[0]
             for g in lifted[1:]:
-                prod = _sp_mul(ctx, prod, g, prec)
+                prod = list_sp_mul(ctx, prod, g, prec)
             assert prod == cols
 
 
 def test_hensel_lift_builds_no_truncated_product(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("_sp_mul called")
+        raise AssertionError("col_mul_trunc called")
 
     rng = random.Random(5)
-    base = _coprime_monic(rng, F4, 4)
-    cols = _lift_input(rng, F4, base, 7)
-    want = _hensel_lift(F4, cols, base, 7)
-    monkeypatch.setattr(factor, "_sp_mul", forbidden)
-    assert _hensel_lift(F4, cols, base, 7) == want
+    for ctx in (F2, F4):  # the packed ring and the list ring
+        R = _dense._ring(ctx)
+        base = _coprime_monic(rng, ctx, 4)
+        cols = _lift_input(rng, ctx, base, 7)
+        want = _ring_lift(R, cols, base, 7)
+        with monkeypatch.context() as m:
+            m.setattr(type(R), "col_mul_trunc", forbidden)
+            assert _ring_lift(R, cols, base, 7) == want
+
+
+def test_packed_and_list_rings_lift_and_recombine_alike_over_f2():
+    """Over F_2 the packed ring and the list ring give the same lifted
+    factors and the same recombination candidates.  An input taken at
+    t = r and scaled by a unit lifts to the factors of the monic input."""
+    packed, lists = _dense._ring(F2), _dense._Lists(F2)
+    assert isinstance(packed, _dense._Packed)
+    rng = random.Random(78)
+    refused = []
+    for s in (2, 3, 4):
+        for r in (0, 1):
+            base = _coprime_monic(rng, F2, s)
+            prec = rng.randint(2, 8)
+            monic = _lift_input(rng, F2, base, prec)
+            unit = [1] + [rng.randrange(2) for _ in range(3)]
+            cols = [list_compose(F2, naive_mul(F2, c, unit), [r, 1]) for c in monic]
+            lifted = [_ring_lift(R, cols, base, prec, r) for R in (packed, lists)]
+            assert lifted[0] == lifted[1] == _ring_lift(lists, monic, base, prec)
+            # cols passes every degree bound; the constant columns of the
+            # base product refuse most subsets
+            for target in (cols, [[c] if c else [] for c in _product(F2, base)]):
+                for size in range(1, s):
+                    for combo in combinations(range(s), size):
+                        cands = [
+                            R.recombination_candidate(
+                                [[R.pack(c) for c in lifted[0][i]] for i in combo],
+                                [R.pack(c) for c in target], r, prec)
+                            for R in (packed, lists)
+                        ]
+                        got = None if cands[0] is None else [packed.unpack(c) for c in cands[0]]
+                        assert got == cands[1]
+                        refused.append(got is None)
+    assert any(refused) and not all(refused)
 
 
 # -- flatness on Sigma ------------------------------------------------------------------

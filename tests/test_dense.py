@@ -7,7 +7,7 @@ import pytest
 from conic2 import _dense as d
 from conic2.gf2k import field_new
 
-from _helpers import is_irreducible, naive_divmod, naive_mul
+from _helpers import is_irreducible, list_series_inverse, naive_divmod, naive_mul
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -18,6 +18,13 @@ def rand_coeffs(rng, ctx, max_deg):
     return d.trim([rng.randrange(ctx.q) for _ in range(rng.randint(0, max_deg + 1))])
 
 
+def in_ring(ctx, op, *polys):
+    """The ring method op of ctx's F[t] on coefficient lists, its result unpacked."""
+    R = d._ring(ctx)
+    out = getattr(R, op)(*map(R.pack, polys))
+    return tuple(map(R.unpack, out)) if isinstance(out, tuple) else R.unpack(out)
+
+
 def test_divmod_round_trip():
     rng = random.Random(21)
     for ctx in (F2, F4, F8):
@@ -26,8 +33,8 @@ def test_divmod_round_trip():
             b = rand_coeffs(rng, ctx, 5)
             if not b:
                 continue
-            q, r = d.divmod_(ctx, a, b)
-            assert d.add(d.mul(ctx, q, b), r) == a
+            q, r = in_ring(ctx, "divmod", a, b)
+            assert in_ring(ctx, "add", in_ring(ctx, "mul", q, b), r) == a
             assert d.deg(r) < d.deg(b) or not r
 
 
@@ -39,13 +46,13 @@ def test_gcd_is_common_divisor():
         c = rand_coeffs(rng, F4, 3)
         if not c:
             continue
-        f, g = d.mul(F4, a, c), d.mul(F4, b, c)
+        f, g = in_ring(F4, "mul", a, c), in_ring(F4, "mul", b, c)
         if not f or not g:
             continue
         h = d.gcd(F4, f, g)
-        assert not d.divmod_(F4, f, h)[1]
-        assert not d.divmod_(F4, g, h)[1]
-        assert not d.divmod_(F4, h, d.monic(F4, c))[1] or d.deg(h) >= d.deg(c)
+        assert not in_ring(F4, "mod", f, h)
+        assert not in_ring(F4, "mod", g, h)
+        assert not in_ring(F4, "mod", h, in_ring(F4, "monic", c)) or d.deg(h) >= d.deg(c)
 
 
 def test_factor_reexpands_random():
@@ -59,7 +66,7 @@ def test_factor_reexpands_random():
             prod = [lc]
             for g, m in fac:
                 for _ in range(m):
-                    prod = d.mul(ctx, prod, g)
+                    prod = naive_mul(ctx, prod, g)
             assert prod == f
             for g, _ in fac:
                 assert is_irreducible(ctx, g)
@@ -87,19 +94,23 @@ def test_irreducibility_examples():
 
 def test_squarefree_decomposition_multiplicities():
     # (t)^3 (t+1)^2 over F2
-    f = [0, 0, 0, 1]
-    f = d.mul(F2, f, d.mul(F2, [1, 1], [1, 1]))
+    f = naive_mul(F2, [0, 0, 0, 1], naive_mul(F2, [1, 1], [1, 1]))
     parts = d.squarefree_decomposition(F2, f)
     assert sorted((d.deg(g), m) for g, m in parts) == [(1, 2), (1, 3)]
 
 
 def test_series_inverse():
     rng = random.Random(25)
-    for _ in range(50):
-        l = [rng.randrange(1, F4.q)] + [rng.randrange(F4.q) for _ in range(4)]
-        inv = d.series_inverse(F4, l, 6)
-        prod = d.mul(F4, l, inv)
-        assert d.trim(prod[:6]) == [1]
+    for ctx in (F2, F4):
+        R = d._ring(ctx)
+        for _ in range(50):
+            l = [rng.randrange(1, ctx.q)] + [rng.randrange(ctx.q) for _ in range(rng.randint(0, 6))]
+            prec = rng.randint(1, 12)
+            inv = R.unpack(R.series_inverse(R.pack(l), prec))
+            assert inv == list_series_inverse(ctx, l, prec)
+            assert d.trim(naive_mul(ctx, l, inv)[:prec]) == [1]
+    with pytest.raises(ZeroDivisionError):
+        d._ring(F4).series_inverse([0, 1], 3)
 
 
 def test_compose_and_inv_mod():
@@ -108,13 +119,13 @@ def test_compose_and_inv_mod():
     for _ in range(40):
         f = rand_coeffs(rng, F8, 4)
         g = rand_coeffs(rng, F8, 3)
-        comp = d.compose(F8, f, g)
+        comp = in_ring(F8, "compose", f, g)
         for x in range(F8.q):
             assert d.eval_at(F8, comp, x) == d.eval_at(F8, f, d.eval_at(F8, g, x))
     m = [1, 1, 1]  # t^2+t+1, irreducible over F2
     a = [0, 1]
-    inv = d.inv_mod(F2, a, m)
-    assert d.mod(F2, d.mul(F2, a, inv), m) == [1]
+    inv = in_ring(F2, "inv_mod", a, m)
+    assert naive_divmod(F2, naive_mul(F2, a, inv), m)[1] == [1]
 
 
 def test_subresultant_sequence_ends_in_resultant_or_gcd_multiple():
@@ -136,7 +147,7 @@ def test_subresultant_sequence_ends_in_resultant_or_gcd_multiple():
         fa, fb = fa * c, fb * c
         if fa.is_zero() or fb.is_zero() or max(fa.degree_in("z"), fb.degree_in("z")) == 0:
             continue
-        seq = d.subresultants(F4, to_columns(fa, "z", "t"), to_columns(fb, "z", "t"))
+        seq = d._ring(F4).subresultants(to_columns(fa, "z", "t"), to_columns(fb, "z", "t"))
         lens = [len(m) for m in seq]
         assert lens[0] >= lens[1] and all(x > y for x, y in zip(lens[1:], lens[2:]))
         assert all(m and m[-1] for m in seq)
@@ -160,13 +171,13 @@ def test_the_generator_is_seeded_at_its_first_draw_with_the_same_draws(monkeypat
 
     seeded, Random = [], random.Random
     monkeypatch.setattr(d.random, "Random", lambda seed: seeded.append(seed) or Random(seed))
-    f = d.mul(F4, [1, 1], [2, 1])  # (z + 1)(z + 2): a split draws
+    f = naive_mul(F4, [1, 1], [2, 1])  # (z + 1)(z + 2): a split draws
     assert d.roots(F4, f) == [1, 2] and seeded == [0x5EED]
     # one root, one linear factor, an irreducible quadratic, factors of
     # distinct degrees: nothing to split, nothing seeded
-    assert d.roots(F2, d.mul(F2, [1, 1], [1, 1, 1])) == [1] and d.one_root(F4, [2, 1]) == 2
+    assert d.roots(F2, naive_mul(F2, [1, 1], [1, 1, 1])) == [1] and d.one_root(F4, [2, 1]) == 2
     assert d.factor(F2, [1, 1, 1]) == (1, [([1, 1, 1], 1)])
-    assert d.factor(F2, d.mul(F2, [0, 1], d.mul(F2, [1, 1], [1, 1, 1])))[1] == [
+    assert d.factor(F2, naive_mul(F2, [0, 1], naive_mul(F2, [1, 1], [1, 1, 1])))[1] == [
         ([0, 1], 1), ([1, 1], 1), ([1, 1, 1], 1)]
     assert seeded == [0x5EED]
 
@@ -177,11 +188,11 @@ def test_high_degree_mul_and_divmod_match_the_schoolbook():
         for _ in range(6):
             a = rand_coeffs(rng, ctx, rng.randint(100, 300))
             b = rand_coeffs(rng, ctx, rng.randint(100, 300))
-            assert d.mul(ctx, a, b) == naive_mul(ctx, a, b)
+            assert in_ring(ctx, "mul", a, b) == naive_mul(ctx, a, b)
             if b:
-                big = d.add(d.mul(ctx, a, b), rand_coeffs(rng, ctx, 99))
-                assert d.divmod_(ctx, big, b) == naive_divmod(ctx, big, b)
-                assert d.divmod_(ctx, a, b) == naive_divmod(ctx, a, b)
+                big = in_ring(ctx, "add", naive_mul(ctx, a, b), rand_coeffs(rng, ctx, 99))
+                assert in_ring(ctx, "divmod", big, b) == naive_divmod(ctx, big, b)
+                assert in_ring(ctx, "divmod", a, b) == naive_divmod(ctx, a, b)
 
 
 def test_f2_factor_matches_sympy():
@@ -232,6 +243,8 @@ def test_packed_and_list_rings_agree_over_f2():
                 [(R.unpack(h), e) for h, m in R.squarefree(pf) for h, e in R.distinct_degree(h)],
                 R.roots(pf), R.is_squarefree(pf), R.unpack(R.gcd(pf, pg)),
                 R.unpack(R.compose(pf, pg)), R.unpack(R.deriv(pf)),
+                R.unpack(R.truncate(pf, 5)), R.coeff(pf, 3), R.value_at(pf, 0), R.value_at(pf, 1),
+                R.unpack(R.shift(pf, 1)), R.unpack(R.series_inverse(R.pack([1] + f), 9)),
             ))
         assert out[0] == out[1], f
     for deg_each, count in ((1, 2), (3, 2), (4, 3), (5, 4)):
@@ -242,7 +255,7 @@ def test_packed_and_list_rings_agree_over_f2():
                 irrs.add(tuple(h))
         prod = [1]
         for h in irrs:
-            prod = d.mul(F2, prod, list(h))
+            prod = naive_mul(F2, prod, list(h))
         runs = []
         for R in (packed, lists):
             draws = _RecordedDraws()

@@ -1,6 +1,7 @@
 """Factorization layer: univariate, bivariate, absolute irreducibility."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from conic2.gf2k import field_new, section_bits
 from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print, to_columns, to_dense
 from conic2.factor import (
     UnluckySpecializationExhausted,
+    _find_specialization,
     _orbit_primes,
     _simple_root_degrees,
     bivariate_factor,
@@ -20,7 +22,7 @@ from conic2.factor import (
 
 from conic2.geom import NotSquarefree, singular_points
 
-from _helpers import abs_irred_every_extension
+from _helpers import abs_irred_every_extension, is_irreducible
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -141,6 +143,67 @@ def test_bivariate_factor_random_products_over_f4():
         assert reexpand(fac, F4, XY).scale(lc) == f
         for g, _ in fac:
             assert len(bivariate_factor(g)) == 1
+
+
+def _irreducible_at_zero(rng, ctx, dx, dtot, irreducible):
+    """A random f monic in x, of x-degree dx and total degree at most dtot,
+    whose f(x, 0) is irreducible of degree dx.  Such an f is irreducible: a
+    factorization into factors monic in x would specialize to one of f(x, 0)
+    with the same x-degrees."""
+    while True:
+        u = [rng.randrange(ctx.q) for _ in range(dx)] + [1]
+        if irreducible(u):
+            break
+    terms = [((i, 0), c) for i, c in enumerate(u) if c]
+    terms += [((i, j), rng.randrange(1, ctx.q)) for i in range(dx)
+              for j in range(1, dtot - i + 1) if rng.random() < 0.4]
+    return Poly.from_terms(ctx, XY, terms)
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["F2", "F4"])
+def test_bivariate_factor_finds_the_planted_irreducible_factors(k):
+    """Products of 2-4 factors, each proved irreducible by its
+    specialization at y = 0, of total degree 6-12, whose specialization has
+    at least three local factors: bivariate_factor returns exactly the
+    planted factors.  Some factors share their specialization at y = 0, so
+    the chosen value or field differs and local factors must recombine."""
+    ctx = field_new(k)
+    if k == 1:
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        def irreducible(u):
+            return galoistools.gf_irreducible_p([ZZ(c) for c in reversed(u)], 2, ZZ)
+    else:
+        def irreducible(u):
+            return is_irreducible(ctx, u)
+
+    rng = random.Random(31 + k)
+    cases = recombined = 0
+    while cases < 12:
+        gs = []
+        for _ in range(rng.randint(2, 4)):
+            if gs and rng.random() < 0.4:  # shares its value at y = 0 with an earlier factor
+                h = rng.choice(gs)
+                term = ((rng.randrange(h.degree_in("x")), rng.randint(1, 2)), rng.randrange(1, ctx.q))
+                g = h + Poly.from_terms(ctx, XY, [term])
+            else:
+                dx = rng.randint(1, 3)
+                g = _irreducible_at_zero(rng, ctx, dx, rng.randint(dx, 4), irreducible)
+            gs.append(g.monic())
+        f = Poly.const(ctx, XY, 1)
+        for g in gs:
+            f = f * g
+        if len(set(gs)) < len(gs) or not 6 <= f.total_degree() <= 12:
+            continue
+        ctx_e, _, _, _, u = _find_specialization(f, "x", "y")
+        local = len(_dense.factor(ctx_e, u)[1])
+        if local < 3:
+            continue
+        cases += 1
+        recombined += local > len(gs) or ctx_e is not ctx
+        assert dict(bivariate_factor(f)) == Counter(gs), poly_print(f)
+    assert recombined >= 3
 
 
 def test_specialization_budget_error(monkeypatch):

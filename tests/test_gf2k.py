@@ -199,18 +199,20 @@ def test_serialization_round_trip():
 def test_moduli_have_no_small_factors():
     # every entry has degree k and passes the field's own irreducibility
     # check; small degrees are also spot-checked by trial division
-    from conic2.gf2k import _MODULI, _gf2x_mod
+    from conic2 import _dense
+    from conic2.gf2k import _MODULI
 
     assert sorted(_MODULI) == list(range(1, 65))
     for k, m in _MODULI.items():
         assert m.bit_length() - 1 == k
         assert field_new(k).modulus == m
+    F2 = _dense._ring(field_new(1))  # F_2[t] on packed ints, the layout of _MODULI
     for k in (2, 3, 4, 5, 6, 7, 8, 12, 16):
         m = _MODULI[k]
         for d in range(1, k // 2 + 1):
             for tail in range(1 << d):
                 g = (1 << d) | tail
-                assert _gf2x_mod(m, g) != 0
+                assert F2.mod(m, g) != 0
 
 
 def test_moduli_are_irreducible_and_follow_the_table_rule():
@@ -290,7 +292,7 @@ def test_fields_above_the_table_cap_stay_serial(k):
 
 def test_tables_are_built_with_the_context_and_cover_the_group():
     for k in range(1, 17):
-        F = FieldCtx(k, _CTX_TOKEN)  # construction ran Rabin's test, then built the tables
+        F = FieldCtx(k, _CTX_TOKEN)  # construction checked the modulus, then built the tables
         if k > _TABLE_MAX_K:
             assert F._log is None and F._exp is None and F.log_tables() is None, k
             continue
@@ -302,13 +304,13 @@ def test_tables_are_built_with_the_context_and_cover_the_group():
 
 
 def test_reducible_modulus_raises_instead_of_hanging(monkeypatch):
-    # (t^2 + t + 1)^2: Rabin's test, on the serial path, rejects it
+    # (t^2 + t + 1)^2: the distinct-degree check rejects it
     monkeypatch.setitem(_MODULI, 4, 0b10101)
     t0 = time.perf_counter()
     with pytest.raises(AssertionError):
         FieldCtx(4, _CTX_TOKEN)
     # the table build checks that one power cycle covers F_q^*, so a
-    # modulus that slipped past Rabin's test raises too
+    # modulus that slipped past the irreducibility check raises too
     F = FieldCtx(5, _CTX_TOKEN)
     F.modulus = 0b100001  # t^5 + 1 = (t + 1)(t^4 + t^3 + t^2 + t + 1)
     with pytest.raises(AssertionError):

@@ -79,11 +79,12 @@ def test_one_root_of_a_product_of_distinct_linear_factors(k):
         roots = set()
         while len(roots) < n:
             roots.add(rng.randrange(ctx.q))
-        f = [1]
+        R = _dense._ring(ctx)
+        f = R.one
         for a in roots:
-            f = _dense.mul(ctx, f, [a, 1])
-        f = _dense.smul(ctx, f, rng.randrange(1, ctx.q))  # not monic
-        assert _dense.one_root(ctx, f) in roots
+            f = R.mul(f, R.pack([a, 1]))
+        f = R.scale(f, rng.randrange(1, ctx.q))  # not monic
+        assert _dense.one_root(ctx, R.unpack(f)) in roots
 
 
 # -- random systems against the per-root oracle --------------------------------------
