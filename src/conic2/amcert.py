@@ -19,14 +19,18 @@ of the diagonal, hence not stably rational); the conclusion itself is never
 re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
-Curve geometry and the facts of a claim of factors are settled once per
-process, in bounded caches every call shares; certificates do not depend
-on what they hold.  Sigma is solved once per certificate: flatness and
-each component's meeting with Sigma contain Sigma's equations, so they are
-read off Sigma's points.  A search whose template fixes Sigma solves it
-once and reads each candidate's Sigma off it.  Each point fact is read off
-one section jet per point per certificate.  Polynomials and points keep
-their printed text, so each is rendered once per process.
+Curve geometry and a claim of factors are settled once per process, in
+three caches of 128 entries that every call and thread shares:
+:func:`_singular_locus` (keyed by the curve and k_max), :func:`_meeting` (by
+the pair and k_max) and :func:`_claim` (by the field and the claim); each
+factor's verdict is kept by :func:`factor._abs_irred_bivariate`.  A cleared
+cache and a warm one give byte-identical certificates.  Sigma is solved
+once per certificate: flatness and each component's meeting with Sigma
+contain Sigma's equations, so they are read off Sigma's points.  A search
+whose template fixes Sigma solves it once and reads each candidate's Sigma
+off it.  Each point fact is read off one section jet per point per
+certificate.  Polynomials and points keep their printed text, so each is
+rendered once per process.
 """
 
 from __future__ import annotations
@@ -55,13 +59,7 @@ from .conic import (
     spec_to_dict,
     spec_validate,
 )
-from .factor import (
-    UnluckySpecializationExhausted,
-    _is_absolutely_irreducible,
-    bivariate_factor,
-    is_absolutely_irreducible,
-    sort_factors,
-)
+from .factor import UnluckySpecializationExhausted, _abs_irred_bivariate, form_factor, sort_factors
 from . import geom
 from .gf2k import field_new
 from .geom import (
@@ -81,12 +79,9 @@ from .geom import (
 from .poly import (
     NotDivisible,
     Poly,
-    dehomogenize,
     exact_div,
-    homogenize,
     partial_derivative,
     poly_print,
-    strip_monomial,
     substitute,
 )
 
@@ -131,53 +126,46 @@ CAVEATS = (
 
 
 def component_factorization(
-    spec: ConicBundleSpec, claimed: list[Poly] | None = None, k_max: int = 24
+    spec: ConicBundleSpec, claimed: list[Poly] | None = None
 ) -> list[tuple[Poly, int]]:
     """Verified factorization of the discriminant into absolutely irreducible parts.
 
-    With claimed factors: their product must equal Delta up to a nonzero
-    scalar, and each is factored over F_q before its absolute part is proved.
-    The product, the grouped and sorted factors and each factor's verdict
-    depend on the claim alone, so they come from the process-wide
-    :func:`_claim`; each call still compares the scaled product with its
-    own Delta, before any factor is proved.
-    Without: Delta is factored from scratch (monomial part plus bivariate
-    factorization on a chart, reglued by homogenization); those factors are
-    irreducible over F_q, so only their absolute part is proved.
+    With claimed factors: their product, from the process-wide
+    :func:`_claim`, must equal this spec's Delta up to a nonzero scalar
+    before any factor is proved, and each factor is factored over F_q before
+    its absolute part is proved.  Without: Delta is factored by
+    :func:`factor.form_factor`, so each factor is irreducible over F_q and
+    only its absolute part is proved.  The verdicts are kept by
+    :func:`factor._abs_irred_bivariate`; a proof's error is not.
     """
     delta = discriminant(spec)
     if delta.is_zero():
         raise ValueError("the discriminant vanishes identically; no components")
     if claimed is None:
-        factors = _factor_homogeneous(delta)
-        for f, _ in factors:  # a factor of Delta is irreducible over F_q
-            if not _is_absolutely_irreducible(f, True):
-                raise NotAbsolutelyIrreducible(f)
-        return factors
-    product, factors, verdicts = _claim(spec.ctx, tuple(claimed))
-    _, lc_prod = product.leading()
-    _, lc_delta = delta.leading()
-    scale = spec.ctx.mul(lc_delta, spec.ctx.inv(lc_prod))
-    if product.scale(scale) != delta:
-        raise FactorizationMismatch(
-            "claimed factors times a scalar do not expand to the discriminant"
-        )
+        factors = form_factor(delta)
+        product = Poly.const(delta.ctx, BASE_VARS, 1)
+        for f, m in factors:
+            product = product * f ** m
+        if product.scale(delta.leading()[1]) != delta:  # pragma: no cover - defensive
+            raise FactorizationMismatch("internal: chart factorization did not reglue")
+    else:
+        product, factors = _claim(spec.ctx, tuple(claimed))
+        scale = spec.ctx.mul(delta.leading()[1], spec.ctx.inv(product.leading()[1]))
+        if product.scale(scale) != delta:
+            raise FactorizationMismatch(
+                "claimed factors times a scalar do not expand to the discriminant"
+            )
     for f, _ in factors:
-        # proved once; a proof's error is raised again on the next call, and
-        # threads that race here each prove f and store the same verdict
-        if f not in verdicts:
-            verdicts[f] = is_absolutely_irreducible(f)
-        if not verdicts[f]:
+        if not _abs_irred_bivariate(f, claimed is None):
             raise NotAbsolutelyIrreducible(f)
     return list(factors)
 
 
 @lru_cache(maxsize=128)
-def _claim(ctx, claimed: tuple[Poly, ...]) -> tuple[Poly, tuple[tuple[Poly, int], ...], dict]:
-    """The claimed factors' product over ctx, the factors grouped by monic
-    associate and sorted, and the dict of each factor's proved
-    absolute-irreducibility verdict.  Examples and search candidates repeat
-    a claim while the bundle varies.  A claim that does not multiply in ctx
+def _claim(ctx, claimed: tuple[Poly, ...]) -> tuple[Poly, tuple[tuple[Poly, int], ...]]:
+    """The claimed factors' product over ctx and the factors grouped by
+    monic associate and sorted.  Examples and search candidates repeat a
+    claim while the bundle varies.  A claim that does not multiply in ctx
     raises, and nothing is kept."""
     grouped: dict[Poly, int] = {}
     product = Poly.const(ctx, BASE_VARS, 1)
@@ -185,26 +173,7 @@ def _claim(ctx, claimed: tuple[Poly, ...]) -> tuple[Poly, tuple[tuple[Poly, int]
         g = f.monic()
         grouped[g] = grouped.get(g, 0) + 1
         product = product * f
-    return product, tuple(sort_factors(list(grouped.items()))), {}
-
-
-def _factor_homogeneous(delta: Poly) -> list[tuple[Poly, int]]:
-    """Factor a homogeneous plane polynomial: monomial part + one chart."""
-    work, ords = strip_monomial(delta)
-    out = {Poly.var(delta.ctx, BASE_VARS, v): e for v, e in zip(BASE_VARS, ords) if e}
-    if not work.is_constant():
-        chart = dehomogenize(work, "z")
-        for g, m in bivariate_factor(chart):
-            h = homogenize(g, "z").with_vars(BASE_VARS).monic()
-            out[h] = out.get(h, 0) + m
-    factors = sort_factors(list(out.items()))
-    check = Poly.const(delta.ctx, BASE_VARS, 1)
-    for f, m in factors:
-        check = check * f ** m
-    _, lc = delta.leading()
-    if check.scale(lc) != delta:  # pragma: no cover - defensive
-        raise FactorizationMismatch("internal: chart factorization did not reglue")
-    return factors
+    return product, tuple(sort_factors(list(grouped.items())))
 
 
 # -- Artin-Mumford component analysis -------------------------------------------
@@ -531,7 +500,7 @@ def _certify(
     Where Sigma is recorded, after the precondition and the factorization, a
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     spec's validation report and Delta are kept on the spec; a claim's
-    product, factors and verdicts come from :func:`_claim`; the components'
+    product and factors come from :func:`_claim`; the components'
     singular loci and their pairwise meetings, each with its Frobenius
     orbits, come from the process-wide curve caches,
     :func:`_singular_locus` and :func:`_meeting`.
@@ -592,7 +561,7 @@ def _certify(
     cert.discriminant["poly"] = poly_print(delta)
     cert.discriminant["degree"] = delta.total_degree()
     try:
-        factors = component_factorization(spec, claimed_factors, k_max)
+        factors = component_factorization(spec, claimed_factors)
     except (FactorizationMismatch, NotAbsolutelyIrreducible) as exc:
         cert.discriminant["error"] = str(exc)
         for name in HYPOTHESES[1:]:

@@ -3,7 +3,14 @@
 This module decides what to factor and where; every operation on F[t] and
 on column polynomials is :mod:`conic2._dense`'s.  Univariate factorization
 is :func:`conic2._dense.factor`, and the bivariate gcd is
-:func:`conic2._dense.col_gcd`.
+:func:`conic2._dense.col_gcd`.  It is the only module that factors forms or
+decides absolute irreducibility: :func:`form_factor` factors the
+discriminant and solve_system's eliminants, and every verdict is kept in
+one cache, :func:`_abs_irred_bivariate`'s lru_cache of 4096 entries, keyed
+on the caller's polynomial and on whether it is known irreducible over F_q.
+An error, such as UnluckySpecializationExhausted, is not kept.  The cache
+is named for the chart every proof runs on, and perfbench's tracer reads
+its cache_info under that name.
 
 Bivariate factorization specializes the co-variable at a point keeping the
 leading coefficient nonzero and the specialized polynomial squarefree.
@@ -55,8 +62,6 @@ from .gf2k import FieldCtx, field_new, section_bits
 from .poly import (
     NotDivisible,
     Poly,
-    binary_from_dense,
-    binary_to_dense,
     dehomogenize,
     exact_div,
     from_columns,
@@ -108,24 +113,22 @@ def univariate_factor(f: Poly) -> list[tuple[Poly, int]]:
     return sort_factors([(from_dense(f.ctx, f.vars, name, coeffs), m) for coeffs, m in fac])
 
 
-# -- binary forms ------------------------------------------------------------------
+# -- forms ------------------------------------------------------------------------
 
 
-def binary_form_factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor a nonzero binary form into irreducible forms over its own field."""
-    if len(f.vars) != 2:
-        raise ValueError("binary_form_factor expects a two-variable polynomial")
-    d = is_homogeneous(f)
-    if d is None or d == "zero":
-        raise ValueError("binary_form_factor expects a nonzero homogeneous form")
+def form_factor(f: Poly) -> list[tuple[Poly, int]]:
+    """Factor a nonzero form in two or three variables into monic irreducible
+    forms over its own field, sorted canonically: the variables of its
+    monomial part, then the factors of the rest on the chart where the last
+    variable is 1, rehomogenized."""
+    if len(f.vars) not in (2, 3) or is_homogeneous(f) in (None, "zero"):
+        raise ValueError("form_factor expects a nonzero form in two or three variables")
     g, ords = strip_monomial(f)
     out = {Poly.var(f.ctx, f.vars, v): e for v, e in zip(f.vars, ords) if e}
-    if g.total_degree() > 0:
-        _, dense = binary_to_dense(g)
-        _, fac = _dense.factor(f.ctx, dense)
-        for coeffs, m in fac:
-            form = binary_from_dense(f.ctx, f.vars, coeffs)
-            out[form] = out.get(form, 0) + m
+    if not g.is_constant():
+        last = f.vars[-1]
+        for h, m in bivariate_factor(dehomogenize(g, last)):
+            out[homogenize(h, last).monic()] = m
     return sort_factors(list(out.items()))
 
 
@@ -414,31 +417,15 @@ def _splits_over_an_extension(f: Poly) -> bool:
 
 @lru_cache(maxsize=4096)
 def _abs_irred_bivariate(f: Poly, irreducible: bool) -> bool:
-    """Absolute irreducibility of a bivariate f; ``irreducible`` says f is
-    already known irreducible over F_q, so it is not factored over F_q."""
-    if not irreducible and sum(m for _, m in bivariate_factor(f)) != 1:
-        return False
-    return not _splits_over_an_extension(f)
-
-
-def is_absolutely_irreducible(f: Poly) -> bool:
-    """True iff f is irreducible over the algebraic closure.
-
-    Accepts a polynomial in at most two variables, or a homogeneous one in
-    three; trivariate input is dehomogenized on a chart not dividing it.
-    """
-    return _is_absolutely_irreducible(f, False)
-
-
-def _is_absolutely_irreducible(f: Poly, irreducible: bool) -> bool:
-    """is_absolutely_irreducible; with ``irreducible`` true, f is known to be
-    irreducible over F_q, as each factor bivariate_factor returns is, and only
-    the absolute part is proved.  Dehomogenizing f on a chart it is not
-    divisible by keeps it irreducible."""
+    """is_absolutely_irreducible(f); with ``irreducible`` true, f is known to
+    be irreducible over F_q, as each factor bivariate_factor returns is, and
+    only the absolute part is proved.  A homogeneous trivariate f is read on
+    the chart where its last variable is 1: when no variable divides f,
+    dehomogenizing keeps it irreducible."""
     if f.is_zero() or f.is_constant():
         raise ValueError("absolute irreducibility needs a nonzero non-constant input")
-    active = f.variables_used()
-    if len(active) == 3:
+    work = f
+    if len(f.variables_used()) == 3:
         if is_homogeneous(f) is None:
             raise ValueError("trivariate input must be homogeneous")
         g, ords = strip_monomial(f)
@@ -448,15 +435,21 @@ def _is_absolutely_irreducible(f: Poly, irreducible: bool) -> bool:
         if any(ords):
             return False
         work = dehomogenize(f, f.vars[-1])
-    else:
-        work = f
-    if work.total_degree() == 1:
-        return True
-    wactive = work.variables_used()
-    if len(wactive) == 1:
-        return work.total_degree() == 1
-    if len(wactive) == 0:
+    active = work.variables_used()
+    if not active:
         raise ValueError("constant after dehomogenization")
-    # canonicalize variable tuple for caching
-    wa = tuple(sorted(wactive))
-    return _abs_irred_bivariate(work.with_vars(wa), irreducible)
+    if len(active) == 1 or work.total_degree() == 1:
+        return work.total_degree() == 1
+    work = work.with_vars(tuple(sorted(active)))
+    if not irreducible and sum(m for _, m in bivariate_factor(work)) != 1:
+        return False
+    return not _splits_over_an_extension(work)
+
+
+def is_absolutely_irreducible(f: Poly) -> bool:
+    """True iff f is irreducible over the algebraic closure.
+
+    Accepts a polynomial in at most two variables, or a homogeneous one in
+    three; trivariate input is dehomogenized on a chart not dividing it.
+    """
+    return _abs_irred_bivariate(f, False)

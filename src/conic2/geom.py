@@ -53,7 +53,7 @@ from .conic import (
     radical_point,
     section_jet,
 )
-from .factor import binary_form_factor, gcd_homogeneous_many
+from .factor import form_factor, gcd_homogeneous_many
 from .gf2k import FieldCtx, embed_bits, field_new
 from .poly import (
     Poly,
@@ -362,7 +362,7 @@ def solve_system(
         if not common.is_constant():
             raise PositiveDimensional(common)
     eliminant = _direction_eliminant(nonzero, collected)
-    forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
+    forms = [] if eliminant.is_constant() else [f for f, _ in form_factor(eliminant)]
     return _solve_on_directions(nonzero, forms, k_max)
 
 

@@ -30,8 +30,8 @@ from conic2.factor import (
     UnluckySpecializationExhausted,
     _find_specialization,
     _merge_frobenius_orbits,
-    binary_form_factor,
     bivariate_factor,
+    form_factor,
     gcd_homogeneous_many,
 )
 from conic2.gf2k import DivisionByZero, embed_bits, field_new
@@ -534,7 +534,7 @@ def per_root_solve_system(polys, k_max=24):
     eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
     degrees, points = [], []
     if not eliminant.is_constant():
-        for form, _mult in binary_form_factor(eliminant):
+        for form, _mult in form_factor(eliminant):
             d = form.total_degree()
             degrees.append(d)
             if form == Poly.var(ctx, form.vars, "y"):
@@ -613,7 +613,7 @@ def gcd_first_solve_system(polys, k_max=24):
     if not common.is_constant():
         raise PositiveDimensional(common)
     eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
-    forms = [] if eliminant.is_constant() else [f for f, _ in binary_form_factor(eliminant)]
+    forms = [] if eliminant.is_constant() else [f for f, _ in form_factor(eliminant)]
     return _solve_on_directions(nonzero, forms, k_max)
 
 

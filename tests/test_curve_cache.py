@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from conic2 import amcert, conic, geom, poly
+from conic2 import amcert, conic, factor, geom, poly
 from conic2.amcert import (
     FactorizationMismatch,
     NotAbsolutelyIrreducible,
@@ -199,63 +199,93 @@ def test_search_certificates_do_not_depend_on_the_cache():
     assert len(cold) == 56 and cold == warm
 
 
+def _counting_proofs(monkeypatch):
+    """The factors amcert asks factor to prove absolutely irreducible, in
+    order; the proofs that run are factor._abs_irred_bivariate's misses."""
+    asked = []
+    prove = amcert._abs_irred_bivariate
+    monkeypatch.setattr(amcert, "_abs_irred_bivariate",
+                        lambda f, irreducible: asked.append(f) or prove(f, irreducible))
+    return asked
+
+
 @pytest.mark.fresh_interpreter
 def test_search_builds_the_claim_and_groups_the_meeting_once(monkeypatch):
-    proved, grouped = [], []
-    prove, orbits = amcert.is_absolutely_irreducible, amcert.frobenius_orbits
-    monkeypatch.setattr(amcert, "is_absolutely_irreducible", lambda f: proved.append(f) or prove(f))
+    grouped = []
+    orbits = amcert.frobenius_orbits
+    asked = _counting_proofs(monkeypatch)
     monkeypatch.setattr(amcert, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
     clear_caches()
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    assert sorted(proved, key=poly.poly_print) == sorted([D1, D2], key=poly.poly_print)
+    assert asked == [D1, D2] * 56
+    # each target is proved once; the other 55 candidates read its verdict
+    proofs = factor._abs_irred_bivariate.cache_info()
+    assert (proofs.misses, proofs.hits) == (2, 110)
     # the 16 meeting points once; each candidate's two Sigma points for H5
     assert grouped.count(16) == 1 and grouped.count(2) == 56 and len(grouped) == 57
     assert amcert._claim.cache_info().misses == 1 and amcert._claim.cache_info().hits == 55
     # the claim is built once, and a second search rebuilds nothing
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    assert amcert._claim.cache_info().misses == 1 and len(proved) == 2
+    assert amcert._claim.cache_info().misses == 1
+    assert factor._abs_irred_bivariate.cache_info().misses == 2
+
+
+@pytest.mark.fresh_interpreter
+def test_a_second_corpus_pass_proves_nothing_again():
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+    clear_caches()
+    first = _certificates(specs, clear_each=False)
+    before = factor._abs_irred_bivariate.cache_info()
+    assert _certificates(specs, clear_each=False) == first
+    after = factor._abs_irred_bivariate.cache_info()
+    # every component of the six specs, claimed or computed, is read back
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 15)
 
 
 @pytest.mark.fresh_interpreter
 def test_a_mismatched_claim_fails_before_any_factor_is_proved(monkeypatch):
-    proved = []
-    prove = amcert.is_absolutely_irreducible
-    monkeypatch.setattr(amcert, "is_absolutely_irreducible", lambda f: proved.append(f) or prove(f))
+    asked = _counting_proofs(monkeypatch)
     clear_caches()
     ex1, ex3 = load_corpus_spec("ex1"), load_corpus_spec("ex3")
     for _ in range(2):  # D1^2 is reducible, and it is not Delta
         with pytest.raises(FactorizationMismatch):
             component_factorization(ex1, [D1 * D1])
-    assert proved == []
+    assert asked == []
     with pytest.raises(NotAbsolutelyIrreducible) as err:
         component_factorization(ex1, [D1 * D2])
-    assert err.value.factor == D1 * D2 and proved == [D1 * D2]
+    assert err.value.factor == D1 * D2 and asked == [D1 * D2]
     # a claim proved for ex1 is still compared with each spec's own Delta
     assert component_factorization(ex1, [D1, D2]) == [(D1, 1), (D2, 1)]
     with pytest.raises(FactorizationMismatch):
         component_factorization(ex3, [D1, D2])
+    assert asked == [D1 * D2, D1, D2] and factor._abs_irred_bivariate.cache_info().misses == 3
 
 
 @pytest.mark.fresh_interpreter
 def test_a_proof_error_is_raised_again_and_not_kept(monkeypatch):
     calls = []
-    prove = amcert.is_absolutely_irreducible
+    original = factor.bivariate_factor
 
     def unlucky(f):
         calls.append(f)
         if len(calls) == 1:
             raise UnluckySpecializationExhausted("no specialization within the budget")
-        return prove(f)
+        return original(f)
 
-    monkeypatch.setattr(amcert, "is_absolutely_irreducible", unlucky)
+    monkeypatch.setattr(factor, "bivariate_factor", unlucky)
     clear_caches()
     ex1 = load_corpus_spec("ex1")
     with pytest.raises(UnluckySpecializationExhausted):
         component_factorization(ex1, [D1, D2])
     assert component_factorization(ex1, [D1, D2]) == [(D1, 1), (D2, 1)]
-    assert calls == [D1, D1, D2]  # the failed proof ran again; no verdict was kept for it
+    # the failed proof of D1 ran again over F_q; no verdict was kept for it
+    chart = poly.dehomogenize(D1, "z")
+    assert calls[0] == calls[1] == chart and calls[0].ctx is ex1.ctx
+    proofs = factor._abs_irred_bivariate.cache_info()
+    assert (proofs.misses, proofs.hits) == (3, 0)
     component_factorization(ex1, [D1, D2])
-    assert len(calls) == 3
+    proofs = factor._abs_irred_bivariate.cache_info()
+    assert (proofs.misses, proofs.hits) == (3, 2)
 
 
 # -- termwise division by a monomial -------------------------------------------------

@@ -7,16 +7,28 @@ import pytest
 
 from conic2 import _dense, factor
 from conic2.gf2k import field_new, section_bits
-from conic2.poly import Poly, dehomogenize, plane_poly, poly_parse, poly_print, to_columns, to_dense
+from conic2.poly import (
+    Poly,
+    dehomogenize,
+    from_dense,
+    homogenize,
+    plane_poly,
+    poly_parse,
+    poly_print,
+    to_columns,
+    to_dense,
+)
 from conic2.factor import (
     UnluckySpecializationExhausted,
     _find_specialization,
     _orbit_primes,
     _simple_root_degrees,
     bivariate_factor,
+    form_factor,
     gcd_bivariate,
     gcd_homogeneous,
     is_absolutely_irreducible,
+    sort_factors,
     univariate_factor,
 )
 
@@ -28,6 +40,7 @@ F2 = field_new(1)
 F4 = field_new(2)
 T = ("t",)
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def reexpand(factors, ctx, vars):
@@ -204,6 +217,108 @@ def test_bivariate_factor_finds_the_planted_irreducible_factors(k):
         recombined += local > len(gs) or ctx_e is not ctx
         assert dict(bivariate_factor(f)) == Counter(gs), poly_print(f)
     assert recombined >= 3
+
+
+# -- forms -------------------------------------------------------------------------
+
+
+def _monomial_part(rng, ctx, vars):
+    """A random product of the variables, each to a power of at most 2."""
+    m = Poly.const(ctx, vars, 1)
+    for v in vars:
+        m = m * Poly.var(ctx, vars, v, rng.randint(0, 2))
+    return m
+
+
+def _planted_form(rng, ctx, vars, irreducible):
+    """A monic form of degree 1-3 in vars whose restriction to the line
+    where every variable but the first and the last is 0, at last = 1, is an
+    irreducible polynomial of full degree: so the form is irreducible."""
+    d = rng.randint(1, 3)
+    while True:
+        u = [rng.randrange(ctx.q) for _ in range(d)] + [1]
+        if irreducible(u):
+            break
+    middle = (0,) * (len(vars) - 2)
+    items = [((i,) + middle + (d - i,), c) for i, c in enumerate(u)]
+    for j in range(len(middle)):  # terms the line misses
+        for _ in range(rng.randint(0, 2)):
+            e = rng.randint(1, d)
+            mono = [0] * len(vars)
+            mono[1 + j], mono[-1] = e, d - e
+            items.append((mono, rng.randrange(1, ctx.q)))
+    return Poly.from_terms(ctx, vars, items).monic()
+
+
+def _planted_forms(k, vars, count, irreducible):
+    """(f, expected factors): a monomial part times up to three planted
+    irreducible forms, one of them possibly twice."""
+    ctx = field_new(k)
+    rng = random.Random(17 * k + len(vars))
+    cases = []
+    for _ in range(count):
+        mono = _monomial_part(rng, ctx, vars)
+        gs = [_planted_form(rng, ctx, vars, irreducible) for _ in range(rng.randint(1, 3))]
+        gs += gs[:rng.randint(0, 1)]
+        f = mono.scale(rng.randrange(1, ctx.q))
+        for g in gs:
+            f = f * g
+        want = Counter(gs)
+        for v in vars:
+            e = mono.degree_in(v)
+            if e:
+                want[Poly.var(ctx, vars, v)] += e
+        cases.append((f, sort_factors(list(want.items()))))
+    return cases
+
+
+def test_form_factor_matches_sympy_on_binary_forms_over_f2():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(5)
+    for _ in range(60):
+        d = rng.randint(1, 9)
+        items = [((i, d - i), 1) for i in range(d + 1) if rng.random() < 0.5] or [((d, 0), 1)]
+        f = Poly.from_terms(F2, XY, items)
+        chart = dehomogenize(f, "y")
+        _, fac = galoistools.gf_factor([ZZ(c) for c in reversed(to_dense(chart, "x"))], 2, ZZ)
+        want = Counter()
+        for g, m in fac:
+            dense = [int(c) for c in reversed(g)]
+            want[homogenize(from_dense(F2, ("x",), "x", dense), "y")] += m
+        if f.degree_in("x") < d:  # y divides f to the power the chart lost
+            want[Poly.var(F2, XY, "y")] += d - f.degree_in("x")
+        assert form_factor(f) == sort_factors(list(want.items())), poly_print(f)
+
+
+@pytest.mark.parametrize("vars", [XY, XYZ], ids=["binary", "ternary"])
+@pytest.mark.parametrize("k", [1, 2, 4], ids=["F2", "F4", "F16"])
+def test_form_factor_returns_the_planted_factors(k, vars):
+    ctx = field_new(k)
+    if k == 1:
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        def irreducible(u):
+            return galoistools.gf_irreducible_p([ZZ(c) for c in reversed(u)], 2, ZZ)
+    else:
+        def irreducible(u):
+            return is_irreducible(ctx, u)
+
+    for f, want in _planted_forms(k, vars, 25, irreducible):
+        got = form_factor(f)
+        assert got == want, poly_print(f)
+        assert all(g.leading()[1] == 1 for g, _ in got)
+        assert reexpand(got, ctx, vars).scale(f.leading()[1]) == f
+
+
+def test_form_factor_rejects_what_is_no_form():
+    for text in ("x*y + z", "0"):
+        with pytest.raises(ValueError):
+            form_factor(plane_poly(text))
+    with pytest.raises(ValueError):
+        form_factor(poly_parse("t^2 + t", F2, T))
 
 
 def test_specialization_budget_error(monkeypatch):

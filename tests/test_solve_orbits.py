@@ -18,10 +18,10 @@ import random
 import pytest
 
 from conic2 import _dense, amcert, geom
-from conic2.amcert import _factor_homogeneous, example81_template, search_spieghiamolo, surface_criterion
+from conic2.amcert import example81_template, search_spieghiamolo, surface_criterion
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import BASE_VARS, ProjPoint, discriminant, sigma_generators, spec_from_dict, spec_to_dict
-from conic2.factor import binary_form_factor
+from conic2.factor import form_factor
 from conic2.geom import (
     ExtensionBound,
     PositiveDimensional,
@@ -128,7 +128,7 @@ def _z_patterns(system):
     eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
     if eliminant.is_constant():
         return out
-    for form, _ in binary_form_factor(eliminant):
+    for form, _ in form_factor(eliminant):
         fld = field_new(ctx.k * form.total_degree())
         h = _z_gcd(nonzero, *_direction_root(form, fld), fld)
         if _dense.deg(h) >= 1:
@@ -201,7 +201,7 @@ def _restricted_matches_fresh(spec, k_max=24):
     except (PositiveDimensional, ExtensionBound):
         return 0, set()
     total, used = 0, set()
-    for c, _ in _factor_homogeneous(delta):
+    for c, _ in form_factor(delta):
         system = [c] + off
         restricted = solve_system(system, k_max, within=sig)  # never raises where sig did not
         try:
@@ -314,7 +314,7 @@ def test_a_confined_solve_matches_fresh_on_a_moved_ex3_that_falls_back(monkeypat
     off = [s for s in sigma_generators(spec) if not s.is_zero()]
     sig = solve_system(off)
     counts = _confined_solves(monkeypatch)
-    for c, _ in _factor_homogeneous(discriminant(spec)):
+    for c, _ in form_factor(discriminant(spec)):
         system = [c] + off
         assert _exact(geom.solve_system(system, within=sig))[0] == _exact(geom.solve_system(system))[0]
     assert counts["fallbacks"] >= 1
