@@ -197,8 +197,11 @@ def gcd_homogeneous_many(polys: list[Poly]) -> Poly:
 def _find_specialization(f: Poly, xn: str, yn: str, skip: int = 0):
     """(field, embedded poly, columns, r, f(x, r)) with lc_x(f)(r) != 0 and
     f(x, r) squarefree, over the smallest field that has such an r.  The
-    first ``skip`` values of F_q are known to fail: they are not evaluated
-    again, but the budget counts them."""
+    first ``skip`` values of F_q are known to fail, and so are the values of
+    F_{q^e} in a subfield F_{q^d}, d | e, tried in full before it: an
+    isomorphism carries f's specialization at a value of F_{q^d} to the one
+    at its image, keeping lc != 0 and squarefreeness.  Those values are not
+    evaluated again, but the budget counts them."""
     ctx = f.ctx
     tried = 0
     ext = 1
@@ -207,7 +210,9 @@ def _find_specialization(f: Poly, xn: str, yn: str, skip: int = 0):
         fe = f.embed_to(ctx_e)
         cols = to_columns(fe, xn, yn)
         n = min(ctx_e.q, _SPECIALIZATION_BUDGET - tried)
-        found = _dense.squarefree_specialization(ctx_e, cols, range(skip, n))
+        subfields = [ctx.q ** d for d in range(1, ext) if ext % d == 0]  # r^(q^d) = r in F_{q^d}
+        values = (r for r in range(skip, n) if all(ctx_e.pow(r, s) != r for s in subfields))
+        found = _dense.squarefree_specialization(ctx_e, cols, values)
         if found is not None:
             return (ctx_e, fe, cols, *found)
         if n < ctx_e.q:

@@ -329,6 +329,43 @@ def test_specialization_budget_error(monkeypatch):
         bivariate_factor(poly_parse("x^3 + x*y + y^4 + 1", F2, XY))
 
 
+def _recording_specializations(monkeypatch):
+    """(field degree, r) of each value the specialization search evaluates."""
+    seen = []
+    original = _dense.squarefree_specialization
+
+    def recording(ctx, cols, values):
+        def drawn():
+            for r in values:
+                seen.append((ctx.k, r))
+                yield r
+        return original(ctx, cols, drawn())
+
+    monkeypatch.setattr(_dense, "squarefree_specialization", recording)
+    return seen
+
+
+def test_specialization_skips_the_values_of_fields_tried_in_full(monkeypatch):
+    # f(x, r) = x^2 + g(r)*x + 1 is squarefree exactly where g(r) != 0; g
+    # vanishes on F_4 and on 6 values of F_16 outside it, F_4 being
+    # {0, 1, 6, 7} in F_16.  The first good value of F_16 is 9, as it was
+    # when the values of F_4 were evaluated again there.
+    P = lambda text: poly_parse(text, F4, XY)  # noqa: E731
+    g = P("y^4 + y") * P("y^2 + y + j") * P("y^2 + y + j + 1") * P("y^2 + j*y + y + 1")
+    f = P("x^2 + 1") + g * P("x")
+    F16 = field_new(4)
+    seen = _recording_specializations(monkeypatch)
+    ctx_e, _, _, r, _ = _find_specialization(f, "x", "y")
+    assert ctx_e is F16 and r == 9
+    assert seen == [(2, r) for r in range(4)] + [(4, r) for r in (2, 3, 4, 5, 8, 9)]
+    # the budget still counts the skipped values: 4 in F_4, then 0..8 in F_16
+    monkeypatch.setattr(factor, "_SPECIALIZATION_BUDGET", 4 + 9)
+    with pytest.raises(UnluckySpecializationExhausted):
+        _find_specialization(f, "x", "y")
+    monkeypatch.setattr(factor, "_SPECIALIZATION_BUDGET", 4 + 10)
+    assert _find_specialization(f, "x", "y")[3] == 9
+
+
 def test_absolute_irreducibility_examples():
     assert is_absolutely_irreducible(plane_poly("x^3*z + y^4"))
     assert is_absolutely_irreducible(plane_poly("y^2 + x*z"))  # smooth conic
