@@ -5,8 +5,8 @@ criterion:
 
   (1) H^2 of the base with coefficients in 1-forms vanishes (hardcoded fact
       for P^2; computing coherent cohomology is out of scope),
-  (2) the discriminant is reducible and each component's singular locus lies
-      inside the double-line locus Sigma,
+  (2) the discriminant is reducible, and each component's singular locus and
+      each repeated component lie inside the double-line locus Sigma,
   (3) components meet transversally, with cross fibers and ordinary
       quadratic singularities of the total space above the intersections,
   (4) at least two components are Artin-Mumford: they carry a double-line
@@ -594,20 +594,34 @@ def _certify(
     )
     cert.components = [a.serialize() for a in analyses]
 
-    # H2: Delta reducible, each component's singular points inside Sigma.
+    # H2: Delta reducible, each component's singular points inside Sigma,
+    # and each repeated component inside Sigma.  Delta = Q(n) and its
+    # partials are those of Q at n, so off Sigma the total space is singular
+    # over every point of a repeated component.
+    def inside_sigma(c: Poly) -> bool:
+        try:
+            for s in sigma_generators(spec):
+                if not s.is_zero():
+                    exact_div(s, c)
+        except NotDivisible:
+            return False
+        return True
+
     reducible = sum(m for _, m in factors) >= 2
     outside = [
         (a.component, [p for p in a.sing_points if not _in_sigma(_jet(spec, jets, p))])
         for a in analyses if not a.sing_in_sigma
     ]
+    repeated = [f for f, m in factors if m >= 2 and not inside_sigma(f)]
     detail = [] if reducible else ["discriminant is irreducible"]
     detail += [
         f"Sing({poly_print(c)}) leaves Sigma at " + ", ".join(repr(p) for p in ps)
         for c, ps in outside
     ]
+    detail += [f"repeated component {poly_print(f)} is not inside Sigma" for f in repeated]
     record(
         "h2_reducible_sing_in_sigma",
-        reducible and not outside,
+        reducible and not outside and not repeated,
         "; ".join(detail) or "discriminant reducible; all singular loci inside Sigma",
         [p for _, ps in outside for p in ps],
     )

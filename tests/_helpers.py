@@ -246,6 +246,7 @@ def brute_fiber_singular_points(spec, p, ctx_big):
             continue
         if conic_val(a, b, c) == 0:
             fiber_pts.append((a, b, c))
+    jacobians = {}  # (base chart, fiber chart) -> chart equation and its partials over ctx_big
     for abc in fiber_pts:
         singular_here = None
         for wi, w in enumerate(BASE_VARS):
@@ -257,15 +258,17 @@ def brute_fiber_singular_points(spec, p, ctx_big):
                 fc = chart_fib[vi]
                 if fc == 0:
                     continue
-                ce = chart_equation(spec, w, vf)
+                if (w, vf) not in jacobians:
+                    eq = chart_equation(spec, w, vf).equation.embed_to(ctx_big)
+                    jacobians[w, vf] = eq, [partial_derivative(eq, nm) for nm in eq.vars]
+                eq, partials = jacobians[w, vf]
                 sb = ctx_big.inv(pb.coords[wi])
                 sf = ctx_big.inv(fc)
                 base_aff = [M(cc, sb) for k, cc in enumerate(pb.coords) if k != wi]
                 fib_aff = [M(cc, sf) for k, cc in enumerate(chart_fib) if k != vi]
                 pt = tuple(base_aff + fib_aff)
-                eq = ce.equation.embed_to(ctx_big)
                 assert eq.eval_bits(ctx_big, pt) == 0, "fiber point escaped the chart equation"
-                grads = [partial_derivative(eq, nm).eval_bits(ctx_big, pt) for nm in eq.vars]
+                grads = [d.eval_bits(ctx_big, pt) for d in partials]
                 s = all(g == 0 for g in grads)
                 if singular_here is None:
                     singular_here = s

@@ -2,6 +2,7 @@
 plus the degenerate-elimination fallback and a concurrency smoke test."""
 
 import dataclasses
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,17 +19,18 @@ from conic2.conic import (
     discriminant,
     sigma_generators,
 )
-from conic2.amcert import surface_criterion
+from conic2.amcert import component_factorization, surface_criterion
 from conic2.geom import (
     BezoutMismatch,
     CommonComponent,
     ExtensionBound,
     PositiveDimensional,
+    intersection_points,
     smooth_along_fiber,
     solve_system,
 )
-from conic2.gf2k import field_new
-from conic2.poly import Poly, plane_poly, poly_parse
+from conic2.gf2k import embed_bits, field_new, section_bits
+from conic2.poly import Poly, partial_derivative, plane_poly, poly_parse
 
 from _helpers import (
     brute_fiber_singular_points,
@@ -157,6 +159,75 @@ def test_smooth_verdicts_exact_on_f2_specs_with_closure_sample():
 
 
 @pytest.mark.fresh_interpreter
+# -- the total space off Sigma ---------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 4], ids=["F2", "F4", "F16"])
+def test_discriminant_is_the_conic_form_at_the_radical(k):
+    """Delta = Q(n) and dDelta/dx_i = (dQ/dx_i)(n), with n = (s_bc, s_ac, s_ab)
+    and Q = sum of s_uv * u * v: the fiber partials of Q vanish at n in
+    characteristic 2, so off Sigma the total space is singular over p exactly
+    when Delta is."""
+    ctx = field_new(k)
+    rng = random.Random(40 + k)
+    for _ in range(40):
+        spec = rand_spec(rng, ctx)
+        s = spec.sections
+        n = {"a": s["bc"], "b": s["ac"], "c": s["ab"]}
+
+        def q_at_n(coefficient):
+            out = Poly.zero(ctx, BASE_VARS)
+            for key in s:
+                out = out + coefficient(key) * n[key[0]] * n[key[1]]
+            return out
+
+        delta = discriminant(spec)
+        assert q_at_n(lambda key: s[key]) == delta
+        for v in BASE_VARS:
+            assert q_at_n(lambda key: partial_derivative(s[key], v)) == partial_derivative(delta, v)
+
+
+def _over_f16(p):
+    """The coordinates of p in F_16, or None when p is not rational over F_16."""
+    sub = field_new(math.gcd(4, p.ctx.k))
+    coords = [section_bits(sub, p.ctx, c) for c in p.coords]
+    return None if None in coords else tuple(embed_bits(sub, F16, c) for c in coords)
+
+
+# indices of rand_spec(random.Random(7), max_entry_degree=1) draws: two whose
+# Delta is a double line outside Sigma, then ten whose certificates pass H2,
+# H3 and H5, with Delta of degree 3 to 5
+_GLOBAL_SMOOTHNESS_DRAWS = (7, 21, 121, 187, 223, 226, 279, 350, 532, 660, 689, 893)
+
+
+def test_total_space_is_singular_only_above_the_h3_meetings():
+    """Where H2, H3 and H5 pass, the F_16 points of the base over which
+    brute_fiber_singular_points finds a singular point of X are exactly the
+    meetings of two components rational over F_16; a repeated component
+    outside Sigma, along which X is singular, fails H2."""
+    cubic = rand_spec(random.Random(1), F2)  # Delta = (x^2*z + x*y^2 + z^3)^2
+    h2 = surface_criterion(cubic).hypotheses["h2_reducible_sing_in_sigma"]
+    assert not h2.passed and h2.detail == "repeated component x^2*z + x*y^2 + z^3 is not inside Sigma"
+    rng = random.Random(7)
+    draws = [rand_spec(rng, max_entry_degree=1) for _ in range(_GLOBAL_SMOOTHNESS_DRAWS[-1] + 1)]
+    checked = 0
+    for spec in [cubic] + [draws[i] for i in _GLOBAL_SMOOTHNESS_DRAWS]:
+        hyps = surface_criterion(spec).hypotheses
+        if not all(hyps[name].passed for name in (
+                "h2_reducible_sing_in_sigma", "h3_transversal_crosses_nodes", "h5_smooth_along_double_lines")):
+            continue
+        checked += 1
+        delta = discriminant(spec).embed_to(F16)
+        # off Delta the fiber is a smooth conic, and X is smooth along it
+        singular = {p.coords for p in enumerate_plane_points(F16)
+                    if delta.eval_bits(F16, p.coords) == 0 and brute_fiber_singular_points(spec, p, F16)}
+        comps = [f for f, _ in component_factorization(spec)]
+        meetings = {_over_f16(p) for i, c1 in enumerate(comps) for c2 in comps[i + 1:]
+                    for p in intersection_points(c1, c2).points} - {None}
+        assert singular == meetings
+    assert checked == 10
+
+
 def test_certificates_are_threadsafe_and_deterministic():
     names = ["ex1", "ex3", "ex4", "ex5", "rem_double_line"]
 
