@@ -328,6 +328,17 @@ def _analyse_component(
     return ComponentAnalysis(component, status, sing_ok, sing, sigma_meets)
 
 
+def _inside_sigma(spec: ConicBundleSpec, c: Poly) -> bool:
+    """Whether the curve c lies inside Sigma: c divides every nonzero generator."""
+    try:
+        for s in sigma_generators(spec):
+            if not s.is_zero():
+                exact_div(s, c)
+    except NotDivisible:
+        return False
+    return True
+
+
 def nonproduct_witness(
     spec: ConicBundleSpec,
     component: Poly,
@@ -340,14 +351,7 @@ def nonproduct_witness(
     field, so one point with an irreducible splitting form proves the family
     is not a product.  Returning None certifies nothing.
     """
-    for s in sigma_generators(spec):
-        if s.is_zero():
-            continue
-        try:
-            exact_div(s, component)
-        except NotDivisible:
-            break
-    else:
+    if _inside_sigma(spec, component):
         raise ValueError("component lies inside the double-line locus; fibers are not crosses")
 
     partials = [partial_derivative(component, v) for v in BASE_VARS]
@@ -598,21 +602,12 @@ def _certify(
     # and each repeated component inside Sigma.  Delta = Q(n) and its
     # partials are those of Q at n, so off Sigma the total space is singular
     # over every point of a repeated component.
-    def inside_sigma(c: Poly) -> bool:
-        try:
-            for s in sigma_generators(spec):
-                if not s.is_zero():
-                    exact_div(s, c)
-        except NotDivisible:
-            return False
-        return True
-
     reducible = sum(m for _, m in factors) >= 2
     outside = [
         (a.component, [p for p in a.sing_points if not _in_sigma(_jet(spec, jets, p))])
         for a in analyses if not a.sing_in_sigma
     ]
-    repeated = [f for f, m in factors if m >= 2 and not inside_sigma(f)]
+    repeated = [f for f, m in factors if m >= 2 and not _inside_sigma(spec, f)]
     detail = [] if reducible else ["discriminant is irreducible"]
     detail += [
         f"Sing({poly_print(c)}) leaves Sigma at " + ", ".join(repr(p) for p in ps)

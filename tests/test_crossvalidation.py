@@ -158,7 +158,6 @@ def test_smooth_verdicts_exact_on_f2_specs_with_closure_sample():
     assert checked == 25
 
 
-@pytest.mark.fresh_interpreter
 # -- the total space off Sigma ---------------------------------------------------
 
 
@@ -228,6 +227,7 @@ def test_total_space_is_singular_only_above_the_h3_meetings():
     assert checked == 10
 
 
+@pytest.mark.fresh_interpreter
 def test_certificates_are_threadsafe_and_deterministic():
     names = ["ex1", "ex3", "ex4", "ex5", "rem_double_line"]
 
