@@ -82,6 +82,7 @@ from .poly import (
     exact_div,
     partial_derivative,
     poly_print,
+    poly_square,
     substitute,
 )
 
@@ -219,7 +220,9 @@ def _jet(spec: ConicBundleSpec, jets: dict, p: ProjPoint) -> SectionJet:
 
 
 def _in_sigma(jet: SectionJet) -> bool:
-    return all(jet.value[k] == 0 for k in OFF_DIAGONAL)
+    """Whether the jet's point lies on Sigma: s_ab, s_ac and s_bc vanish there."""
+    v = jet.value
+    return not (v[1] or v[2] or v[4])
 
 
 # Curve geometry depends only on the curves and k_max, and the examples fix
@@ -839,9 +842,9 @@ def search_spieghiamolo(
             tried += 1
             q = Poly.from_terms(ctx, BASE_VARS, [(monos[i], 1) for i in subset])
             beta = template.congruence_residue + template.congruence_modulus * q
-            # divisibility filter: target + beta^2 divisible by the divisor
+            # divisibility filter: target + beta^2 (a Frobenius square) divisible by the divisor
             try:
-                gamma = exact_div(target + beta * beta, template.quotient_divisor)
+                gamma = exact_div(target + poly_square(beta), template.quotient_divisor)
             except NotDivisible:
                 continue
             if sigma_system is not None and shared is None:

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .gf2k import FieldCtx, FieldElem, elem_parse, elem_str, embed_bits, field_new, section_bits
+from .gf2k import FieldCtx, bits_str, elem_parse, embed_bits, field_new, section_bits
 from .poly import (
     Poly,
     dehomogenize,
@@ -36,13 +36,13 @@ from .poly import (
     partial_derivative,
     poly_parse,
     poly_print,
+    poly_square,
 )
 
 BASE_VARS = ("x", "y", "z")
 FIBER_VARS = ("a", "b", "c")
 SECTION_KEYS = ("aa", "ab", "ac", "bb", "bc", "cc")
 OFF_DIAGONAL = ("ab", "ac", "bc")
-DIAGONAL = ("aa", "bb", "cc")
 
 
 class DegreeMismatch(ValueError):
@@ -133,7 +133,7 @@ class ProjPoint:
         """The coordinates as element literals, in a new list; a point is
         immutable, so they are rendered once and kept."""
         if self._text is None:
-            self._text = tuple(elem_str(FieldElem(self.ctx, c)) for c in self.coords)
+            self._text = tuple(bits_str(self.ctx, c) for c in self.coords)
         return list(self._text)
 
     def sort_key(self):
@@ -224,6 +224,9 @@ def _validate(spec: ConicBundleSpec) -> SpecReport:
 def discriminant(spec: ConicBundleSpec) -> Poly:
     """Delta = s_ab s_bc s_ac + s_ab^2 s_cc + s_ac^2 s_bb + s_bc^2 s_aa.
 
+    The squares are Frobenius squares (:func:`poly.poly_square`): in
+    characteristic 2 the cross terms of s * s cancel.
+
     Computed once per spec: the first call keeps Delta on the frozen spec as
     an attribute that is not a dataclass field, so it takes no part in
     equality or repr, and later calls return that same polynomial.
@@ -233,9 +236,9 @@ def discriminant(spec: ConicBundleSpec) -> Poly:
         s = spec.sections
         delta = (
             s["ab"] * s["bc"] * s["ac"]
-            + s["ab"] * s["ab"] * s["cc"]
-            + s["ac"] * s["ac"] * s["bb"]
-            + s["bc"] * s["bc"] * s["aa"]
+            + poly_square(s["ab"]) * s["cc"]
+            + poly_square(s["ac"]) * s["bb"]
+            + poly_square(s["bc"]) * s["aa"]
         )
         object.__setattr__(spec, "_discriminant", delta)
     return delta
@@ -246,34 +249,50 @@ def sigma_generators(spec: ConicBundleSpec) -> tuple[Poly, Poly, Poly]:
     return (spec.sections["ab"], spec.sections["ac"], spec.sections["bc"])
 
 
-def section_values(spec: ConicBundleSpec, p: ProjPoint) -> dict:
-    """Raw values of the six sections at p, in p's field."""
-    return {key: spec.sections[key].eval_bits(p.ctx, p.coords) for key in SECTION_KEYS}
+def section_values(spec: ConicBundleSpec, p: ProjPoint) -> tuple:
+    """Raw values of the six sections at p, in p's field, as a 6-tuple in
+    SECTION_KEYS order."""
+    return tuple(spec.sections[key].eval_bits(p.ctx, p.coords) for key in SECTION_KEYS)
 
 
 @dataclass(frozen=True)
 class SectionJet:
     """The six sections' values, first partials and mixed partial at a point.
 
+    Every point fact of a certificate is read off one jet per distinct
+    point: the fiber type over each component's meeting with Sigma, whether
+    a component's singular point lies on Sigma, and, per Frobenius orbit,
+    the H3 nodes (:func:`geom.cross_node`) and the H5 smoothness
+    (:func:`geom.fiber_smooth`); so the certifier builds no chart equation.
+
     ``chart`` is the index w of the point's first nonzero coordinate, and
     ``d1``, ``d2``, ``d12`` are the partials in the two other base variables
     u1, u2 (in x, y, z order) and their mixed partial.  Since p_w = 1 they
     are the partials of the sections dehomogenized at w = 1, i.e. on the
-    base chart of w.  Each field maps a section key to raw bits in the
-    point's field.
+    base chart of w.  ``value``, ``d1``, ``d2`` and ``d12`` are 6-tuples of
+    raw bits in the point's field, entry i belonging to section
+    SECTION_KEYS[i] (aa, ab, ac, bb, bc, cc), as in :func:`section_values`;
+    readers take fixed positions.
+
+    The sections have coefficients in F_q, so the jet at the conjugate
+    p^q = (x^q, y^q, z^q) (:meth:`ProjPoint.frobenius`, the one Frobenius,
+    also used by geom.solve_system) is the jet at p with every entry raised
+    to the q-th power: the fiber type, chart, node verdict and smoothness it
+    decides do not change, and the fiber's singular point is conjugated
+    along.  geom.frobenius_orbits groups a point set into these orbits.
     """
 
     point: ProjPoint
     chart: int
-    value: dict
-    d1: dict
-    d2: dict
-    d12: dict
+    value: tuple
+    d1: tuple
+    d2: tuple
+    d12: tuple
 
 
 def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     """The :class:`SectionJet` of the spec at p, in one pass over each
-    section's terms.
+    section's terms, its four 6-tuples built together.
 
     In characteristic 2 a term c*u1^e1*u2^e2 reaches d/du_i only when e_i
     is odd, and then its derivative differs from it only in the power of
@@ -288,7 +307,7 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     w = next(k for k, c in enumerate(p.coords) if c)
     i1, i2 = (k for k in range(3) if k != w)
     u1, u2 = p.coords[i1], p.coords[i2]
-    value, d1, d2, d12 = {}, {}, {}, {}
+    value, d1, d2, d12 = [], [], [], []
     tables = ctx.log_tables()
     if tables is not None:
         log, exp = tables
@@ -311,44 +330,43 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
                     v2 ^= exp[(s - l2) % order]
                 if e1 & e2 & 1 and e1 <= cap1 and e2 <= cap2:
                     v12 ^= exp[(s - l1 - l2) % order]
-            value[key], d1[key], d2[key], d12[key] = v, v1, v2, v12
-        return SectionJet(p, w, value, d1, d2, d12)
-    for key in SECTION_KEYS:
-        s = spec.sections[key]
-        s1, s2 = partial_derivative(s, s.vars[i1]), partial_derivative(s, s.vars[i2])
-        value[key], d1[key], d2[key], d12[key] = (
-            f.eval_bits(ctx, p.coords) for f in (s, s1, s2, partial_derivative(s1, s.vars[i2]))
-        )
-    return SectionJet(p, w, value, d1, d2, d12)
+            value.append(v)
+            d1.append(v1)
+            d2.append(v2)
+            d12.append(v12)
+    else:
+        for key in SECTION_KEYS:
+            s = spec.sections[key]
+            s1, s2 = partial_derivative(s, s.vars[i1]), partial_derivative(s, s.vars[i2])
+            for out, f in zip((value, d1, d2, d12), (s, s1, s2, partial_derivative(s1, s.vars[i2]))):
+                out.append(f.eval_bits(ctx, p.coords))
+    return SectionJet(p, w, tuple(value), tuple(d1), tuple(d2), tuple(d12))
 
 
-def _delta_value(v: dict, ctx: FieldCtx) -> int:
+def _delta_value(v: tuple, ctx: FieldCtx) -> int:
+    aa, ab, ac, bb, bc, cc = v
     mul = ctx.mul
-    return (
-        mul(mul(v["ab"], v["bc"]), v["ac"])
-        ^ mul(mul(v["ab"], v["ab"]), v["cc"])
-        ^ mul(mul(v["ac"], v["ac"]), v["bb"])
-        ^ mul(mul(v["bc"], v["bc"]), v["aa"])
-    )
+    return mul(mul(ab, bc), ac) ^ mul(mul(ab, ab), cc) ^ mul(mul(ac, ac), bb) ^ mul(mul(bc, bc), aa)
 
 
 def classify_fiber(spec: ConicBundleSpec, p: ProjPoint) -> FiberType:
     return fiber_type(section_values(spec, p), p.ctx)
 
 
-def fiber_type(v: dict, ctx: FieldCtx) -> FiberType:
-    """The fiber type of the conic with section values v in ctx."""
-    if all(v[k] == 0 for k in SECTION_KEYS):
-        return FiberType.NOT_CONIC
-    if all(v[k] == 0 for k in OFF_DIAGONAL):
-        return FiberType.DOUBLE_LINE
+def fiber_type(v: tuple, ctx: FieldCtx) -> FiberType:
+    """The fiber type of the conic with section values v (a 6-tuple in
+    SECTION_KEYS order) in ctx."""
+    aa, ab, ac, bb, bc, cc = v
+    if not (ab or ac or bc):
+        return FiberType.DOUBLE_LINE if aa or bb or cc else FiberType.NOT_CONIC
     if _delta_value(v, ctx) == 0:
         return FiberType.CROSS
     return FiberType.SMOOTH
 
 
-def cross_splitting_form(v: dict):
-    """Radical and line splitting form of the conic with section values v.
+def cross_splitting_form(v: tuple):
+    """Radical and line splitting form of the conic with section values v
+    (a 6-tuple in SECTION_KEYS order).
 
     The radical of the conic's bilinear form is spanned by
     n = (s_bc, s_ac, s_ab), which lies on the conic exactly when Delta = 0.
@@ -358,12 +376,14 @@ def cross_splitting_form(v: dict):
     the splitting form q_i T^2 + n_ell T + q_j.  Returns
     (n, (i, j), (q_i, n_ell, q_j)), or None when n = 0 (a double line).
     """
-    n = (v["bc"], v["ac"], v["ab"])
-    ell = next((k for k, c in enumerate(n) if c), None)
+    aa, ab, ac, bb, bc, cc = v
+    n = (bc, ac, ab)
+    ell = 0 if bc else 1 if ac else 2 if ab else None
     if ell is None:
         return None
     i, j = [k for k in range(3) if k != ell]
-    return n, (i, j), (v[DIAGONAL[i]], n[ell], v[DIAGONAL[j]])
+    diagonal = (aa, bb, cc)
+    return n, (i, j), (diagonal[i], n[ell], diagonal[j])
 
 
 def cross_singular_point(spec: ConicBundleSpec, p: ProjPoint) -> ProjPoint:
@@ -371,13 +391,14 @@ def cross_singular_point(spec: ConicBundleSpec, p: ProjPoint) -> ProjPoint:
     return radical_point(section_values(spec, p), p.ctx)
 
 
-def radical_point(v: dict, ctx: FieldCtx) -> ProjPoint:
-    """The point n of :func:`cross_splitting_form` for section values v in
-    ctx: the singular point of a cross fiber, normalized."""
-    split = cross_splitting_form(v)
-    if split is None:
+def radical_point(v: tuple, ctx: FieldCtx) -> ProjPoint:
+    """The point n = (s_bc, s_ac, s_ab) of :func:`cross_splitting_form` for
+    section values v in ctx: the singular point of a cross fiber,
+    normalized."""
+    _, ab, ac, _, bc, _ = v
+    if not (ab or ac or bc):
         raise ValueError("fiber is a double line; the singular locus is a whole line")
-    return ProjPoint(ctx, split[0])
+    return ProjPoint(ctx, (bc, ac, ab))
 
 
 _FIBER_MONO = {
@@ -417,6 +438,12 @@ class ChartEquation:
 
 
 def chart_equation(spec: ConicBundleSpec, base_var: str, fiber_var: str) -> ChartEquation:
+    """The total space on the chart base_var = 1, fiber_var = 1.
+
+    The certifier builds no chart equation, since it reads every point fact
+    off a :class:`SectionJet`; this and :func:`total_space_charts` serve
+    callers, the tests (with geom.ordinary_node_check) and the demos.
+    """
     if base_var not in BASE_VARS or fiber_var not in FIBER_VARS:
         raise ValueError(f"no chart ({base_var}, {fiber_var})")
     form = fiber_form_on_chart(spec, base_var)

@@ -43,9 +43,7 @@ from dataclasses import dataclass, field
 from . import _dense
 from .conic import (
     BASE_VARS,
-    DIAGONAL,
     FIBER_VARS,
-    SECTION_KEYS,
     ConicBundleSpec,
     FiberType,
     ProjPoint,
@@ -523,7 +521,10 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
 
     Every point must be transversal; then the count of points equals the
     product of the degrees, and the certificate records it.  A tangency or a
-    count mismatch raises BezoutMismatch.
+    count mismatch raises BezoutMismatch.  Transversality is decided once
+    per Frobenius orbit over the curves' F_q (:func:`frobenius_orbits`), at
+    its representative; a tangency is reported at the first
+    non-transversal point in the points' order.
     """
     for c in (c1, c2):
         if c.is_zero() or is_homogeneous(c) in (None, "zero"):
@@ -533,7 +534,12 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
     except PositiveDimensional as exc:
         raise CommonComponent(f"common component {poly_print(exc.common_factor)}") from None
     d1, d2 = ([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2))
-    for p in found.points:
+    # The partials have coefficients in F_q, so the verdict is the same at
+    # every point of a Frobenius orbit; an orbit's representative is its
+    # first point in the points' order, so the first failing representative
+    # is the first non-transversal point.
+    for orbit in frobenius_orbits(found.points, c1.ctx.q):
+        p = orbit[0]
         if not _independent(d1, d2, p):
             raise BezoutMismatch(f"non-transversal intersection at {p!r}", witness=p)
     expected = c1.total_degree() * c2.total_degree()
@@ -547,28 +553,30 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
 # -- total-space smoothness along degenerate fibers ------------------------------
 
 
-# (i, j, key): the fiber monomial w_i*w_j that section `key` multiplies
-_FIBER_PAIRS = tuple((FIBER_VARS.index(k[0]), FIBER_VARS.index(k[1]), k) for k in SECTION_KEYS)
-# d/dw_t of sum_k q_k m_k is q_k1 w_o1 + q_k2 w_o2, for ((k1, o1), (k2, o2)) = _POLAR[t]
-_POLAR = ((("ab", 1), ("ac", 2)), (("ab", 0), ("bc", 2)), (("ac", 0), ("bc", 1)))
+# d/dw_t of sum_k q_k m_k is q_k1 w_o1 + q_k2 w_o2, for ((k1, o1), (k2, o2)) =
+# _POLAR[t], k1 and k2 positions in SECTION_KEYS order
+_POLAR = (((1, 1), (2, 2)), ((1, 0), (4, 2)), ((2, 0), (4, 1)))
+# the position of s_{t_a t_b}, with t_a < t_b the fiber coordinates other
+# than t: the position of n_t in n = (s_bc, s_ac, s_ab)
+_RADICAL = (4, 2, 1)
 
 
-def _monomials(w: tuple, mul) -> list[int]:
-    """The six fiber monomials w_i*w_j at w, in section-key order."""
-    return [mul(w[i], w[j]) for i, j, _ in _FIBER_PAIRS]
+def _monomials(w: tuple, mul) -> tuple:
+    """The six fiber monomials w_i*w_j at w, in SECTION_KEYS order."""
+    w0, w1, w2 = w
+    return mul(w0, w0), mul(w0, w1), mul(w0, w2), mul(w1, w1), mul(w1, w2), mul(w2, w2)
 
 
-def _form_at(q: dict, monos: list[int], mul) -> int:
-    """sum_k q_k m_k(w), for the :func:`_monomials` of w."""
-    acc = 0
-    for key, m in zip(SECTION_KEYS, monos):
-        acc ^= mul(q[key], m)
-    return acc
+def _form_at(q: tuple, monos: tuple, mul) -> int:
+    """sum_k q_k m_k(w), for a 6-tuple q of a jet and the :func:`_monomials` of w."""
+    return (mul(q[0], monos[0]) ^ mul(q[1], monos[1]) ^ mul(q[2], monos[2])
+            ^ mul(q[3], monos[3]) ^ mul(q[4], monos[4]) ^ mul(q[5], monos[5]))
 
 
 def fiber_smooth(jet) -> bool:
     """No singular point of the total space on the degenerate fiber above a
-    point, given its section jet (:func:`conic.section_jet`).
+    point, given its section jet (:func:`conic.section_jet`, whose 6-tuples
+    are read at fixed SECTION_KEYS positions).
 
     On the jet's base chart the total space F = sum_k S_k(u) m_k(w) has, on
     the fiber, the partials Q_i = sum_k dS_k/du_i(p) m_k and the rows dF/dw
@@ -579,18 +587,20 @@ def fiber_smooth(jet) -> bool:
     lambda = sqrt(s_aa, s_bb, s_cc), with basis w1, w2, Q_i is the binary
     quadratic (a, b, c) = (Q_i(w1), B_i(w1, w2), Q_i(w2)), and the fiber is
     smooth iff both are nonzero with resultant
-    (a c' + a' c)^2 + (a b' + a' b)(b c' + b' c) != 0.  No extension field
-    is needed.  Any other fiber raises FiberNotDegenerate.
+    (a c' + a' c)^2 + (a b' + a' b)(b c' + b' c) != 0.  Neither case walks
+    the fiber's lines, so no extension field (F_{q^2} for conjugate lines)
+    is needed; the tests keep that line walk as an oracle.  Any other fiber
+    raises FiberNotDegenerate.
     """
     ctx, v = jet.point.ctx, jet.value
     mul = ctx.mul
     ftype = fiber_type(v, ctx)
     if ftype is FiberType.CROSS:
-        monos = _monomials((v["bc"], v["ac"], v["ab"]), mul)
+        monos = _monomials((v[4], v[2], v[1]), mul)
         return _form_at(jet.d1, monos, mul) != 0 or _form_at(jet.d2, monos, mul) != 0
     if ftype is not FiberType.DOUBLE_LINE:
         raise FiberNotDegenerate(f"fiber over {jet.point!r} is {ftype}")
-    lam = [ctx.sqrt(v[k]) for k in DIAGONAL]
+    lam = [ctx.sqrt(v[k]) for k in (0, 3, 5)]  # s_aa, s_bb, s_cc
     i = next(k for k, c in enumerate(lam) if c)
     inv = ctx.inv(lam[i])
     w1, w2 = (tuple(mul(lam[j], inv) if k == i else int(k == j) for k in range(3))
@@ -615,7 +625,8 @@ def smooth_along_fiber(spec: ConicBundleSpec, p: ProjPoint) -> bool:
 
 def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
     """Chart, fiber singular point n and ordinary-node verdict above a
-    point, given its section jet (:func:`conic.section_jet`).
+    point, given its section jet (:func:`conic.section_jet`, whose 6-tuples
+    are read at fixed SECTION_KEYS positions).
 
     n = (s_bc, s_ac, s_ab) is the radical of the conic's bilinear form
     (:func:`conic.radical_point`), and the chart is the one where the first
@@ -624,26 +635,32 @@ def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
     coefficients, the total space f(u, t) = sum_k S_k(u) M_k(t) has at
     (p, n) the value F(n) and the gradient (Q_1(n), Q_2(n), 0, 0), since the
     t-partials are rows of the bilinear form at its radical; its mixed
-    partials are b01 = Q_12(n), the polar forms dQ_i/dw_t(n) for t = t_a,
-    t_b, and b23 = s_{t_a t_b}.  n's six monomials are formed once.  The
-    verdict is :func:`ordinary_node_check`'s, with the same NotSingularHere
-    errors.  A point whose fiber is a double line raises ValueError.
+    partials are b01 = Q_12(n), the polar forms b02, b03 = dQ_1/dw_t(n) and
+    b12, b13 = dQ_2/dw_t(n) for t = t_a, t_b, and b23 = s_{t_a t_b}.  The
+    kernel is straight-line: n's six monomials once, F(n), the gradient,
+    Q_12(n), the four polar entries and the Pfaffian, all in the point's
+    field.  The verdict is :func:`ordinary_node_check`'s, with the same
+    NotSingularHere errors.  A point whose fiber is a double line raises
+    ValueError.
     """
     ctx = jet.point.ctx
     mul = ctx.mul
-    n = radical_point(jet.value, ctx)
+    v, d1, d2 = jet.value, jet.d1, jet.d2
+    n = radical_point(v, ctx)
     nc = n.coords
-    vi = next(k for k, c in enumerate(nc) if c)
-    ta, tb = (k for k in range(3) if k != vi)
+    vi = 0 if nc[0] else 1 if nc[1] else 2
+    ta, tb = (1, 2) if vi == 0 else (0, 2) if vi == 1 else (0, 1)
     monos = _monomials(nc, mul)
-    b = {(0, 1): _form_at(jet.d12, monos, mul), (2, 3): jet.value[FIBER_VARS[ta] + FIBER_VARS[tb]]}
-    for i, q in enumerate((jet.d1, jet.d2)):
-        for a, t in ((2, ta), (3, tb)):
-            (k1, o1), (k2, o2) = _POLAR[t]
-            b[i, a] = mul(q[k1], nc[o1]) ^ mul(q[k2], nc[o2])
-    grad = [_form_at(jet.d1, monos, mul), _form_at(jet.d2, monos, mul)]
-    chart = (BASE_VARS[jet.chart], FIBER_VARS[vi])
-    return chart, n, _node_verdict(_form_at(jet.value, monos, mul), grad, b, ctx)
+    _check_singular(_form_at(v, monos, mul), (_form_at(d1, monos, mul), _form_at(d2, monos, mul)))
+    (k1, o1), (k2, o2) = _POLAR[ta]
+    (k3, o3), (k4, o4) = _POLAR[tb]
+    n1, n2, n3, n4 = nc[o1], nc[o2], nc[o3], nc[o4]
+    pfaffian = (
+        mul(_form_at(jet.d12, monos, mul), v[_RADICAL[vi]])
+        ^ mul(mul(d1[k1], n1) ^ mul(d1[k2], n2), mul(d2[k3], n3) ^ mul(d2[k4], n4))
+        ^ mul(mul(d1[k3], n3) ^ mul(d1[k4], n4), mul(d2[k1], n1) ^ mul(d2[k2], n2))
+    )
+    return (BASE_VARS[jet.chart], FIBER_VARS[vi]), n, pfaffian != 0
 
 
 def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
@@ -665,21 +682,19 @@ def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:
     if len(chart_eq.vars) != 4:
         raise ValueError("ordinary_node_check expects a 4-variable chart equation")
     firsts = [partial_derivative(chart_eq, v) for v in chart_eq.vars]
-    mixed = {
-        (i, j): partial_derivative(firsts[i], chart_eq.vars[j]).eval_bits(ctx_q, point)
+    _check_singular(chart_eq.eval_bits(ctx_q, point), [d.eval_bits(ctx_q, point) for d in firsts])
+    b01, b02, b03, b12, b13, b23 = (
+        partial_derivative(firsts[i], chart_eq.vars[j]).eval_bits(ctx_q, point)
         for i, j in itertools.combinations(range(4), 2)
-    }
-    grad = [d.eval_bits(ctx_q, point) for d in firsts]
-    return _node_verdict(chart_eq.eval_bits(ctx_q, point), grad, mixed, ctx_q)
+    )
+    mul = ctx_q.mul
+    return (mul(b01, b23) ^ mul(b02, b13) ^ mul(b03, b12)) != 0
 
 
-def _node_verdict(value: int, grad: list[int], b: dict, ctx: FieldCtx) -> bool:
-    """ordinary_node_check's verdict from f(p), the gradient and the mixed
-    partials {(i, j): d_i d_j f(p)}: f(p) must vanish, then the gradient,
-    then the Pfaffian of the mixed partials decides."""
+def _check_singular(value: int, grad) -> None:
+    """The NotSingularHere errors of the node checks: f(p) must vanish, then
+    its gradient."""
     if value != 0:
         raise NotSingularHere("the equation does not vanish at the point")
     if any(grad):
         raise NotSingularHere("the gradient does not vanish at the point")
-    mul = ctx.mul
-    return (mul(b[0, 1], b[2, 3]) ^ mul(b[0, 2], b[1, 3]) ^ mul(b[0, 3], b[1, 2])) != 0

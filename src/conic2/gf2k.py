@@ -474,7 +474,12 @@ def section_bits(src: FieldCtx, dst: FieldCtx, bits: int) -> int | None:
 
 def elem_str(a: FieldElem) -> str:
     """Serialize as ``F<2^k>:<hex>`` (degree-prefixed, MSB coefficient first)."""
-    return f"F{a.ctx.q}:{a.bits:X}"
+    return bits_str(a.ctx, a.bits)
+
+
+def bits_str(ctx: FieldCtx, bits: int) -> str:
+    """Raw-int version of :func:`elem_str`: the literal of ``bits`` in ctx."""
+    return f"F{ctx.q}:{bits:X}"
 
 
 def elem_parse(text: str, ctx: FieldCtx | None = None) -> FieldElem:

@@ -294,7 +294,7 @@ def fiber_lines(v, ctx, ftype):
     conjugate.
     """
     if ftype is FiberType.DOUBLE_LINE:
-        lam = (ctx.sqrt(v["aa"]), ctx.sqrt(v["bb"]), ctx.sqrt(v["cc"]))
+        lam = (ctx.sqrt(v[0]), ctx.sqrt(v[3]), ctx.sqrt(v[5]))  # s_aa, s_bb, s_cc
         if all(c == 0 for c in lam):
             raise UnreducedParametrization("double line with no reduced line")
         i = next(k for k, c in enumerate(lam) if c)
@@ -599,6 +599,21 @@ def per_point_nodes_and_smoothness(spec, cert):
         smoothness = [{"point": text, "smooth": smooth_along_fiber(spec, point(text))}
                       for text in cert.sigma["points"]]
     return nodes, smoothness
+
+
+def per_point_first_tangency(c1, c2, points):
+    """The first of the points, in their order, where the gradient of c1 or
+    of c2 vanishes or the two are dependent, or None: the per-point walk
+    that geom.intersection_points ran before it decided transversality once
+    per Frobenius orbit.  The gradients come from partial derivatives
+    evaluated at each point, the dependence from the three 2x2 minors."""
+    grads = [[partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2)]
+    for p in points:
+        g1, g2 = ([d.eval_bits(p.ctx, p.coords) for d in ds] for ds in grads)
+        minors = [p.ctx.mul(g1[i], g2[j]) ^ p.ctx.mul(g1[j], g2[i]) for i, j in combinations(range(3), 2)]
+        if not any(g1) or not any(g2) or not any(minors):
+            return p
+    return None
 
 
 def gcd_first_solve_system(polys, k_max=24):

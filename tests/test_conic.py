@@ -14,6 +14,7 @@ from conic2.conic import (
     FiberType,
     MalformedInput,
     ProjPoint,
+    SECTION_KEYS,
     chart_equation,
     classify_fiber,
     cross_singular_point,
@@ -29,10 +30,10 @@ from conic2.conic import (
     spec_validate,
     total_space_charts,
 )
-from conic2.gf2k import field_new
+from conic2.gf2k import FieldElem, elem_str, field_new
 from conic2.poly import Poly, dehomogenize, partial_derivative, plane_poly, poly_parse, substitute
 
-from _helpers import rand_spec, vanish_at
+from _helpers import rand_homogeneous, rand_spec, vanish_at
 from conftest import DATA
 
 F2 = field_new(1)
@@ -143,11 +144,66 @@ def test_section_jet_matches_partial_derivatives(base, ext):
             jet = section_jet(spec, p)
             assert jet.point is p and jet.chart == lead
             u1, u2 = (v for i, v in enumerate(BASE_VARS) if i != lead)
-            for key, s in spec.sections.items():
+            for i, key in enumerate(SECTION_KEYS):
+                s = spec.sections[key]
                 d1, d2 = partial_derivative(s, u1), partial_derivative(s, u2)
                 expected = [g.eval_bits(ext, p.coords) for g in (s, d1, d2, partial_derivative(d1, u2))]
-                got = [jet.value[key], jet.d1[key], jet.d2[key], jet.d12[key]]
+                got = [jet.value[i], jet.d1[i], jet.d2[i], jet.d12[i]]
                 assert got == expected, (key, s, p)
+
+
+@pytest.mark.parametrize("ctx", [F2, field_new(4), field_new(20)], ids=["F2", "F16", "F2^20"])
+def test_jets_are_six_tuples_in_section_key_order(ctx):
+    # A spec with one nonzero section f puts f's value, partials and mixed
+    # partial at that section's position and zeros at the other five.  Over
+    # F_{2^20}, a field without log tables, the jet comes from the partial
+    # derivatives' evaluations.
+    assert (ctx.log_tables() is None) == (ctx.k > 12)
+    base = F4 if ctx.k % 2 == 0 else F2
+    zero = Poly.zero(base, BASE_VARS)
+    rng = random.Random(3300 + ctx.k)
+    nonzero = [0] * 5
+    for _ in range(12):
+        coords = (0, 0, 0)
+        while not any(coords):
+            coords = tuple(rng.choice((0, rng.randrange(ctx.q))) for _ in range(3))
+        p = ProjPoint(ctx, coords)
+        u1, u2 = (v for i, v in enumerate(BASE_VARS) if i != next(i for i, c in enumerate(p.coords) if c))
+        for i, key in enumerate(SECTION_KEYS):
+            f = rand_homogeneous(rng, base, 3, max_terms=6, nonzero=True)
+            spec = ConicBundleSpec(base, (1, 1, 1), 1, {k: f if k == key else zero for k in SECTION_KEYS})
+            jet = section_jet(spec, p)
+            f1 = partial_derivative(f, u1)
+            fields = (section_values(spec, p), jet.value, jet.d1, jet.d2, jet.d12)
+            polys = (f, f, f1, partial_derivative(f, u2), partial_derivative(f1, u2))
+            for slot, (got, g) in enumerate(zip(fields, polys)):
+                expected = [0] * 6
+                expected[i] = g.eval_bits(ctx, p.coords)
+                assert type(got) is tuple and list(got) == expected, (key, slot, f, p)
+                nonzero[slot] += expected[i] != 0
+    assert min(nonzero) >= 10
+
+
+@pytest.mark.parametrize("ctx", [F2, F4, field_new(4)], ids=["F2", "F4", "F16"])
+def test_discriminant_equals_the_product_formula(ctx):
+    # discriminant squares by Frobenius; the products give the same polynomial
+    rng = random.Random(3400 + ctx.k)
+    for _ in range(40):
+        spec = rand_spec(rng, ctx, max_entry_degree=3)
+        s = spec.sections
+        product = (s["ab"] * s["bc"] * s["ac"] + s["ab"] * s["ab"] * s["cc"]
+                   + s["ac"] * s["ac"] * s["bb"] + s["bc"] * s["bc"] * s["aa"])
+        assert discriminant(spec) == product
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 13, 40, 64])
+def test_point_literals_are_the_element_literals(k):
+    ctx = field_new(k)
+    rng = random.Random(3500 + k)
+    for _ in range(10):
+        p = ProjPoint(ctx, (rng.randrange(ctx.q), rng.randrange(ctx.q), rng.randrange(1, ctx.q)))
+        assert p.serialize() == [elem_str(FieldElem(ctx, c)) for c in p.coords]
+        assert ProjPoint.parse(":".join(p.serialize())) == p
 
 
 def test_cross_singular_point():
@@ -368,7 +424,7 @@ def test_sigma_inside_discriminant_pointwise():
             sections[key] = vanish_at(rng, ctx, d, pt.coords)
         spec = ConicBundleSpec(ctx, spec.degree_vector, spec.value_degree, sections)
         v = section_values(spec, pt)
-        assert all(v[k] == 0 for k in ("ab", "ac", "bc"))
+        assert all(v[SECTION_KEYS.index(k)] == 0 for k in ("ab", "ac", "bc"))
         delta = discriminant(spec)
         assert delta.eval_bits(pt.ctx, pt.coords) == 0
         if classify_fiber(spec, pt) is FiberType.DOUBLE_LINE:
@@ -384,7 +440,7 @@ def test_fiber_form_on_chart_matches_section_values():
     # restrict the form at (x, y) = (0, 1): coefficients must be the values
     restricted = substitute(form, {"x": 0, "y": 1})
     for key, mono in (("aa", (0, 0, 2, 0, 0)), ("bb", (0, 0, 0, 2, 0)), ("cc", (0, 0, 0, 0, 2))):
-        assert restricted.coefficient(mono).bits == v[key]
+        assert restricted.coefficient(mono).bits == v[SECTION_KEYS.index(key)]
 
 
 @pytest.mark.parametrize("key, value", [("field_degree", 1.9), ("degree_vector", [0.5, 1, 3]),

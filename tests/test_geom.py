@@ -12,6 +12,7 @@ from conic2.conic import (
     ConicBundleSpec,
     FiberType,
     ProjPoint,
+    SECTION_KEYS,
     chart_equation,
     classify_fiber,
     cross_singular_point,
@@ -19,6 +20,7 @@ from conic2.conic import (
     section_jet,
     spec_validate,
 )
+from conic2 import geom
 from conic2.geom import (
     BezoutCount,
     BezoutMismatch,
@@ -31,6 +33,7 @@ from conic2.geom import (
     NotSingularHere,
     PositiveDimensional,
     cross_node,
+    frobenius_orbits,
     intersection_points,
     ordinary_node_check,
     point_on_curve,
@@ -50,6 +53,7 @@ from _helpers import (
     brute_solutions,
     chart_smooth_along_fiber,
     enumerate_plane_points,
+    per_point_first_tangency,
     rand_homogeneous,
     rand_spec,
     vanish_at,
@@ -206,6 +210,91 @@ def test_bezout_counts_on_random_transversal_pairs():
             assert transversal_at(c1, c2, p)
         seen_certified += 1
     assert seen_certified > 30
+
+
+def _count_gradient_checks(monkeypatch):
+    """The points geom._independent is called at, in call order."""
+    checked = []
+    independent = geom._independent
+    monkeypatch.setattr(geom, "_independent", lambda d1, d2, p: checked.append(p) or independent(d1, d2, p))
+    return checked
+
+
+def _random_coordinate_change(rng, ctx):
+    """x, y, z -> three independent random linear forms over ctx."""
+    while True:
+        forms = [rand_homogeneous(rng, ctx, 1, max_terms=3) for _ in range(3)]
+        rows = [[f.coefficient(m).bits for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for f in forms]
+        mul = ctx.mul
+        det = 0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            det ^= mul(rows[0][i], mul(rows[1][j], rows[2][k])) ^ mul(rows[0][i], mul(rows[1][k], rows[2][j]))
+        if det:
+            return dict(zip(BASE_VARS, forms))
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_planted_conjugate_tangencies_are_found_once_per_orbit(ctx, monkeypatch):
+    # On the line z = 0, g = x^2 + xy + r y^2 + z m restricts to an
+    # irreducible quadratic (Tr r = 1), so c2 = z h + g^2 k is tangent to
+    # the line at two conjugate points over F_{q^2} (g^2 has zero gradient
+    # in characteristic 2) and meets it transversally where k = 0.  A random
+    # change of coordinates moves the picture.  The per-point walk is the
+    # oracle for the witness and the message; the gradient check runs once
+    # per Frobenius orbit, at its representative, in the points' order.
+    rng = random.Random(2500 + ctx.k)
+    r = next(c for c in range(1, ctx.q) if ctx.trace(c) == 1)
+    checked = _count_gradient_checks(monkeypatch)
+    witnesses = 0
+    for _ in range(12):
+        z = Poly.var(ctx, BASE_VARS, "z")
+        g = (plane_poly("x^2 + x*y", ctx) + Poly.from_terms(ctx, BASE_VARS, [((0, 2, 0), r)])
+             + z * rand_homogeneous(rng, ctx, 1, max_terms=2))
+        k = rand_homogeneous(rng, ctx, rng.randint(0, 1), max_terms=2, nonzero=True)
+        c2 = z * rand_homogeneous(rng, ctx, 3 + k.total_degree(), max_terms=3) + g * g * k
+        move = _random_coordinate_change(rng, ctx)
+        c1, c2 = substitute(z, move), substitute(c2, move)
+        try:
+            points = solve_system([c1, c2]).points
+        except PositiveDimensional:  # k is a multiple of z
+            continue
+        expected = per_point_first_tangency(c1, c2, points)
+        assert expected is not None and expected.frobenius(ctx.q) != expected
+        reps = [orbit[0] for orbit in frobenius_orbits(points, ctx.q)]
+        checked.clear()
+        with pytest.raises(BezoutMismatch) as err:
+            intersection_points(c1, c2)
+        assert err.value.witness == expected
+        assert str(err.value) == f"non-transversal intersection at {expected!r}"
+        assert checked == reps[:len(checked)] and checked[-1] == expected
+        assert len(checked) < len(points)
+        witnesses += 1
+    assert witnesses >= 8
+
+
+@pytest.mark.parametrize("ctx", [F2, F4], ids=["F2", "F4"])
+def test_transversal_meetings_check_each_orbit_once(ctx, monkeypatch):
+    rng = random.Random(2510 + ctx.k)
+    checked = _count_gradient_checks(monkeypatch)
+    fewer = 0
+    for _ in range(150):
+        c1, c2 = (rand_homogeneous(rng, ctx, rng.randint(2, 3), max_terms=5, nonzero=True) for _ in range(2))
+        if c1.is_constant() or c2.is_constant():
+            continue
+        try:
+            points = solve_system([c1, c2]).points
+        except (PositiveDimensional, ExtensionBound):
+            continue
+        checked.clear()
+        try:
+            intersection_points(c1, c2)
+        except BezoutMismatch as exc:
+            assert exc.witness == per_point_first_tangency(c1, c2, points)
+            continue
+        assert per_point_first_tangency(c1, c2, points) is None
+        assert checked == [orbit[0] for orbit in frobenius_orbits(points, ctx.q)]
+        fewer += len(checked) < len(points)
+    assert fewer >= 5
 
 
 # -- transversality ------------------------------------------------------------------
@@ -388,7 +477,7 @@ def test_cross_nodes_match_the_chart_equation_node_check():
         grads = [partial_derivative(delta, v) for v in BASE_VARS]
         for p in enumerate_plane_points(F16):
             jet = section_jet(spec, p)
-            if not any(jet.value[k] for k in ("ab", "ac", "bc")):
+            if not any(jet.value[SECTION_KEYS.index(k)] for k in ("ab", "ac", "bc")):
                 with pytest.raises(ValueError):
                     cross_node(jet)
                 continue
