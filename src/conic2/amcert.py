@@ -220,9 +220,8 @@ def _jet(spec: ConicBundleSpec, jets: dict, p: ProjPoint) -> SectionJet:
 
 
 def _in_sigma(jet: SectionJet) -> bool:
-    """Whether the jet's point lies on Sigma: s_ab, s_ac and s_bc vanish there."""
-    v = jet.value
-    return not (v[1] or v[2] or v[4])
+    """Whether the jet's point lies on Sigma, where s_ab, s_ac and s_bc vanish."""
+    return fiber_type(jet.value, jet.point.ctx) in (FiberType.DOUBLE_LINE, FiberType.NOT_CONIC)
 
 
 # Curve geometry depends only on the curves and k_max, and the examples fix

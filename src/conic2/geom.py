@@ -596,7 +596,7 @@ def fiber_smooth(jet) -> bool:
     mul = ctx.mul
     ftype = fiber_type(v, ctx)
     if ftype is FiberType.CROSS:
-        monos = _monomials((v[4], v[2], v[1]), mul)
+        monos = _monomials((v[4], v[2], v[1]), mul)  # n = (s_bc, s_ac, s_ab)
         return _form_at(jet.d1, monos, mul) != 0 or _form_at(jet.d2, monos, mul) != 0
     if ftype is not FiberType.DOUBLE_LINE:
         raise FiberNotDegenerate(f"fiber over {jet.point!r} is {ftype}")
