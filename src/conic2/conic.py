@@ -272,14 +272,9 @@ class SectionJet:
     base chart of w.  ``value``, ``d1``, ``d2`` and ``d12`` are 6-tuples of
     raw bits in the point's field, entry i belonging to section
     SECTION_KEYS[i] (aa, ab, ac, bb, bc, cc), as in :func:`section_values`;
-    readers take fixed positions.
-
-    The sections have coefficients in F_q, so the jet at the conjugate
-    p^q = (x^q, y^q, z^q) (:meth:`ProjPoint.frobenius`, the one Frobenius,
-    also used by geom.solve_system) is the jet at p with every entry raised
-    to the q-th power: the fiber type, chart, node verdict and smoothness it
-    decides do not change, and the fiber's singular point is conjugated
-    along.  geom.frobenius_orbits groups a point set into these orbits.
+    readers take fixed positions.  The jet at the conjugate p^q
+    (:meth:`ProjPoint.frobenius`) is the jet at p with every entry raised to
+    the q-th power, so one jet decides a whole Frobenius orbit (geom).
     """
 
     point: ProjPoint
@@ -438,12 +433,8 @@ class ChartEquation:
 
 
 def chart_equation(spec: ConicBundleSpec, base_var: str, fiber_var: str) -> ChartEquation:
-    """The total space on the chart base_var = 1, fiber_var = 1.
-
-    The certifier builds no chart equation, since it reads every point fact
-    off a :class:`SectionJet`; this and :func:`total_space_charts` serve
-    callers, the tests (with geom.ordinary_node_check) and the demos.
-    """
+    """The total space on the chart base_var = 1, fiber_var = 1; the
+    certifier builds none (see :class:`SectionJet`)."""
     if base_var not in BASE_VARS or fiber_var not in FIBER_VARS:
         raise ValueError(f"no chart ({base_var}, {fiber_var})")
     form = fiber_form_on_chart(spec, base_var)

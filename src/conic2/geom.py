@@ -534,10 +534,7 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
     except PositiveDimensional as exc:
         raise CommonComponent(f"common component {poly_print(exc.common_factor)}") from None
     d1, d2 = ([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2))
-    # The partials have coefficients in F_q, so the verdict is the same at
-    # every point of a Frobenius orbit; an orbit's representative is its
-    # first point in the points' order, so the first failing representative
-    # is the first non-transversal point.
+    # the partials are over F_q; a representative is its orbit's first point
     for orbit in frobenius_orbits(found.points, c1.ctx.q):
         p = orbit[0]
         if not _independent(d1, d2, p):
