@@ -652,6 +652,7 @@ def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
     (k1, o1), (k2, o2) = _POLAR[ta]
     (k3, o3), (k4, o4) = _POLAR[tb]
     n1, n2, n3, n4 = nc[o1], nc[o2], nc[o3], nc[o4]
+    # b01 b23 + b02 b13 + b03 b12, with b02, b03 (b12, b13) Q_1's (Q_2's) polars at t_a, t_b
     pfaffian = (
         mul(_form_at(jet.d12, monos, mul), v[_RADICAL[vi]])
         ^ mul(mul(d1[k1], n1) ^ mul(d1[k2], n2), mul(d2[k3], n3) ^ mul(d2[k4], n4))
