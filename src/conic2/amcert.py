@@ -23,14 +23,14 @@ Curve geometry and a claim of factors are settled once per process, in
 three caches of 128 entries that every call and thread shares:
 :func:`_singular_locus` (keyed by the curve and k_max), :func:`_meeting` (by
 the pair and k_max) and :func:`_claim` (by the field and the claim); each
-factor's verdict is kept by :func:`factor._abs_irred_bivariate`.  A cleared
-cache and a warm one give byte-identical certificates.  Sigma is solved
-once per certificate: flatness and each component's meeting with Sigma
-contain Sigma's equations, so they are read off Sigma's points.  A search
-whose template fixes Sigma solves it once and reads each candidate's Sigma
-off it.  Each point fact is read off one section jet per point per
-certificate.  Polynomials and points keep their printed text, so each is
-rendered once per process.
+factor's verdict is kept by :func:`factor._abs_irred_bivariate`, and each
+section's jet entries at a point by :func:`conic._section_entries` (1024
+entries, keyed by the section and the point's sort_key()).  A cleared cache
+and a warm one give byte-identical certificates.  Sigma is solved once per
+certificate, and flatness and each component's meeting with Sigma are read
+off its points (:func:`geom.read_off`); a search whose template fixes Sigma
+solves it once and certifies every candidate with it.  Polynomials and
+points keep their printed text, so each is rendered once per process.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .conic import (
     spec_to_dict,
     spec_validate,
 )
-from .factor import UnluckySpecializationExhausted, _abs_irred_bivariate, form_factor, sort_factors
+from .factor import UnluckySpecializationExhausted, _abs_irred_bivariate, _Known, form_factor, sort_factors
 from . import geom
 from .gf2k import field_new
 from .geom import (
@@ -73,6 +73,7 @@ from .geom import (
     fiber_smooth,
     frobenius_orbits,
     plane_monomials,
+    read_off,
     small_field_points,
     solve_system,
 )
@@ -157,7 +158,7 @@ def component_factorization(
                 "claimed factors times a scalar do not expand to the discriminant"
             )
     for f, _ in factors:
-        if not _abs_irred_bivariate(f, claimed is None):
+        if not _abs_irred_bivariate(f, _Known(claimed is None)):
             raise NotAbsolutelyIrreducible(f)
     return list(factors)
 
@@ -204,9 +205,7 @@ class ComponentAnalysis:
             "am_status": self.am_status.serialize(),
             "sing_in_sigma": self.sing_in_sigma,
             "sing_points": [p.serialize() for p in self.sing_points],
-            "sigma_meets": None
-            if self.sigma_meets is None
-            else [p.serialize() for p in self.sigma_meets],
+            "sigma_meets": None if self.sigma_meets is None else [p.serialize() for p in self.sigma_meets],
         }
 
 
@@ -239,16 +238,16 @@ def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
 @lru_cache(maxsize=128)
 def _meeting(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet | BezoutMismatch | CommonComponent, tuple]:
     """``geom.intersection_points(c1, c2, k_max)`` and the Frobenius orbits
-    over the components' F_q of its points (:func:`geom.frobenius_orbits`:
-    representatives first, in the points' order); or the BezoutMismatch or
-    CommonComponent it raised, kept without the frames of its traceback and
-    of the error it was raised from, and no orbits."""
+    it grouped its points into (representatives first, in the points'
+    order); or the BezoutMismatch or CommonComponent it raised, kept without
+    the frames of its traceback and of the error it was raised from."""
+    orbits: list = []
     try:
-        met = geom.intersection_points(c1, c2, k_max)
+        met = geom.intersection_points(c1, c2, k_max, orbits)
     except (BezoutMismatch, CommonComponent) as exc:
         exc.__context__ = None
         return exc.with_traceback(None), ()
-    return met, tuple(tuple(orbit) for orbit in frobenius_orbits(met.points, c1.ctx.q))
+    return met, tuple(tuple(orbit) for orbit in orbits)
 
 
 def _per_orbit(orbits, decide, facts: dict, conjugate=None) -> dict:
@@ -287,21 +286,19 @@ def _analyse_component(
     spec: ConicBundleSpec, component: Poly, k_max: int, witness_bound: int,
     jets: dict, sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
-    """am_component_check of a known divisor of Delta; ``sigma``, a finite
-    Sigma solved with the same k_max, confines its solve to Sigma's points.
-    The fibers over Sigma's meeting points and the singular points are
-    read off the certificate's jets (:func:`_jet`)."""
+    """am_component_check of a known divisor of Delta; with ``sigma``, a
+    finite Sigma solved with the same k_max, its meeting with Sigma is the
+    points of Sigma on it (:func:`geom.read_off`).  The fibers over Sigma's
+    meeting points and the singular points are read off the certificate's
+    jets (:func:`_jet`)."""
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
-    witness: ProjPoint | None = None
     inside_sigma = False
     try:
-        met = solve_system(system, k_max, within=sigma)
+        met = solve_system(system, k_max) if sigma is None else read_off(sigma, system, [component], k_max)
         sigma_meets = met.points
-        for p in met.points:
-            if fiber_type(_jet(spec, jets, p).value, p.ctx) is FiberType.DOUBLE_LINE:
-                witness = p
-                break
+        witness = next((p for p in met.points
+                        if fiber_type(_jet(spec, jets, p).value, p.ctx) is FiberType.DOUBLE_LINE), None)
     except PositiveDimensional as exc:
         # The component shares a curve with Sigma: scan small fields for a
         # double-line point on the component.
@@ -318,15 +315,9 @@ def _analyse_component(
 
     if witness is not None:
         status = AmStatus("double_line_witness", witness)
-    elif inside_sigma:
-        # no fiber over the component is a cross, so no nonproduct witness
-        status = AmStatus("not_certified", None)
-    else:
-        np_witness = nonproduct_witness(spec, component, k_max, witness_bound)
-        if np_witness is not None:
-            status = AmStatus("cross_nonproduct_witness", np_witness)
-        else:
-            status = AmStatus("not_certified", None)
+    else:  # inside Sigma no fiber over the component is a cross: no nonproduct witness
+        witness = None if inside_sigma else nonproduct_witness(spec, component, k_max, witness_bound)
+        status = AmStatus("not_certified" if witness is None else "cross_nonproduct_witness", witness)
     return ComponentAnalysis(component, status, sing_ok, sing, sigma_meets)
 
 
@@ -500,16 +491,12 @@ def _certify(
     spec, or None to solve it here.
 
     Sigma is kept as its solve's outcome: the AlgebraicPointSet, or the
-    solver error without its frames.  A finite Sigma confines the flatness
-    solve and each component's meeting with Sigma to its points
-    (geom.solve_system with ``within``).
+    solver error without its frames.  Flatness and each component's meeting
+    with a finite Sigma are read off its points (:func:`geom.read_off`).
     Where Sigma is recorded, after the precondition and the factorization, a
     PositiveDimensional outcome fails H5 and any other error is raised.  The
-    spec's validation report and Delta are kept on the spec; a claim's
-    product and factors come from :func:`_claim`; the components'
-    singular loci and their pairwise meetings, each with its Frobenius
-    orbits, come from the process-wide curve caches,
-    :func:`_singular_locus` and :func:`_meeting`.
+    spec's validation report and Delta are kept on the spec; the rest comes
+    from the process-wide caches the module docstring names.
     Every point fact is read off one section jet per distinct point, kept
     for this certificate only (:func:`_jet`): the fiber type over each
     component's meeting with Sigma, whether each singular point lies on
@@ -526,8 +513,8 @@ def _certify(
 
     report = spec_validate(spec)
     delta = discriminant(spec)
-    # Sigma first, so flatness is solved on its direction forms.  A bundle
-    # with Delta = 0 stops at the precondition; otherwise Sigma has equations.
+    # Sigma first, so flatness is read off its points.  A bundle with
+    # Delta = 0 stops at the precondition; otherwise Sigma has equations.
     if sigma is None and not delta.is_zero():
         try:
             sigma = solve_system(sigma_generators(spec), k_max)
@@ -660,10 +647,8 @@ def _certify(
                 h3_witnesses.append(p)
                 continue
             chart, n, ok = node
-            nodes.append(
-                {"point": p.serialize(), "chart": list(chart), "fiber_singular_point": n.serialize(),
-                 "ordinary_node": ok}
-            )
+            nodes.append({"point": p.serialize(), "chart": list(chart),
+                          "fiber_singular_point": n.serialize(), "ordinary_node": ok})
             if not ok:
                 h3_details.append(f"total space not an ordinary node above {p!r}")
                 h3_witnesses.append(p)
@@ -687,12 +672,8 @@ def _certify(
     # H5: smoothness along every double-line fiber, decided once per
     # Frobenius orbit and shared by its conjugates.
     if finite is None:
-        record(
-            "h5_smooth_along_double_lines",
-            False,
-            "double-line locus is not a finite point set; smoothness along its fibers "
-            "cannot be certified pointwise",
-        )
+        record("h5_smooth_along_double_lines", False, "double-line locus is not a finite point set; "
+               "smoothness along its fibers cannot be certified pointwise")
     else:
         smooth_of = _per_orbit(
             frobenius_orbits(finite.points, spec.ctx.q), lambda p: fiber_smooth(_jet(spec, jets, p)), {}
@@ -809,16 +790,20 @@ def search_spieghiamolo(
     Filters run in the remark's order: the congruence is built into the
     enumeration, then the divisibility filter extracts the determined entry,
     then the double-line locus must be exactly the expected points; whatever
-    survives must pass the full surface criterion to count as a hit.  When
-    the template forces every candidate's Sigma to be one set (see
+    survives must pass the full surface criterion to count as a hit.
+
+    When the template forces every candidate's Sigma to be one set (see
     ``_shared_sigma_system``; in the zero-corner family ab = x divides the
-    modulus x, so bc = y^2 z^2 on Sigma), that set is solved once, at the
-    first candidate past the divisibility filter, and each candidate's Sigma
-    is read off its points; a positive-dimensional one skips every
-    candidate.  The criterion takes the Sigma the filter solved; the
-    candidates share the target components, whose curve geometry comes from
-    the process-wide curve caches.  Exhausting the budget is legal and
-    returns the partial list.
+    modulus x, so bc = y^2 z^2 on Sigma = {[0:0:1], [0:1:0]}), that set is
+    solved once, at the first candidate past the divisibility filter, and
+    compared with the expected points once; one that differs, or a
+    positive-dimensional one, skips every candidate.  Every candidate is
+    certified with it: its points are the candidate's Sigma, each written
+    over the field a solve of the candidate's own equations would use (that
+    field depends only on the zeros on the point's direction), and its
+    closure certifies equations with the same zeros.  Any other template
+    solves each candidate's Sigma in full.  Exhausting the budget is legal
+    and returns the partial list.
     """
     ctx = template.congruence_residue.ctx
     target = Poly.const(ctx, BASE_VARS, 1)
@@ -828,7 +813,7 @@ def search_spieghiamolo(
     monos = list(plane_monomials(free_residual_degree))
     expected = sorted(p.sort_key() for p in template.sigma_expected)
     sigma_system = _shared_sigma_system(template)
-    shared = None  # the shared Sigma once solved, False if it is infinite
+    shared = None  # the shared Sigma once solved; False if it is infinite or unexpected
     hits = []
     tried = 0
     exhausted = False
@@ -846,31 +831,23 @@ def search_spieghiamolo(
                 gamma = exact_div(target + poly_square(beta), template.quotient_divisor)
             except NotDivisible:
                 continue
-            if sigma_system is not None and shared is None:
-                try:
-                    shared = solve_system(sigma_system, k_max)
-                except PositiveDimensional:
-                    shared = False
-            if shared is False:
-                continue
-            sections = dict(template.fixed)
-            sections[template.free_key] = beta
-            sections[template.quotient_key] = gamma
-            spec = ConicBundleSpec(
-                ctx, template.degree_vector, template.value_degree, sections
-            )
+            sections = {**template.fixed, template.free_key: beta, template.quotient_key: gamma}
+            spec = ConicBundleSpec(ctx, template.degree_vector, template.value_degree, sections)
             # Sigma condition: the off-diagonals vanish exactly at the expected points
-            off = [s for s in sigma_generators(spec) if not s.is_zero()]
-            try:
-                sig = solve_system(off, k_max, within=shared)
-            except PositiveDimensional:
+            sig = shared
+            if sig is None:
+                try:
+                    sig = solve_system(sigma_system if sigma_system is not None else
+                                       [s for s in sigma_generators(spec) if not s.is_zero()], k_max)
+                except PositiveDimensional:
+                    sig = False
+                if sig and sorted(p.sort_key() for p in sig.points) != expected:
+                    sig = False
+                if sigma_system is not None:
+                    shared = sig
+            if sig is False:
                 continue
-            if sorted(p.sort_key() for p in sig.points) != expected:
-                continue
-            cert = _certify(
-                spec, list(template.target_components), k_max,
-                witness_bound=8, sigma=sig,
-            )
+            cert = _certify(spec, list(template.target_components), k_max, witness_bound=8, sigma=sig)
             if cert.all_pass:
                 hits.append((spec, cert))
         if exhausted:

@@ -27,6 +27,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf2k import FieldCtx, bits_str, elem_parse, embed_bits, field_new, section_bits
 from .poly import (
@@ -257,13 +258,8 @@ def section_values(spec: ConicBundleSpec, p: ProjPoint) -> tuple:
 
 @dataclass(frozen=True)
 class SectionJet:
-    """The six sections' values, first partials and mixed partial at a point.
-
-    Every point fact of a certificate is read off one jet per distinct
-    point: the fiber type over each component's meeting with Sigma, whether
-    a component's singular point lies on Sigma, and, per Frobenius orbit,
-    the H3 nodes (:func:`geom.cross_node`) and the H5 smoothness
-    (:func:`geom.fiber_smooth`); so the certifier builds no chart equation.
+    """The six sections' values, first partials and mixed partial at a
+    point, from which the certifier reads every point fact (amcert._certify).
 
     ``chart`` is the index w of the point's first nonzero coordinate, and
     ``d1``, ``d2``, ``d12`` are the partials in the two other base variables
@@ -286,8 +282,21 @@ class SectionJet:
 
 
 def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
-    """The :class:`SectionJet` of the spec at p, in one pass over each
-    section's terms, its four 6-tuples built together.
+    """The :class:`SectionJet` of the spec at p, its four 6-tuples built
+    from each section's entries (:func:`_section_entries`)."""
+    key = p.sort_key()
+    value, d1, d2, d12 = zip(*(_section_entries(spec.sections[k], key) for k in SECTION_KEYS))
+    return SectionJet(p, next(k for k, c in enumerate(p.coords) if c), value, d1, d2, d12)
+
+
+# A search's fixed sections are evaluated once per point per process.  An
+# entry and the section it keeps take about 0.33 kB: 1024 stay near 0.3 MB.
+@lru_cache(maxsize=1024)
+def _section_entries(s: Poly, point: tuple) -> tuple[int, int, int, int]:
+    """The section s's value, partials in u1, u2 and mixed partial (the
+    entries of a :class:`SectionJet`) at the point whose
+    :meth:`ProjPoint.sort_key` is ``point``; keyed on that key, since a
+    ProjPoint hashes every non-rational point alike.
 
     In characteristic 2 a term c*u1^e1*u2^e2 reaches d/du_i only when e_i
     is odd, and then its derivative differs from it only in the power of
@@ -295,47 +304,38 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     tables (:meth:`FieldCtx.log_tables`) each of these is one lookup at
     log c + e1 log u1 + e2 log u2, less log u_i per derivative, and a zero
     coordinate zeroes every power of it above the zeroth.  A larger field
-    evaluates each section and its partials (:func:`poly.partial_derivative`)
+    evaluates the section and its partials (:func:`poly.partial_derivative`)
     with :meth:`Poly.eval_bits`.
     """
-    ctx, src = p.ctx, spec.ctx
-    w = next(k for k, c in enumerate(p.coords) if c)
+    ctx, src = field_new(point[0]), s.ctx
+    coords = point[1]
+    w = next(k for k, c in enumerate(coords) if c)
     i1, i2 = (k for k in range(3) if k != w)
-    u1, u2 = p.coords[i1], p.coords[i2]
-    value, d1, d2, d12 = [], [], [], []
     tables = ctx.log_tables()
-    if tables is not None:
-        log, exp = tables
-        order = ctx.q - 1
-        l1, l2 = (log[u] if u else 0 for u in (u1, u2))
-        # u^e is nonzero iff e < cap: every power of a nonzero u, u^0 of a zero u
-        cap1, cap2 = (math.inf if u else 1 for u in (u1, u2))
-        for key in SECTION_KEYS:
-            v = v1 = v2 = v12 = 0
-            for m, c in spec.sections[key].items():
-                if src is not ctx:
-                    c = embed_bits(src, ctx, c)
-                e1, e2 = m[i1], m[i2]
-                s = log[c] + e1 * l1 + e2 * l2
-                if e1 < cap1 and e2 < cap2:
-                    v ^= exp[s % order]
-                if e1 & 1 and e1 <= cap1 and e2 < cap2:
-                    v1 ^= exp[(s - l1) % order]
-                if e2 & 1 and e2 <= cap2 and e1 < cap1:
-                    v2 ^= exp[(s - l2) % order]
-                if e1 & e2 & 1 and e1 <= cap1 and e2 <= cap2:
-                    v12 ^= exp[(s - l1 - l2) % order]
-            value.append(v)
-            d1.append(v1)
-            d2.append(v2)
-            d12.append(v12)
-    else:
-        for key in SECTION_KEYS:
-            s = spec.sections[key]
-            s1, s2 = partial_derivative(s, s.vars[i1]), partial_derivative(s, s.vars[i2])
-            for out, f in zip((value, d1, d2, d12), (s, s1, s2, partial_derivative(s1, s.vars[i2]))):
-                out.append(f.eval_bits(ctx, p.coords))
-    return SectionJet(p, w, tuple(value), tuple(d1), tuple(d2), tuple(d12))
+    if tables is None:
+        s1, s2 = partial_derivative(s, s.vars[i1]), partial_derivative(s, s.vars[i2])
+        return tuple(f.eval_bits(ctx, coords) for f in (s, s1, s2, partial_derivative(s1, s.vars[i2])))
+    log, exp = tables
+    order = ctx.q - 1
+    u1, u2 = coords[i1], coords[i2]
+    l1, l2 = (log[u] if u else 0 for u in (u1, u2))
+    # u^e is nonzero iff e < cap: every power of a nonzero u, u^0 of a zero u
+    cap1, cap2 = (math.inf if u else 1 for u in (u1, u2))
+    v = v1 = v2 = v12 = 0
+    for m, c in s.items():
+        if src is not ctx:
+            c = embed_bits(src, ctx, c)
+        e1, e2 = m[i1], m[i2]
+        t = log[c] + e1 * l1 + e2 * l2
+        if e1 < cap1 and e2 < cap2:
+            v ^= exp[t % order]
+        if e1 & 1 and e1 <= cap1 and e2 < cap2:
+            v1 ^= exp[(t - l1) % order]
+        if e2 & 1 and e2 <= cap2 and e1 < cap1:
+            v2 ^= exp[(t - l2) % order]
+        if e1 & e2 & 1 and e1 <= cap1 and e2 <= cap2:
+            v12 ^= exp[(t - l1 - l2) % order]
+    return v, v1, v2, v12
 
 
 def _delta_value(v: tuple, ctx: FieldCtx) -> int:
@@ -465,8 +465,8 @@ def flatness_check(
     not as exceptions, so search loops can discard candidates cheaply.
     Common zeros of the six sections lie on Sigma, the zeros of the three
     off-diagonal ones, so ``within``, a finite Sigma solved with the same
-    k_max, confines the solve to Sigma's points (geom.solve_system's
-    confined solve); the witness is the same.
+    k_max, gives them as the points of Sigma where the diagonal sections
+    vanish (:func:`geom.read_off`); the witness is the same.
     """
     from . import geom  # deferred: geom depends on this module
 
@@ -476,7 +476,8 @@ def flatness_check(
     if any(s.is_constant() for s in nonzero):
         return FlatnessReport(True, None, gen_smooth)
     try:
-        common = geom.solve_system(nonzero, k_max, within=within)
+        common = (geom.solve_system(nonzero, k_max) if within is None else
+                  geom.read_off(within, nonzero, [spec.sections[k] for k in ("aa", "bb", "cc")], k_max))
         witness = common.points[0] if common.points else None
     except geom.PositiveDimensional as exc:
         witness = geom.point_on_curve(exc.common_factor, k_max)

@@ -7,7 +7,7 @@ is :func:`conic2._dense.factor`, and the bivariate gcd is
 decides absolute irreducibility: :func:`form_factor` factors the
 discriminant and solve_system's eliminants, and every verdict is kept in
 one cache, :func:`_abs_irred_bivariate`'s lru_cache of 4096 entries, keyed
-on the caller's polynomial and on whether it is known irreducible over F_q.
+on the polynomial alone (see :class:`_Known`).
 An error, such as UnluckySpecializationExhausted, is not kept.  The cache
 is named for the chart every proof runs on, and perfbench's tracer reads
 its cache_info under that name.
@@ -420,8 +420,20 @@ def _splits_over_an_extension(f: Poly) -> bool:
     return False
 
 
+class _Known(int):
+    """1 when a polynomial is known irreducible over F_q, else 0.  Hints hash
+    and compare alike, so :func:`_abs_irred_bivariate` keeps one verdict per
+    polynomial: either answers both, as 1 only skips the proof over F_q."""
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Known)
+
+    def __hash__(self) -> int:
+        return 0
+
+
 @lru_cache(maxsize=4096)
-def _abs_irred_bivariate(f: Poly, irreducible: bool) -> bool:
+def _abs_irred_bivariate(f: Poly, irreducible: _Known) -> bool:
     """is_absolutely_irreducible(f); with ``irreducible`` true, f is known to
     be irreducible over F_q, as each factor bivariate_factor returns is, and
     only the absolute part is proved.  A homogeneous trivariate f is read on
@@ -457,4 +469,4 @@ def is_absolutely_irreducible(f: Poly) -> bool:
     Accepts a polynomial in at most two variables, or a homogeneous one in
     three; trivariate input is dehomogenized on a chart not dividing it.
     """
-    return _abs_irred_bivariate(f, False)
+    return _abs_irred_bivariate(f, _Known(False))

@@ -8,29 +8,21 @@ over F_q, is solved at one root, inside the one extension its z-roots need
 (one embedding hop from F_q, never a tower); the other d - 1 directions carry
 the Frobenius images (x, y, z) -> (x^q, y^q, z^q).  The recorded eliminant
 factor degrees certify that no root was missed (EliminationClosure).  A system
-containing the inputs of a solved set vanishes only at its points, so it is
-solved by keeping the points where its other inputs vanish; where a kept
-point lies in a smaller field than the one it is written over, the system is
-solved again on the direction forms the set keeps, which carry its points.
-Transversal intersections carry an independent Bezout count certificate
-instead.
+containing the inputs of a solved set is read off its points
+(:func:`read_off`).  Transversal intersections carry an independent Bezout
+count certificate instead.
 
 Explicit rational points of a curve, over the fields F_{q^e} up to a bound,
 come from :func:`small_field_points`: the points on a line are the roots of
 the curve restricted to it, so a field costs one root finding per line.
 
-Smoothness of the total space along a degenerate fiber, and the ordinary
-nodes above component intersections, are read from the six sections' jet
-(value, first partials and mixed partial) at one base point per Frobenius
+Smoothness of the total space along a degenerate fiber and the ordinary
+nodes above component intersections are decided in closed form, in the
+point's field, from the six sections' jet (:class:`conic.SectionJet`) by
+:func:`fiber_smooth` and :func:`cross_node`, at one base point per Frobenius
 orbit (:func:`frobenius_orbits`): the sections have coefficients in F_q, so
-the jet at p^q is the jet at p with each entry raised to the q-th power, and
 the zero tests that decide the fiber type, the chart, the node and
-smoothness come out the same at p^q as at p.  In characteristic 2 the
-fiber conic's bilinear form is alternating, so a cross can be singular only
-at its radical and a double line only where two binary quadratics on its
-reduced line meet: :func:`fiber_smooth` and :func:`cross_node` decide both
-in closed form from the jet, in the point's field.
-:func:`ordinary_node_check` takes the node verdict from a chart equation's
+smoothness come out the same at p^q as at p.  :func:`ordinary_node_check` takes the node verdict from a chart equation's
 derivative polynomials instead; the certifier never calls it.
 """
 
@@ -323,13 +315,9 @@ def solve_system(
 
     ``within`` is a set this function solved, with the same k_max, that
     contains every zero of the system: the solve of a subsystem, or of an
-    equivalent system (one with the same zeros).  The points of ``within`` at
-    which every input vanishes are returned, in its order, with its closure
-    as their certificate.  A kept point written over F_{2^K} whose
-    coordinates all lie in a proper subfield containing F_q would be written
-    over that subfield by a solve of this system, so then the system is
-    solved on ``within``'s direction forms instead, its finiteness following
-    from that of ``within``.
+    equivalent system (one with the same zeros).  The system is then read
+    off its points (:func:`read_off`, every input evaluated), and is finite
+    since ``within`` is.
     """
     nonzero: list[Poly] = []
     ctx = None
@@ -349,11 +337,7 @@ def solve_system(
     if any(p.is_constant() for p in nonzero):
         return AlgebraicPointSet((), EliminationClosure(()))
     if within is not None:
-        kept = tuple(p for p in within.points
-                     if all(g.eval_bits(p.ctx, p.coords) == 0 for g in nonzero))
-        if not any(_in_proper_subfield(p, ctx.k) for p in kept):
-            return AlgebraicPointSet(kept, within.certificate, within.directions)
-        return _solve_on_directions(nonzero, within.directions, k_max)
+        return read_off(within, nonzero, nonzero, k_max)
     collected = _resultant_forms(nonzero)
     if not (collected and _coefficient_forms_coprime(nonzero)):
         common = gcd_homogeneous_many(nonzero)
@@ -362,6 +346,27 @@ def solve_system(
     eliminant = _direction_eliminant(nonzero, collected)
     forms = [] if eliminant.is_constant() else [f for f, _ in form_factor(eliminant)]
     return _solve_on_directions(nonzero, forms, k_max)
+
+
+def read_off(within: AlgebraicPointSet, system: list[Poly], added: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
+    """The common zeros of ``system``: nonzero polynomials that vanish
+    nowhere off the points of ``within`` (solve_system's ``within``) and,
+    but for those of ``added``, at each of them.  So only ``added`` is
+    evaluated: flatness adds the diagonal sections to Sigma's equations, a
+    component's meeting with Sigma the component.  The points where every
+    added polynomial vanishes are kept, in ``within``'s order, with its
+    closure and direction forms.  Where a kept point lies in a proper
+    subfield containing F_q (:func:`_in_proper_subfield`), the system is
+    solved again on those forms, which carry every zero, so that the point
+    is written as a fresh solve writes it.  No read-off of the corpus or
+    the zero-corner search falls back; on moved copies of ex3 one does, for
+    a component that meets Sigma only at [0:1:0] while Sigma's other points
+    on that direction need F_4.
+    """
+    kept = tuple(p for p in within.points if all(g.eval_bits(p.ctx, p.coords) == 0 for g in added))
+    if not any(_in_proper_subfield(p, system[0].ctx.k) for p in kept):
+        return AlgebraicPointSet(kept, within.certificate, within.directions)
+    return _solve_on_directions(system, within.directions, k_max)
 
 
 def _in_proper_subfield(p: ProjPoint, k: int) -> bool:
@@ -516,7 +521,7 @@ def transversal_at(c1: Poly, c2: Poly, p: ProjPoint) -> bool:
     return _independent(*([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2)), p)
 
 
-def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSet:
+def intersection_points(c1: Poly, c2: Poly, k_max: int = 24, orbits: list | None = None) -> AlgebraicPointSet:
     """Finite intersection with a Bezout certificate.
 
     Every point must be transversal; then the count of points equals the
@@ -524,7 +529,9 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
     count mismatch raises BezoutMismatch.  Transversality is decided once
     per Frobenius orbit over the curves' F_q (:func:`frobenius_orbits`), at
     its representative; a tangency is reported at the first
-    non-transversal point in the points' order.
+    non-transversal point in the points' order.  A list passed as
+    ``orbits`` receives those orbits when the intersection passes, so a
+    caller that walks them groups nothing again.
     """
     for c in (c1, c2):
         if c.is_zero() or is_homogeneous(c) in (None, "zero"):
@@ -535,7 +542,8 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
         raise CommonComponent(f"common component {poly_print(exc.common_factor)}") from None
     d1, d2 = ([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2))
     # the partials are over F_q; a representative is its orbit's first point
-    for orbit in frobenius_orbits(found.points, c1.ctx.q):
+    grouped = frobenius_orbits(found.points, c1.ctx.q)
+    for orbit in grouped:
         p = orbit[0]
         if not _independent(d1, d2, p):
             raise BezoutMismatch(f"non-transversal intersection at {p!r}", witness=p)
@@ -544,6 +552,8 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
         raise BezoutMismatch(
             f"transversal everywhere but found {len(found.points)} of {expected} points"
         )
+    if orbits is not None:
+        orbits.extend(grouped)
     return AlgebraicPointSet(found.points, BezoutCount(expected, len(found.points)))
 
 

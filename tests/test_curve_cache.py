@@ -1,13 +1,16 @@
 """The process-wide caches of amcert: each component's singular locus and
 each pair's meeting with its Frobenius orbits are solved once per process,
-and each claim of factors is multiplied, grouped and proved once; errors
-other than a pair's BezoutMismatch or CommonComponent are never kept, and
-certificates do not depend on what the caches hold.  Each point object is
-rendered at most once per process.  The termwise division by a monomial
+and each claim of factors is multiplied, grouped and proved once; each
+polynomial gets one absolute-irreducibility verdict, and each section one
+jet entry per point; errors other than a pair's BezoutMismatch or
+CommonComponent are never kept, and certificates do not depend on what the
+caches hold.  Each point object is rendered at most once per process.  The termwise division by a monomial
 and the log-domain point evaluation these certificates run on agree with
 the general paths."""
 
+import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -212,9 +215,10 @@ def _counting_proofs(monkeypatch):
 @pytest.mark.fresh_interpreter
 def test_search_builds_the_claim_and_groups_the_meeting_once(monkeypatch):
     grouped = []
-    orbits = amcert.frobenius_orbits
+    orbits = geom.frobenius_orbits
     asked = _counting_proofs(monkeypatch)
-    monkeypatch.setattr(amcert, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
+    for module in (geom, amcert):  # the meeting's orbits are grouped in geom
+        monkeypatch.setattr(module, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
     clear_caches()
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
     assert asked == [D1, D2] * 56
@@ -240,6 +244,39 @@ def test_a_second_corpus_pass_proves_nothing_again():
     after = factor._abs_irred_bivariate.cache_info()
     # every component of the six specs, claimed or computed, is read back
     assert (after.misses - before.misses, after.hits - before.hits) == (0, 15)
+
+
+@pytest.mark.fresh_interpreter
+def test_a_component_proved_as_a_claimed_factor_is_not_proved_again():
+    claimed = [(spec, claims) for _, spec, claims in _corpus()]
+    clear_caches()
+    first = _certificates(claimed, clear_each=False)
+    _certificates([(spec, None) for spec, _ in claimed], clear_each=False)
+    components = {(cert["setup"]["field_degree"], f["poly"])
+                  for cert in map(json.loads, first) for f in cert["discriminant"]["factors"]}
+    # one proof per distinct component, claimed or computed: 22 when the
+    # verdict was keyed on whether the factor was known irreducible
+    proofs = factor._abs_irred_bivariate.cache_info()
+    assert proofs.misses == len(components) == 12
+
+
+@pytest.mark.fresh_interpreter
+def test_a_cold_corpus_pass_groups_each_meeting_once(monkeypatch):
+    callers = Counter()
+    orbits = geom.frobenius_orbits
+
+    def counted(points, q):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return orbits(points, q)
+
+    for module in (geom, amcert):
+        monkeypatch.setattr(module, "frobenius_orbits", counted)
+    clear_caches()
+    _certificates([(spec, claims) for _, spec, claims in _corpus()], clear_each=False)
+    # each meeting is grouped by intersection_points, which hands its orbits
+    # to amcert._meeting (9 more groupings there when it grouped them again);
+    # the five finite Sigmas are grouped for H5
+    assert callers == {"intersection_points": 12, "_certify": 5}
 
 
 @pytest.mark.fresh_interpreter
@@ -286,6 +323,50 @@ def test_a_proof_error_is_raised_again_and_not_kept(monkeypatch):
     component_factorization(ex1, [D1, D2])
     proofs = factor._abs_irred_bivariate.cache_info()
     assert (proofs.misses, proofs.hits) == (3, 2)
+
+
+# -- section jets kept per section ---------------------------------------------------
+
+
+@pytest.mark.fresh_interpreter
+def test_certificates_do_not_depend_on_the_jet_cache():
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+
+    def certify():
+        search = search_spieghiamolo(example81_template(), budget=56).hits
+        return _certificates(specs, clear_each=False) + [cert.to_json() for _, cert in search]
+
+    conic._section_entries.cache_clear()
+    cold = certify()
+    info = conic._section_entries.cache_info()
+    assert certify() == cold
+    assert conic._section_entries.cache_info().misses == info.misses
+    clear_caches()
+    search_spieghiamolo(example81_template(), budget=56)
+    # the four fixed sections once per point; the two free ones once per
+    # candidate and point: 8 points
+    assert conic._section_entries.cache_info().misses == 8 * (4 + 2 * 56)
+
+
+@pytest.mark.parametrize("k", [1, 4, 20], ids=["F2", "F16", "F2^20"])
+def test_cached_jets_equal_uncached_ones(k):
+    # points of one field that a ProjPoint key would collide (every
+    # non-rational point hashes alike), and one rational point over the
+    # field and over F_2, which a ProjPoint key would take as equal
+    ctx = field_new(k)
+    rng = random.Random(1860 + k)
+    clear_caches()
+    for _ in range(6):
+        spec = rand_spec(rng, field_new(2) if k % 2 == 0 else field_new(1), max_entry_degree=2)
+        points = [ProjPoint(ctx, _random_coords(rng, ctx)) for _ in range(8)]
+        points += [ProjPoint(ctx, (1, 0, 1)), ProjPoint(spec.ctx, (1, 0, 1))]
+        for p in points + points:  # misses, then hits
+            jet = section_jet(spec, p)
+            entries = [conic._section_entries.__wrapped__(spec.sections[key], p.sort_key())
+                       for key in SECTION_KEYS]
+            assert [jet.value, jet.d1, jet.d2, jet.d12] == [tuple(e) for e in zip(*entries)]
+    info = conic._section_entries.cache_info()
+    assert info.hits >= 6 * 10 * 6
 
 
 # -- termwise division by a monomial -------------------------------------------------

@@ -20,7 +20,15 @@ import pytest
 from conic2 import _dense, amcert, geom
 from conic2.amcert import example81_template, search_spieghiamolo, surface_criterion
 from conic2.cli import corpus_manifest, load_corpus_spec
-from conic2.conic import BASE_VARS, ProjPoint, discriminant, sigma_generators, spec_from_dict, spec_to_dict
+from conic2.conic import (
+    BASE_VARS,
+    ProjPoint,
+    discriminant,
+    flatness_check,
+    sigma_generators,
+    spec_from_dict,
+    spec_to_dict,
+)
 from conic2.factor import form_factor
 from conic2.geom import (
     ExtensionBound,
@@ -32,6 +40,7 @@ from conic2.geom import (
     _z_gcd,
     frobenius_orbits,
     plane_monomials,
+    read_off,
     solve_system,
 )
 from conic2.gf2k import embed_bits, field_new
@@ -188,8 +197,16 @@ def test_direction_of_degree_two_with_z_factors_of_degrees_one_and_three():
 # -- component meets Sigma, on Sigma's directions ----------------------------------------
 
 
+def _flatness(report):
+    """A flatness report with its witness's field and coordinates."""
+    w = report.witness
+    return report.flat, report.generically_smooth, w and (w.ctx.k, w.coords)
+
+
 def _restricted_matches_fresh(spec, k_max=24):
-    """Solve [C] + off-diagonals for each component C both ways.  Return the
+    """Solve [C] + off-diagonals for each component C three ways: fresh,
+    confined to Sigma and read off Sigma; and decide flatness fresh and
+    read off Sigma.  Return the
     number of points and, where Sigma has two or more direction forms, the
     indices of the forms each component meets Sigma on."""
     off = [s for s in sigma_generators(spec) if not s.is_zero()]
@@ -201,14 +218,21 @@ def _restricted_matches_fresh(spec, k_max=24):
     except (PositiveDimensional, ExtensionBound):
         return 0, set()
     total, used = 0, set()
+    try:
+        flat = flatness_check(spec, k_max)
+    except ExtensionBound:
+        flat = None
+    if flat is not None:  # the flatness read off Sigma is the flatness of a fresh solve
+        assert _flatness(flatness_check(spec, k_max, within=sig)) == _flatness(flat)
     for c, _ in form_factor(delta):
         system = [c] + off
         restricted = solve_system(system, k_max, within=sig)  # never raises where sig did not
+        read = read_off(sig, system, [c], k_max)
         try:
             fresh = solve_system(system, k_max)
         except ExtensionBound:
             continue
-        assert _exact(restricted)[0] == _exact(fresh)[0], str(c)
+        assert _exact(restricted)[0] == _exact(read)[0] == _exact(fresh)[0], str(c)
         total += len(fresh.points)
         if len(sig.directions) >= 2:
             used.add(tuple(i for i, form in enumerate(sig.directions)
@@ -248,19 +272,23 @@ def test_restricted_solve_matches_fresh_on_random_specs(k_max):
 
 
 def _confined_solves(monkeypatch):
-    """Count the solves confined to a solved set, through geom and amcert,
-    and those of them that fall back to a solve on its direction forms."""
-    counts = {"confined": 0, "fallbacks": 0}
+    """Count the solves confined to a solved set (solve_system with
+    ``within``), the read-offs of a solved set (geom.read_off, which every
+    confined solve makes), through geom and amcert, and the read-offs that
+    fall back to a solve on the set's direction forms."""
+    counts = {"read_offs": 0, "confined": 0, "fallbacks": 0}
     inside = []
-    solve, on_directions = geom.solve_system, geom._solve_on_directions
+    solve, on_directions, read = geom.solve_system, geom._solve_on_directions, geom.read_off
 
     def confined(polys, k_max=24, within=None):
-        if within is None:
-            return solve(polys, k_max)
-        counts["confined"] += 1
+        counts["confined"] += within is not None
+        return solve(polys, k_max, within)
+
+    def counted_read(*args):
+        counts["read_offs"] += 1
         inside.append(True)
         try:
-            return solve(polys, k_max, within)
+            return read(*args)
         finally:
             inside.pop()
 
@@ -270,6 +298,7 @@ def _confined_solves(monkeypatch):
 
     for module in (geom, amcert):
         monkeypatch.setattr(module, "solve_system", confined)
+        monkeypatch.setattr(module, "read_off", counted_read)
     monkeypatch.setattr(geom, "_solve_on_directions", counted)
     return counts
 
@@ -285,7 +314,10 @@ def test_a_confined_solve_writes_a_point_over_the_field_a_fresh_solve_uses(monke
     counts = _confined_solves(monkeypatch)
     assert _exact(geom.solve_system(system, within=sig))[0] == [(1, (0, 1, 0))]
     assert _exact(geom.solve_system(system))[0] == [(1, (0, 1, 0))]
-    assert counts == {"confined": 1, "fallbacks": 1}
+    assert counts == {"read_offs": 1, "confined": 1, "fallbacks": 1}
+    # a read-off of the cubic alone does what the confined solve does
+    assert _exact(geom.read_off(sig, system, system[:1]))[0] == [(1, (0, 1, 0))]
+    assert counts == {"read_offs": 2, "confined": 1, "fallbacks": 2}
 
 
 def test_the_subfield_test_tries_each_prime_dividing_the_degree():
@@ -314,10 +346,17 @@ def test_a_confined_solve_matches_fresh_on_a_moved_ex3_that_falls_back(monkeypat
     off = [s for s in sigma_generators(spec) if not s.is_zero()]
     sig = solve_system(off)
     counts = _confined_solves(monkeypatch)
-    for c, _ in form_factor(discriminant(spec)):
+    components = form_factor(discriminant(spec))
+    read_fallbacks = 0
+    for c, _ in components:
         system = [c] + off
-        assert _exact(geom.solve_system(system, within=sig))[0] == _exact(geom.solve_system(system))[0]
-    assert counts["fallbacks"] >= 1
+        fresh = _exact(geom.solve_system(system))[0]
+        assert _exact(geom.solve_system(system, within=sig))[0] == fresh
+        fallbacks = counts["fallbacks"]
+        assert _exact(geom.read_off(sig, system, [c]))[0] == fresh
+        read_fallbacks += counts["fallbacks"] > fallbacks
+    # a read-off of the component alone falls back there too
+    assert counts["read_offs"] == 2 * len(components) and read_fallbacks >= 1
 
 
 def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
@@ -326,12 +365,13 @@ def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
         spec = load_corpus_spec(entry["name"])
         claimed = [poly_parse(t, spec.ctx, BASE_VARS) for t in entry.get("claimed_factors") or []]
         surface_criterion(spec, claimed or None)
-    assert counts == {"confined": 15, "fallbacks": 0}
+    # flatness and each component's meeting with Sigma, read off Sigma's points
+    assert counts == {"read_offs": 15, "confined": 0, "fallbacks": 0}
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    # per candidate, its Sigma, read off the Sigma the candidates share, and
-    # the two components' meetings with Sigma (its constant section aa makes
-    # the bundle flat without a solve)
-    assert counts == {"confined": 15 + 56 * 3, "fallbacks": 0}
+    # per candidate, the two components' meetings with the Sigma the
+    # candidates share (its constant section aa makes the bundle flat
+    # without a solve); the candidate's Sigma is the shared one itself
+    assert counts == {"read_offs": 15 + 56 * 2, "confined": 0, "fallbacks": 0}
 
 
 # -- one Sigma per search -------------------------------------------------------------
@@ -376,16 +416,18 @@ def test_the_shared_sigma_gives_each_zero_corner_candidate_its_own_sigma():
         q = Poly.from_terms(F2, BASE_VARS, [(m, 1) for i, m in enumerate(monos) if bits >> i & 1])
         off = [ab, template.congruence_residue + template.congruence_modulus * q]
         confined, fresh = solve_system(off, within=shared), solve_system(off)
-        assert confined.serialize() == fresh.serialize()
-        assert confined.directions == fresh.directions
+        # the search certifies each candidate with the shared Sigma itself
+        assert confined.serialize() == fresh.serialize() == shared.serialize()
+        assert confined.directions == fresh.directions == shared.directions
 
 
 def test_a_zero_corner_search_solves_sigma_once(monkeypatch):
     calls = _amcert_solves(monkeypatch)
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    # the shared Sigma first; then, per candidate, its Sigma and the two
-    # components' meetings with it, each read off the shared points
-    assert calls == [True] + [False] * (56 * 3)
+    # the shared Sigma, compared with the expected points once; each
+    # candidate is certified with it, and the two components' meetings with
+    # it are read off its points (geom.read_off), with no solve
+    assert calls == [True]
 
 
 def test_a_template_whose_fixed_sections_miss_the_modulus_solves_each_sigma(monkeypatch):
