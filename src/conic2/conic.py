@@ -284,9 +284,9 @@ class SectionJet:
 def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     """The :class:`SectionJet` of the spec at p, its four 6-tuples built
     from each section's entries (:func:`_section_entries`)."""
-    key = p.sort_key()
-    value, d1, d2, d12 = zip(*(_section_entries(spec.sections[k], key) for k in SECTION_KEYS))
-    return SectionJet(p, next(k for k, c in enumerate(p.coords) if c), value, d1, d2, d12)
+    key, sections, c = p.sort_key(), spec.sections, p.coords
+    value, d1, d2, d12 = zip(*[_section_entries(sections[k], key) for k in SECTION_KEYS])
+    return SectionJet(p, 0 if c[0] else 1 if c[1] else 2, value, d1, d2, d12)
 
 
 # A search's fixed sections are evaluated once per point per process.  An
@@ -309,8 +309,8 @@ def _section_entries(s: Poly, point: tuple) -> tuple[int, int, int, int]:
     """
     ctx, src = field_new(point[0]), s.ctx
     coords = point[1]
-    w = next(k for k, c in enumerate(coords) if c)
-    i1, i2 = (k for k in range(3) if k != w)
+    # u1, u2: the coordinates other than the first nonzero one, the chart's
+    i1, i2 = ((1, 2), (0, 2), (0, 1))[0 if coords[0] else 1 if coords[1] else 2]
     tables = ctx.log_tables()
     if tables is None:
         s1, s2 = partial_derivative(s, s.vars[i1]), partial_derivative(s, s.vars[i2])
@@ -318,9 +318,9 @@ def _section_entries(s: Poly, point: tuple) -> tuple[int, int, int, int]:
     log, exp = tables
     order = ctx.q - 1
     u1, u2 = coords[i1], coords[i2]
-    l1, l2 = (log[u] if u else 0 for u in (u1, u2))
+    l1, l2 = log[u1] if u1 else 0, log[u2] if u2 else 0
     # u^e is nonzero iff e < cap: every power of a nonzero u, u^0 of a zero u
-    cap1, cap2 = (math.inf if u else 1 for u in (u1, u2))
+    cap1, cap2 = math.inf if u1 else 1, math.inf if u2 else 1
     v = v1 = v2 = v12 = 0
     for m, c in s.items():
         if src is not ctx:
