@@ -206,9 +206,9 @@ def _flatness(report):
 def _restricted_matches_fresh(spec, k_max=24):
     """Solve [C] + off-diagonals for each component C three ways: fresh,
     confined to Sigma and read off Sigma; and decide flatness fresh and
-    read off Sigma.  Return the
-    number of points and, where Sigma has two or more direction forms, the
-    indices of the forms each component meets Sigma on."""
+    read off Sigma.  Return the number of points and, where Sigma has two
+    or more direction forms, the indices of the forms each component meets
+    Sigma on."""
     off = [s for s in sigma_generators(spec) if not s.is_zero()]
     delta = discriminant(spec)
     if not off or delta.is_zero():
