@@ -254,8 +254,7 @@ def test_a_component_proved_as_a_claimed_factor_is_not_proved_again():
     _certificates([(spec, None) for spec, _ in claimed], clear_each=False)
     components = {(cert["setup"]["field_degree"], f["poly"])
                   for cert in map(json.loads, first) for f in cert["discriminant"]["factors"]}
-    # one proof per distinct component, claimed or computed: 22 when the
-    # verdict was keyed on whether the factor was known irreducible
+    # one proof per distinct component, whether claimed or computed
     proofs = factor._abs_irred_bivariate.cache_info()
     assert proofs.misses == len(components) == 12
 
@@ -274,8 +273,7 @@ def test_a_cold_corpus_pass_groups_each_meeting_once(monkeypatch):
     clear_caches()
     _certificates([(spec, claims) for _, spec, claims in _corpus()], clear_each=False)
     # each meeting is grouped by intersection_points, which hands its orbits
-    # to amcert._meeting (9 more groupings there when it grouped them again);
-    # the five finite Sigmas are grouped for H5
+    # to amcert._meeting; the five finite Sigmas are grouped for H5
     assert callers == {"intersection_points": 12, "_certify": 5}
 
 
@@ -352,7 +350,7 @@ def test_certificates_do_not_depend_on_the_jet_cache():
 def test_cached_jets_equal_uncached_ones(k):
     # points of one field that a ProjPoint key would collide (every
     # non-rational point hashes alike), and one rational point over the
-    # field and over F_2, which a ProjPoint key would take as equal
+    # field and over the spec's field, which a ProjPoint key would take as equal
     ctx = field_new(k)
     rng = random.Random(1860 + k)
     clear_caches()
