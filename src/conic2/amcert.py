@@ -19,18 +19,19 @@ of the diagonal, hence not stably rational); the conclusion itself is never
 re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
-Curve geometry and a claim of factors are settled once per process, in
-three caches of 128 entries that every call and thread shares:
-:func:`_singular_locus` (keyed by the curve and k_max), :func:`_meeting` (by
-the pair and k_max) and :func:`_claim` (by the field and the claim); each
-factor's verdict is kept by :func:`factor._abs_irred_bivariate`, and each
-section's jet entries at a point by :func:`conic._section_entries` (1024
-entries, keyed by the section and the point's sort_key()).  A cleared cache
-and a warm one give byte-identical certificates.  Sigma is solved once per
-certificate, and flatness and each component's meeting with Sigma are read
-off its points (:func:`geom.read_off`); a search whose template fixes Sigma
-solves it once and certifies every candidate with it.  Polynomials and
-points keep their printed text, so each is rendered once per process.
+Curve geometry, a claim of factors and a section's jet entries at a point
+are settled once per process, in four caches of 128 entries that every call
+and thread shares: :func:`_singular_locus` (keyed by the curve and k_max),
+:func:`_meeting` (by the pair and k_max), :func:`_claim` (by the field and
+the claim) and :func:`conic._section_entries` (by the section and the
+point's sort_key()); each factor's verdict is kept by
+:func:`factor._abs_irred_bivariate`.  A cleared cache and a warm one give
+byte-identical certificates.  Sigma is solved once per certificate, and
+flatness and each component's meeting with Sigma are read off its points
+(:func:`geom.read_off`); a search whose template fixes Sigma solves it once
+and certifies every candidate with it.  Each point fact is read off one
+section jet per point per certificate.  Polynomials and points keep their
+printed text, so each is rendered once per process.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ class ComponentAnalysis:
             "am_status": self.am_status.serialize(),
             "sing_in_sigma": self.sing_in_sigma,
             "sing_points": [p.serialize() for p in self.sing_points],
-            "sigma_meets": None if self.sigma_meets is None else [p.serialize() for p in self.sigma_meets],
+            "sigma_meets": None
+            if self.sigma_meets is None
+            else [p.serialize() for p in self.sigma_meets],
         }
 
 
@@ -241,9 +244,8 @@ def _meeting(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet | Bezout
     it grouped its points into (representatives first, in the points'
     order); or the BezoutMismatch or CommonComponent it raised, kept without
     the frames of its traceback and of the error it was raised from."""
-    orbits: list = []
     try:
-        met = geom.intersection_points(c1, c2, k_max, orbits)
+        met, orbits = geom._intersection(c1, c2, k_max)
     except (BezoutMismatch, CommonComponent) as exc:
         exc.__context__ = None
         return exc.with_traceback(None), ()
@@ -293,12 +295,15 @@ def _analyse_component(
     jets (:func:`_jet`)."""
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
+    witness: ProjPoint | None = None
     inside_sigma = False
     try:
         met = solve_system(system, k_max) if sigma is None else read_off(sigma, system, [component], k_max)
         sigma_meets = met.points
-        witness = next((p for p in met.points
-                        if fiber_type(_jet(spec, jets, p).value, p.ctx) is FiberType.DOUBLE_LINE), None)
+        for p in met.points:
+            if fiber_type(_jet(spec, jets, p).value, p.ctx) is FiberType.DOUBLE_LINE:
+                witness = p
+                break
     except PositiveDimensional as exc:
         # The component shares a curve with Sigma: scan small fields for a
         # double-line point on the component.
@@ -315,9 +320,15 @@ def _analyse_component(
 
     if witness is not None:
         status = AmStatus("double_line_witness", witness)
-    else:  # inside Sigma no fiber over the component is a cross: no nonproduct witness
-        witness = None if inside_sigma else nonproduct_witness(spec, component, k_max, witness_bound)
-        status = AmStatus("not_certified" if witness is None else "cross_nonproduct_witness", witness)
+    elif inside_sigma:
+        # no fiber over the component is a cross, so no nonproduct witness
+        status = AmStatus("not_certified", None)
+    else:
+        np_witness = nonproduct_witness(spec, component, k_max, witness_bound)
+        if np_witness is not None:
+            status = AmStatus("cross_nonproduct_witness", np_witness)
+        else:
+            status = AmStatus("not_certified", None)
     return ComponentAnalysis(component, status, sing_ok, sing, sigma_meets)
 
 
@@ -647,8 +658,10 @@ def _certify(
                 h3_witnesses.append(p)
                 continue
             chart, n, ok = node
-            nodes.append({"point": p.serialize(), "chart": list(chart),
-                          "fiber_singular_point": n.serialize(), "ordinary_node": ok})
+            nodes.append(
+                {"point": p.serialize(), "chart": list(chart), "fiber_singular_point": n.serialize(),
+                 "ordinary_node": ok}
+            )
             if not ok:
                 h3_details.append(f"total space not an ordinary node above {p!r}")
                 h3_witnesses.append(p)
@@ -672,8 +685,12 @@ def _certify(
     # H5: smoothness along every double-line fiber, decided once per
     # Frobenius orbit and shared by its conjugates.
     if finite is None:
-        record("h5_smooth_along_double_lines", False, "double-line locus is not a finite point set; "
-               "smoothness along its fibers cannot be certified pointwise")
+        record(
+            "h5_smooth_along_double_lines",
+            False,
+            "double-line locus is not a finite point set; smoothness along its fibers "
+            "cannot be certified pointwise",
+        )
     else:
         smooth_of = _per_orbit(
             frobenius_orbits(finite.points, spec.ctx.q), lambda p: fiber_smooth(_jet(spec, jets, p)), {}
@@ -831,8 +848,12 @@ def search_spieghiamolo(
                 gamma = exact_div(target + poly_square(beta), template.quotient_divisor)
             except NotDivisible:
                 continue
-            sections = {**template.fixed, template.free_key: beta, template.quotient_key: gamma}
-            spec = ConicBundleSpec(ctx, template.degree_vector, template.value_degree, sections)
+            sections = dict(template.fixed)
+            sections[template.free_key] = beta
+            sections[template.quotient_key] = gamma
+            spec = ConicBundleSpec(
+                ctx, template.degree_vector, template.value_degree, sections
+            )
             # Sigma condition: the off-diagonals vanish exactly at the expected points
             sig = shared
             if sig is None:
@@ -847,7 +868,10 @@ def search_spieghiamolo(
                     shared = sig
             if sig is False:
                 continue
-            cert = _certify(spec, list(template.target_components), k_max, witness_bound=8, sigma=sig)
+            cert = _certify(
+                spec, list(template.target_components), k_max,
+                witness_bound=8, sigma=sig,
+            )
             if cert.all_pass:
                 hits.append((spec, cert))
         if exhausted:

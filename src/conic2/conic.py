@@ -289,9 +289,10 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     return SectionJet(p, 0 if c[0] else 1 if c[1] else 2, value, d1, d2, d12)
 
 
-# A search's fixed sections are evaluated once per point per process.  An
-# entry and the section it keeps take about 0.33 kB: 1024 stay near 0.3 MB.
-@lru_cache(maxsize=1024)
+# A search's fixed sections are evaluated once per point per process: the
+# zero-corner search's 32 (4 sections at 8 points) stay among the 48 entries
+# each candidate reads.  An entry and the section it keeps take about 0.33 kB.
+@lru_cache(maxsize=128)
 def _section_entries(s: Poly, point: tuple) -> tuple[int, int, int, int]:
     """The section s's value, partials in u1, u2 and mixed partial (the
     entries of a :class:`SectionJet`) at the point whose

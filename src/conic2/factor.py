@@ -421,12 +421,18 @@ def _splits_over_an_extension(f: Poly) -> bool:
 
 
 class _Known(int):
-    """1 when a polynomial is known irreducible over F_q, else 0.  Hints hash
-    and compare alike, so :func:`_abs_irred_bivariate` keeps one verdict per
-    polynomial: either answers both, as 1 only skips the proof over F_q."""
+    """1 when a polynomial is known irreducible over F_q, else 0.  Every hint
+    hashes alike and equals every other, so lru_cache keys
+    :func:`_abs_irred_bivariate` on the polynomial alone and keeps one
+    verdict per polynomial: either answers both, as 1 only skips the proof
+    over F_q.  Without the hint each factor of a computed Delta would be
+    factored over F_q once more."""
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Known)
+
+    def __ne__(self, other: object) -> bool:
+        return not isinstance(other, _Known)
 
     def __hash__(self) -> int:
         return 0

@@ -16,13 +16,18 @@ Explicit rational points of a curve, over the fields F_{q^e} up to a bound,
 come from :func:`small_field_points`: the points on a line are the roots of
 the curve restricted to it, so a field costs one root finding per line.
 
-Smoothness of the total space along a degenerate fiber and the ordinary
-nodes above component intersections are decided in closed form, in the
-point's field, from the six sections' jet (:class:`conic.SectionJet`) by
-:func:`fiber_smooth` and :func:`cross_node`, at one base point per Frobenius
+Smoothness of the total space along a degenerate fiber, and the ordinary
+nodes above component intersections, are read from the six sections' jet
+(value, first partials and mixed partial) at one base point per Frobenius
 orbit (:func:`frobenius_orbits`): the sections have coefficients in F_q, so
+the jet at p^q is the jet at p with each entry raised to the q-th power, and
 the zero tests that decide the fiber type, the chart, the node and
-smoothness come out the same at p^q as at p.  :func:`ordinary_node_check` takes the node verdict from a chart equation's
+smoothness come out the same at p^q as at p.  In characteristic 2 the
+fiber conic's bilinear form is alternating, so a cross can be singular only
+at its radical and a double line only where two binary quadratics on its
+reduced line meet: :func:`fiber_smooth` and :func:`cross_node` decide both
+in closed form from the jet, in the point's field.
+:func:`ordinary_node_check` takes the node verdict from a chart equation's
 derivative polynomials instead; the certifier never calls it.
 """
 
@@ -298,9 +303,7 @@ def plane_monomials(d: int):
             yield (ex, ey, d - ex - ey)
 
 
-def solve_system(
-    polys: list[Poly], k_max: int = 24, within: AlgebraicPointSet | None = None
-) -> AlgebraicPointSet:
+def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
     """All common projective zeros over the algebraic closure.
 
     Requires a finite zero locus (the gcd of the inputs must be constant) and
@@ -311,13 +314,9 @@ def solve_system(
     nonzero pairwise z-resultant excludes common factors of positive
     z-degree, and coprime z-coefficient forms exclude z-free ones.  Only when
     this proof fails is the gcd of the inputs computed; a nonconstant gcd
-    raises PositiveDimensional, before any ExtensionBound.
-
-    ``within`` is a set this function solved, with the same k_max, that
-    contains every zero of the system: the solve of a subsystem, or of an
-    equivalent system (one with the same zeros).  The system is then read
-    off its points (:func:`read_off`, every input evaluated), and is finite
-    since ``within`` is.
+    raises PositiveDimensional, before any ExtensionBound.  A system that
+    contains the inputs of a solved set is read off its points instead
+    (:func:`read_off`).
     """
     nonzero: list[Poly] = []
     ctx = None
@@ -336,8 +335,6 @@ def solve_system(
         raise PositiveDimensional(Poly.zero(field_new(1), BASE_VARS))
     if any(p.is_constant() for p in nonzero):
         return AlgebraicPointSet((), EliminationClosure(()))
-    if within is not None:
-        return read_off(within, nonzero, nonzero, k_max)
     collected = _resultant_forms(nonzero)
     if not (collected and _coefficient_forms_coprime(nonzero)):
         common = gcd_homogeneous_many(nonzero)
@@ -348,20 +345,23 @@ def solve_system(
     return _solve_on_directions(nonzero, forms, k_max)
 
 
-def read_off(within: AlgebraicPointSet, system: list[Poly], added: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
+def read_off(
+    within: AlgebraicPointSet, system: list[Poly], added: list[Poly], k_max: int = 24
+) -> AlgebraicPointSet:
     """The common zeros of ``system``: nonzero polynomials that vanish
-    nowhere off the points of ``within`` (solve_system's ``within``) and,
-    but for those of ``added``, at each of them.  So only ``added`` is
-    evaluated: flatness adds the diagonal sections to Sigma's equations, a
-    component's meeting with Sigma the component.  The points where every
-    added polynomial vanishes are kept, in ``within``'s order, with its
-    closure and direction forms.  Where a kept point lies in a proper
-    subfield containing F_q (:func:`_in_proper_subfield`), the system is
-    solved again on those forms, which carry every zero, so that the point
-    is written as a fresh solve writes it.  No read-off of the corpus or
-    the zero-corner search falls back; on moved copies of ex3 one does, for
-    a component that meets Sigma only at [0:1:0] while Sigma's other points
-    on that direction need F_4.
+    nowhere off the points of ``within``, a set :func:`solve_system` solved
+    with the same k_max (the solve of a subsystem, or of a system with the
+    same zeros), and, but for those of ``added``, at each of them.  So only
+    ``added`` is evaluated: flatness adds the diagonal sections to Sigma's
+    equations, a component's meeting with Sigma the component.  The points
+    where every added polynomial vanishes are kept, in ``within``'s order,
+    with its closure and direction forms.  Where a kept point lies in a
+    proper subfield containing F_q (:func:`_in_proper_subfield`), the system
+    is solved again on those forms, which carry every zero, so that the
+    point is written as a fresh solve writes it.  No read-off of the corpus
+    or the zero-corner search falls back; on moved copies of ex3 one does,
+    for a component that meets Sigma only at [0:1:0] while Sigma's other
+    points on that direction need F_4.
     """
     kept = tuple(p for p in within.points if all(g.eval_bits(p.ctx, p.coords) == 0 for g in added))
     if not any(_in_proper_subfield(p, system[0].ctx.k) for p in kept):
@@ -521,7 +521,7 @@ def transversal_at(c1: Poly, c2: Poly, p: ProjPoint) -> bool:
     return _independent(*([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2)), p)
 
 
-def intersection_points(c1: Poly, c2: Poly, k_max: int = 24, orbits: list | None = None) -> AlgebraicPointSet:
+def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSet:
     """Finite intersection with a Bezout certificate.
 
     Every point must be transversal; then the count of points equals the
@@ -529,10 +529,14 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24, orbits: list | None
     count mismatch raises BezoutMismatch.  Transversality is decided once
     per Frobenius orbit over the curves' F_q (:func:`frobenius_orbits`), at
     its representative; a tangency is reported at the first
-    non-transversal point in the points' order.  A list passed as
-    ``orbits`` receives those orbits when the intersection passes, so a
-    caller that walks them groups nothing again.
+    non-transversal point in the points' order.
     """
+    return _intersection(c1, c2, k_max)[0]
+
+
+def _intersection(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet, list]:
+    """:func:`intersection_points` and the Frobenius orbits it grouped the
+    points into, so a caller that walks them groups nothing again."""
     for c in (c1, c2):
         if c.is_zero() or is_homogeneous(c) in (None, "zero"):
             raise ValueError("intersection_points expects nonzero homogeneous curves")
@@ -542,8 +546,8 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24, orbits: list | None
         raise CommonComponent(f"common component {poly_print(exc.common_factor)}") from None
     d1, d2 = ([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2))
     # the partials are over F_q; a representative is its orbit's first point
-    grouped = frobenius_orbits(found.points, c1.ctx.q)
-    for orbit in grouped:
+    orbits = frobenius_orbits(found.points, c1.ctx.q)
+    for orbit in orbits:
         p = orbit[0]
         if not _independent(d1, d2, p):
             raise BezoutMismatch(f"non-transversal intersection at {p!r}", witness=p)
@@ -552,9 +556,7 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24, orbits: list | None
         raise BezoutMismatch(
             f"transversal everywhere but found {len(found.points)} of {expected} points"
         )
-    if orbits is not None:
-        orbits.extend(grouped)
-    return AlgebraicPointSet(found.points, BezoutCount(expected, len(found.points)))
+    return AlgebraicPointSet(found.points, BezoutCount(expected, len(found.points))), orbits
 
 
 # -- total-space smoothness along degenerate fibers ------------------------------

@@ -313,11 +313,11 @@ def _sigma_solves(monkeypatch, error=None):
     that raises ``error``."""
     calls = []
 
-    def counted(polys, k_max, within=None):
+    def counted(polys, k_max):
         calls.append(len(polys))
         if error is not None:
             raise error
-        return solve_system(polys, k_max, within=within)
+        return solve_system(polys, k_max)
 
     monkeypatch.setattr(amcert, "solve_system", counted)
     return calls

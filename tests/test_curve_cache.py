@@ -50,7 +50,7 @@ def _counting_solves(monkeypatch):
 
         return wrapper
 
-    for name in ("intersection_points", "singular_points"):
+    for name in ("_intersection", "singular_points"):
         monkeypatch.setattr(geom, name, counted(name))
     return counts
 
@@ -71,16 +71,16 @@ def test_search_solves_curve_geometry_once_per_process(monkeypatch):
     clear_caches()
     result = search_spieghiamolo(example81_template(), budget=56)
     assert len(result.hits) == 56
-    assert counts == {"intersection_points": 1, "singular_points": 2}
+    assert counts == {"_intersection": 1, "singular_points": 2}
     search_spieghiamolo(example81_template(), budget=56)
-    assert counts == {"intersection_points": 1, "singular_points": 2}
+    assert counts == {"_intersection": 1, "singular_points": 2}
 
     # ex1 and ex2 have the template's targets as their components
     claims = {name: claimed for name, _, claimed in _corpus()}
     for name in ("ex1", "ex2"):
         assert claims[name] == [D1, D2]
         assert surface_criterion(load_corpus_spec(name), claims[name]).all_pass
-    assert counts == {"intersection_points": 1, "singular_points": 2}
+    assert counts == {"_intersection": 1, "singular_points": 2}
 
 
 def _certificates(specs, clear_each):
@@ -130,7 +130,7 @@ def test_solver_errors_are_raised_again_and_not_kept(monkeypatch):
             amcert._meeting(D1, D2, 2)
         with pytest.raises(ExtensionBound):
             amcert._singular_locus(D1 * D2, 2)
-    assert counts == {"intersection_points": 2, "singular_points": 2}
+    assert counts == {"_intersection": 2, "singular_points": 2}
     assert amcert._meeting.cache_info().currsize == 0
     assert amcert._singular_locus.cache_info().currsize == 0
     with pytest.raises(ExtensionBound):
@@ -151,7 +151,7 @@ def test_a_pairs_bezout_or_common_component_error_is_kept(monkeypatch):
         assert isinstance(kept, kind) and orbits == ()
         assert kept.__traceback__ is None and kept.__context__ is None
         assert amcert._meeting(c1, c2, 24) is met
-    assert counts == {"intersection_points": 2}
+    assert counts == {"_intersection": 2}
 
 
 @pytest.mark.fresh_interpreter
@@ -272,9 +272,9 @@ def test_a_cold_corpus_pass_groups_each_meeting_once(monkeypatch):
         monkeypatch.setattr(module, "frobenius_orbits", counted)
     clear_caches()
     _certificates([(spec, claims) for _, spec, claims in _corpus()], clear_each=False)
-    # each meeting is grouped by intersection_points, which hands its orbits
+    # each meeting is grouped by geom._intersection, which hands its orbits
     # to amcert._meeting; the five finite Sigmas are grouped for H5
-    assert callers == {"intersection_points": 12, "_certify": 5}
+    assert callers == {"_intersection": 12, "_certify": 5}
 
 
 @pytest.mark.fresh_interpreter
@@ -338,7 +338,8 @@ def test_certificates_do_not_depend_on_the_jet_cache():
     cold = certify()
     info = conic._section_entries.cache_info()
     assert certify() == cold
-    assert conic._section_entries.cache_info().misses == info.misses
+    # the warm pass read entries the cold one kept
+    assert conic._section_entries.cache_info().hits > info.hits
     clear_caches()
     search_spieghiamolo(example81_template(), budget=56)
     # the four fixed sections once per point; the two free ones once per

@@ -205,10 +205,10 @@ def _flatness(report):
 
 def _restricted_matches_fresh(spec, k_max=24):
     """Solve [C] + off-diagonals for each component C three ways: fresh,
-    confined to Sigma and read off Sigma; and decide flatness fresh and
-    read off Sigma.  Return the number of points and, where Sigma has two
-    or more direction forms, the indices of the forms each component meets
-    Sigma on."""
+    read off Sigma evaluating every equation, and read off Sigma evaluating
+    C alone; and decide flatness fresh and read off Sigma.  Return the
+    number of points and, where Sigma has two or more direction forms, the
+    indices of the forms each component meets Sigma on."""
     off = [s for s in sigma_generators(spec) if not s.is_zero()]
     delta = discriminant(spec)
     if not off or delta.is_zero():
@@ -226,7 +226,7 @@ def _restricted_matches_fresh(spec, k_max=24):
         assert _flatness(flatness_check(spec, k_max, within=sig)) == _flatness(flat)
     for c, _ in form_factor(delta):
         system = [c] + off
-        restricted = solve_system(system, k_max, within=sig)  # never raises where sig did not
+        restricted = read_off(sig, system, system, k_max)  # never raises where sig did not
         read = read_off(sig, system, [c], k_max)
         try:
             fresh = solve_system(system, k_max)
@@ -272,17 +272,12 @@ def test_restricted_solve_matches_fresh_on_random_specs(k_max):
 
 
 def _confined_solves(monkeypatch):
-    """Count the solves confined to a solved set (solve_system with
-    ``within``), the read-offs of a solved set (geom.read_off, which every
-    confined solve makes), through geom and amcert, and the read-offs that
-    fall back to a solve on the set's direction forms."""
-    counts = {"read_offs": 0, "confined": 0, "fallbacks": 0}
+    """Count the read-offs of a solved set (geom.read_off), through geom
+    and amcert, and those of them that fall back to a solve on the set's
+    direction forms."""
+    counts = {"read_offs": 0, "fallbacks": 0}
     inside = []
-    solve, on_directions, read = geom.solve_system, geom._solve_on_directions, geom.read_off
-
-    def confined(polys, k_max=24, within=None):
-        counts["confined"] += within is not None
-        return solve(polys, k_max, within)
+    on_directions, read = geom._solve_on_directions, geom.read_off
 
     def counted_read(*args):
         counts["read_offs"] += 1
@@ -297,7 +292,6 @@ def _confined_solves(monkeypatch):
         return on_directions(*args)
 
     for module in (geom, amcert):
-        monkeypatch.setattr(module, "solve_system", confined)
         monkeypatch.setattr(module, "read_off", counted_read)
     monkeypatch.setattr(geom, "_solve_on_directions", counted)
     return counts
@@ -312,12 +306,12 @@ def test_a_confined_solve_writes_a_point_over_the_field_a_fresh_solve_uses(monke
     assert _exact(sig)[0] == [(2, (0, 1, 0)), (2, (0, 1, 2)), (2, (0, 1, 3))]
     system = [plane_poly("x^3 + x^2*y + z^3")] + sigma_eqs
     counts = _confined_solves(monkeypatch)
-    assert _exact(geom.solve_system(system, within=sig))[0] == [(1, (0, 1, 0))]
+    assert _exact(geom.read_off(sig, system, system))[0] == [(1, (0, 1, 0))]
     assert _exact(geom.solve_system(system))[0] == [(1, (0, 1, 0))]
-    assert counts == {"read_offs": 1, "confined": 1, "fallbacks": 1}
-    # a read-off of the cubic alone does what the confined solve does
+    assert counts == {"read_offs": 1, "fallbacks": 1}
+    # a read-off evaluating the cubic alone falls back too
     assert _exact(geom.read_off(sig, system, system[:1]))[0] == [(1, (0, 1, 0))]
-    assert counts == {"read_offs": 2, "confined": 1, "fallbacks": 2}
+    assert counts == {"read_offs": 2, "fallbacks": 2}
 
 
 def test_the_subfield_test_tries_each_prime_dividing_the_degree():
@@ -347,16 +341,18 @@ def test_a_confined_solve_matches_fresh_on_a_moved_ex3_that_falls_back(monkeypat
     sig = solve_system(off)
     counts = _confined_solves(monkeypatch)
     components = form_factor(discriminant(spec))
-    read_fallbacks = 0
+    fell_back = []
     for c, _ in components:
         system = [c] + off
         fresh = _exact(geom.solve_system(system))[0]
-        assert _exact(geom.solve_system(system, within=sig))[0] == fresh
-        fallbacks = counts["fallbacks"]
-        assert _exact(geom.read_off(sig, system, [c]))[0] == fresh
-        read_fallbacks += counts["fallbacks"] > fallbacks
-    # a read-off of the component alone falls back there too
-    assert counts["read_offs"] == 2 * len(components) and read_fallbacks >= 1
+        for added in (system, [c]):
+            fallbacks = counts["fallbacks"]
+            assert _exact(geom.read_off(sig, system, added))[0] == fresh
+            fell_back.append(counts["fallbacks"] > fallbacks)
+    # a read-off evaluating every equation and one evaluating the component
+    # alone fall back for the same components
+    assert counts["read_offs"] == len(fell_back) == 2 * len(components)
+    assert any(fell_back) and fell_back[0::2] == fell_back[1::2]
 
 
 def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
@@ -366,26 +362,25 @@ def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
         claimed = [poly_parse(t, spec.ctx, BASE_VARS) for t in entry.get("claimed_factors") or []]
         surface_criterion(spec, claimed or None)
     # flatness and each component's meeting with Sigma, read off Sigma's points
-    assert counts == {"read_offs": 15, "confined": 0, "fallbacks": 0}
+    assert counts == {"read_offs": 15, "fallbacks": 0}
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
     # per candidate, the two components' meetings with the Sigma the
     # candidates share (its constant section aa makes the bundle flat
     # without a solve); the candidate's Sigma is the shared one itself
-    assert counts == {"read_offs": 15 + 56 * 2, "confined": 0, "fallbacks": 0}
+    assert counts == {"read_offs": 15 + 56 * 2, "fallbacks": 0}
 
 
 # -- one Sigma per search -------------------------------------------------------------
 
 
 def _amcert_solves(monkeypatch):
-    """Record each solve amcert makes: True when it is not confined to a
-    solved set."""
+    """Record True for each solve amcert makes."""
     calls = []
     solve = amcert.solve_system
 
-    def counted(polys, k_max=24, within=None):
-        calls.append(within is None)
-        return solve(polys, k_max, within)
+    def counted(polys, k_max=24):
+        calls.append(True)
+        return solve(polys, k_max)
 
     monkeypatch.setattr(amcert, "solve_system", counted)
     return calls
@@ -415,7 +410,7 @@ def test_the_shared_sigma_gives_each_zero_corner_candidate_its_own_sigma():
     for bits in range(1 << len(monos)):
         q = Poly.from_terms(F2, BASE_VARS, [(m, 1) for i, m in enumerate(monos) if bits >> i & 1])
         off = [ab, template.congruence_residue + template.congruence_modulus * q]
-        confined, fresh = solve_system(off, within=shared), solve_system(off)
+        confined, fresh = read_off(shared, off, off), solve_system(off)
         # the search certifies each candidate with the shared Sigma itself
         assert confined.serialize() == fresh.serialize() == shared.serialize()
         assert confined.directions == fresh.directions == shared.directions
