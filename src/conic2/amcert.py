@@ -60,7 +60,7 @@ from .conic import (
     spec_to_dict,
     spec_validate,
 )
-from .factor import UnluckySpecializationExhausted, _abs_irred_bivariate, _Known, form_factor, sort_factors
+from .factor import UnluckySpecializationExhausted, _abs_irred, form_factor, sort_factors
 from . import geom
 from .gf2k import field_new
 from .geom import (
@@ -159,7 +159,7 @@ def component_factorization(
                 "claimed factors times a scalar do not expand to the discriminant"
             )
     for f, _ in factors:
-        if not _abs_irred_bivariate(f, _Known(claimed is None)):
+        if not _abs_irred(f, claimed is None):
             raise NotAbsolutelyIrreducible(f)
     return list(factors)
 

@@ -7,7 +7,7 @@ is :func:`conic2._dense.factor`, and the bivariate gcd is
 decides absolute irreducibility: :func:`form_factor` factors the
 discriminant and solve_system's eliminants, and every verdict is kept in
 one cache, :func:`_abs_irred_bivariate`'s lru_cache of 4096 entries, keyed
-on the polynomial alone (see :class:`_Known`).
+on the polynomial alone (see :func:`_abs_irred`).
 An error, such as UnluckySpecializationExhausted, is not kept.  The cache
 is named for the chart every proof runs on, and perfbench's tracer reads
 its cache_info under that name.
@@ -420,31 +420,31 @@ def _splits_over_an_extension(f: Poly) -> bool:
     return False
 
 
-class _Known(int):
-    """1 when a polynomial is known irreducible over F_q, else 0.  Every hint
-    hashes alike and equals every other, so lru_cache keys
-    :func:`_abs_irred_bivariate` on the polynomial alone and keeps one
-    verdict per polynomial: either answers both, as 1 only skips the proof
-    over F_q.  Without the hint each factor of a computed Delta would be
-    factored over F_q once more."""
+# The polynomials whose verdict a caller that proved them irreducible over
+# F_q is waiting for: a miss on one of them proves only its absolute part.
+_IRREDUCIBLE_OVER_FQ: set[Poly] = set()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Known)
 
-    def __ne__(self, other: object) -> bool:
-        return not isinstance(other, _Known)
-
-    def __hash__(self) -> int:
-        return 0
+def _abs_irred(f: Poly, irreducible: bool) -> bool:
+    """:func:`_abs_irred_bivariate`'s verdict on f; with ``irreducible``
+    true, f is known to be irreducible over F_q, as each factor
+    bivariate_factor returns is."""
+    if not irreducible:
+        return _abs_irred_bivariate(f)
+    _IRREDUCIBLE_OVER_FQ.add(f)
+    try:
+        return _abs_irred_bivariate(f)
+    finally:
+        _IRREDUCIBLE_OVER_FQ.discard(f)
 
 
 @lru_cache(maxsize=4096)
-def _abs_irred_bivariate(f: Poly, irreducible: _Known) -> bool:
-    """is_absolutely_irreducible(f); with ``irreducible`` true, f is known to
-    be irreducible over F_q, as each factor bivariate_factor returns is, and
-    only the absolute part is proved.  A homogeneous trivariate f is read on
-    the chart where its last variable is 1: when no variable divides f,
-    dehomogenizing keeps it irreducible."""
+def _abs_irred_bivariate(f: Poly) -> bool:
+    """is_absolutely_irreducible(f), kept once per polynomial: a verdict
+    answers a caller with the hint of :func:`_abs_irred` and one without.
+    Only the absolute part is proved for f in _IRREDUCIBLE_OVER_FQ.  A
+    homogeneous trivariate f is read on the chart where its last variable
+    is 1: when no variable divides f, dehomogenizing keeps it irreducible."""
     if f.is_zero() or f.is_constant():
         raise ValueError("absolute irreducibility needs a nonzero non-constant input")
     work = f
@@ -464,7 +464,7 @@ def _abs_irred_bivariate(f: Poly, irreducible: _Known) -> bool:
     if len(active) == 1 or work.total_degree() == 1:
         return work.total_degree() == 1
     work = work.with_vars(tuple(sorted(active)))
-    if not irreducible and sum(m for _, m in bivariate_factor(work)) != 1:
+    if f not in _IRREDUCIBLE_OVER_FQ and sum(m for _, m in bivariate_factor(work)) != 1:
         return False
     return not _splits_over_an_extension(work)
 
@@ -475,4 +475,4 @@ def is_absolutely_irreducible(f: Poly) -> bool:
     Accepts a polynomial in at most two variables, or a homogeneous one in
     three; trivariate input is dehomogenized on a chart not dividing it.
     """
-    return _abs_irred_bivariate(f, _Known(False))
+    return _abs_irred_bivariate(f)

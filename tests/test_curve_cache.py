@@ -206,8 +206,8 @@ def _counting_proofs(monkeypatch):
     """The factors amcert asks factor to prove absolutely irreducible, in
     order; the proofs that run are factor._abs_irred_bivariate's misses."""
     asked = []
-    prove = amcert._abs_irred_bivariate
-    monkeypatch.setattr(amcert, "_abs_irred_bivariate",
+    prove = amcert._abs_irred
+    monkeypatch.setattr(amcert, "_abs_irred",
                         lambda f, irreducible: asked.append(f) or prove(f, irreducible))
     return asked
 
