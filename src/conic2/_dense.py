@@ -16,27 +16,31 @@ operations ``mul``, ``inv``, ``sqrt``, ``pow`` and the attributes ``k``, ``q``
 (addition is xor).  This module has no package dependencies so the field
 layer can use it to check its moduli and to find embeddings.
 
-Inside, the context's ring (:func:`_ring`) chooses one of two
-representations from ``ctx.k``.  Over F_2 a polynomial is packed into a
-Python int, bit i the coefficient of t^i (:class:`_Packed`): a sum is one
-xor, a product one shifted copy per set bit, and a remainder one shifted xor
-per quotient bit (the shift-and-xor arithmetic of Brent, Gaudry, Thomé &
-Zimmermann, "Faster multiplication in GF(2)[x]", ANTS-VIII, 2008).  Over
-F_{2^k}, k > 1, it stays a coefficient list (:class:`_Lists`).  Each
-algorithm is written once, as a method of :class:`_Ring`, against the
-primitive operations the two representations supply.  A public function
-packs its input once, runs the whole algorithm, a factorization, a lift or
-a subresultant sequence, in the ring, and unpacks its output once.  Packing
-each primitive call instead does not pay: most operands have degree below 8,
-where converting costs as much as the list loop it replaces.
+Inside, a polynomial over F_{2^k} is packed into one Python int
+(:class:`_Packed`; Kronecker substitution, von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 8): coefficient i sits in the slot of bits
+[w i, w i + k), w = 2k - 1, so over F_2 bit i is the coefficient of t^i.
+A sum is one xor.  A product is one shifted copy per set bit (the
+shift-and-xor arithmetic of Brent, Gaudry, Thomé & Zimmermann, "Faster
+multiplication in GF(2)[x]", ANTS-VIII, 2008): a slot of the result holds a
+field polynomial of degree at most 2k - 2 < w, so no slot spills into the
+next; then the bits of every slot from k up are folded back by the
+modulus m, since t^k is m(t) - t^k in the field, a few whole-int shifts
+per pass.  Long division makes the divisor monic, keeps c b for each
+leading coefficient c it meets, and scales the quotient once.  Over F_2
+nothing is folded and every leading coefficient is 1, so the ring binds
+the plain F_2 product and division.  Each algorithm is written once, as a method of
+:class:`_Ring`; a public function packs its input once, runs the whole
+algorithm, a factorization, a lift or a subresultant sequence, in the ring,
+and unpacks its output once.
 
 Factorization is the classical squarefree / distinct-degree / equal-degree
 chain; the equal-degree split uses the additive trace map
 T(h) = h + h^2 + h^4 + ... , since the odd-characteristic power trick
 degenerates in characteristic 2.  All random choices come from a fixed-seed
 generator so results are reproducible; it is seeded at its first draw
-(:class:`_SeededDraws`), since most calls split nothing.  Both
-representations draw the same sequence.
+(:class:`_SeededDraws`), since most calls split nothing.  A draw is one
+``randrange(q)`` per coefficient.
 
 A column polynomial is a polynomial in z over F[t], stored as the list over
 the z-exponent of dense t-polynomials ("columns"), with no trailing zero
@@ -108,18 +112,19 @@ class _SeededDraws:
         return self._rng.randrange(n)
 
 
-# -- the algorithms, once over both representations ------------------------------
+# -- the algorithms ----------------------------------------------------------------
 
 
 class _Ring:
     """F[t] for the field of ``ctx``.  The methods here are the algorithms;
-    a subclass supplies the representation: the constants ``zero``, ``one``
-    and ``t``, and the primitives ``pack`` (from a list) and ``unpack`` (to
-    one), ``key`` (hashable), ``deg``, ``lc``, ``const`` (the value at 0),
-    ``coeff`` (of t^i), ``value_at`` (at a field element), ``truncate`` (mod
-    t^n), ``add``, ``mul``, ``divmod``, ``mod``, ``monic``, ``scale`` (by a
-    field element), ``deriv``, ``sqrt`` (of a square), ``strip_t`` (split
-    off the largest power of t) and ``draw`` (n random coefficients)."""
+    :class:`_Packed` supplies the representation: the constants ``zero``,
+    ``one`` and ``t``, and the primitives ``pack`` (from a list) and
+    ``unpack`` (to one), ``key`` (hashable), ``deg``, ``lc``, ``const`` (the
+    value at 0), ``coeff`` (of t^i), ``value_at`` (at a field element),
+    ``truncate`` (mod t^n), ``add``, ``mul``, ``divmod``, ``mod``,
+    ``monic``, ``scale`` (by a field element), ``deriv``, ``sqrt`` (of a
+    square), ``strip_t`` (split off the largest power of t) and ``draw`` (n
+    random coefficients)."""
 
     def __init__(self, ctx) -> None:
         self.ctx, self.k, self.q = ctx, ctx.k, ctx.q
@@ -459,203 +464,185 @@ class _Ring:
         return seq
 
 
+def _clmul(a: int, b: int) -> int:
+    """The carry-less product of a and b: one shifted copy of b per set bit of a."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b * low
+        a ^= low
+    return out
+
+
+def _repeat(pattern: int, width: int, n: int) -> int:
+    """pattern in each of n slots of width bits."""
+    return ((1 << (width * n)) - 1) // ((1 << width) - 1) * pattern
+
+
+# -- F_2[t], where a slot is one bit ------------------------------------------------
+
 _BITS = bytes.maketrans(b"\x00\x01", b"01")  # coefficient bytes to binary digits
 _UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _pack2(c: Coeffs) -> int:
+    return int(bytes(c[::-1]).translate(_BITS), 2) if c else 0
+
+
+def _unpack2(a: int) -> Coeffs:
+    return list(bin(a)[:1:-1].encode().translate(_UNBITS)) if a else []
+
+
+def _divmod2(a: int, b: int) -> tuple[int, int]:
+    """divmod in F_2[t], one shifted xor per quotient bit."""
+    db = b.bit_length()
+    if not db:
+        raise ZeroDivisionError("univariate division by zero polynomial")
+    q = 0
+    while (s := a.bit_length() - db) >= 0:
+        a ^= b << s
+        q |= 1 << s
+    return q, a
+
+
+def _mod2(a: int, b: int) -> int:
+    db = b.bit_length()
+    if not db:
+        raise ZeroDivisionError("univariate division by zero polynomial")
+    while (s := a.bit_length() - db) >= 0:
+        a ^= b << s
+    return a
+
+
 class _Packed(_Ring):
-    """F_2[t] on ints: bit i is the coefficient of t^i, and 0 is the zero polynomial."""
+    """F_{2^k}[t] on ints: coefficient i sits in bits [w i, w i + k),
+    w = 2k - 1, and 0 is the zero polynomial.  Over F_2, w = 1 and bit i is
+    the coefficient of t^i."""
 
-    zero, one, t = 0, 1, 2
+    zero, one = 0, 1
     add = staticmethod(operator.xor)
-    key = monic = staticmethod(lambda a: a)
-    deg = staticmethod(lambda a: a.bit_length() - 1)
-    lc = staticmethod(lambda a: 1)
-    const = staticmethod(lambda a: a & 1)
-    coeff = staticmethod(lambda a, i: (a >> i) & 1)
-    value_at = staticmethod(lambda a, x: (a.bit_count() if x else a) & 1)  # x is 0 or 1
-    truncate = staticmethod(lambda a, n: a & ((1 << n) - 1))
-    scale = staticmethod(lambda a, s: a if s else 0)
-
-    @staticmethod
-    def pack(c: Coeffs) -> int:
-        return int(bytes(c[::-1]).translate(_BITS), 2) if c else 0
-
-    @staticmethod
-    def unpack(a: int) -> Coeffs:
-        return list(bin(a)[:1:-1].encode().translate(_UNBITS)) if a else []
-
-    @staticmethod
-    def mul(a: int, b: int) -> int:
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        out = 0
-        while a:  # one shifted copy of b per set bit of a
-            low = a & -a
-            out ^= b * low
-            a ^= low
-        return out
-
-    @staticmethod
-    def divmod(a: int, b: int) -> tuple[int, int]:
-        db = b.bit_length()
-        if not db:
-            raise ZeroDivisionError("univariate division by zero polynomial")
-        q = 0
-        while (s := a.bit_length() - db) >= 0:
-            a ^= b << s
-            q |= 1 << s
-        return q, a
-
-    @staticmethod
-    def mod(a: int, b: int) -> int:
-        db = b.bit_length()
-        if not db:
-            raise ZeroDivisionError("univariate division by zero polynomial")
-        while (s := a.bit_length() - db) >= 0:
-            a ^= b << s
-        return a
-
-    @staticmethod
-    def deriv(a: int) -> int:
-        # Formal derivative: the odd-exponent terms, each moved down one place.
-        n = a.bit_length()
-        return (a >> 1) & ((1 << (n + (n & 1))) - 1) // 3  # mask 0b0101...01
-
-    @staticmethod
-    def sqrt(a: int) -> int:
-        return int(bin(a)[:1:-1][::2][::-1], 2)  # the even-exponent bits, halved
-
-    @staticmethod
-    def strip_t(a: int) -> tuple[int, int]:
-        s = (a & -a).bit_length() - 1 if a else 0
-        return s, a >> s
-
-    @staticmethod
-    def draw(rng: _SeededDraws, n: int) -> int:
-        u = 0
-        for i in range(n):
-            if rng.randrange(2):
-                u |= 1 << i
-        return u
-
-
-class _Lists(_Ring):
-    """F_{2^k}[t] on coefficient lists (the public representation)."""
-
-    zero: Coeffs = []
-    one: Coeffs = [1]
-    t: Coeffs = [0, 1]
-    pack = staticmethod(trim)
-    unpack = staticmethod(lambda a: a)
-    key = staticmethod(tuple)
-    deg = staticmethod(deg)
-    lc = staticmethod(lambda a: a[-1])
-    const = staticmethod(lambda a: a[0] if a else 0)
-    coeff = staticmethod(lambda a, i: a[i] if i < len(a) else 0)
-    truncate = staticmethod(lambda a, n: trim(a[:n]))
+    key = staticmethod(lambda a: a)
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
-        self.fmul = ctx.mul
+        k = self.k
+        self.w = w = 2 * k - 1
+        self.t = 1 << w
+        self.slot = (1 << k) - 1
+        # The exponents of the modulus m: xoring h m into a slot whose bits
+        # from k up are h t^k clears them and keeps its residue mod m.
+        self._folds = [j for j in range(k + 1) if ctx.modulus >> j & 1]
+        self._high = 0  # bits [0, k - 1) of each slot, over twice the longest product yet
+        if k == 1:
+            # Over F_2 a slot is one bit: no product needs reducing, every
+            # nonzero polynomial is monic, and a value is a parity.
+            self.pack, self.unpack, self.mul, self.divmod, self.mod = _pack2, _unpack2, _clmul, _divmod2, _mod2
+            self.monic = self.key
+            self.value_at = lambda a, x: (a.bit_count() if x else a) & 1
 
-    def value_at(self, a: Coeffs, x: int) -> int:
-        return eval_at(self.ctx, a, x)
+    def pack(self, c: Coeffs) -> int:
+        a, w = 0, self.w
+        for x in reversed(c):
+            a = a << w | x
+        return a
 
-    @staticmethod
-    def add(a: Coeffs, b: Coeffs) -> Coeffs:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] ^= x
-        return trim(out)
+    def unpack(self, a: int) -> Coeffs:
+        out, w, slot = [], self.w, self.slot
+        while a:
+            out.append(a & slot)
+            a >>= w
+        return out
 
-    def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        if not a or not b:
-            return []
-        fmul = self.fmul
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            if x == 1:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] ^= y
-            else:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] ^= fmul(x, y)
-        return trim(out)
+    def deg(self, a: int) -> int:
+        return (a.bit_length() - 1) // self.w
 
-    def divmod(self, a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-        if not b:
+    def lc(self, a: int) -> int:
+        return a >> (a.bit_length() - 1) // self.w * self.w
+
+    def const(self, a: int) -> int:
+        return a & self.slot
+
+    def coeff(self, a: int, i: int) -> int:
+        return (a >> (self.w * i)) & self.slot
+
+    def value_at(self, a: int, x: int) -> int:
+        return eval_at(self.ctx, self.unpack(a), x)
+
+    def truncate(self, a: int, n: int) -> int:
+        return a & ((1 << (self.w * n)) - 1)
+
+    def mul(self, a: int, b: int) -> int:
+        """The carry-less product, each slot then reduced by the modulus:
+        its bits from k up are folded back until none is left."""
+        out, k, high = _clmul(a, b), self.k, self._high
+        if out.bit_length() > high.bit_length():
+            high = self._high = _repeat(self.slot >> 1, self.w, 2 * out.bit_length() // self.w + 1)
+        while h := (out >> k) & high:
+            for j in self._folds:
+                out ^= h << j
+        return out
+
+    def scale(self, a: int, s: int) -> int:
+        return a if s == 1 else self.mul(a, s)
+
+    def monic(self, a: int) -> int:
+        c = self.lc(a) if a else 1
+        return a if c == 1 else self.mul(a, self.ctx.inv(c))
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Long division by b made monic, with one multiple c b / lc(b) for
+        each leading coefficient c met, and the quotient scaled once."""
+        return self._divide(a, b, True)
+
+    def mod(self, a: int, b: int) -> int:
+        return self._divide(a, b, False)[1]
+
+    def _divide(self, a: int, b: int, quotient: bool) -> tuple[int, int]:
+        w = self.w
+        top_b = (b.bit_length() - 1) // w * w
+        if top_b < 0:
             raise ZeroDivisionError("univariate division by zero polynomial")
-        r = list(a)
-        db, da = len(b) - 1, len(a) - 1
-        if da < db:
-            return [], trim(r)
-        inv_lb = self.ctx.inv(b[-1])
-        fmul = self.fmul
-        q = [0] * (da - db + 1)
-        for i in range(da - db, -1, -1):
-            top = r[i + db]
-            if top == 0:
-                continue
-            c = fmul(top, inv_lb)
-            q[i] = c
-            for j, y in enumerate(b):
-                if y:
-                    r[i + j] ^= fmul(c, y)
-        return trim(q), trim(r)
+        if a.bit_length() <= top_b:
+            return 0, a
+        lead = b >> top_b
+        inv = self.ctx.inv(lead) if lead != 1 else 1
+        multiples = {1: self.scale(b, inv)}
+        q = 0
+        while (n := a.bit_length()) > top_b:
+            top = (n - 1) // w * w
+            c = a >> top
+            m = multiples.get(c) or multiples.setdefault(c, self.mul(multiples[1], c))
+            a ^= m << (top - top_b)
+            if quotient:
+                q ^= c << (top - top_b)
+        return self.scale(q, inv), a
 
-    def mod(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return self.divmod(a, b)[1]
+    def deriv(self, a: int) -> int:
+        # Formal derivative: the odd-exponent slots, each moved down one slot.
+        w = self.w
+        return (a >> w) & _repeat(self.slot, 2 * w, a.bit_length() // (2 * w) + 1)
 
-    def monic(self, a: Coeffs) -> Coeffs:
-        if not a or a[-1] == 1:
-            return a
-        return self.scale(a, self.ctx.inv(a[-1]))
+    def sqrt(self, a: int) -> int:
+        return self.pack([self.ctx.sqrt(c) for c in self.unpack(a)[::2]])
 
-    def scale(self, a: Coeffs, s: int) -> Coeffs:
-        if s == 0:
-            return []
-        if s == 1:
-            return a
-        fmul = self.fmul
-        return [fmul(x, s) for x in a]
+    def strip_t(self, a: int) -> tuple[int, int]:
+        s = ((a & -a).bit_length() - 1) // self.w if a else 0
+        return s, a >> (self.w * s)
 
-    @staticmethod
-    def deriv(a: Coeffs) -> Coeffs:
-        # Formal derivative; in characteristic 2 only odd-exponent terms survive.
-        return trim([a[i] if i & 1 else 0 for i in range(1, len(a))])
-
-    def sqrt(self, a: Coeffs) -> Coeffs:
-        out = [0] * ((len(a) + 1) // 2)
-        for i in range(0, len(a), 2):
-            out[i // 2] = self.ctx.sqrt(a[i])
-        return trim(out)
-
-    @staticmethod
-    def strip_t(a: Coeffs) -> tuple[int, Coeffs]:
-        s = 0
-        while s < len(a) and a[s] == 0:
-            s += 1
-        return s, a[s:] if s else a
-
-    def draw(self, rng: _SeededDraws, n: int) -> Coeffs:
-        return trim([rng.randrange(self.q) for _ in range(n)])
+    def draw(self, rng: _SeededDraws, n: int) -> int:
+        return self.pack([rng.randrange(self.q) for _ in range(n)])
 
 
 _RINGS: dict = {}  # id(ctx) -> ring
 
 
 def _ring(ctx) -> _Ring:
-    """The ring F[t] of the context, packed over F_2; one per context."""
+    """The ring F[t] of the context; one per context."""
     ring = _RINGS.get(id(ctx))
     if ring is None or ring.ctx is not ctx:
-        ring = _RINGS[id(ctx)] = (_Packed if ctx.k == 1 else _Lists)(ctx)
+        ring = _RINGS[id(ctx)] = _Packed(ctx)
     return ring
 
 

@@ -72,7 +72,6 @@ from .geom import (
     PositiveDimensional,
     cross_node,
     fiber_smooth,
-    frobenius_orbits,
     plane_monomials,
     read_off,
     small_field_points,
@@ -239,17 +238,15 @@ def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
 
 
 @lru_cache(maxsize=128)
-def _meeting(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet | BezoutMismatch | CommonComponent, tuple]:
-    """``geom.intersection_points(c1, c2, k_max)`` and the Frobenius orbits
-    it grouped its points into (representatives first, in the points'
-    order); or the BezoutMismatch or CommonComponent it raised, kept without
+def _meeting(c1: Poly, c2: Poly, k_max: int) -> AlgebraicPointSet | BezoutMismatch | CommonComponent:
+    """``geom.intersection_points(c1, c2, k_max)``, with its Frobenius
+    orbits; or the BezoutMismatch or CommonComponent it raised, kept without
     the frames of its traceback and of the error it was raised from."""
     try:
-        met, orbits = geom._intersection(c1, c2, k_max)
+        return geom.intersection_points(c1, c2, k_max)
     except (BezoutMismatch, CommonComponent) as exc:
         exc.__context__ = None
-        return exc.with_traceback(None), ()
-    return met, tuple(tuple(orbit) for orbit in orbits)
+        return exc.with_traceback(None)
 
 
 def _per_orbit(orbits, decide, facts: dict, conjugate=None) -> dict:
@@ -640,7 +637,7 @@ def _certify(
         return fact if node is None else (ftype, (node[0], node[1].frobenius(spec.ctx.q), node[2]))
 
     for c1, c2 in itertools.combinations(comps, 2):
-        inter, orbits = _meeting(c1, c2, k_max)
+        inter = _meeting(c1, c2, k_max)
         entry: dict = {"pair": [poly_print(c1), poly_print(c2)]}
         cert.intersections.append(entry)
         if not isinstance(inter, AlgebraicPointSet):  # the pair's BezoutMismatch or CommonComponent
@@ -649,7 +646,7 @@ def _certify(
             if getattr(inter, "witness", None) is not None:
                 h3_witnesses.append(inter.witness)
             continue
-        _per_orbit(orbits, node_fact, facts, conjugate_node)
+        _per_orbit(inter.orbits, node_fact, facts, conjugate_node)
         nodes = []
         for p in inter.points:
             ftype, node = facts[p.sort_key()]
@@ -692,9 +689,7 @@ def _certify(
             "cannot be certified pointwise",
         )
     else:
-        smooth_of = _per_orbit(
-            frobenius_orbits(finite.points, spec.ctx.q), lambda p: fiber_smooth(_jet(spec, jets, p)), {}
-        )
+        smooth_of = _per_orbit(finite.orbits, lambda p: fiber_smooth(_jet(spec, jets, p)), {})
         cert.double_line_smoothness = [
             {"point": p.serialize(), "smooth": smooth_of[p.sort_key()]} for p in finite.points
         ]

@@ -7,7 +7,8 @@ candidate [x:y] directions.  Each irreducible direction factor, of degree d
 over F_q, is solved at one root, inside the one extension its z-roots need
 (one embedding hop from F_q, never a tower); the other d - 1 directions carry
 the Frobenius images (x, y, z) -> (x^q, y^q, z^q).  The recorded eliminant
-factor degrees certify that no root was missed (EliminationClosure).  A system
+factor degrees certify that no root was missed (EliminationClosure), and the
+solved set carries its points grouped into Frobenius orbits.  A system
 containing the inputs of a solved set is read off its points
 (:func:`read_off`).  Transversal intersections carry an independent Bezout
 count certificate instead.
@@ -125,6 +126,8 @@ class AlgebraicPointSet:
     certificate: "BezoutCount | EliminationClosure"
     # solve_system's irreducible direction forms in (x, y); its points lie on them
     directions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
+    # the points grouped into Frobenius orbits over the equations' F_q (frobenius_orbits)
+    orbits: tuple[tuple[ProjPoint, ...], ...] = field(default=(), compare=False, repr=False)
 
     def serialize(self) -> dict:
         """The set as certificate data."""
@@ -355,17 +358,21 @@ def read_off(
     ``added`` is evaluated: flatness adds the diagonal sections to Sigma's
     equations, a component's meeting with Sigma the component.  The points
     where every added polynomial vanishes are kept, in ``within``'s order,
-    with its closure and direction forms.  Where a kept point lies in a
-    proper subfield containing F_q (:func:`_in_proper_subfield`), the system
-    is solved again on those forms, which carry every zero, so that the
-    point is written as a fresh solve writes it.  No read-off of the corpus
+    with its closure, direction forms and orbits; the added polynomials
+    are over F_q, so each orbit is kept or dropped whole, as its
+    representative is.  Where a kept point lies in a proper subfield
+    containing F_q (:func:`_in_proper_subfield`), the system is solved
+    again on those forms, which carry every zero, so that the point is
+    written as a fresh solve writes it.  No read-off of the corpus
     or the zero-corner search falls back; on moved copies of ex3 one does,
     for a component that meets Sigma only at [0:1:0] while Sigma's other
     points on that direction need F_4.
     """
-    kept = tuple(p for p in within.points if all(g.eval_bits(p.ctx, p.coords) == 0 for g in added))
+    orbits = tuple(o for o in within.orbits if all(g.eval_bits(o[0].ctx, o[0].coords) == 0 for g in added))
+    keys = {p.sort_key() for orbit in orbits for p in orbit}
+    kept = tuple(p for p in within.points if p.sort_key() in keys)
     if not any(_in_proper_subfield(p, system[0].ctx.k) for p in kept):
-        return AlgebraicPointSet(kept, within.certificate, within.directions)
+        return AlgebraicPointSet(kept, within.certificate, within.directions, orbits)
     return _solve_on_directions(system, within.directions, k_max)
 
 
@@ -447,7 +454,8 @@ def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPoi
         if any(g.eval_bits(p.ctx, p.coords) != 0 for g in nonzero):  # pragma: no cover
             raise AssertionError("solver produced a non-solution")
     points.sort(key=lambda p: p.sort_key())
-    return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))), tuple(dirs))
+    orbits = tuple(map(tuple, frobenius_orbits(points, ctx.q)))
+    return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))), tuple(dirs), orbits)
 
 
 def frobenius_orbits(points, q: int) -> list[list[ProjPoint]]:
@@ -527,16 +535,10 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
     Every point must be transversal; then the count of points equals the
     product of the degrees, and the certificate records it.  A tangency or a
     count mismatch raises BezoutMismatch.  Transversality is decided once
-    per Frobenius orbit over the curves' F_q (:func:`frobenius_orbits`), at
-    its representative; a tangency is reported at the first
-    non-transversal point in the points' order.
+    per Frobenius orbit over the curves' F_q (the solve's orbits), at its
+    representative; a tangency is reported at the first non-transversal
+    point in the points' order.  The set carries the solve's orbits.
     """
-    return _intersection(c1, c2, k_max)[0]
-
-
-def _intersection(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet, list]:
-    """:func:`intersection_points` and the Frobenius orbits it grouped the
-    points into, so a caller that walks them groups nothing again."""
     for c in (c1, c2):
         if c.is_zero() or is_homogeneous(c) in (None, "zero"):
             raise ValueError("intersection_points expects nonzero homogeneous curves")
@@ -546,8 +548,7 @@ def _intersection(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet, li
         raise CommonComponent(f"common component {poly_print(exc.common_factor)}") from None
     d1, d2 = ([partial_derivative(c, v) for v in BASE_VARS] for c in (c1, c2))
     # the partials are over F_q; a representative is its orbit's first point
-    orbits = frobenius_orbits(found.points, c1.ctx.q)
-    for orbit in orbits:
+    for orbit in found.orbits:
         p = orbit[0]
         if not _independent(d1, d2, p):
             raise BezoutMismatch(f"non-transversal intersection at {p!r}", witness=p)
@@ -556,7 +557,7 @@ def _intersection(c1: Poly, c2: Poly, k_max: int) -> tuple[AlgebraicPointSet, li
         raise BezoutMismatch(
             f"transversal everywhere but found {len(found.points)} of {expected} points"
         )
-    return AlgebraicPointSet(found.points, BezoutCount(expected, len(found.points))), orbits
+    return AlgebraicPointSet(found.points, BezoutCount(expected, len(found.points)), orbits=found.orbits)
 
 
 # -- total-space smoothness along degenerate fibers ------------------------------

@@ -160,7 +160,8 @@ class FieldCtx:
         # A distinct-degree split over F_2 of the modulus m, of degree k, is
         # [(m, k)] exactly when m has no irreducible factor of degree <= k / 2,
         # that is when it is irreducible.  It runs on _dense's packed F_2[t],
-        # before the log tables, which assume a field, are built.
+        # whose one-bit slots need no modulus (F_{2^k}[t] reduces by this
+        # one), before the log tables, which assume a field, are built.
         m = _coeff_list(self.modulus)
         if k > 1 and _dense.distinct_degree(field_new(1), m) != [(m, k)]:
             raise AssertionError(f"modulus table entry for k={k} is not irreducible")

@@ -655,6 +655,34 @@ def list_inv_mod(ctx, a, m):
     return [ctx.mul(c, inv) for c in naive_divmod(ctx, s0, m)[1]]
 
 
+def list_gcd(ctx, a, b):
+    """Monic gcd of coefficient lists by Euclid's algorithm; [] for two zeros."""
+    while b:
+        a, b = b, naive_divmod(ctx, a, b)[1]
+    return [ctx.mul(c, ctx.inv(a[-1])) for c in a] if a else []
+
+
+def list_equal_degree(ctx, f, d, rng):
+    """The equal-degree split of monic squarefree f on lists, drawing as
+    _dense does: deg f coefficients per try, a try of degree < 1 skipped,
+    and the gcd with the trace kept when proper, its half first."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        u = _dense.trim([rng.randrange(ctx.q) for _ in range(n)])
+        if len(u) < 2:
+            continue
+        t = p = u
+        for _ in range(ctx.k * d - 1):
+            p = naive_divmod(ctx, naive_mul(ctx, p, p), f)[1]
+            t = list_add(t, p)
+        g = list_gcd(ctx, f, t)
+        if 1 < len(g) <= n:
+            rest = naive_divmod(ctx, f, g)[0]
+            return list_equal_degree(ctx, g, d, rng) + list_equal_degree(ctx, rest, d, rng)
+
+
 def list_compose(ctx, f, g):
     """f(g(t)) by Horner's rule on lists."""
     acc = []
@@ -718,6 +746,25 @@ def sp_mul_hensel_lift(ctx, f_monic_cols, base_factors, prec):
                     col[j] ^= c
                     cols[idx] = _dense.trim(col)
     return lifted
+
+
+def list_recombination_candidate(ctx, factors, target, r, prec):
+    """The recombination candidate on lists: the product of the lifted
+    factors times target's leading column shifted to t + r, each column
+    truncated below t^prec; None when a column's degree exceeds target's,
+    else shifted back to t - r and divided by the gcd of its columns."""
+    prod = factors[0]
+    for g in factors[1:]:
+        prod = list_sp_mul(ctx, prod, g, prec)
+    lead = list_compose(ctx, target[-1], [r, 1])
+    scaled = [_dense.trim(naive_mul(ctx, c, lead)[:prec]) for c in prod]
+    if max(len(c) for c in scaled) > max(len(c) for c in target):
+        return None
+    cols = [list_compose(ctx, c, [r, 1]) for c in scaled]
+    content = []
+    for c in cols:
+        content = list_gcd(ctx, content, c)
+    return [naive_divmod(ctx, c, content)[0] for c in cols]
 
 
 def unpruned_factor_squarefree_primitive(f, xn, yn, trials=None):

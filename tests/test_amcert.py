@@ -40,7 +40,7 @@ from conic2.amcert import (
 from conic2.gf2k import field_new
 from conic2.poly import Poly, plane_poly, poly_parse, poly_print
 
-from _helpers import brute_small_field_points
+from _helpers import brute_small_field_points, rand_homogeneous
 from conftest import DATA
 
 F2 = field_new(1)
@@ -345,10 +345,11 @@ def delta20_spec() -> ConicBundleSpec:
 DELTA20_CERT_SHA256 = "9ac8a99c6d7f1625ef3630b91505704a062feb1805e5a40ead6da72c757cd231"
 
 
-def test_degree_20_spec_is_decided():
-    spec = delta20_spec()
-    assert spec_to_dict(spec) == json.loads(DELTA20.read_text())
-    assert spec_hash(spec).startswith("sha256:25cb94f0f87a8b96")
+def _decides_degree_20(spec, path, spec_sha256_prefix, cert_sha256):
+    """spec equals the file at path, and it fails H2 and H4 with one
+    component of degree 20 and the pinned certificate bytes."""
+    assert spec_to_dict(spec) == json.loads(path.read_text())
+    assert spec_hash(spec).startswith("sha256:" + spec_sha256_prefix)
     cert = surface_criterion(spec)
     assert {k for k, h in cert.hypotheses.items() if not h.passed} == {
         "h2_reducible_sing_in_sigma",
@@ -357,7 +358,36 @@ def test_degree_20_spec_is_decided():
     assert cert.discriminant["degree"] == 20
     assert [f["multiplicity"] for f in cert.discriminant["factors"]] == [1]
     assert len(cert.components) == 1
-    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == DELTA20_CERT_SHA256
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == cert_sha256
+
+
+def test_degree_20_spec_is_decided():
+    _decides_degree_20(delta20_spec(), DELTA20, "25cb94f0f87a8b96", DELTA20_CERT_SHA256)
+
+
+DELTA20_F4 = DATA / "delta20_f4.json"
+
+
+def delta20_f4_spec() -> ConicBundleSpec:
+    """The cold F_4 regression spec: degree vector (0, 3, 7) and value
+    degree 0, each section rand_homogeneous(rng, F4, d, max_terms=40) from
+    one shared random.Random(2000), in SECTION_KEYS order."""
+    rng = random.Random(2000)
+    dv = (0, 3, 7)
+    sections = {}
+    for key in SECTION_KEYS:
+        d = dv[FIBER_VARS.index(key[0])] + dv[FIBER_VARS.index(key[1])]
+        sections[key] = rand_homogeneous(rng, F4, d, max_terms=40)
+    return ConicBundleSpec(F4, dv, 0, sections)
+
+
+# pinned while F_4[t] was a ring of coefficient lists, so the packed ring
+# must give the same bytes
+DELTA20_F4_CERT_SHA256 = "b7d525d6b67f73f219753fb3c2ff2ec7d1ad83f9efa5b3123e925078d999cd40"
+
+
+def test_degree_20_spec_over_f4_is_decided():
+    _decides_degree_20(delta20_f4_spec(), DELTA20_F4, "b563076796f2bbdb", DELTA20_F4_CERT_SHA256)
 
 
 def test_certificate_serializes_to_json(tmp_path):

@@ -43,6 +43,8 @@ from _helpers import (
     enumerate_plane_points,
     gcd_first_solve_system,
     list_compose,
+    list_gcd,
+    list_recombination_candidate,
     list_sp_mul,
     moved_stream,
     naive_mul,
@@ -169,7 +171,7 @@ def test_singular_points_reads_squarefreeness_from_the_solve(monkeypatch):
 def _coprime_monic(rng, ctx, s):
     while True:
         fs = [[rng.randrange(ctx.q) for _ in range(rng.randint(1, 3))] + [1] for _ in range(s)]
-        if all(_dense.deg(_dense.gcd(ctx, a, b)) == 0 for a, b in combinations(fs, 2)):
+        if all(list_gcd(ctx, a, b) == [1] for a, b in combinations(fs, 2)):
             return fs
 
 
@@ -217,7 +219,7 @@ def test_hensel_lift_builds_no_truncated_product(monkeypatch):
         raise AssertionError("col_mul_trunc called")
 
     rng = random.Random(5)
-    for ctx in (F2, F4):  # the packed ring and the list ring
+    for ctx in (F2, F4):  # one-bit slots, and slots reduced by the modulus
         R = _dense._ring(ctx)
         base = _coprime_monic(rng, ctx, 4)
         cols = _lift_input(rng, ctx, base, 7)
@@ -227,36 +229,36 @@ def test_hensel_lift_builds_no_truncated_product(monkeypatch):
             assert _ring_lift(R, cols, base, 7) == want
 
 
-def test_packed_and_list_rings_lift_and_recombine_alike_over_f2():
-    """Over F_2 the packed ring and the list ring give the same lifted
-    factors and the same recombination candidates.  An input taken at
-    t = r and scaled by a unit lifts to the factors of the monic input."""
-    packed, lists = _dense._ring(F2), _dense._Lists(F2)
-    assert isinstance(packed, _dense._Packed)
-    rng = random.Random(78)
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 64], ids=lambda k: f"F2^{k}")
+def test_lifts_and_recombination_candidates_match_the_list_oracles(k):
+    """The ring's lifted factors and recombination candidates equal those
+    the list oracles compute.  An input taken at t = r and scaled by a unit
+    whose constant term need not be 1 lifts to the factors of the monic
+    input."""
+    ctx = field_new(k)
+    R = _dense._ring(ctx)
+    rng = random.Random(78 + k)
     refused = []
-    for s in (2, 3, 4):
-        for r in (0, 1):
-            base = _coprime_monic(rng, F2, s)
+    for s in (2, 3, 4) if k < 64 else (2, 3):  # F_{2^64} multiplies bit-serially
+        for r in (0, rng.randrange(1, ctx.q)):
+            base = _coprime_monic(rng, ctx, s)
             prec = rng.randint(2, 8)
-            monic = _lift_input(rng, F2, base, prec)
-            unit = [1] + [rng.randrange(2) for _ in range(3)]
-            cols = [list_compose(F2, naive_mul(F2, c, unit), [r, 1]) for c in monic]
-            lifted = [_ring_lift(R, cols, base, prec, r) for R in (packed, lists)]
-            assert lifted[0] == lifted[1] == _ring_lift(lists, monic, base, prec)
+            monic = _lift_input(rng, ctx, base, prec)
+            unit = [rng.randrange(1, ctx.q)] + [rng.randrange(ctx.q) for _ in range(3)]
+            cols = [list_compose(ctx, naive_mul(ctx, c, unit), [r, 1]) for c in monic]
+            lifted = _ring_lift(R, cols, base, prec, r)
+            assert lifted == _ring_lift(R, monic, base, prec) == sp_mul_hensel_lift(ctx, monic, base, prec)
             # cols passes every degree bound; the constant columns of the
             # base product refuse most subsets
-            for target in (cols, [[c] if c else [] for c in _product(F2, base)]):
+            for target in (cols, [[c] if c else [] for c in _product(ctx, base)]):
                 for size in range(1, s):
                     for combo in combinations(range(s), size):
-                        cands = [
-                            R.recombination_candidate(
-                                [[R.pack(c) for c in lifted[0][i]] for i in combo],
-                                [R.pack(c) for c in target], r, prec)
-                            for R in (packed, lists)
-                        ]
-                        got = None if cands[0] is None else [packed.unpack(c) for c in cands[0]]
-                        assert got == cands[1]
+                        cand = R.recombination_candidate(
+                            [[R.pack(c) for c in lifted[i]] for i in combo],
+                            [R.pack(c) for c in target], r, prec)
+                        got = None if cand is None else [R.unpack(c) for c in cand]
+                        assert got == list_recombination_candidate(
+                            ctx, [lifted[i] for i in combo], target, r, prec)
                         refused.append(got is None)
     assert any(refused) and not all(refused)
 

@@ -50,7 +50,7 @@ def _counting_solves(monkeypatch):
 
         return wrapper
 
-    for name in ("_intersection", "singular_points"):
+    for name in ("intersection_points", "singular_points"):
         monkeypatch.setattr(geom, name, counted(name))
     return counts
 
@@ -71,16 +71,16 @@ def test_search_solves_curve_geometry_once_per_process(monkeypatch):
     clear_caches()
     result = search_spieghiamolo(example81_template(), budget=56)
     assert len(result.hits) == 56
-    assert counts == {"_intersection": 1, "singular_points": 2}
+    assert counts == {"intersection_points": 1, "singular_points": 2}
     search_spieghiamolo(example81_template(), budget=56)
-    assert counts == {"_intersection": 1, "singular_points": 2}
+    assert counts == {"intersection_points": 1, "singular_points": 2}
 
     # ex1 and ex2 have the template's targets as their components
     claims = {name: claimed for name, _, claimed in _corpus()}
     for name in ("ex1", "ex2"):
         assert claims[name] == [D1, D2]
         assert surface_criterion(load_corpus_spec(name), claims[name]).all_pass
-    assert counts == {"_intersection": 1, "singular_points": 2}
+    assert counts == {"intersection_points": 1, "singular_points": 2}
 
 
 def _certificates(specs, clear_each):
@@ -130,7 +130,7 @@ def test_solver_errors_are_raised_again_and_not_kept(monkeypatch):
             amcert._meeting(D1, D2, 2)
         with pytest.raises(ExtensionBound):
             amcert._singular_locus(D1 * D2, 2)
-    assert counts == {"_intersection": 2, "singular_points": 2}
+    assert counts == {"intersection_points": 2, "singular_points": 2}
     assert amcert._meeting.cache_info().currsize == 0
     assert amcert._singular_locus.cache_info().currsize == 0
     with pytest.raises(ExtensionBound):
@@ -146,12 +146,11 @@ def test_a_pairs_bezout_or_common_component_error_is_kept(monkeypatch):
     tangent = plane_poly("x*z + y^2")  # the line x is tangent to it at [0:0:1]
     line = plane_poly("x")
     for c1, c2, kind in ((line, tangent, BezoutMismatch), (D1, D1, CommonComponent)):
-        met = amcert._meeting(c1, c2, 24)
-        kept, orbits = met
-        assert isinstance(kept, kind) and orbits == ()
+        kept = amcert._meeting(c1, c2, 24)
+        assert isinstance(kept, kind)
         assert kept.__traceback__ is None and kept.__context__ is None
-        assert amcert._meeting(c1, c2, 24) is met
-    assert counts == {"_intersection": 2}
+        assert amcert._meeting(c1, c2, 24) is kept
+    assert counts == {"intersection_points": 2}
 
 
 @pytest.mark.fresh_interpreter
@@ -217,16 +216,17 @@ def test_search_builds_the_claim_and_groups_the_meeting_once(monkeypatch):
     grouped = []
     orbits = geom.frobenius_orbits
     asked = _counting_proofs(monkeypatch)
-    for module in (geom, amcert):  # the meeting's orbits are grouped in geom
-        monkeypatch.setattr(module, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
+    monkeypatch.setattr(geom, "frobenius_orbits", lambda pts, q: grouped.append(len(pts)) or orbits(pts, q))
     clear_caches()
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
     assert asked == [D1, D2] * 56
     # each target is proved once; the other 55 candidates read its verdict
     proofs = factor._abs_irred_bivariate.cache_info()
     assert (proofs.misses, proofs.hits) == (2, 110)
-    # the 16 meeting points once; each candidate's two Sigma points for H5
-    assert grouped.count(16) == 1 and grouped.count(2) == 56 and len(grouped) == 57
+    # each solve groups its points once: the 16 meeting points, the shared
+    # Sigma's two, which H5 walks for every candidate, and each target's
+    # singular point
+    assert sorted(grouped) == [1, 1, 2, 16]
     assert amcert._claim.cache_info().misses == 1 and amcert._claim.cache_info().hits == 55
     # the claim is built once, and a second search rebuilds nothing
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
@@ -268,13 +268,14 @@ def test_a_cold_corpus_pass_groups_each_meeting_once(monkeypatch):
         callers[sys._getframe(1).f_code.co_name] += 1
         return orbits(points, q)
 
-    for module in (geom, amcert):
-        monkeypatch.setattr(module, "frobenius_orbits", counted)
+    monkeypatch.setattr(geom, "frobenius_orbits", counted)
+    solves = _counting_solves(monkeypatch)
     clear_caches()
     _certificates([(spec, claims) for _, spec, claims in _corpus()], clear_each=False)
-    # each meeting is grouped by geom._intersection, which hands its orbits
-    # to amcert._meeting; the five finite Sigmas are grouped for H5
-    assert callers == {"_intersection": 12, "_certify": 5}
+    # each of the 26 solves groups its points once, the 12 meetings and the
+    # five finite Sigmas among them; H3 and H5 walk the orbits they carry
+    assert callers == {"_solve_on_directions": 26}
+    assert solves["intersection_points"] == 12
 
 
 @pytest.mark.fresh_interpreter

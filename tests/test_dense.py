@@ -7,7 +7,17 @@ import pytest
 from conic2 import _dense as d
 from conic2.gf2k import field_new
 
-from _helpers import is_irreducible, list_series_inverse, naive_divmod, naive_mul
+from _helpers import (
+    is_irreducible,
+    list_add,
+    list_compose,
+    list_equal_degree,
+    list_gcd,
+    list_inv_mod,
+    list_series_inverse,
+    naive_divmod,
+    naive_mul,
+)
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -109,8 +119,9 @@ def test_series_inverse():
             inv = R.unpack(R.series_inverse(R.pack(l), prec))
             assert inv == list_series_inverse(ctx, l, prec)
             assert d.trim(naive_mul(ctx, l, inv)[:prec]) == [1]
+    R = d._ring(F4)
     with pytest.raises(ZeroDivisionError):
-        d._ring(F4).series_inverse([0, 1], 3)
+        R.series_inverse(R.pack([0, 1]), 3)
 
 
 def test_compose_and_inv_mod():
@@ -147,7 +158,9 @@ def test_subresultant_sequence_ends_in_resultant_or_gcd_multiple():
         fa, fb = fa * c, fb * c
         if fa.is_zero() or fb.is_zero() or max(fa.degree_in("z"), fb.degree_in("z")) == 0:
             continue
-        seq = d._ring(F4).subresultants(to_columns(fa, "z", "t"), to_columns(fb, "z", "t"))
+        R = d._ring(F4)
+        packed = R.subresultants(*([R.pack(c) for c in to_columns(f, "z", "t")] for f in (fa, fb)))
+        seq = [[R.unpack(c) for c in m] for m in packed]
         lens = [len(m) for m in seq]
         assert lens[0] >= lens[1] and all(x > y for x, y in zip(lens[1:], lens[2:]))
         assert all(m and m[-1] for m in seq)
@@ -222,43 +235,94 @@ class _RecordedDraws(d._SeededDraws):
         return self.seen[-1][1]
 
 
-def test_packed_and_list_rings_agree_over_f2():
-    """The F_2 algorithms give the same results on packed ints as on lists,
-    and the equal-degree split draws the same randrange(2) sequence."""
-    packed, lists = d._ring(F2), d._Lists(F2)
-    assert isinstance(packed, d._Packed)
-    rng = random.Random(30)
-    for _ in range(150):
-        f = rand_coeffs(rng, F2, 40)
-        if d.deg(f) < 1:
-            continue
-        g = rand_coeffs(rng, F2, 12) or [1]
-        out = []
-        for R in (packed, lists):
-            pf, pg = R.pack(f), R.pack(g)
-            lc, fac = R.factor(pf)
-            sqf = [(R.unpack(h), m) for h, m in R.squarefree(pf)]
-            out.append((
-                lc, sorted((R.unpack(h), m) for h, m in fac), sqf,
-                [(R.unpack(h), e) for h, m in R.squarefree(pf) for h, e in R.distinct_degree(h)],
-                R.roots(pf), R.is_squarefree(pf), R.unpack(R.gcd(pf, pg)),
-                R.unpack(R.compose(pf, pg)), R.unpack(R.deriv(pf)),
-                R.unpack(R.truncate(pf, 5)), R.coeff(pf, 3), R.value_at(pf, 0), R.value_at(pf, 1),
-                R.unpack(R.shift(pf, 1)), R.unpack(R.series_inverse(R.pack([1] + f), 9)),
-            ))
-        assert out[0] == out[1], f
-    for deg_each, count in ((1, 2), (3, 2), (4, 3), (5, 4)):
-        irrs = set()
+ORACLE_FIELDS = [field_new(k) for k in (1, 2, 3, 8, 13, 64)]  # F_{2^13} is past the table cap
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=lambda ctx: f"F2^{ctx.k}")
+def test_the_packed_ring_matches_the_list_oracles(ctx):
+    """Every primitive and algorithm of the packed F[t] equals its
+    schoolbook list counterpart, with zero, constant and non-monic
+    operands, and the equal-degree split draws what the list split draws."""
+    R = d._ring(ctx)
+    rng = random.Random(30 + ctx.k)
+
+    def nonzero():
+        return rng.randrange(1, ctx.q)
+
+    def rand_poly(n):
+        return d.trim([rng.randrange(ctx.q) for _ in range(n)] + [nonzero()])
+
+    # F_{2^64} multiplies bit-serially and inverts by 127 of those products
+    sizes, splits = ((1, 10, 12), ((1, 2), (3, 2), (4, 3))) if ctx.k < 64 else ((1, 5, 6), ((1, 2), (2, 2)))
+    operands = [[], [1], [nonzero()]] + [rand_poly(rng.randint(*sizes[:2])) for _ in range(sizes[2])]
+    assert ctx.k == 1 or any(len(f) > 1 and f[-1] != 1 for f in operands)
+    for f in operands:
+        pf = R.pack(f)
+        assert R.unpack(pf) == f and R.deg(pf) == d.deg(f)
+        assert R.unpack(R.deriv(pf)) == d.trim([c if i & 1 else 0 for i, c in enumerate(f)][1:])
+        assert R.unpack(R.truncate(pf, 3)) == d.trim(f[:3])
+        assert [R.coeff(pf, i) for i in range(len(f) + 1)] == f + [0]
+        assert R.const(pf) == (f[0] if f else 0)
+        x = rng.randrange(ctx.q)
+        assert R.value_at(pf, x) == d.eval_at(ctx, f, x)
+        assert R.value_at(pf, 0) == R.const(pf)
+        assert R.unpack(R.sqrt(R.pack(naive_mul(ctx, f, f)))) == f
+        if not f:
+            assert R.strip_t(pf) == (0, 0)
+        else:
+            assert R.lc(pf) == f[-1]
+            unit_at_0 = f if f[0] else [nonzero()] + f
+            s = rng.randint(0, 3)
+            assert R.strip_t(R.pack([0] * s + unit_at_0)) == (s, R.pack(unit_at_0))
+            c = nonzero()
+            assert R.unpack(R.scale(pf, c)) == [ctx.mul(c, y) for y in f]
+            assert R.unpack(R.monic(pf)) == [ctx.mul(ctx.inv(f[-1]), y) for y in f]
+            shift_by = rng.randrange(ctx.q)
+            assert R.unpack(R.shift(pf, shift_by)) == list_compose(ctx, f, [shift_by, 1])
+            head = [nonzero()] + f
+            assert R.unpack(R.series_inverse(R.pack(head), 7)) == list_series_inverse(ctx, head, 7)
+        for g in operands:
+            pg = R.pack(g)
+            assert R.unpack(R.mul(pf, pg)) == naive_mul(ctx, f, g)
+            assert R.unpack(R.add(pf, pg)) == list_add(f, g)
+            assert R.unpack(R.gcd(pf, pg)) == list_gcd(ctx, f, g)
+            assert R.unpack(R.compose(pf, pg)) == list_compose(ctx, f, g)
+            if g:
+                want = naive_divmod(ctx, f, g)
+                assert tuple(map(R.unpack, R.divmod(pf, pg))) == want
+                assert R.unpack(R.mod(pf, pg)) == want[1]
+                if d.deg(g) > 0 and list_gcd(ctx, f, g) == [1]:
+                    assert R.unpack(R.inv_mod(pf, pg)) == list_inv_mod(ctx, f, g)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    R.divmod(pf, pg)
+                with pytest.raises(ZeroDivisionError):
+                    R.mod(pf, pg)
+
+    # one randrange(q) per coefficient drawn, trailing zeros trimmed
+    draws = _RecordedDraws()
+    u = R.draw(draws, 9)
+    assert [n for n, _ in draws.seen] == [ctx.q] * 9
+    assert R.unpack(u) == d.trim([v for _, v in draws.seen])
+
+    # the equal-degree split: same factors in the same order from the same draws
+    for deg_each, count in splits:  # F_2 has 2 linear, 2 cubic and 3 quartic irreducibles
+        irrs = []
         while len(irrs) < count:
-            h = [rng.randrange(2) for _ in range(deg_each)] + [1]
-            if is_irreducible(F2, h):
-                irrs.add(tuple(h))
+            h = [rng.randrange(ctx.q) for _ in range(deg_each)] + [1]
+            if h not in irrs and is_irreducible(ctx, h):
+                irrs.append(h)
         prod = [1]
         for h in irrs:
-            prod = naive_mul(F2, prod, list(h))
-        runs = []
-        for R in (packed, lists):
-            draws = _RecordedDraws()
-            split = sorted(R.unpack(h) for h in R.equal_degree(R.pack(prod), deg_each, draws))
-            runs.append((split, draws.seen))
-        assert runs[0] == runs[1] and runs[0][0] == sorted(map(list, irrs))
+            prod = naive_mul(ctx, prod, h)
+        packed_draws, list_draws = _RecordedDraws(), _RecordedDraws()
+        split = [R.unpack(h) for h in R.equal_degree(R.pack(prod), deg_each, packed_draws)]
+        assert split == list_equal_degree(ctx, prod, deg_each, list_draws)
+        assert packed_draws.seen == list_draws.seen and sorted(split) == sorted(irrs)
+        if deg_each == 1:
+            assert d.roots(ctx, prod) == sorted(h[0] for h in irrs)
+        # a non-monic product with a repeated factor factors back into it
+        c = nonzero()
+        f = [ctx.mul(c, y) for y in naive_mul(ctx, prod, irrs[0])]
+        assert d.factor(ctx, f) == (c, sorted(
+            [(irrs[0], 2)] + [(h, 1) for h in irrs[1:]], key=lambda hm: (len(hm[0]), hm[0][::-1])))
