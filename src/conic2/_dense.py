@@ -27,9 +27,10 @@ field polynomial of degree at most 2k - 2 < w, so no slot spills into the
 next; then the bits of every slot from k up are folded back by the
 modulus m, since t^k is m(t) - t^k in the field, a few whole-int shifts
 per pass.  Long division makes the divisor monic, keeps c b for each
-leading coefficient c it meets, and scales the quotient once.  Over F_2
-nothing is folded and every leading coefficient is 1, so the ring binds
-the plain F_2 product and division.  Each algorithm is written once, as a method of
+leading coefficient c it meets, its leading slot set to c as such rather
+than taken from the product, so that it ends even on a wrong product, and
+scales the quotient once.  Over F_2 nothing is folded and every leading coefficient
+is 1, so the ring binds the plain F_2 product and division.  Each algorithm is written once, as a method of
 :class:`_Ring`; a public function packs its input once, runs the whole
 algorithm, a factorization, a lift or a subresultant sequence, in the ring,
 and unpacks its output once.
@@ -608,12 +609,18 @@ class _Packed(_Ring):
             return 0, a
         lead = b >> top_b
         inv = self.ctx.inv(lead) if lead != 1 else 1
-        multiples = {1: self.scale(b, inv)}
+        below = (1 << top_b) - 1
+        low = self.scale(b, inv) & below  # b / lc(b) without its leading slot
+        multiples = {1: low | 1 << top_b}  # c -> c b / lc(b)
         q = 0
         while (n := a.bit_length()) > top_b:
             top = (n - 1) // w * w
             c = a >> top
-            m = multiples.get(c) or multiples.setdefault(c, self.mul(multiples[1], c))
+            m = multiples.get(c)
+            if m is None:
+                # the leading slot is set to c as such, not taken from the
+                # product, so every pass clears a's and the division ends
+                m = multiples[c] = self.mul(low, c) & below | c << top_b
             a ^= m << (top - top_b)
             if quotient:
                 q ^= c << (top - top_b)

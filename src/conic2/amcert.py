@@ -30,8 +30,10 @@ byte-identical certificates.  Sigma is solved once per certificate, and
 flatness and each component's meeting with Sigma are read off its points
 (:func:`geom.read_off`); a search whose template fixes Sigma solves it once
 and certifies every candidate with it.  Each point fact is read off one
-section jet per point per certificate.  Polynomials and points keep their
-printed text, so each is rendered once per process.
+section jet per point per certificate; a zero-corner search sums each
+candidate's jets and Delta from its empty candidate's (:class:`_Steps`).
+Polynomials, points and solved point sets keep their printed text, so each
+is rendered once per process.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .conic import (
     BASE_VARS,
+    DELTA_TERMS,
     OFF_DIAGONAL,
+    SECTION_KEYS,
     ConicBundleSpec,
     FiberType,
     ProjPoint,
@@ -54,6 +59,8 @@ from .conic import (
     discriminant,
     fiber_type,
     flatness_check,
+    keep_discriminant,
+    section_entries,
     section_jet,
     section_values,
     sigma_generators,
@@ -211,13 +218,31 @@ class ComponentAnalysis:
         }
 
 
-def _jet(spec: ConicBundleSpec, jets: dict, p: ProjPoint) -> SectionJet:
-    """The section jet of the spec at p, taken once: ``jets`` keeps each
-    jet under its point's sort_key() for the life of one certificate."""
-    jet = jets.get(p.sort_key())
-    if jet is None:
-        jet = jets[p.sort_key()] = section_jet(spec, p)
+# A jet source maps a point to the certified spec's section jet there.
+_JetSource = Callable[[ProjPoint], SectionJet]
+
+
+def _jet(make: _JetSource) -> _JetSource:
+    """The jet source of one certificate: the jet at p is make(p), taken
+    once per point and kept under the point's sort_key() for the life of the
+    certificate.  :func:`surface_criterion` makes each jet from the spec's
+    sections (:func:`_spec_jets`); a zero-corner search sums it from its
+    empty candidate's (:class:`_Steps`)."""
+    jets: dict = {}
+
+    def jet(p: ProjPoint) -> SectionJet:
+        key = p.sort_key()
+        got = jets.get(key)
+        if got is None:
+            got = jets[key] = make(p)
+        return got
+
     return jet
+
+
+def _spec_jets(spec: ConicBundleSpec) -> _JetSource:
+    """The spec's jet source: :func:`conic.section_jet` at each point, once."""
+    return _jet(partial(section_jet, spec))
 
 
 def _in_sigma(jet: SectionJet) -> bool:
@@ -278,18 +303,18 @@ def am_component_check(
         exact_div(delta, component)
     except NotDivisible as exc:
         raise ValueError("the polynomial is not a discriminant component") from exc
-    return _analyse_component(spec, component, k_max, witness_bound, {})
+    return _analyse_component(spec, component, k_max, witness_bound, _spec_jets(spec))
 
 
 def _analyse_component(
     spec: ConicBundleSpec, component: Poly, k_max: int, witness_bound: int,
-    jets: dict, sigma: AlgebraicPointSet | None = None,
+    jet: _JetSource, sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
     """am_component_check of a known divisor of Delta; with ``sigma``, a
     finite Sigma solved with the same k_max, its meeting with Sigma is the
     points of Sigma on it (:func:`geom.read_off`).  The fibers over Sigma's
     meeting points and the singular points are read off the certificate's
-    jets (:func:`_jet`)."""
+    jet source (:func:`_jet`)."""
     system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
     sigma_meets: tuple[ProjPoint, ...] | None
     witness: ProjPoint | None = None
@@ -298,7 +323,7 @@ def _analyse_component(
         met = solve_system(system, k_max) if sigma is None else read_off(sigma, system, [component], k_max)
         sigma_meets = met.points
         for p in met.points:
-            if fiber_type(_jet(spec, jets, p).value, p.ctx) is FiberType.DOUBLE_LINE:
+            if fiber_type(jet(p).value, p.ctx) is FiberType.DOUBLE_LINE:
                 witness = p
                 break
     except PositiveDimensional as exc:
@@ -313,7 +338,7 @@ def _analyse_component(
         )
 
     sing = _singular_locus(component, k_max)
-    sing_ok = all(_in_sigma(_jet(spec, jets, p)) for p in sing)
+    sing_ok = all(_in_sigma(jet(p)) for p in sing)
 
     if witness is not None:
         status = AmStatus("double_line_witness", witness)
@@ -481,7 +506,7 @@ def surface_criterion(
 ) -> Certificate:
     """Run the five hypotheses of the surface criterion; never raises on a
     failing hypothesis - failures are recorded in the certificate."""
-    return _certify(spec, claimed_factors, k_max, witness_bound)
+    return _certify(spec, claimed_factors, k_max, witness_bound, _spec_jets(spec))
 
 
 # what solve_system raises on a valid system it cannot finish
@@ -493,10 +518,11 @@ def _certify(
     claimed_factors: list[Poly] | None,
     k_max: int,
     witness_bound: int,
+    jet: _JetSource,
     sigma: AlgebraicPointSet | None = None,
 ) -> Certificate:
-    """surface_criterion, given the solved double-line locus Sigma of this
-    spec, or None to solve it here.
+    """surface_criterion, given the spec's jet source and the solved
+    double-line locus Sigma of this spec, or None to solve it here.
 
     Sigma is kept as its solve's outcome: the AlgebraicPointSet, or the
     solver error without its frames.  Flatness and each component's meeting
@@ -505,8 +531,9 @@ def _certify(
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     spec's validation report and Delta are kept on the spec; the rest comes
     from the process-wide caches the module docstring names.
-    Every point fact is read off one section jet per distinct point, kept
-    for this certificate only (:func:`_jet`): the fiber type over each
+    Every point fact is read off the section jet ``jet`` gives at its point,
+    one per distinct point for this certificate (:func:`_jet`; the spec's
+    own, or a search's sum over its empty candidate): the fiber type over each
     component's meeting with Sigma, whether each singular point lies on
     Sigma (H2), and, through the one orbit walker :func:`_per_orbit`, the
     fiber type and node at each H3 orbit representative
@@ -587,8 +614,7 @@ def _certify(
 
     # Per-component analysis (feeds H2 and H4).
     comps = [f for f, _ in factors]
-    jets: dict = {}  # each point's section jet, by sort_key(), for this certificate
-    analyses = [_analyse_component(spec, f, k_max, witness_bound, jets, finite) for f in comps]
+    analyses = [_analyse_component(spec, f, k_max, witness_bound, jet, finite) for f in comps]
     log.extend(
         f"component {poly_print(a.component)}: am={a.am_status.kind}, sing_in_sigma={a.sing_in_sigma}"
         for a in analyses
@@ -601,7 +627,7 @@ def _certify(
     # over every point of a repeated component.
     reducible = sum(m for _, m in factors) >= 2
     outside = [
-        (a.component, [p for p in a.sing_points if not _in_sigma(_jet(spec, jets, p))])
+        (a.component, [p for p in a.sing_points if not _in_sigma(jet(p))])
         for a in analyses if not a.sing_in_sigma
     ]
     repeated = [f for f, m in factors if m >= 2 and not _inside_sigma(spec, f)]
@@ -628,9 +654,9 @@ def _certify(
     facts: dict = {}
 
     def node_fact(p: ProjPoint):
-        jet = _jet(spec, jets, p)
-        ftype = fiber_type(jet.value, p.ctx)
-        return ftype, cross_node(jet) if ftype is FiberType.CROSS else None
+        at = jet(p)
+        ftype = fiber_type(at.value, p.ctx)
+        return ftype, cross_node(at) if ftype is FiberType.CROSS else None
 
     def conjugate_node(fact):
         ftype, node = fact
@@ -689,7 +715,7 @@ def _certify(
             "cannot be certified pointwise",
         )
     else:
-        smooth_of = _per_orbit(finite.orbits, lambda p: fiber_smooth(_jet(spec, jets, p)), {})
+        smooth_of = _per_orbit(finite.orbits, lambda p: fiber_smooth(jet(p)), {})
         cert.double_line_smoothness = [
             {"point": p.serialize(), "smooth": smooth_of[p.sort_key()]} for p in finite.points
         ]
@@ -792,6 +818,74 @@ def _shared_sigma_system(template: SearchTemplate) -> list[Poly] | None:
     return None
 
 
+class _Steps:
+    """What a search's candidates add to its empty candidate, one step per
+    monomial, so that a candidate's section jets and Delta are sums.
+
+    Candidate S, q = sum of m_i over i in S, has free section residue +
+    modulus q and determined section (target + free^2) / divisor.  Both are
+    affine over F_2 in S, since squaring is additive in characteristic 2,
+    once the empty and every one-monomial candidate pass the divisibility
+    filter.  So is Delta, when no term of it multiplies the two sections
+    together (:data:`conic.DELTA_TERMS`): each term then holds one of them
+    once or squared.  So the jet of candidate S at p, and its Delta, are the
+    empty candidate's plus the steps of the monomials in S, the step of m_i
+    being what candidate {i} adds: in the zero-corner family x m_i to bc and
+    m_i^2, whose partials vanish, to cc, and nothing to Delta.  A point's
+    jet and steps are taken at its first read and kept for the search.
+    """
+
+    def __init__(self, template: SearchTemplate, empty: ConicBundleSpec, ones: list) -> None:
+        keys = (template.free_key, template.quotient_key)
+        self.empty = empty
+        self.slots = tuple(SECTION_KEYS.index(k) for k in keys)
+        self.sections = [tuple(one.sections[k] + empty.sections[k] for k in keys) for one in ones]
+        self.delta = discriminant(empty)
+        steps = [discriminant(one) + self.delta for one in ones]
+        self.delta_steps = {i: step for i, step in enumerate(steps) if not step.is_zero()}
+        self.points: dict = {}  # sort_key() -> (the empty candidate's jet, each step's 8 entries)
+
+    @classmethod
+    def of(cls, template: SearchTemplate, candidate, n: int) -> "_Steps | None":
+        """The steps of the template's n monomials, or None when a
+        candidate's jets or Delta are not sums of them."""
+        if any({template.free_key, template.quotient_key} <= term for term in DELTA_TERMS):
+            return None
+        specs = [candidate(subset) for subset in [()] + [(i,) for i in range(n)]]
+        if any(spec is None for spec in specs):
+            return None
+        return cls(template, specs[0], specs[1:])
+
+    def discriminant(self, subset: tuple) -> Poly:
+        """Delta of candidate ``subset``; the empty candidate's Poly itself
+        when every step in it is 0."""
+        return sum((self.delta_steps[i] for i in subset if i in self.delta_steps), self.delta)
+
+    def jets(self, subset: tuple) -> _JetSource:
+        """Candidate ``subset``'s jet source (:func:`_jet`)."""
+        free, det = self.slots
+
+        def make(p: ProjPoint) -> SectionJet:
+            key = p.sort_key()
+            if key not in self.points:
+                self.points[key] = (section_jet(self.empty, p), [
+                    section_entries(f, p) + section_entries(d, p) for f, d in self.sections
+                ])
+            jet, steps = self.points[key]
+            add = [0] * 8
+            for i in subset:
+                add = [a ^ b for a, b in zip(add, steps[i])]
+            entries = []
+            for e, a, b in zip((jet.value, jet.d1, jet.d2, jet.d12), add, add[4:]):
+                e = list(e)
+                e[free] ^= a
+                e[det] ^= b
+                entries.append(tuple(e))
+            return SectionJet(p, jet.chart, *entries)
+
+        return _jet(make)
+
+
 def search_spieghiamolo(
     template: SearchTemplate,
     budget: int = 2048,
@@ -814,8 +908,12 @@ def search_spieghiamolo(
     over the field a solve of the candidate's own equations would use (that
     field depends only on the zeros on the point's direction), and its
     closure certifies equations with the same zeros.  Any other template
-    solves each candidate's Sigma in full.  Exhausting the budget is legal
-    and returns the partial list.
+    solves each candidate's Sigma in full.
+
+    Where :class:`_Steps` holds (the zero-corner family), each candidate's
+    section jets and Delta are the empty candidate's plus one step per
+    chosen monomial; otherwise its jets come from its own sections.
+    Exhausting the budget is legal and returns the partial list.
     """
     ctx = template.congruence_residue.ctx
     target = Poly.const(ctx, BASE_VARS, 1)
@@ -825,6 +923,23 @@ def search_spieghiamolo(
     monos = list(plane_monomials(free_residual_degree))
     expected = sorted(p.sort_key() for p in template.sigma_expected)
     sigma_system = _shared_sigma_system(template)
+
+    def candidate(subset: tuple) -> ConicBundleSpec | None:
+        """The spec of q = the sum of the monomials in subset, or None when
+        it fails the divisibility filter."""
+        q = Poly.from_terms(ctx, BASE_VARS, [(monos[i], 1) for i in subset])
+        beta = template.congruence_residue + template.congruence_modulus * q
+        # divisibility filter: target + beta^2 (a Frobenius square) divisible by the divisor
+        try:
+            gamma = exact_div(target + poly_square(beta), template.quotient_divisor)
+        except NotDivisible:
+            return None
+        sections = dict(template.fixed)
+        sections[template.free_key] = beta
+        sections[template.quotient_key] = gamma
+        return ConicBundleSpec(ctx, template.degree_vector, template.value_degree, sections)
+
+    steps = _Steps.of(template, candidate, len(monos))
     shared = None  # the shared Sigma once solved; False if it is infinite or unexpected
     hits = []
     tried = 0
@@ -836,19 +951,11 @@ def search_spieghiamolo(
                 exhausted = True
                 break
             tried += 1
-            q = Poly.from_terms(ctx, BASE_VARS, [(monos[i], 1) for i in subset])
-            beta = template.congruence_residue + template.congruence_modulus * q
-            # divisibility filter: target + beta^2 (a Frobenius square) divisible by the divisor
-            try:
-                gamma = exact_div(target + poly_square(beta), template.quotient_divisor)
-            except NotDivisible:
+            spec = candidate(subset)
+            if spec is None:
                 continue
-            sections = dict(template.fixed)
-            sections[template.free_key] = beta
-            sections[template.quotient_key] = gamma
-            spec = ConicBundleSpec(
-                ctx, template.degree_vector, template.value_degree, sections
-            )
+            if steps is not None:
+                keep_discriminant(spec, steps.discriminant(subset))
             # Sigma condition: the off-diagonals vanish exactly at the expected points
             sig = shared
             if sig is None:
@@ -864,8 +971,8 @@ def search_spieghiamolo(
             if sig is False:
                 continue
             cert = _certify(
-                spec, list(template.target_components), k_max,
-                witness_bound=8, sigma=sig,
+                spec, list(template.target_components), k_max, witness_bound=8,
+                jet=_spec_jets(spec) if steps is None else steps.jets(subset), sigma=sig,
             )
             if cert.all_pass:
                 hits.append((spec, cert))

@@ -245,6 +245,20 @@ def discriminant(spec: ConicBundleSpec) -> Poly:
     return delta
 
 
+# The sections each term of Delta multiplies (:func:`discriminant`); a term
+# holds each of its sections once or squared.
+DELTA_TERMS = (
+    frozenset(("ab", "bc", "ac")), frozenset(("ab", "cc")), frozenset(("ac", "bb")), frozenset(("bc", "aa")),
+)
+
+
+def keep_discriminant(spec: ConicBundleSpec, delta: Poly) -> None:
+    """Keep delta as the spec's Delta, for a caller that has it without the
+    product formula (amcert's search sums it over other candidates'); call
+    it before the spec's first :func:`discriminant`, which then returns it."""
+    object.__setattr__(spec, "_discriminant", delta)
+
+
 def sigma_generators(spec: ConicBundleSpec) -> tuple[Poly, Poly, Poly]:
     """The three off-diagonal sections; Sigma is their common zero locus."""
     return (spec.sections["ab"], spec.sections["ac"], spec.sections["bc"])
@@ -289,9 +303,15 @@ def section_jet(spec: ConicBundleSpec, p: ProjPoint) -> SectionJet:
     return SectionJet(p, 0 if c[0] else 1 if c[1] else 2, value, d1, d2, d12)
 
 
-# A search's fixed sections are evaluated once per point per process: the
-# zero-corner search's 32 (4 sections at 8 points) stay among the 48 entries
-# each candidate reads.  An entry and the section it keeps take about 0.33 kB.
+def section_entries(s: Poly, p: ProjPoint) -> tuple[int, int, int, int]:
+    """The section s's entries of a :class:`SectionJet` at p, computed and
+    not kept: for sections a caller reads at a few points and keeps itself."""
+    return _section_entries.__wrapped__(s, p.sort_key())
+
+
+# A section's entries are evaluated once per point per process: the
+# zero-corner search's 48 (its 4 fixed sections and the first candidate's 2
+# others at 8 points) stay.  An entry and the section it keeps take about 0.33 kB.
 @lru_cache(maxsize=128)
 def _section_entries(s: Poly, point: tuple) -> tuple[int, int, int, int]:
     """The section s's value, partials in u1, u2 and mixed partial (the

@@ -130,7 +130,12 @@ class AlgebraicPointSet:
     orbits: tuple[tuple[ProjPoint, ...], ...] = field(default=(), compare=False, repr=False)
 
     def serialize(self) -> dict:
-        """The set as certificate data."""
+        """The set as certificate data, in new containers; its points are
+        rendered once and kept, as a point keeps its own."""
+        texts = self.__dict__.get("_texts")
+        if texts is None:
+            texts = tuple(tuple(p.serialize()) for p in self.points)
+            object.__setattr__(self, "_texts", texts)
         cert: dict
         if isinstance(self.certificate, BezoutCount):
             cert = {
@@ -143,7 +148,7 @@ class AlgebraicPointSet:
                 "kind": "elimination_closure",
                 "factor_degrees": list(self.certificate.factor_degrees),
             }
-        return {"points": [p.serialize() for p in self.points], "certificate": cert}
+        return {"points": [list(t) for t in texts], "certificate": cert}
 
 
 # -- rational points of a plane curve, line by line ------------------------------

@@ -23,7 +23,8 @@ over their smallest primitive element (Greenan, Miller & Schwarz, MASCOTS
 sum of two logarithms, a power one at a product of indices.
 :meth:`FieldCtx.log_tables` hands the tables to the polynomial layers,
 which evaluate a whole term with one lookup.  Larger fields multiply
-bit-serially (``FieldCtx._mul_serial``).  A context checks that its modulus
+bit-serially (``FieldCtx._mul_serial``) and invert by an extended Euclid
+in F_2[t].  A context checks that its modulus
 is irreducible by a distinct-degree split in :mod:`conic2._dense`'s packed
 F_2[t] before it builds its tables, and the table build checks that one
 power cycle visits every nonzero element.
@@ -244,7 +245,17 @@ class FieldCtx:
         log = self._log
         if log is not None:
             return self._exp[self.q - 1 - log[a]]
-        return self.pow(a, self.q - 2)
+        # Extended Euclid in F_2[t] against the modulus m: u = g1 a and
+        # v = g2 a (mod m) throughout, and deg u + deg v falls until u = 1
+        # (at once for a = 1).
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def sqrt(self, a: int) -> int:
         # Squaring is a bijection in characteristic 2: sqrt(a) = a^(2^(k-1)),

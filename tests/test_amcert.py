@@ -1,6 +1,7 @@
 """Pipeline layer: factorization verification, AM components, certificates,
 the chart-level elementary transformation, and the guided search."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -20,6 +21,7 @@ from conic2.conic import (
     classify_fiber,
     discriminant,
     load_spec,
+    section_jet,
     spec_from_dict,
     spec_to_dict,
 )
@@ -40,7 +42,7 @@ from conic2.amcert import (
 from conic2.gf2k import field_new
 from conic2.poly import Poly, plane_poly, poly_parse, poly_print
 
-from _helpers import brute_small_field_points, rand_homogeneous
+from _helpers import brute_small_field_points, enumerate_plane_points, rand_homogeneous
 from conftest import DATA
 
 F2 = field_new(1)
@@ -450,6 +452,81 @@ def test_search_certificates_equal_standalone_criterion(monkeypatch):
     for spec, cert in result.hits:
         alone = surface_criterion(spec, list(template.target_components))
         assert cert.to_json() == alone.to_json()
+
+
+def _recorded_search(monkeypatch, template, budget):
+    """The search's result, with each certified candidate's spec, the jets
+    its jet source gave (at the points its certificate read and at every
+    point of P^2(F_2)), its certificate, and how many section_jet calls
+    the search made."""
+    certify, section_jets = amcert._certify, amcert.section_jet
+    records, calls = [], []
+
+    def recording(spec, claimed, k_max, witness_bound, jet, sigma=None):
+        read = {}
+
+        def reading(p):
+            read[p.sort_key()] = (p, jet(p))
+            return read[p.sort_key()][1]
+
+        cert = certify(spec, claimed, k_max, witness_bound, reading, sigma)
+        for p in enumerate_plane_points(F2):
+            reading(p)
+        records.append((spec, read, cert))
+        return cert
+
+    monkeypatch.setattr(amcert, "_certify", recording)
+    monkeypatch.setattr(amcert, "section_jet", lambda spec, p: calls.append(p) or section_jets(spec, p))
+    result = search_spieghiamolo(template, budget=budget)
+    monkeypatch.undo()
+    return result, records, len(calls)
+
+
+@pytest.mark.parametrize("fixed", [{}, {"ac": "x*y*z"}], ids=["zero_corner", "ac_xyz"])
+def test_each_candidate_is_its_empty_candidate_plus_steps(monkeypatch, fixed):
+    # q = sum of m_i over S: bc = y^2 z^2 + x q and cc = gamma(0) + q^2 are
+    # affine over F_2 in S, and so is Delta, so the search sums each
+    # candidate's jets and Delta from its empty candidate's and one step per
+    # monomial.  In the zero-corner family every step of Delta is 0; with
+    # ac = x y z the step of m_i is x^2 m_i ac.
+    template = example81_template()
+    template = dataclasses.replace(
+        template, fixed={**template.fixed, **{k: plane_poly(t) for k, t in fixed.items()}})
+    result, records, calls = _recorded_search(monkeypatch, template, 2048)
+    assert result.tried == len(records) == 1024
+    empty = records[0][0]
+    deltas = set()
+    for spec, read, _ in records:
+        fresh = ConicBundleSpec(spec.ctx, spec.degree_vector, spec.value_degree, dict(spec.sections))
+        assert discriminant(spec) == discriminant(fresh)
+        deltas.add(poly_print(discriminant(spec)))
+        assert all(jet == section_jet(fresh, p) for p, jet in read.values())
+    # only the empty candidate's jets are taken from its sections
+    assert calls == len(records[0][1])
+    if fixed:
+        assert len(deltas) == 1024
+    else:
+        assert all(discriminant(spec) is discriminant(empty) for spec, _, _ in records)
+        # the 8 points each certificate reads, Sigma's 2 and 2 of the 16 meeting
+        # points rational, and the 3 other points of P^2(F_2)
+        assert {len(read) for _, read, _ in records} == {8 + 3}
+        assert len(result.hits) == 1024
+
+
+def test_a_template_whose_empty_candidate_fails_the_filter_takes_each_candidates_jets(monkeypatch):
+    # with modulus 1 and residue 0, bc = q; q = y^2 z^2 + x q' passes the
+    # filter, so the family is the zero-corner one again, but q = 0 fails it
+    # and no jet is a sum
+    template = dataclasses.replace(
+        example81_template(), congruence_modulus=plane_poly("1"), congruence_residue=plane_poly("0"))
+    result, records, calls = _recorded_search(monkeypatch, template, 56)
+    assert result.tried == 56 and len(result.hits) == len(records) == 4
+    assert calls == sum(len(read) for _, read, _ in records)
+    family = {poly_print(spec.sections["bc"]) for spec, _ in search_spieghiamolo(example81_template(), 2048).hits}
+    for spec, read, cert in records:
+        assert poly_print(spec.sections["bc"]) in family
+        assert all(jet == section_jet(spec, p) for p, jet in read.values())
+        assert cert.to_json() == surface_criterion(spec, list(template.target_components)).to_json()
 
 
 def test_search_divisibility_filter_example():

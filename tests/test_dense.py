@@ -1,6 +1,11 @@
 """Direct tests of the dense univariate engine underlying factorization."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +331,23 @@ def test_the_packed_ring_matches_the_list_oracles(ctx):
         f = [ctx.mul(c, y) for y in naive_mul(ctx, prod, irrs[0])]
         assert d.factor(ctx, f) == (c, sorted(
             [(irrs[0], 2)] + [(h, 1) for h in irrs[1:]], key=lambda hm: (len(hm[0]), hm[0][::-1])))
+
+
+def test_a_division_ends_on_a_wrong_product():
+    # With bit 0 of the modulus dropped from the fold, the products of
+    # F_4[t] are wrong: the multiple c b / lc(b) does not lead with c.  The
+    # division clears each leading slot as such, so it still ends (with a
+    # wrong answer), instead of meeting the same leading slot for ever.
+    script = textwrap.dedent("""
+        from conic2 import _dense
+        from conic2.gf2k import field_new
+        ring = _dense._ring(field_new(2))
+        ring._folds = [j for j in ring._folds if j != 0]
+        for a, b in [([0, 0, 0, 1], [1, 2]), ([1, 2, 3, 1], [2, 3]), ([3, 3, 3, 3, 3], [1, 1, 2])]:
+            ring.divmod(ring.pack(a), ring.pack(b))
+        print("ended")
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0 and done.stdout.split() == ["ended"], done.stderr

@@ -76,6 +76,28 @@ def test_solve_system_sigma_of_example_81():
     assert isinstance(pts.certificate, EliminationClosure)
 
 
+def test_a_serialized_point_set_is_rendered_once_in_new_containers():
+    # a search certifies every candidate with one Sigma, so each certificate
+    # gets its own copy of the one rendering
+    sigma = solve_system([plane_poly("x"), plane_poly("y^2*z^2")])
+    meeting = intersection_points(plane_poly("x^3*z + y^4"), plane_poly("x^3*y + z^4"))
+    certificates = [
+        {"kind": "elimination_closure", "factor_degrees": list(sigma.certificate.factor_degrees)},
+        {"kind": "bezout_count", "expected": 16, "found": 16},
+    ]
+    for pts, certificate in zip((sigma, meeting), certificates):
+        expected = {"points": [p.serialize() for p in pts.points], "certificate": certificate}
+        first = pts.serialize()
+        assert first == expected
+        first["points"][0][0] = "changed"
+        first["points"].append([])
+        for value in first["certificate"].values():
+            if isinstance(value, list):
+                value.append(0)
+        first["certificate"]["kind"] = "changed"
+        assert pts.serialize() == expected
+
+
 def test_solve_system_empty():
     pts = solve_system([plane_poly("x"), plane_poly("y"), plane_poly("z")])
     assert pts.points == ()

@@ -84,6 +84,19 @@ def test_division_by_zero():
         F4.inv(0)
 
 
+@pytest.mark.parametrize("k", [13, 24, 40, 64])
+def test_inverse_above_the_table_cap_inverts(k):
+    # above _TABLE_MAX_K the inverse is an extended Euclid against the modulus
+    F = field_new(k)
+    rng = random.Random(2800 + k)
+    for a in [rng.randrange(1, F.q) for _ in range(200)]:
+        b = F.inv(a)
+        assert 0 < b < F.q and F.mul(a, b) == 1, (k, a)
+    assert F.inv(1) == 1
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
+
+
 def test_context_mismatch_is_hard_error():
     a = field_new(2).gen()
     b = field_new(4).gen()
