@@ -17,7 +17,7 @@ operations ``mul``, ``inv``, ``sqrt``, ``pow`` and the attributes ``k``, ``q``
 layer can use it to check its moduli and to find embeddings.
 
 Inside, a polynomial over F_{2^k} is packed into one Python int
-(:class:`_Packed`; Kronecker substitution, von zur Gathen & Gerhard, Modern
+(:class:`_Ring`; Kronecker substitution, von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 8): coefficient i sits in the slot of bits
 [w i, w i + k), w = 2k - 1, so over F_2 bit i is the coefficient of t^i.
 A sum is one xor.  A product is one shifted copy per set bit (the
@@ -29,11 +29,11 @@ modulus m, since t^k is m(t) - t^k in the field, a few whole-int shifts
 per pass.  Long division makes the divisor monic, keeps c b for each
 leading coefficient c it meets, its leading slot set to c as such rather
 than taken from the product, so that it ends even on a wrong product, and
-scales the quotient once.  Over F_2 nothing is folded and every leading coefficient
-is 1, so the ring binds the plain F_2 product and division.  Each algorithm is written once, as a method of
-:class:`_Ring`; a public function packs its input once, runs the whole
-algorithm, a factorization, a lift or a subresultant sequence, in the ring,
-and unpacks its output once.
+scales the quotient once.  Over F_2 nothing is folded and every leading
+coefficient is 1, so the ring binds the plain F_2 product and division.
+The ring is one class, its algorithms written on these ints: a public
+function packs its input once, runs the whole algorithm, a factorization, a
+lift or a subresultant sequence, in the ring, and unpacks its output once.
 
 Factorization is the classical squarefree / distinct-degree / equal-degree
 chain; the equal-degree split uses the additive trace map
@@ -72,7 +72,7 @@ what lets that filter see a false subset.
 
 from __future__ import annotations
 
-import operator
+import functools
 import random
 
 Coeffs = list  # list[int]
@@ -111,358 +111,6 @@ class _SeededDraws:
         if self._rng is None:
             self._rng = random.Random(0x5EED)
         return self._rng.randrange(n)
-
-
-# -- the algorithms ----------------------------------------------------------------
-
-
-class _Ring:
-    """F[t] for the field of ``ctx``.  The methods here are the algorithms;
-    :class:`_Packed` supplies the representation: the constants ``zero``,
-    ``one`` and ``t``, and the primitives ``pack`` (from a list) and
-    ``unpack`` (to one), ``key`` (hashable), ``deg``, ``lc``, ``const`` (the
-    value at 0), ``coeff`` (of t^i), ``value_at`` (at a field element),
-    ``truncate`` (mod t^n), ``add``, ``mul``, ``divmod``, ``mod``,
-    ``monic``, ``scale`` (by a field element), ``deriv``, ``sqrt`` (of a
-    square), ``strip_t`` (split off the largest power of t) and ``draw`` (n
-    random coefficients)."""
-
-    def __init__(self, ctx) -> None:
-        self.ctx, self.k, self.q = ctx, ctx.k, ctx.q
-
-    def gcd(self, a, b):
-        while b:
-            a, b = b, self.mod(a, b)
-        return self.monic(a)
-
-    def pow_mod(self, base, e: int, m):
-        r = self.one
-        base = self.mod(base, m)
-        while e:
-            if e & 1:
-                r = self.mod(self.mul(r, base), m)
-            base = self.mod(self.mul(base, base), m)
-            e >>= 1
-        return r
-
-    def is_squarefree(self, f) -> bool:
-        df = self.deriv(f)
-        return self.deg(self.gcd(f, df) if df else f) == 0
-
-    def squarefree(self, f) -> list:
-        """Monic squarefree decomposition [(g, mult)], f of degree >= 1."""
-        out: list = []
-        deg, divmod_, gcd = self.deg, self.divmod, self.gcd
-
-        def rec(g, outer: int) -> None:
-            if deg(g) < 1:
-                return
-            gp = self.deriv(g)
-            if not gp:
-                rec(self.sqrt(g), 2 * outer)
-                return
-            c = gcd(g, gp)
-            w = divmod_(g, c)[0]
-            i = 1
-            while deg(w) > 0:
-                y = gcd(w, c)
-                z = divmod_(w, y)[0]
-                if deg(z) > 0:
-                    out.append((self.monic(z), i * outer))
-                w = y
-                c = divmod_(c, y)[0]
-                i += 1
-            if deg(c) > 0:
-                rec(self.sqrt(c), 2 * outer)
-
-        rec(self.monic(f), 1)
-        return out
-
-    def distinct_degree(self, f) -> list:
-        """Split monic squarefree f into [(product of irreducibles of degree d, d)]."""
-        out: list = []
-        h = self.t
-        d = 0
-        while self.deg(f) >= 2 * (d + 1):
-            d += 1
-            h = self.pow_mod(h, self.q, f)
-            g = self.gcd(f, self.add(h, self.t))
-            if self.deg(g) > 0:
-                out.append((g, d))
-                f = self.divmod(f, g)[0]
-                h = self.mod(h, f)
-        if self.deg(f) > 0:
-            out.append((f, self.deg(f)))
-        return out
-
-    def trace_split(self, f, d: int, rng: _SeededDraws) -> tuple:
-        """A proper monic factorization (g, f / g) of monic squarefree f, all
-        of whose irreducible factors have degree d and which has at least two."""
-        n = self.deg(f)
-        while True:
-            u = self.draw(rng, n)
-            if self.deg(u) < 1:
-                continue
-            # Additive trace from F_{2^(k d)} down to F_2, evaluated on u mod f.
-            t = p = u
-            for _ in range(self.k * d - 1):
-                p = self.mod(self.mul(p, p), f)
-                t = self.add(t, p)
-            g = self.gcd(f, t)
-            if 0 < self.deg(g) < n:
-                return g, self.divmod(f, g)[0]
-
-    def equal_degree(self, f, d: int, rng: _SeededDraws) -> list:
-        """Split monic squarefree f, all of whose irreducible factors have degree d."""
-        if self.deg(f) == d:
-            return [f]
-        g, rest = self.trace_split(f, d, rng)
-        return self.equal_degree(g, d, rng) + self.equal_degree(rest, d, rng)
-
-    def split_roots(self, f) -> list[int]:
-        """The roots of monic f, a product of distinct linear factors."""
-        return [self.const(lin) for lin in self.equal_degree(f, 1, _SeededDraws())]
-
-    def one_root(self, f) -> int:
-        """One root of f, a product of distinct linear factors (keeps the smaller split)."""
-        f = self.monic(f)
-        rng = _SeededDraws()
-        while self.deg(f) > 1:
-            f = min(self.trace_split(f, 1, rng), key=self.deg)
-        return self.const(f)
-
-    def factor(self, f) -> tuple[int, list]:
-        """(leading coefficient, [(monic irreducible, mult)]) of nonzero f, unsorted."""
-        lc = self.lc(f)
-        f = self.monic(f)
-        if self.deg(f) < 2:
-            return lc, [(f, 1)] if self.deg(f) == 1 else []
-        found: dict = {}  # key -> (irreducible, multiplicity)
-        # Powers of t are split off first so every remaining factor has f(0) != 0.
-        shift, f = self.strip_t(f)
-        if shift:
-            found[self.key(self.t)] = (self.t, shift)
-        rng = _SeededDraws()
-        if self.deg(f) >= 1:
-            for g, m in self.squarefree(f):
-                for h, d in self.distinct_degree(g):
-                    for irr in self.equal_degree(h, d, rng):
-                        key = self.key(irr)
-                        found[key] = (irr, found[key][1] + m if key in found else m)
-        return lc, list(found.values())
-
-    def roots(self, f) -> list[int]:
-        """All roots of nonzero f lying in the field, sorted, without multiplicity."""
-        shift, f = self.strip_t(f)
-        out = [0] if shift else []
-        if self.deg(f) >= 1:
-            g = self.gcd(f, self.add(self.pow_mod(self.t, self.q, f), self.t))
-            if self.deg(g) >= 1:
-                out += self.split_roots(g)
-        out.sort()
-        return out
-
-    def compose(self, f, g):
-        """f(g(t)) by Horner's rule."""
-        acc = self.zero
-        for c in reversed(self.unpack(f)):
-            acc = self.mul(acc, g)
-            if c:
-                acc = self.add(acc, self.pack([c]))
-        return acc
-
-    def inv_mod(self, a, m):
-        """Inverse of a modulo m (extended Euclid); requires gcd(a, m) = 1."""
-        r0, r1 = m, self.mod(a, m)
-        s0, s1 = self.zero, self.one
-        while r1:
-            q, r2 = self.divmod(r0, r1)
-            r0, r1 = r1, r2
-            s0, s1 = s1, self.add(s0, self.mul(q, s1))
-        if self.deg(r0) != 0:
-            raise ZeroDivisionError("element not invertible modulo the given polynomial")
-        return self.scale(self.mod(s0, m), self.ctx.inv(self.lc(r0)))
-
-    def series_inverse(self, a, prec: int):
-        """Inverse of a mod t^prec; requires a(0) != 0.  Newton's step
-        g -> g (2 - a g) is g -> a g^2 in characteristic 2: if a g = 1 + e,
-        then a (a g^2) = 1 + e^2, so each step doubles the precision."""
-        g = self.scale(self.one, self.ctx.inv(self.const(a)))
-        n = 1
-        while n < prec:
-            n = min(2 * n, prec)
-            g = self.truncate(self.mul(self.truncate(a, n), self.mul(g, g)), n)
-        return g
-
-    def shift(self, a, r: int):
-        """a(t + r): its own inverse in characteristic 2, the identity for r = 0."""
-        return self.compose(a, self.add(self.t, self.pack([r]))) if r else a
-
-    # -- column polynomials: polynomials in z over F[t] --------------------------
-
-    @classmethod
-    def col_add(cls, a: list, b: list) -> list:
-        if len(a) < len(b):
-            a, b = b, a
-        return trim([cls.add(c, b[i]) if i < len(b) else c for i, c in enumerate(a)])
-
-    def col_scale(self, cols: list, s) -> list:
-        return [self.mul(c, s) for c in cols]
-
-    def col_primitive(self, cols: list) -> tuple:
-        """(content, primitive part) of a nonzero column polynomial; the
-        content is the monic gcd of the columns."""
-        cont = self.zero
-        for c in cols:
-            if c:
-                cont = self.gcd(cont, c) if cont else self.monic(c)
-                if self.deg(cont) == 0:
-                    break
-        return cont, self.col_divide(cols, cont)
-
-    def col_divide(self, cols: list, d) -> list:
-        """Exact quotient of every column by the nonzero t-polynomial d."""
-        return [self.exact_quo(c, d) for c in cols]
-
-    def col_gcd(self, a: list, b: list) -> list:
-        """A gcd of nonzero column polynomials: the primitive part of the last
-        subresultant times the gcd of the contents."""
-        (ca, a), (cb, b) = self.col_primitive(a), self.col_primitive(b)
-        _, last = self.col_primitive(self.subresultants(a, b)[-1])
-        return self.col_scale(last, self.gcd(ca, cb))
-
-    def col_eval(self, cols: list, x: int) -> Coeffs:
-        """The polynomial in z, as a list, that cols gives at t = x."""
-        return trim([self.value_at(c, x) for c in cols])
-
-    def col_mul_trunc(self, a: list, b: list, prec: int) -> list:
-        """The product of column polynomials, each column truncated mod t^prec."""
-        out = [self.zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = self.add(out[i + j], self.mul(ca, cb))
-        return trim([self.truncate(c, prec) for c in out])
-
-    def squarefree_specialization(self, cols: list, values) -> tuple | None:
-        """(r, u) for the first r among values at which the leading column
-        is nonzero and u = cols at t = r is squarefree; None if none is."""
-        lead = cols[-1]
-        for r in values:
-            if self.value_at(lead, r):
-                u = self.col_eval(cols, r)
-                if self.is_squarefree(self.pack(u)):
-                    return r, u
-        return None
-
-    def hensel_lift(self, cols: list, base: list, r: int, prec: int) -> list:
-        """Lift base, the monic pairwise coprime factors of cols at t = r,
-        to factors mod t^prec of cols(t + r) made monic by a series inverse
-        of its leading column.
-
-        Each lifted factor and each prefix product of the factors is kept as
-        its t-adic digits, polynomials in z.  Step j needs only the t^j digit
-        of the product, one convolution per prefix; the new digits delta_i of
-        the factors then add sum over i <= l of delta_i times the product of
-        the other base factors up to l to the t^j digit of prefix l.
-        """
-        mul, add, truncate, coeff, pack = self.mul, self.add, self.truncate, self.coeff, self.pack
-        shifted = [self.shift(c, r) for c in cols]
-        linv = self.series_inverse(shifted[-1], prec)
-        monic = [truncate(mul(c, linv), prec) for c in shifted]
-        s = len(base)
-        bezout = []
-        for i in range(s):
-            g = self.one
-            for j in range(s):
-                if j != i:
-                    g = mul(g, base[j])
-            bezout.append(self.inv_mod(g, base[i]))
-        f_digits = [pack([coeff(c, j) for c in monic]) for j in range(prec)]
-        digits = [[g] for g in base]  # digits[i][j]: t^j digit of factor i
-        prefix = [digits[0]]  # prefix[l][j]: t^j digit of the product of factors 0..l, l < s - 1
-        for g in base[1:-1]:
-            prefix.append([mul(prefix[-1][0], g)])
-        for j in range(1, prec):
-            # t^j digit of each prefix product while the factors' t^j digits are 0
-            partial = [self.zero]
-            for i in range(1, s):
-                acc = mul(partial[-1], base[i])
-                for a in range(1, j):
-                    acc = add(acc, mul(prefix[i - 1][a], digits[i][j - a]))
-                partial.append(acc)
-            e = add(f_digits[j], partial[-1])
-            deltas = [self.mod(mul(e, b), g) for b, g in zip(bezout, base)]
-            for i in range(s):
-                digits[i].append(deltas[i])
-            correction = deltas[0]
-            for i in range(1, s - 1):
-                correction = add(mul(correction, base[i]), mul(prefix[i - 1][0], deltas[i]))
-                prefix[i].append(add(partial[i], correction))
-        return [  # back to columns: entry idx is the t-polynomial of z^idx
-            [pack([coeff(d, idx) for d in fd]) for idx in range(self.deg(fd[0]) + 1)]
-            for fd in digits
-        ]
-
-    def recombination_candidate(self, factors: list, target: list, r: int, prec: int):
-        """The primitive part of lc(target) times the product of the lifted
-        factors, shifted back to t - r; None when the degree bound refuses
-        it, that is when a column of the product times the shifted lc(target)
-        mod t^prec has larger degree than target."""
-        prod = factors[0]
-        for g in factors[1:]:
-            prod = self.col_mul_trunc(prod, g, prec)
-        lead = self.shift(target[-1], r)
-        bound = max(map(self.deg, target))
-        scaled = [self.truncate(self.mul(c, lead), prec) for c in prod]
-        if any(self.deg(c) > bound for c in scaled):
-            return None
-        return self.col_primitive([self.shift(c, r) for c in scaled])[1]
-
-    def exact_quo(self, a, b):
-        if b == self.one:
-            return a
-        q, r = self.divmod(a, b)
-        if r:  # pragma: no cover - defensive
-            raise AssertionError("inexact division in F[t]")
-        return q
-
-    def power(self, a, e: int):
-        out = self.one
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
-
-    def prem(self, a: list, b: list) -> list:
-        """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (signs are free)."""
-        lb = b[-1]
-        left = len(a) - len(b) + 1
-        while len(a) >= len(b):
-            killer = [self.zero] * (len(a) - len(b)) + self.col_scale(b, a[-1])
-            a = self.col_add(self.col_scale(a, lb), killer)
-            left -= 1
-        return self.col_scale(a, self.power(lb, left)) if left and a else a
-
-    def subresultants(self, a: list, b: list) -> list:
-        """The subresultant sequence of nonzero column polynomials a, b; see
-        :func:`last_subresultant`."""
-        if len(a) < len(b):
-            a, b = b, a
-        seq = [a, b]
-        g = h = self.one
-        while True:
-            delta = len(a) - len(b)
-            hb = self.exact_quo(self.power(b[-1], delta), self.power(h, delta - 1))
-            r = self.prem(a, b) if len(b) > 1 else []
-            if not r:
-                break
-            a, b = b, self.col_divide(r, self.mul(g, self.power(h, delta)))
-            g, h = a[-1], hb
-            seq.append(b)
-        if delta > 1:
-            seq[-1] = self.col_divide(self.col_scale(b, hb), b[-1])
-        return seq
 
 
 def _clmul(a: int, b: int) -> int:
@@ -517,17 +165,16 @@ def _mod2(a: int, b: int) -> int:
     return a
 
 
-class _Packed(_Ring):
-    """F_{2^k}[t] on ints: coefficient i sits in bits [w i, w i + k),
-    w = 2k - 1, and 0 is the zero polynomial.  Over F_2, w = 1 and bit i is
-    the coefficient of t^i."""
+# -- the ring ----------------------------------------------------------------------
 
-    zero, one = 0, 1
-    add = staticmethod(operator.xor)
-    key = staticmethod(lambda a: a)
+
+class _Ring:
+    """F[t] for the field of ``ctx``, on ints: coefficient i sits in bits
+    [w i, w i + k), w = 2k - 1, and 0 is the zero polynomial.  Over F_2,
+    w = 1 and bit i is the coefficient of t^i."""
 
     def __init__(self, ctx) -> None:
-        super().__init__(ctx)
+        self.ctx, self.k, self.q = ctx, ctx.k, ctx.q
         k = self.k
         self.w = w = 2 * k - 1
         self.t = 1 << w
@@ -540,8 +187,346 @@ class _Packed(_Ring):
             # Over F_2 a slot is one bit: no product needs reducing, every
             # nonzero polynomial is monic, and a value is a parity.
             self.pack, self.unpack, self.mul, self.divmod, self.mod = _pack2, _unpack2, _clmul, _divmod2, _mod2
-            self.monic = self.key
+            self.monic = lambda a: a
             self.value_at = lambda a, x: (a.bit_count() if x else a) & 1
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.mod(a, b)
+        return self.monic(a)
+
+    def pow_mod(self, base, e: int, m):
+        r = 1
+        base = self.mod(base, m)
+        while e:
+            if e & 1:
+                r = self.mod(self.mul(r, base), m)
+            base = self.mod(self.mul(base, base), m)
+            e >>= 1
+        return r
+
+    def is_squarefree(self, f) -> bool:
+        df = self.deriv(f)
+        return self.deg(self.gcd(f, df) if df else f) == 0
+
+    def squarefree(self, f) -> list:
+        """Monic squarefree decomposition [(g, mult)], f of degree >= 1."""
+        out: list = []
+        deg, divmod_, gcd = self.deg, self.divmod, self.gcd
+
+        def rec(g, outer: int) -> None:
+            if deg(g) < 1:
+                return
+            gp = self.deriv(g)
+            if not gp:
+                rec(self.sqrt(g), 2 * outer)
+                return
+            c = gcd(g, gp)
+            w = divmod_(g, c)[0]
+            i = 1
+            while deg(w) > 0:
+                y = gcd(w, c)
+                z = divmod_(w, y)[0]
+                if deg(z) > 0:
+                    out.append((self.monic(z), i * outer))
+                w = y
+                c = divmod_(c, y)[0]
+                i += 1
+            if deg(c) > 0:
+                rec(self.sqrt(c), 2 * outer)
+
+        rec(self.monic(f), 1)
+        return out
+
+    def distinct_degree(self, f) -> list:
+        """Split monic squarefree f into [(product of irreducibles of degree d, d)]."""
+        out: list = []
+        h = self.t
+        d = 0
+        while self.deg(f) >= 2 * (d + 1):
+            d += 1
+            h = self.pow_mod(h, self.q, f)
+            g = self.gcd(f, h ^ self.t)
+            if self.deg(g) > 0:
+                out.append((g, d))
+                f = self.divmod(f, g)[0]
+                h = self.mod(h, f)
+        if self.deg(f) > 0:
+            out.append((f, self.deg(f)))
+        return out
+
+    def distinct_degree_parts(self, f) -> list:
+        """[(h, d, mult)]: each part of multiplicity mult in the squarefree
+        decomposition of f, split into h, the product of its irreducible
+        factors of degree d."""
+        return [(h, d, m) for g, m in self.squarefree(f) for h, d in self.distinct_degree(g)]
+
+    def trace_split(self, f, d: int, rng: _SeededDraws) -> tuple:
+        """A proper monic factorization (g, f / g) of monic squarefree f, all
+        of whose irreducible factors have degree d and which has at least two."""
+        n = self.deg(f)
+        while True:
+            u = self.draw(rng, n)
+            if self.deg(u) < 1:
+                continue
+            # Additive trace from F_{2^(k d)} down to F_2, evaluated on u mod f.
+            t = p = u
+            for _ in range(self.k * d - 1):
+                p = self.mod(self.mul(p, p), f)
+                t ^= p
+            g = self.gcd(f, t)
+            if 0 < self.deg(g) < n:
+                return g, self.divmod(f, g)[0]
+
+    def equal_degree(self, f, d: int, rng: _SeededDraws) -> list:
+        """Split monic squarefree f, all of whose irreducible factors have degree d."""
+        if self.deg(f) == d:
+            return [f]
+        g, rest = self.trace_split(f, d, rng)
+        return self.equal_degree(g, d, rng) + self.equal_degree(rest, d, rng)
+
+    def split_roots(self, f) -> list[int]:
+        """The roots of monic f, a product of distinct linear factors."""
+        return [self.const(lin) for lin in self.equal_degree(f, 1, _SeededDraws())]
+
+    def one_root(self, f) -> int:
+        """One root of f, a product of distinct linear factors (keeps the smaller split)."""
+        f = self.monic(f)
+        rng = _SeededDraws()
+        while self.deg(f) > 1:
+            f = min(self.trace_split(f, 1, rng), key=self.deg)
+        return self.const(f)
+
+    def factor(self, f) -> tuple[int, list]:
+        """(leading coefficient, [(monic irreducible, mult)]) of nonzero f, unsorted."""
+        lc = self.lc(f)
+        f = self.monic(f)
+        if self.deg(f) < 2:
+            return lc, [(f, 1)] if self.deg(f) == 1 else []
+        found: dict = {}  # irreducible -> multiplicity
+        # Powers of t are split off first so every remaining factor has f(0) != 0.
+        shift, f = self.strip_t(f)
+        if shift:
+            found[self.t] = shift
+        rng = _SeededDraws()
+        if self.deg(f) >= 1:
+            for h, d, m in self.distinct_degree_parts(f):
+                for irr in self.equal_degree(h, d, rng):
+                    found[irr] = found.get(irr, 0) + m
+        return lc, list(found.items())
+
+    def roots(self, f) -> list[int]:
+        """All roots of nonzero f lying in the field, sorted, without multiplicity."""
+        shift, f = self.strip_t(f)
+        out = [0] if shift else []
+        if self.deg(f) >= 1:
+            g = self.gcd(f, self.pow_mod(self.t, self.q, f) ^ self.t)
+            if self.deg(g) >= 1:
+                out += self.split_roots(g)
+        out.sort()
+        return out
+
+    def compose(self, f, g):
+        """f(g(t)) by Horner's rule."""
+        acc = 0
+        for c in reversed(self.unpack(f)):
+            acc = self.mul(acc, g) ^ c  # a constant is its own low slot
+        return acc
+
+    def inv_mod(self, a, m):
+        """Inverse of a modulo m (extended Euclid); requires gcd(a, m) = 1."""
+        r0, r1 = m, self.mod(a, m)
+        s0, s1 = 0, 1
+        while r1:
+            q, r2 = self.divmod(r0, r1)
+            r0, r1 = r1, r2
+            s0, s1 = s1, s0 ^ self.mul(q, s1)
+        if self.deg(r0) != 0:
+            raise ZeroDivisionError("element not invertible modulo the given polynomial")
+        return self.scale(self.mod(s0, m), self.ctx.inv(self.lc(r0)))
+
+    def series_inverse(self, a, prec: int):
+        """Inverse of a mod t^prec; requires a(0) != 0.  Newton's step
+        g -> g (2 - a g) is g -> a g^2 in characteristic 2: if a g = 1 + e,
+        then a (a g^2) = 1 + e^2, so each step doubles the precision."""
+        g = self.ctx.inv(self.const(a))
+        n = 1
+        while n < prec:
+            n = min(2 * n, prec)
+            g = self.truncate(self.mul(self.truncate(a, n), self.mul(g, g)), n)
+        return g
+
+    def shift(self, a, r: int):
+        """a(t + r): its own inverse in characteristic 2, the identity for r = 0."""
+        return self.compose(a, self.t ^ r) if r else a
+
+    # -- column polynomials: polynomials in z over F[t] --------------------------
+
+    @staticmethod
+    def col_add(a: list, b: list) -> list:
+        if len(a) < len(b):
+            a, b = b, a
+        return trim([c ^ b[i] if i < len(b) else c for i, c in enumerate(a)])
+
+    def col_scale(self, cols: list, s) -> list:
+        return [self.mul(c, s) for c in cols]
+
+    def col_primitive(self, cols: list) -> tuple:
+        """(content, primitive part) of a nonzero column polynomial; the
+        content is the monic gcd of the columns."""
+        cont = 0
+        for c in cols:
+            if c:
+                cont = self.gcd(cont, c) if cont else self.monic(c)
+                if self.deg(cont) == 0:
+                    break
+        return cont, self.col_divide(cols, cont)
+
+    def col_divide(self, cols: list, d) -> list:
+        """Exact quotient of every column by the nonzero t-polynomial d."""
+        return [self.exact_quo(c, d) for c in cols]
+
+    def col_gcd(self, a: list, b: list) -> list:
+        """A gcd of nonzero column polynomials: the primitive part of the last
+        subresultant times the gcd of the contents."""
+        (ca, a), (cb, b) = self.col_primitive(a), self.col_primitive(b)
+        _, last = self.col_primitive(self.subresultants(a, b)[-1])
+        return self.col_scale(last, self.gcd(ca, cb))
+
+    def col_eval(self, cols: list, x: int) -> Coeffs:
+        """The polynomial in z, as a list, that cols gives at t = x."""
+        return trim([self.value_at(c, x) for c in cols])
+
+    def col_mul_trunc(self, a: list, b: list, prec: int) -> list:
+        """The product of column polynomials, each column truncated mod t^prec."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] ^= self.mul(ca, cb)
+        return trim([self.truncate(c, prec) for c in out])
+
+    def squarefree_specialization(self, cols: list, values) -> tuple | None:
+        """(r, u) for the first r among values at which the leading column
+        is nonzero and u = cols at t = r is squarefree; None if none is."""
+        lead = cols[-1]
+        for r in values:
+            if self.value_at(lead, r):
+                u = self.col_eval(cols, r)
+                if self.is_squarefree(self.pack(u)):
+                    return r, u
+        return None
+
+    def hensel_lift(self, cols: list, base: list, r: int, prec: int) -> list:
+        """Lift base, the monic pairwise coprime factors of cols at t = r,
+        to factors mod t^prec of cols(t + r) made monic by a series inverse
+        of its leading column.
+
+        Each lifted factor and each prefix product of the factors is kept as
+        its t-adic digits, polynomials in z.  Step j needs only the t^j digit
+        of the product, one convolution per prefix; the new digits delta_i of
+        the factors then add sum over i <= l of delta_i times the product of
+        the other base factors up to l to the t^j digit of prefix l.
+        """
+        mul, truncate, coeff, pack = self.mul, self.truncate, self.coeff, self.pack
+        shifted = [self.shift(c, r) for c in cols]
+        linv = self.series_inverse(shifted[-1], prec)
+        monic = [truncate(mul(c, linv), prec) for c in shifted]
+        s = len(base)
+        bezout = []
+        for i in range(s):
+            g = 1
+            for j in range(s):
+                if j != i:
+                    g = mul(g, base[j])
+            bezout.append(self.inv_mod(g, base[i]))
+        f_digits = [pack([coeff(c, j) for c in monic]) for j in range(prec)]
+        digits = [[g] for g in base]  # digits[i][j]: t^j digit of factor i
+        prefix = [digits[0]]  # prefix[l][j]: t^j digit of the product of factors 0..l, l < s - 1
+        for g in base[1:-1]:
+            prefix.append([mul(prefix[-1][0], g)])
+        for j in range(1, prec):
+            # t^j digit of each prefix product while the factors' t^j digits are 0
+            partial = [0]
+            for i in range(1, s):
+                acc = mul(partial[-1], base[i])
+                for a in range(1, j):
+                    acc ^= mul(prefix[i - 1][a], digits[i][j - a])
+                partial.append(acc)
+            e = f_digits[j] ^ partial[-1]
+            deltas = [self.mod(mul(e, b), g) for b, g in zip(bezout, base)]
+            for i in range(s):
+                digits[i].append(deltas[i])
+            correction = deltas[0]
+            for i in range(1, s - 1):
+                correction = mul(correction, base[i]) ^ mul(prefix[i - 1][0], deltas[i])
+                prefix[i].append(partial[i] ^ correction)
+        return [  # back to columns: entry idx is the t-polynomial of z^idx
+            [pack([coeff(d, idx) for d in fd]) for idx in range(self.deg(fd[0]) + 1)]
+            for fd in digits
+        ]
+
+    def recombination_candidate(self, factors: list, target: list, r: int, prec: int):
+        """The primitive part of lc(target) times the product of the lifted
+        factors, shifted back to t - r; None when the degree bound refuses
+        it, that is when a column of the product times the shifted lc(target)
+        mod t^prec has larger degree than target."""
+        prod = factors[0]
+        for g in factors[1:]:
+            prod = self.col_mul_trunc(prod, g, prec)
+        lead = self.shift(target[-1], r)
+        bound = max(map(self.deg, target))
+        scaled = [self.truncate(self.mul(c, lead), prec) for c in prod]
+        if any(self.deg(c) > bound for c in scaled):
+            return None
+        return self.col_primitive([self.shift(c, r) for c in scaled])[1]
+
+    def exact_quo(self, a, b):
+        if b == 1:
+            return a
+        q, r = self.divmod(a, b)
+        if r:  # pragma: no cover - defensive
+            raise AssertionError("inexact division in F[t]")
+        return q
+
+    def power(self, a, e: int):
+        out = 1
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+    def prem(self, a: list, b: list) -> list:
+        """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (signs are free)."""
+        lb = b[-1]
+        left = len(a) - len(b) + 1
+        while len(a) >= len(b):
+            killer = [0] * (len(a) - len(b)) + self.col_scale(b, a[-1])
+            a = self.col_add(self.col_scale(a, lb), killer)
+            left -= 1
+        return self.col_scale(a, self.power(lb, left)) if left and a else a
+
+    def subresultants(self, a: list, b: list) -> list:
+        """The subresultant sequence of nonzero column polynomials a, b; see
+        :func:`last_subresultant`."""
+        if len(a) < len(b):
+            a, b = b, a
+        seq = [a, b]
+        g = h = 1
+        while True:
+            delta = len(a) - len(b)
+            hb = self.exact_quo(self.power(b[-1], delta), self.power(h, delta - 1))
+            r = self.prem(a, b) if len(b) > 1 else []
+            if not r:
+                break
+            a, b = b, self.col_divide(r, self.mul(g, self.power(h, delta)))
+            g, h = a[-1], hb
+            seq.append(b)
+        if delta > 1:
+            seq[-1] = self.col_divide(self.col_scale(b, hb), b[-1])
+        return seq
+
+    # -- the representation ------------------------------------------------------
 
     def pack(self, c: Coeffs) -> int:
         a, w = 0, self.w
@@ -642,15 +627,7 @@ class _Packed(_Ring):
         return self.pack([rng.randrange(self.q) for _ in range(n)])
 
 
-_RINGS: dict = {}  # id(ctx) -> ring
-
-
-def _ring(ctx) -> _Ring:
-    """The ring F[t] of the context; one per context."""
-    ring = _RINGS.get(id(ctx))
-    if ring is None or ring.ctx is not ctx:
-        ring = _RINGS[id(ctx)] = _Packed(ctx)
-    return ring
+_ring = functools.cache(_Ring)  # the ring F[t] of a context, one per (interned) context
 
 
 # -- the public list functions: pack once, run the algorithm, unpack once ---------
@@ -661,16 +638,12 @@ def gcd(ctx, a: Coeffs, b: Coeffs) -> Coeffs:
     return R.unpack(R.gcd(R.pack(a), R.pack(b)))
 
 
-def squarefree_decomposition(ctx, f: Coeffs) -> list[tuple[Coeffs, int]]:
-    """Monic squarefree decomposition [(g, mult)], f of degree >= 1."""
+def distinct_degree_parts(ctx, f: Coeffs) -> list[tuple[Coeffs, int, int]]:
+    """[(part, d, mult)]: each monic part of multiplicity mult in the
+    squarefree decomposition of f, split by the degree d of its irreducible
+    factors (:meth:`_Ring.distinct_degree_parts`); empty for a constant f."""
     R = _ring(ctx)
-    return [(R.unpack(g), m) for g, m in R.squarefree(R.pack(f))]
-
-
-def distinct_degree(ctx, f: Coeffs) -> list[tuple[Coeffs, int]]:
-    """Split monic squarefree f into [(product of irreducibles of degree d, d)]."""
-    R = _ring(ctx)
-    return [(R.unpack(g), d) for g, d in R.distinct_degree(R.pack(f))]
+    return [(R.unpack(h), d, m) for h, d, m in R.distinct_degree_parts(R.pack(f))]
 
 
 def split_roots(ctx, f: Coeffs) -> list[int]:

@@ -530,6 +530,9 @@ def spec_from_dict(data: dict) -> ConicBundleSpec:
         raise MalformedInput("degree_vector must be a list of three integers")
     if not isinstance(data["sections"], dict):
         raise MalformedInput("sections must be an object mapping section keys to polynomials")
+    unknown = [str(key) for key in data["sections"] if key not in SECTION_KEYS]
+    if unknown:
+        raise MalformedInput("unknown section keys: " + ", ".join(unknown))
     texts = {key: data["sections"].get(key, "0") for key in SECTION_KEYS}
     bad = [key for key, text in texts.items() if not isinstance(text, str)]
     if bad:

@@ -367,10 +367,7 @@ def _split_bivariate(f: Poly, xn: str, yn: str, mult: int, acc: dict) -> None:
 
 def _simple_root_degrees(ctx, u: list) -> set[int]:
     """Degrees over ctx of the simple roots of the dense polynomial u."""
-    if _dense.deg(u) < 1:
-        return set()
-    simple = [g for g, m in _dense.squarefree_decomposition(ctx, u) if m == 1]
-    return {d for g in simple for _, d in _dense.distinct_degree(ctx, g)}
+    return {d for _, d, m in _dense.distinct_degree_parts(ctx, u) if m == 1}
 
 
 _SCAN_VALUES = 8  # values c per direction that _orbit_primes tries

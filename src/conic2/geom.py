@@ -425,13 +425,9 @@ def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPoi
             continue
         # the degrees of h's distinct irreducible factors: a distinct-degree
         # part of degree n holds n / e factors of degree e
-        parts = [
-            part
-            for g, _m in _dense.squarefree_decomposition(dir_field, h)
-            for part in _dense.distinct_degree(dir_field, g)
-        ]
+        parts = _dense.distinct_degree_parts(dir_field, h)
         e_star = 1
-        for coeffs, e in parts:
+        for coeffs, e, _m in parts:
             degrees += [e] * (_dense.deg(coeffs) // e)
             e_star = math.lcm(e_star, e)
         K = ctx.k * d * e_star
@@ -441,7 +437,7 @@ def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPoi
             )
         final = field_new(K)
         if e_star == 1:  # final is dir_field, and every part is a product of linear factors
-            zs = [z for coeffs, _ in parts for z in _dense.split_roots(final, coeffs)]
+            zs = [z for coeffs, _e, _m in parts for z in _dense.split_roots(final, coeffs)]
         else:  # embeddings do not compose: no tower, root again
             x0, y0 = _direction_root(form, final)
             zs = _dense.roots(final, _z_gcd(nonzero, x0, y0, final))

@@ -158,13 +158,14 @@ class FieldCtx:
         self.k = k
         self.q = 1 << k
         self.modulus = _MODULI[k]
-        # A distinct-degree split over F_2 of the modulus m, of degree k, is
-        # [(m, k)] exactly when m has no irreducible factor of degree <= k / 2,
-        # that is when it is irreducible.  It runs on _dense's packed F_2[t],
-        # whose one-bit slots need no modulus (F_{2^k}[t] reduces by this
-        # one), before the log tables, which assume a field, are built.
+        # The squarefree and distinct-degree split over F_2 of the modulus m,
+        # of degree k, is [(m, k, 1)] exactly when m is squarefree with no
+        # irreducible factor of degree <= k / 2, that is when it is
+        # irreducible.  It runs on _dense's packed F_2[t], whose one-bit slots
+        # need no modulus (F_{2^k}[t] reduces by this one), before the log
+        # tables, which assume a field, are built.
         m = _coeff_list(self.modulus)
-        if k > 1 and _dense.distinct_degree(field_new(1), m) != [(m, k)]:
+        if k > 1 and _dense.distinct_degree_parts(field_new(1), m) != [(m, k, 1)]:
             raise AssertionError(f"modulus table entry for k={k} is not irreducible")
         self._log, self._exp = self._tables() if k <= _TABLE_MAX_K else (None, None)
 

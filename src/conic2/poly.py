@@ -476,20 +476,13 @@ def dehomogenize(p: Poly, name: str) -> Poly:
     return Poly(p.ctx, rest, terms)
 
 
-def homogenize(p: Poly, name: str, position: int | None = None) -> Poly:
-    """Introduce a variable making p homogeneous of its total degree."""
+def homogenize(p: Poly, name: str) -> Poly:
+    """Introduce a last variable making p homogeneous of its total degree."""
     if name in p.vars:
         raise ValueError(f"variable {name} already present")
     d = p.total_degree()
-    vars_out = list(p.vars)
-    pos = len(vars_out) if position is None else position
-    vars_out.insert(pos, name)
-    terms = {}
-    for m, c in p._terms.items():
-        mono = list(m)
-        mono.insert(pos, d - sum(m))
-        terms[tuple(mono)] = c
-    return Poly(p.ctx, tuple(vars_out), terms)
+    terms = {(*m, d - sum(m)): c for m, c in p._terms.items()}
+    return Poly(p.ctx, (*p.vars, name), terms)
 
 
 def strip_monomial(p: Poly) -> tuple[Poly, tuple[int, ...]]:

@@ -215,7 +215,7 @@ def is_irreducible(ctx, f):
             g = R.t
             for _ in range(n // p):
                 g = R.pow_mod(g, ctx.q, f)
-            if R.deg(R.gcd(f, R.add(g, R.t))) != 0:
+            if R.deg(R.gcd(f, g ^ R.t)) != 0:
                 return False
     return True
 

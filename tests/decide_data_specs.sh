@@ -16,9 +16,11 @@ else
   conic2=(python -m conic2.cli)
 fi
 
-# exit 1: delta20 and delta20_f4 fail hypotheses, nonflat_f65536 is not
-# flat, and inside_sigma_f65536 certifies 1 of 3 components
-declare -A want=([delta20]=1 [delta20_f4]=1 [nonflat_f65536]=1 [inside_sigma_f65536]=1)
+# exit 1: delta20, delta20_f4 and the F_16 and F_256 cold rungs fail
+# hypotheses, nonflat_f65536 is not flat, and inside_sigma_f65536 certifies
+# 1 of 3 components
+declare -A want=([delta20]=1 [delta20_f4]=1 [cold_f16_2002]=1 [cold_f256_2001]=1
+                 [nonflat_f65536]=1 [inside_sigma_f65536]=1)
 
 status=0
 for path in tests/data/*.json; do

@@ -370,17 +370,21 @@ def test_degree_20_spec_is_decided():
 DELTA20_F4 = DATA / "delta20_f4.json"
 
 
-def delta20_f4_spec() -> ConicBundleSpec:
-    """The cold F_4 regression spec: degree vector (0, 3, 7) and value
-    degree 0, each section rand_homogeneous(rng, F4, d, max_terms=40) from
-    one shared random.Random(2000), in SECTION_KEYS order."""
-    rng = random.Random(2000)
-    dv = (0, 3, 7)
+def cold_spec(ctx, dv, seed) -> ConicBundleSpec:
+    """A cold spec of BENCH_27.json's ladder: degree vector dv and value
+    degree 0, each section rand_homogeneous(rng, ctx, d, max_terms=40) from
+    one shared random.Random(seed), in SECTION_KEYS order."""
+    rng = random.Random(seed)
     sections = {}
     for key in SECTION_KEYS:
         d = dv[FIBER_VARS.index(key[0])] + dv[FIBER_VARS.index(key[1])]
-        sections[key] = rand_homogeneous(rng, F4, d, max_terms=40)
-    return ConicBundleSpec(F4, dv, 0, sections)
+        sections[key] = rand_homogeneous(rng, ctx, d, max_terms=40)
+    return ConicBundleSpec(ctx, dv, 0, sections)
+
+
+def delta20_f4_spec() -> ConicBundleSpec:
+    """The cold F_4 regression spec: the (0, 3, 7) rung, seed 2000."""
+    return cold_spec(F4, (0, 3, 7), 2000)
 
 
 # pinned while F_4[t] was a ring of coefficient lists, so the packed ring
@@ -390,6 +394,32 @@ DELTA20_F4_CERT_SHA256 = "b7d525d6b67f73f219753fb3c2ff2ec7d1ad83f9efa5b3123e9250
 
 def test_degree_20_spec_over_f4_is_decided():
     _decides_degree_20(delta20_f4_spec(), DELTA20_F4, "b563076796f2bbdb", DELTA20_F4_CERT_SHA256)
+
+
+# The (0, 2, 5) rungs above F_4 (deg Delta 14), run on the packed ring's
+# 7- and 15-bit slots; outcomes pinned from BENCH_27.json's cold_rungs.
+COLD_RUNG_OUTCOMES = {
+    (4, 2000): "80cb6dfa6a7d362d0d43553f58bed4cf89b96ae904b1644cc5f65e66240344ab",
+    (4, 2001): "b2849e406466fc118097a2dfc06aa53df98e1a4c1be89b5f7072e236de4eb1a4",
+    (4, 2002): "663abffe526a59a5f6e76793d5aae13301885f1a5b6994de672cf50d5bd74052",
+    (4, 2003): "ea26b32bc8615bab949c6b470b40906b586db782c3e56ac8dd18a53f62cde37e",
+    (8, 2000): geom.ExtensionBound,
+    (8, 2001): "d9c7ba82991713c1f39f29f1c3a37fffa5086887e673efa206532da64d828720",
+}
+COLD_RUNG_FILES = {(4, 2002): DATA / "cold_f16_2002.json", (8, 2001): DATA / "cold_f256_2001.json"}
+
+
+@pytest.mark.parametrize("k, seed", sorted(COLD_RUNG_OUTCOMES),
+                         ids=[f"F{2 ** k}-{seed}" for k, seed in sorted(COLD_RUNG_OUTCOMES)])
+def test_cold_rungs_above_f4_keep_their_outcomes(k, seed):
+    spec, want = cold_spec(field_new(k), (0, 2, 5), seed), COLD_RUNG_OUTCOMES[k, seed]
+    if (k, seed) in COLD_RUNG_FILES:
+        assert spec_to_dict(spec) == json.loads(COLD_RUNG_FILES[k, seed].read_text())
+    if want is geom.ExtensionBound:
+        with pytest.raises(geom.ExtensionBound):
+            surface_criterion(spec)
+    else:
+        assert hashlib.sha256(surface_criterion(spec).to_json().encode()).hexdigest() == want
 
 
 def test_certificate_serializes_to_json(tmp_path):

@@ -143,12 +143,13 @@ EX1 = json.loads((CORPUS / "ex1.json").read_text())
         ("--spec", [EX1]),
         ("--spec", {k: v for k, v in EX1.items() if k != "degree_vector"}),
         ("--spec", {**EX1, "sections": {**EX1["sections"], "ab": 5}}),
+        ("--spec", {**EX1, "sections": {**EX1["sections"], "ca": "x"}}),
         ("--factors", {"factor": ["x^3*z + y^4", "x^3*y + z^4"]}),
         ("--factors", 5),
         ("--factors", [1]),
         ("--spec", None),
     ],
-    ids=["spec-list", "spec-no-degree-vector", "spec-numeric-section",
+    ids=["spec-list", "spec-no-degree-vector", "spec-numeric-section", "spec-unknown-section-key",
          "factors-dict-without-factors", "factors-number", "factors-numeric-entry",
          "spec-directory"],
 )
