@@ -14,7 +14,7 @@ index = exponent, with no trailing zeros (the zero polynomial is the empty
 list).  The field is passed in as a context object exposing the raw int
 operations ``mul``, ``inv``, ``sqrt``, ``pow`` and the attributes ``k``, ``q``
 (addition is xor).  This module has no package dependencies so the field
-layer can use it to check its moduli and to find embeddings.
+layer can use it to check its moduli, to find embeddings and to compute.
 
 Inside, a polynomial over F_{2^k} is packed into one Python int
 (:class:`_Ring`; Kronecker substitution, von zur Gathen & Gerhard, Modern
@@ -30,7 +30,9 @@ per pass.  Long division makes the divisor monic, keeps c b for each
 leading coefficient c it meets, its leading slot set to c as such rather
 than taken from the product, so that it ends even on a wrong product, and
 scales the quotient once.  Over F_2 nothing is folded and every leading
-coefficient is 1, so the ring binds the plain F_2 product and division.
+coefficient is 1, so the ring binds the plain F_2 product, division and
+inverse mod m (a bit-level Euclid); its layout is :mod:`conic2.gf2k`'s, whose
+fields above the table cap are this ring modulo their modulus (:func:`mulmod2`).
 The ring is one class, its algorithms written on these ints: a public
 function packs its input once, runs the whole algorithm, a factorization, a
 lift or a subresultant sequence, in the ring, and unpacks its output once.
@@ -165,6 +167,29 @@ def _mod2(a: int, b: int) -> int:
     return a
 
 
+def mulmod2(a: int, b: int, m: int) -> int:
+    """a b mod m in F_2[t], with no ring, so that F_2's own tables can use it."""
+    return _mod2(_clmul(a, b), m)
+
+
+def _inv_mod2(a: int, m: int) -> int:
+    """Inverse of a mod m in F_2[t] by an extended Euclid: u = g1 a, v = g2 a
+    (mod m) and deg g1 + deg v <= deg m throughout, and deg u + deg v falls
+    until u is 0 or 1 (when v is not 1, so that g1 is reduced mod m)."""
+    if m < 2:  # 0 in the zero ring F_2[t]/(1); m = 0 raises
+        return _mod2(0, m)
+    u, v, g1, g2 = a, m, 1, 0
+    while u > 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    if not u:  # v is gcd(a, m), and it is not 1
+        raise ZeroDivisionError("element not invertible modulo the given polynomial")
+    return g1
+
+
 # -- the ring ----------------------------------------------------------------------
 
 
@@ -187,7 +212,7 @@ class _Ring:
             # Over F_2 a slot is one bit: no product needs reducing, every
             # nonzero polynomial is monic, and a value is a parity.
             self.pack, self.unpack, self.mul, self.divmod, self.mod = _pack2, _unpack2, _clmul, _divmod2, _mod2
-            self.monic = lambda a: a
+            self.monic, self.inv_mod = (lambda a: a), _inv_mod2
             self.value_at = lambda a, x: (a.bit_count() if x else a) & 1
 
     def gcd(self, a, b):
@@ -491,10 +516,7 @@ class _Ring:
         return q
 
     def power(self, a, e: int):
-        out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
+        return functools.reduce(self.mul, [a] * e, 1)
 
     def prem(self, a: list, b: list) -> list:
         """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (signs are free)."""

@@ -380,6 +380,9 @@ def fiber_type(v: tuple, ctx: FieldCtx) -> FiberType:
     return FiberType.SMOOTH
 
 
+_OTHER_TWO = ((1, 2), (0, 2), (0, 1))  # _OTHER_TWO[ell]: the indices in range(3) but ell
+
+
 def cross_splitting_form(v: tuple):
     """Radical and line splitting form of the conic with section values v
     (a 6-tuple in SECTION_KEYS order).
@@ -397,9 +400,9 @@ def cross_splitting_form(v: tuple):
     ell = 0 if bc else 1 if ac else 2 if ab else None
     if ell is None:
         return None
-    i, j = [k for k in range(3) if k != ell]
+    i, j = others = _OTHER_TWO[ell]
     diagonal = (aa, bb, cc)
-    return n, (i, j), (diagonal[i], n[ell], diagonal[j])
+    return n, others, (diagonal[i], n[ell], diagonal[j])
 
 
 def cross_singular_point(spec: ConicBundleSpec, p: ProjPoint) -> ProjPoint:

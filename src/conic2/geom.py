@@ -45,6 +45,7 @@ from .conic import (
     ConicBundleSpec,
     FiberType,
     ProjPoint,
+    cross_splitting_form,
     fiber_type,
     radical_point,
     section_jet,
@@ -225,24 +226,6 @@ def _z_gcd(polys: list[Poly], x0: int, y0: int, fld: FieldCtx) -> list[int]:
     return h
 
 
-def _resultant_forms(polys: list[Poly]) -> list[Poly]:
-    """The z-free inputs and the nonzero pairwise z-resultants of the others,
-    as binary forms in (x, y); each vanishes on every solution direction.
-
-    Res_z(f, g) vanishes exactly when f and g share a factor of positive
-    z-degree, so a nonempty list proves that no common factor of the inputs
-    has positive z-degree.
-    """
-    xy = ("x", "y")
-    collected = [p.with_vars(xy) for p in polys if p.degree_in("z") <= 0]
-    zpos = [p for p in polys if p.degree_in("z") > 0]
-    for f, g in itertools.combinations(zpos, 2):
-        r = resultant(f, g, "z")
-        if not r.is_zero():
-            collected.append(r.with_vars(xy))
-    return collected
-
-
 def _coefficient_forms_coprime(polys: list[Poly]) -> bool:
     """Whether no nonconstant binary form in (x, y) divides every input: a
     form divides a polynomial exactly when it divides each of its
@@ -261,15 +244,34 @@ def _coefficient_forms_coprime(polys: list[Poly]) -> bool:
     return False
 
 
-def _direction_eliminant(polys: list[Poly], collected: list[Poly]) -> Poly:
-    """A nonzero binary form in (x, y) vanishing on all solution directions,
-    for a system with finite zero locus, from its :func:`_resultant_forms`."""
+def _eliminant(polys: list[Poly]) -> Poly:
+    """A nonzero binary form in (x, y) vanishing on every solution direction
+    of polys, distinct nonconstant homogeneous plane polynomials; raises
+    PositiveDimensional when their zero locus is not finite.
+
+    It is the gcd of the z-free inputs and the nonzero pairwise
+    z-resultants, each of which vanishes on every solution direction, or of
+    resultants of ideal elements when there are none of these.  Since
+    Res_z(f, g) vanishes exactly when f and g share a factor of positive
+    z-degree, a nonempty collection excludes such common factors, and
+    coprime z-coefficient forms exclude z-free ones.  Only when this proof
+    fails is the gcd of the inputs computed.
+    """
+    xy = ("x", "y")
+    collected = [p.with_vars(xy) for p in polys if p.degree_in("z") <= 0]
+    zpos = [p for p in polys if p.degree_in("z") > 0]
+    for f, g in itertools.combinations(zpos, 2):
+        r = resultant(f, g, "z")
+        if not r.is_zero():
+            collected.append(r.with_vars(xy))
+    if not (collected and _coefficient_forms_coprime(polys)):
+        common = gcd_homogeneous_many(polys)
+        if not common.is_constant():
+            raise PositiveDimensional(common)
     if not collected:
         # Every pair of z-positive inputs shares a z-positive factor.  Adding
         # ideal elements g_i + monomial * g_j preserves the zero set and
         # breaks the shared factors.
-        xy = ("x", "y")
-        zpos = [p for p in polys if p.degree_in("z") > 0]
         for f, g in itertools.combinations(zpos, 2):
             df, dg = f.total_degree(), g.total_degree()
             if df < dg:
@@ -318,13 +320,10 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
     extensions of degree at most k_max; certifies completeness by listing the
     degrees of the eliminant factors every coordinate is a root of.
 
-    Finiteness is proved from the eliminant's own inputs: a z-free input or a
-    nonzero pairwise z-resultant excludes common factors of positive
-    z-degree, and coprime z-coefficient forms exclude z-free ones.  Only when
-    this proof fails is the gcd of the inputs computed; a nonconstant gcd
-    raises PositiveDimensional, before any ExtensionBound.  A system that
-    contains the inputs of a solved set is read off its points instead
-    (:func:`read_off`).
+    Finiteness is proved from the eliminant's own inputs (:func:`_eliminant`),
+    and a nonconstant gcd of the inputs raises PositiveDimensional before any
+    ExtensionBound.  A system that contains the inputs of a solved set is
+    read off its points instead (:func:`read_off`).
     """
     nonzero: list[Poly] = []
     ctx = None
@@ -343,12 +342,7 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
         raise PositiveDimensional(Poly.zero(field_new(1), BASE_VARS))
     if any(p.is_constant() for p in nonzero):
         return AlgebraicPointSet((), EliminationClosure(()))
-    collected = _resultant_forms(nonzero)
-    if not (collected and _coefficient_forms_coprime(nonzero)):
-        common = gcd_homogeneous_many(nonzero)
-        if not common.is_constant():
-            raise PositiveDimensional(common)
-    eliminant = _direction_eliminant(nonzero, collected)
+    eliminant = _eliminant(nonzero)
     forms = [] if eliminant.is_constant() else [f for f, _ in form_factor(eliminant)]
     return _solve_on_directions(nonzero, forms, k_max)
 
@@ -567,9 +561,6 @@ def intersection_points(c1: Poly, c2: Poly, k_max: int = 24) -> AlgebraicPointSe
 # d/dw_t of sum_k q_k m_k is q_k1 w_o1 + q_k2 w_o2, for ((k1, o1), (k2, o2)) =
 # _POLAR[t], k1 and k2 positions in SECTION_KEYS order
 _POLAR = (((1, 1), (2, 2)), ((1, 0), (4, 2)), ((2, 0), (4, 1)))
-# the position of s_{t_a t_b}, with t_a < t_b the fiber coordinates other
-# than t: the position of n_t in n = (s_bc, s_ac, s_ab)
-_RADICAL = (4, 2, 1)
 
 
 def _monomials(w: tuple, mul) -> tuple:
@@ -642,25 +633,24 @@ def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
     n = (s_bc, s_ac, s_ab) is the radical of the conic's bilinear form
     (:func:`conic.radical_point`), and the chart is the one where the first
     nonzero coordinates of p and of n are 1; t_a, t_b are the other fiber
-    coordinates.  With Q_1, Q_2, Q_12 the forms with the jet's partials as
-    coefficients, the total space f(u, t) = sum_k S_k(u) M_k(t) has at
-    (p, n) the value F(n) and the gradient (Q_1(n), Q_2(n), 0, 0), since the
-    t-partials are rows of the bilinear form at its radical; its mixed
-    partials are b01 = Q_12(n), the polar forms b02, b03 = dQ_1/dw_t(n) and
-    b12, b13 = dQ_2/dw_t(n) for t = t_a, t_b, and b23 = s_{t_a t_b}.  The
-    kernel is straight-line: n's six monomials once, F(n), the gradient,
-    Q_12(n), the four polar entries and the Pfaffian, all in the point's
-    field.  The verdict is :func:`ordinary_node_check`'s, with the same
-    NotSingularHere errors.  A point whose fiber is a double line raises
-    ValueError.
+    coordinates (:func:`conic.cross_splitting_form`'s pair).  With Q_1, Q_2,
+    Q_12 the forms with the jet's partials as coefficients, the total space
+    f(u, t) = sum_k S_k(u) M_k(t) has at (p, n) the value F(n) and the
+    gradient (Q_1(n), Q_2(n), 0, 0), since the t-partials are rows of the
+    bilinear form at its radical; its mixed partials are b01 = Q_12(n), the
+    polar forms b02, b03 = dQ_1/dw_t(n) and b12, b13 = dQ_2/dw_t(n) for t =
+    t_a, t_b, and b23 = s_{t_a t_b} = n_ell.  The kernel is straight-line: n's
+    six monomials once, F(n), the gradient, Q_12(n), the four polar entries
+    and the Pfaffian, all in the point's field.  The verdict is
+    :func:`ordinary_node_check`'s, with the same NotSingularHere errors.  A
+    point whose fiber is a double line raises ValueError.
     """
     ctx = jet.point.ctx
     mul = ctx.mul
     v, d1, d2 = jet.value, jet.d1, jet.d2
-    n = radical_point(v, ctx)
+    n = radical_point(v, ctx)  # first: a double line raises ValueError here
     nc = n.coords
-    vi = 0 if nc[0] else 1 if nc[1] else 2
-    ta, tb = (1, 2) if vi == 0 else (0, 2) if vi == 1 else (0, 1)
+    _, (ta, tb), (_, n_ell, _) = cross_splitting_form(v)
     monos = _monomials(nc, mul)
     _check_singular(_form_at(v, monos, mul), (_form_at(d1, monos, mul), _form_at(d2, monos, mul)))
     (k1, o1), (k2, o2) = _POLAR[ta]
@@ -668,11 +658,11 @@ def cross_node(jet) -> tuple[tuple[str, str], ProjPoint, bool]:
     n1, n2, n3, n4 = nc[o1], nc[o2], nc[o3], nc[o4]
     # b01 b23 + b02 b13 + b03 b12, with b02, b03 (b12, b13) Q_1's (Q_2's) polars at t_a, t_b
     pfaffian = (
-        mul(_form_at(jet.d12, monos, mul), v[_RADICAL[vi]])
+        mul(_form_at(jet.d12, monos, mul), n_ell)
         ^ mul(mul(d1[k1], n1) ^ mul(d1[k2], n2), mul(d2[k3], n3) ^ mul(d2[k4], n4))
         ^ mul(mul(d1[k3], n3) ^ mul(d1[k4], n4), mul(d2[k1], n1) ^ mul(d2[k2], n2))
     )
-    return (BASE_VARS[jet.chart], FIBER_VARS[vi]), n, pfaffian != 0
+    return (BASE_VARS[jet.chart], FIBER_VARS[3 - ta - tb]), n, pfaffian != 0
 
 
 def ordinary_node_check(chart_eq: Poly, point: tuple, ctx_q: FieldCtx) -> bool:

@@ -22,12 +22,12 @@ over their smallest primitive element (Greenan, Miller & Schwarz, MASCOTS
 2008), built when the context is created: a product is one lookup at the
 sum of two logarithms, a power one at a product of indices.
 :meth:`FieldCtx.log_tables` hands the tables to the polynomial layers,
-which evaluate a whole term with one lookup.  Larger fields multiply
-bit-serially (``FieldCtx._mul_serial``) and invert by an extended Euclid
-in F_2[t].  A context checks that its modulus
-is irreducible by a distinct-degree split in :mod:`conic2._dense`'s packed
-F_2[t] before it builds its tables, and the table build checks that one
-power cycle visits every nonzero element.
+which evaluate a whole term with one lookup.  A larger field is
+:mod:`conic2._dense`'s packed F_2[t] modulo its modulus, whose layout is
+this module's: products, powers, roots and inverses are that ring's.  A
+context checks that its modulus is irreducible by a distinct-degree split in
+the same ring before it builds its tables, and the table build checks that
+one power cycle visits every nonzero element.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ _MODULI = {
 # Fields with k <= _TABLE_MAX_K multiply through log/antilog tables.  As
 # Python lists the tables hold about 0.31 MB at k = 12 and 5.2 MB at k = 16,
 # a fifth of the whole process's resident memory on the benchmark, so larger
-# fields keep the bit-serial product.
+# fields compute in F_2[t] modulo their modulus.
 _TABLE_MAX_K = 12
 
 
@@ -145,10 +145,12 @@ class FieldCtx:
     the fast path used by the polynomial layers; :class:`FieldElem` wraps
     them for convenient operator syntax.  Instances are immutable and
     interned by :func:`field_new`; a context has log/antilog tables exactly
-    when k <= ``_TABLE_MAX_K``, built as it is created.
+    when k <= ``_TABLE_MAX_K``, built as it is created, and otherwise holds
+    :mod:`conic2._dense`'s F_2[t], in which its elements are the residues
+    modulo its modulus.
     """
 
-    __slots__ = ("k", "q", "modulus", "_log", "_exp")
+    __slots__ = ("k", "q", "modulus", "_log", "_exp", "_f2")
 
     def __init__(self, k: int, _token: object = None) -> None:
         if _token is not _CTX_TOKEN:
@@ -168,15 +170,16 @@ class FieldCtx:
         if k > 1 and _dense.distinct_degree_parts(field_new(1), m) != [(m, k, 1)]:
             raise AssertionError(f"modulus table entry for k={k} is not irreducible")
         self._log, self._exp = self._tables() if k <= _TABLE_MAX_K else (None, None)
+        self._f2 = _dense._ring(field_new(1)) if k > _TABLE_MAX_K else None
 
     def _tables(self) -> tuple[list[int], list[int]]:
-        """The log and exp tables of F_q^*, by bit-serial products.
+        """The log and exp tables of F_q^*, by products in F_2[t] mod m.
 
         ``log[a]`` is the discrete logarithm of a != 0 to the smallest
         primitive element g, and ``exp[i] = g^i`` for 0 <= i < 2(q - 1), so
         the sum of two logarithms indexes ``exp`` without a reduction.
         """
-        q = self.q
+        q, m = self.q, self.modulus
         for g in range(1 if q == 2 else 2, q):
             log = [-1] * q
             exp = []
@@ -184,7 +187,7 @@ class FieldCtx:
             while x and log[x] < 0:
                 log[x] = len(exp)
                 exp.append(x)
-                x = self._mul_serial(x, g)
+                x = _dense.mulmod2(x, g, m)
             if x == 1 and len(exp) == q - 1:
                 return log, exp + exp
         raise AssertionError(
@@ -205,19 +208,8 @@ class FieldCtx:
             return 0
         log = self._log
         if log is None:
-            return self._mul_serial(a, b)
+            return _dense.mulmod2(a, b, self.modulus)
         return self._exp[log[a] + log[b]]
-
-    def _mul_serial(self, a: int, b: int) -> int:
-        m, k, r = self.modulus, self.k, 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> k) & 1:
-                a ^= m
-        return r
 
     def sq(self, a: int) -> int:
         return self.mul(a, a)
@@ -227,13 +219,7 @@ class FieldCtx:
         if log is None:
             if e < 0:
                 return self.pow(self.inv(a), -e)
-            r = 1
-            while e:
-                if e & 1:
-                    r = self.mul(r, a)
-                a = self.mul(a, a)
-                e >>= 1
-            return r
+            return self._f2.pow_mod(a, e, self.modulus)
         if not a:
             if e < 0:
                 raise DivisionByZero("inverse of 0 in F_{2^%d}" % self.k)
@@ -246,30 +232,12 @@ class FieldCtx:
         log = self._log
         if log is not None:
             return self._exp[self.q - 1 - log[a]]
-        # Extended Euclid in F_2[t] against the modulus m: u = g1 a and
-        # v = g2 a (mod m) throughout, and deg u + deg v falls until u = 1
-        # (at once for a = 1).
-        u, v, g1, g2 = a, self.modulus, 1, 0
-        while u != 1:
-            j = u.bit_length() - v.bit_length()
-            if j < 0:
-                u, v, g1, g2, j = v, u, g2, g1, -j
-            u ^= v << j
-            g1 ^= g2 << j
-        return g1
+        return self._f2.inv_mod(a, self.modulus)
 
     def sqrt(self, a: int) -> int:
-        # Squaring is a bijection in characteristic 2: sqrt(a) = a^(2^(k-1)),
+        # Squaring is a bijection in characteristic 2: sqrt(a) = a^(q/2),
         # whose logarithm is half of log a modulo the odd q - 1.
-        log = self._log
-        if log is None:
-            for _ in range(self.k - 1):
-                a = self.mul(a, a)
-            return a
-        if not a:
-            return 0
-        e = log[a]
-        return self._exp[(e + (e & 1) * (self.q - 1)) >> 1]
+        return self.pow(a, self.q >> 1)
 
     def trace(self, a: int) -> int:
         # Absolute trace to F_2; always lands in {0, 1}.

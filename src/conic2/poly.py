@@ -100,7 +100,8 @@ class Poly:
             mono = tuple(mono)
             if len(mono) != n or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for variables {vars}")
-            bits &= ctx.q - 1
+            if not 0 <= bits < ctx.q:
+                raise ValueError(f"bit-vector {bits:#x} out of range for F_{{2^{ctx.k}}}")
             if bits:
                 cur = terms.get(mono, 0) ^ bits
                 if cur:

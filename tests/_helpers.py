@@ -41,8 +41,7 @@ from conic2.geom import (
     ExtensionBound,
     FiberNotDegenerate,
     PositiveDimensional,
-    _direction_eliminant,
-    _resultant_forms,
+    _eliminant,
     _solve_on_directions,
     _z_gcd,
     cross_node,
@@ -534,7 +533,7 @@ def per_root_solve_system(polys, k_max=24):
         return [(r, 1) for r in _dense.roots(fld, [embed_bits(ctx, fld, c) for c in dense])]
 
     bound = min(k_max, 64)
-    eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
+    eliminant = _eliminant(nonzero)
     degrees, points = [], []
     if not eliminant.is_constant():
         for form, _mult in form_factor(eliminant):
@@ -630,7 +629,7 @@ def gcd_first_solve_system(polys, k_max=24):
     common = gcd_homogeneous_many(nonzero)
     if not common.is_constant():
         raise PositiveDimensional(common)
-    eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
+    eliminant = _eliminant(nonzero)
     forms = [] if eliminant.is_constant() else [f for f, _ in form_factor(eliminant)]
     return _solve_on_directions(nonzero, forms, k_max)
 

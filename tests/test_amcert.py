@@ -396,25 +396,38 @@ def test_degree_20_spec_over_f4_is_decided():
     _decides_degree_20(delta20_f4_spec(), DELTA20_F4, "b563076796f2bbdb", DELTA20_F4_CERT_SHA256)
 
 
-# The (0, 2, 5) rungs above F_4 (deg Delta 14), run on the packed ring's
-# 7- and 15-bit slots; outcomes pinned from BENCH_27.json's cold_rungs.
+# Cold rungs (field F_{2^k}, degree vector, seed), outcomes pinned from
+# BENCH_27.json's cold_rungs.  The (0, 2, 5) rungs above F_4 (deg Delta 14)
+# run on the packed ring's 7- and 15-bit slots; the other four reach fields
+# above the table cap in their solves.
 COLD_RUNG_OUTCOMES = {
-    (4, 2000): "80cb6dfa6a7d362d0d43553f58bed4cf89b96ae904b1644cc5f65e66240344ab",
-    (4, 2001): "b2849e406466fc118097a2dfc06aa53df98e1a4c1be89b5f7072e236de4eb1a4",
-    (4, 2002): "663abffe526a59a5f6e76793d5aae13301885f1a5b6994de672cf50d5bd74052",
-    (4, 2003): "ea26b32bc8615bab949c6b470b40906b586db782c3e56ac8dd18a53f62cde37e",
-    (8, 2000): geom.ExtensionBound,
-    (8, 2001): "d9c7ba82991713c1f39f29f1c3a37fffa5086887e673efa206532da64d828720",
+    (4, (0, 2, 5), 2000): "80cb6dfa6a7d362d0d43553f58bed4cf89b96ae904b1644cc5f65e66240344ab",
+    (4, (0, 2, 5), 2001): "b2849e406466fc118097a2dfc06aa53df98e1a4c1be89b5f7072e236de4eb1a4",
+    (4, (0, 2, 5), 2002): "663abffe526a59a5f6e76793d5aae13301885f1a5b6994de672cf50d5bd74052",
+    (4, (0, 2, 5), 2003): "ea26b32bc8615bab949c6b470b40906b586db782c3e56ac8dd18a53f62cde37e",
+    (8, (0, 2, 5), 2000): geom.ExtensionBound,
+    (8, (0, 2, 5), 2001): "d9c7ba82991713c1f39f29f1c3a37fffa5086887e673efa206532da64d828720",
+    (8, (0, 2, 5), 2002): "887d4251c9f2215ff120bc64ba5da403a073182f196ec59ff49f93d8ea693b4a",
+    (2, (0, 3, 7), 2002): "d675a39742ec50ecc1c76f290fb3cf07564e35872e3077b86fe8b82069e93e08",
+    (2, (0, 3, 7), 2003): geom.ExtensionBound,
+    (1, (0, 3, 7), 2002): "5c7a5de337ba161a94890bacb8a6df017814847dbba2b3746c02d6cc2e29d0b7",
 }
-COLD_RUNG_FILES = {(4, 2002): DATA / "cold_f16_2002.json", (8, 2001): DATA / "cold_f256_2001.json"}
+COLD_RUNG_FILES = {(4, (0, 2, 5), 2002): DATA / "cold_f16_2002.json",
+                   (8, (0, 2, 5), 2001): DATA / "cold_f256_2001.json"}
 
 
-@pytest.mark.parametrize("k, seed", sorted(COLD_RUNG_OUTCOMES),
-                         ids=[f"F{2 ** k}-{seed}" for k, seed in sorted(COLD_RUNG_OUTCOMES)])
-def test_cold_rungs_above_f4_keep_their_outcomes(k, seed):
-    spec, want = cold_spec(field_new(k), (0, 2, 5), seed), COLD_RUNG_OUTCOMES[k, seed]
-    if (k, seed) in COLD_RUNG_FILES:
-        assert spec_to_dict(spec) == json.loads(COLD_RUNG_FILES[k, seed].read_text())
+def _cold_rung_id(k, dv, seed):
+    """F16-2000 for a (0, 2, 5) rung, the ids they had before the degree
+    vector joined the key; F4-037-2002 for the others."""
+    return f"F{2 ** k}-{seed}" if dv == (0, 2, 5) else f"F{2 ** k}-{''.join(map(str, dv))}-{seed}"
+
+
+@pytest.mark.parametrize("k, dv, seed", sorted(COLD_RUNG_OUTCOMES),
+                         ids=[_cold_rung_id(*key) for key in sorted(COLD_RUNG_OUTCOMES)])
+def test_cold_rungs_above_f4_keep_their_outcomes(k, dv, seed):
+    spec, want = cold_spec(field_new(k), dv, seed), COLD_RUNG_OUTCOMES[k, dv, seed]
+    if (k, dv, seed) in COLD_RUNG_FILES:
+        assert spec_to_dict(spec) == json.loads(COLD_RUNG_FILES[k, dv, seed].read_text())
     if want is geom.ExtensionBound:
         with pytest.raises(geom.ExtensionBound):
             surface_criterion(spec)

@@ -33,11 +33,10 @@ from conic2.factor import gcd_homogeneous_many
 from conic2.geom import (
     ExtensionBound,
     PositiveDimensional,
-    _resultant_forms,
     solve_system,
 )
 from conic2.gf2k import field_new
-from conic2.poly import Poly
+from conic2.poly import Poly, resultant
 
 from _helpers import (
     enumerate_plane_points,
@@ -118,7 +117,10 @@ def test_solve_system_matches_the_gcd_first_oracle(ctx, count):
             seen.add(f"{kind}: positive-dimensional")
         elif isinstance(got[0], list):
             seen.add(f"{kind}: finite")
-            if not _resultant_forms(nonzero):
+            # no z-free input and every pairwise z-resultant 0: the eliminant
+            # comes from ideal elements
+            if all(p.degree_in("z") > 0 for p in nonzero) and all(
+                    resultant(f, g, "z").is_zero() for f, g in combinations(nonzero, 2)):
                 seen.add(f"{kind}: finite through the ideal-element fallback")
     assert {
         "z-free: positive-dimensional",

@@ -31,7 +31,7 @@ from conic2.geom import BezoutMismatch, CommonComponent, ExtensionBound
 from conic2.gf2k import embed_bits, field_new
 from conic2.poly import NotDivisible, Poly, exact_div, partial_derivative, plane_poly, poly_parse
 
-from _helpers import clear_caches, moved_stream, rand_homogeneous, rand_spec
+from _helpers import SerialField, clear_caches, moved_stream, rand_homogeneous, rand_spec
 
 D1 = plane_poly("x^3*z + y^4")
 D2 = plane_poly("x^3*y + z^4")
@@ -431,7 +431,7 @@ def test_monomial_division_examples():
 
 def _serial_eval(f, ctx, coords):
     """f at coords in ctx, by bit-serial products: no log table is read."""
-    mul = ctx._mul_serial
+    mul = SerialField(ctx.k, ctx.modulus).mul
     acc = 0
     for m, c in f.items():
         t = embed_bits(f.ctx, ctx, c)

@@ -145,6 +145,41 @@ def test_compose_and_inv_mod():
     assert naive_divmod(F2, naive_mul(F2, a, inv), m)[1] == [1]
 
 
+def test_the_f2_inverse_mod_m_keeps_the_general_inverse():
+    # the F_2 ring binds the bit-level extended Euclid; on every pair of
+    # degree below 6 it gives the general extended Euclid's inverse, or
+    # raises where that raises (m = 1 is the zero ring, where 0 inverts)
+    R = d._ring(F2)
+    for m in range(1, 64):
+        for a in range(64):
+            try:
+                want = d._Ring.inv_mod(R, a, m)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    R.inv_mod(a, m)
+            else:
+                assert R.inv_mod(a, m) == want, (a, m)
+
+
+def test_inv_mod_of_a_non_invertible_pair_raises():
+    # a = t^2 + t and m = t^2 share the factor t: the extended Euclid reaches
+    # u = 0, where it must raise rather than go round for ever
+    script = textwrap.dedent("""
+        from conic2 import _dense
+        from conic2.gf2k import field_new
+        for k in (1, 2):
+            ring = _dense._ring(field_new(k))
+            try:
+                ring.inv_mod(ring.pack([0, 1, 1]), ring.pack([0, 0, 1]))
+            except ZeroDivisionError:
+                print("raised")
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0 and done.stdout.split() == ["raised", "raised"], done.stderr
+
+
 def test_subresultant_sequence_ends_in_resultant_or_gcd_multiple():
     from conic2.poly import Poly, exact_div, from_columns, to_columns
 

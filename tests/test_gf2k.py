@@ -86,7 +86,7 @@ def test_division_by_zero():
 
 @pytest.mark.parametrize("k", [13, 24, 40, 64])
 def test_inverse_above_the_table_cap_inverts(k):
-    # above _TABLE_MAX_K the inverse is an extended Euclid against the modulus
+    # above _TABLE_MAX_K the inverse is _dense's F_2 extended Euclid against the modulus
     F = field_new(k)
     rng = random.Random(2800 + k)
     for a in [rng.randrange(1, F.q) for _ in range(200)]:
@@ -293,8 +293,10 @@ def test_table_kernel_matches_serial_oracle_on_samples(k):
     assert F._log is not None
 
 
-@pytest.mark.parametrize("k", [13, 16])
+@pytest.mark.parametrize("k", [13, 16, 24, 40, 64])
 def test_fields_above_the_table_cap_stay_serial(k):
+    # above the cap a field is _dense's F_2[t] modulo its modulus: its
+    # products, powers, roots and inverses against the shift-and-add oracle
     F = field_new(k)
     rng = random.Random(k)
     pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(300)]

@@ -142,6 +142,14 @@ def test_repeated_monomials_merge():
     assert dict(poly_parse("j*x^2 + x^2", F4, V).items()) == {(2, 0, 0): 3}
 
 
+def test_from_terms_rejects_coefficient_bits_outside_the_field():
+    # 5 was read as 1 and 4 dropped, as if masked to F_4, which FieldCtx.elem refuses
+    for bits in (5, 4, -1):
+        with pytest.raises(ValueError, match="out of range for F_"):
+            Poly.from_terms(F4, V, [((1, 0, 0), bits), ((0, 0, 1), 2)])
+    assert Poly.from_terms(F4, V, [((1, 0, 0), 3), ((1, 0, 0), 3)]).is_zero()
+
+
 # -- arithmetic ----------------------------------------------------------------
 
 

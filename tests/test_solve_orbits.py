@@ -33,10 +33,9 @@ from conic2.factor import form_factor
 from conic2.geom import (
     ExtensionBound,
     PositiveDimensional,
-    _direction_eliminant,
     _direction_root,
+    _eliminant,
     _in_proper_subfield,
-    _resultant_forms,
     _z_gcd,
     frobenius_orbits,
     plane_monomials,
@@ -134,7 +133,7 @@ def _z_patterns(system):
     nonzero = [p for p in system if not p.is_zero()]
     ctx = nonzero[0].ctx
     out = []
-    eliminant = _direction_eliminant(nonzero, _resultant_forms(nonzero))
+    eliminant = _eliminant(nonzero)
     if eliminant.is_constant():
         return out
     for form, _ in form_factor(eliminant):
