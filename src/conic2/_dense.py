@@ -221,13 +221,15 @@ class _Ring:
         return self.monic(a)
 
     def pow_mod(self, base, e: int, m):
-        r = 1
-        base = self.mod(base, m)
-        while e:
-            if e & 1:
+        """base^e mod m, from the top bit of e down: one square per lower
+        bit and one product per lower set bit."""
+        if not e:
+            return 1
+        base = r = self.mod(base, m)
+        for i in range(e.bit_length() - 2, -1, -1):
+            r = self.mod(self.mul(r, r), m)
+            if e >> i & 1:
                 r = self.mod(self.mul(r, base), m)
-            base = self.mod(self.mul(base, base), m)
-            e >>= 1
         return r
 
     def is_squarefree(self, f) -> bool:

@@ -19,19 +19,21 @@ of the diagonal, hence not stably rational); the conclusion itself is never
 re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
-Curve geometry, a claim of factors and a section's jet entries at a point
-are settled once per process, in four caches of 128 entries that every call
-and thread shares: :func:`_singular_locus` (keyed by the curve and k_max),
+Sigma, curve geometry, a claim of factors and a section's jet entries at a
+point are settled once per process, in five caches of 128 entries that
+every call and thread shares: :func:`_sigma` (keyed by Sigma's equations
+and k_max), :func:`_singular_locus` (by the curve and k_max),
 :func:`_meeting` (by the pair and k_max), :func:`_claim` (by the field and
 the claim) and :func:`conic._section_entries` (by the section and the
 point's sort_key()); each factor's verdict is kept by
 :func:`factor._abs_irred_bivariate`.  A cleared cache and a warm one give
-byte-identical certificates.  Sigma is solved once per certificate, and
-flatness and each component's meeting with Sigma are read off its points
-(:func:`geom.read_off`); a search whose template fixes Sigma solves it once
-and certifies every candidate with it.  Each point fact is read off one
-section jet per point per certificate; a zero-corner search sums each
-candidate's jets and Delta from its empty candidate's (:class:`_Steps`).
+byte-identical certificates.  Sigma is solved once per process for each
+set of equations, and flatness and each component's meeting with Sigma
+are read off its points (:func:`geom.read_off`); a search whose template
+fixes Sigma keys it by the shared equations and certifies every candidate
+with the one set.  Each point fact is read off one section jet per point
+per certificate; a zero-corner search sums each candidate's jets and Delta
+from its empty candidate's (:class:`_Steps`).
 Polynomials, points and solved point sets keep their printed text, so each
 is rendered once per process.
 """
@@ -251,15 +253,30 @@ def _in_sigma(jet: SectionJet) -> bool:
 
 
 # Curve geometry depends only on the curves and k_max, and the examples fix
-# the components while the bundle varies.  The caches call through ``geom.``,
-# so a rebinding there sees each miss.  A raised error is not kept, except a
-# pair's BezoutMismatch or CommonComponent, which is the pair's outcome.
+# the components while the bundle varies.  The curve caches call through
+# ``geom.``, so a rebinding there sees each miss.  A raised error is not kept,
+# except a pair's BezoutMismatch or CommonComponent, which is the pair's
+# outcome, and Sigma's PositiveDimensional.
 # A corpus meeting holds about 1.8 kB: 128 entries keep both caches near 0.3 MB;
 # a meeting's orbits are tuples of its own points, so they add little more.
+# A corpus Sigma has at most three points, so its cache holds less.
 @lru_cache(maxsize=128)
 def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
     """The points of ``geom.singular_points(component, k_max)``."""
     return geom.singular_points(component, k_max).points
+
+
+@lru_cache(maxsize=128)
+def _sigma(equations: tuple[Poly, ...], k_max: int) -> AlgebraicPointSet | PositiveDimensional:
+    """Sigma's points, ``solve_system(equations, k_max)``, or the
+    PositiveDimensional it raised, kept as :func:`_meeting` keeps a pair's
+    error.  It calls this module's ``solve_system``, so a rebinding here
+    sees each miss; every other error is raised again on each call."""
+    try:
+        return solve_system(equations, k_max)
+    except PositiveDimensional as exc:
+        exc.__context__ = None
+        return exc.with_traceback(None)
 
 
 @lru_cache(maxsize=128)
@@ -509,8 +526,9 @@ def surface_criterion(
     return _certify(spec, claimed_factors, k_max, witness_bound, _spec_jets(spec))
 
 
-# what solve_system raises on a valid system it cannot finish
-_SOLVER_ERRORS = (PositiveDimensional, ExtensionBound, EliminationDegenerate, UnluckySpecializationExhausted)
+# what solve_system raises on a valid system it cannot finish, but for the
+# PositiveDimensional that _sigma returns
+_SOLVER_ERRORS = (ExtensionBound, EliminationDegenerate, UnluckySpecializationExhausted)
 
 
 def _certify(
@@ -522,11 +540,13 @@ def _certify(
     sigma: AlgebraicPointSet | None = None,
 ) -> Certificate:
     """surface_criterion, given the spec's jet source and the solved
-    double-line locus Sigma of this spec, or None to solve it here.
+    double-line locus Sigma of this spec, or None to read it from the
+    process-wide :func:`_sigma`, keyed by the three off-diagonal sections.
 
-    Sigma is kept as its solve's outcome: the AlgebraicPointSet, or the
-    solver error without its frames.  Flatness and each component's meeting
-    with a finite Sigma are read off its points (:func:`geom.read_off`).
+    Sigma is its solve's outcome: the AlgebraicPointSet, the kept
+    PositiveDimensional, or another solver error, held without its frames.
+    Flatness and each component's meeting with a finite Sigma are read off
+    its points (:func:`geom.read_off`).
     Where Sigma is recorded, after the precondition and the factorization, a
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     spec's validation report and Delta are kept on the spec; the rest comes
@@ -552,7 +572,7 @@ def _certify(
     # Delta = 0 stops at the precondition; otherwise Sigma has equations.
     if sigma is None and not delta.is_zero():
         try:
-            sigma = solve_system(sigma_generators(spec), k_max)
+            sigma = _sigma(sigma_generators(spec), k_max)
         except _SOLVER_ERRORS as exc:
             sigma = exc.with_traceback(None)  # kept without the frames that hold it
     finite = sigma if isinstance(sigma, AlgebraicPointSet) else None
@@ -898,17 +918,18 @@ def search_spieghiamolo(
     then the double-line locus must be exactly the expected points; whatever
     survives must pass the full surface criterion to count as a hit.
 
+    Each candidate's Sigma comes from the process-wide :func:`_sigma`.
     When the template forces every candidate's Sigma to be one set (see
     ``_shared_sigma_system``; in the zero-corner family ab = x divides the
-    modulus x, so bc = y^2 z^2 on Sigma = {[0:0:1], [0:1:0]}), that set is
-    solved once, at the first candidate past the divisibility filter, and
-    compared with the expected points once; one that differs, or a
+    modulus x, so bc = y^2 z^2 on Sigma = {[0:0:1], [0:1:0]}), it is keyed
+    by those shared equations, so it is solved at most once per process,
+    and a set that differs from the expected points, or a
     positive-dimensional one, skips every candidate.  Every candidate is
     certified with it: its points are the candidate's Sigma, each written
     over the field a solve of the candidate's own equations would use (that
     field depends only on the zeros on the point's direction), and its
     closure certifies equations with the same zeros.  Any other template
-    solves each candidate's Sigma in full.
+    keys each candidate's Sigma by its own off-diagonal sections.
 
     Where :class:`_Steps` holds (the zero-corner family), each candidate's
     section jets and Delta are the empty candidate's plus one step per
@@ -923,6 +944,8 @@ def search_spieghiamolo(
     monos = list(plane_monomials(free_residual_degree))
     expected = sorted(p.sort_key() for p in template.sigma_expected)
     sigma_system = _shared_sigma_system(template)
+    if sigma_system is not None:
+        sigma_system = tuple(sigma_system)  # the key of every candidate's Sigma
 
     def candidate(subset: tuple) -> ConicBundleSpec | None:
         """The spec of q = the sum of the monomials in subset, or None when
@@ -940,7 +963,6 @@ def search_spieghiamolo(
         return ConicBundleSpec(ctx, template.degree_vector, template.value_degree, sections)
 
     steps = _Steps.of(template, candidate, len(monos))
-    shared = None  # the shared Sigma once solved; False if it is infinite or unexpected
     hits = []
     tried = 0
     exhausted = False
@@ -957,18 +979,8 @@ def search_spieghiamolo(
             if steps is not None:
                 keep_discriminant(spec, steps.discriminant(subset))
             # Sigma condition: the off-diagonals vanish exactly at the expected points
-            sig = shared
-            if sig is None:
-                try:
-                    sig = solve_system(sigma_system if sigma_system is not None else
-                                       [s for s in sigma_generators(spec) if not s.is_zero()], k_max)
-                except PositiveDimensional:
-                    sig = False
-                if sig and sorted(p.sort_key() for p in sig.points) != expected:
-                    sig = False
-                if sigma_system is not None:
-                    shared = sig
-            if sig is False:
+            sig = _sigma(sigma_generators(spec) if sigma_system is None else sigma_system, k_max)
+            if not isinstance(sig, AlgebraicPointSet) or sorted(p.sort_key() for p in sig.points) != expected:
                 continue
             cert = _certify(
                 spec, list(template.target_components), k_max, witness_bound=8,

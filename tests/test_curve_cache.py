@@ -1,9 +1,9 @@
-"""The process-wide caches of amcert: each component's singular locus and
-each pair's meeting with its Frobenius orbits are solved once per process,
-and each claim of factors is multiplied, grouped and proved once; each
+"""The process-wide caches of amcert: each Sigma, each component's singular
+locus and each pair's meeting with its Frobenius orbits are solved once per
+process, and each claim of factors is multiplied, grouped and proved once; each
 polynomial gets one absolute-irreducibility verdict, and each section one
 jet entry per point; errors other than a pair's BezoutMismatch or
-CommonComponent are never kept, and certificates do not depend on what the
+CommonComponent and Sigma's PositiveDimensional are never kept, and certificates do not depend on what the
 caches hold.  Each point object is rendered at most once per process.  The termwise division by a monomial
 and the log-domain point evaluation these certificates run on agree with
 the general paths."""
@@ -25,9 +25,17 @@ from conic2.amcert import (
     surface_criterion,
 )
 from conic2.cli import corpus_manifest, load_corpus_spec
-from conic2.conic import BASE_VARS, SECTION_KEYS, ProjPoint, section_jet, spec_from_dict
+from conic2.conic import (
+    BASE_VARS,
+    SECTION_KEYS,
+    ConicBundleSpec,
+    ProjPoint,
+    section_jet,
+    sigma_generators,
+    spec_from_dict,
+)
 from conic2.factor import UnluckySpecializationExhausted
-from conic2.geom import BezoutMismatch, CommonComponent, ExtensionBound
+from conic2.geom import BezoutMismatch, CommonComponent, ExtensionBound, PositiveDimensional
 from conic2.gf2k import embed_bits, field_new
 from conic2.poly import NotDivisible, Poly, exact_div, partial_derivative, plane_poly, poly_parse
 
@@ -153,6 +161,88 @@ def test_a_pairs_bezout_or_common_component_error_is_kept(monkeypatch):
     assert counts == {"intersection_points": 2}
 
 
+# -- one Sigma per set of equations -----------------------------------------------------
+
+
+def _amcert_solves(monkeypatch):
+    """Count the solves amcert makes through its own binding, by caller:
+    Sigma's are amcert._sigma's misses."""
+    callers = Counter()
+    solve = amcert.solve_system
+
+    def counted(polys, k_max=24):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return solve(polys, k_max)
+
+    monkeypatch.setattr(amcert, "solve_system", counted)
+    return callers
+
+
+@pytest.mark.fresh_interpreter
+def test_a_corpus_pass_solves_each_sigma_once_per_process(monkeypatch):
+    solves = _amcert_solves(monkeypatch)
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+    cold = _certificates(specs, clear_each=True)
+    clear_caches()
+    solves.clear()
+    first = _certificates(specs, clear_each=False)
+    # ex2's equations are ex1's, so five solves for six specs; the Sigma of
+    # rem_double_line is not finite, so each of its certificates solves each
+    # of its three components' meetings with Sigma in the component analysis
+    assert solves == {"_sigma": 5, "_analyse_component": 3}
+    assert _certificates(specs, clear_each=False) == first
+    assert solves == {"_sigma": 5, "_analyse_component": 6}
+    info = amcert._sigma.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 1 + 6, 5)
+    # ex1 certified with a cold Sigma and ex2, the same spec, with ex1's
+    assert cold == first and first[0] == first[1]
+
+
+@pytest.mark.fresh_interpreter
+def test_a_positive_dimensional_sigma_is_kept_without_its_frames(monkeypatch):
+    solves = _amcert_solves(monkeypatch)
+    clear_caches()
+    spec = load_corpus_spec("rem_double_line")
+    kept = amcert._sigma(sigma_generators(spec), 24)
+    assert isinstance(kept, PositiveDimensional) and str(kept.common_factor) == "x*y"
+    assert kept.__traceback__ is None and kept.__context__ is None
+    assert amcert._sigma(sigma_generators(spec), 24) is kept
+    cert = surface_criterion(spec)
+    assert cert.sigma == {"error": str(kept), "positive_dimensional": True}
+    assert not cert.hypotheses["h5_smooth_along_double_lines"].passed
+    assert solves == {"_sigma": 1, "_analyse_component": 3}
+
+
+@pytest.mark.fresh_interpreter
+def test_a_sigma_beyond_k_max_is_solved_again_and_raised_after_the_precondition(monkeypatch):
+    solves = _amcert_solves(monkeypatch)
+    clear_caches()
+    ex3 = load_corpus_spec("ex3")  # two of its three Sigma points lie in F_4 only
+    for _ in range(2):
+        with pytest.raises(ExtensionBound):
+            amcert._sigma(sigma_generators(ex3), 1)
+    assert solves == {"_sigma": 2} and amcert._sigma.cache_info().currsize == 0
+    # the same Sigma under diagonal sections that vanish at its point
+    # [0:0:1]: the bundle is not flat, so the error held back for Sigma goes
+    # with the certificate
+    sections = dict(ex3.sections, aa=plane_poly("x"), bb=plane_poly("y"),
+                    cc=ex3.sections["cc"] + plane_poly("z^5"))
+    bent = ConicBundleSpec(ex3.ctx, ex3.degree_vector, ex3.value_degree, sections)
+    cert = surface_criterion(bent, k_max=1)
+    assert cert.setup["flat_witness"] == ["F2:0", "F2:0", "F2:1"] and not cert.setup["flat"]
+    assert solves == {"_sigma": 3}
+    # ex3 is flat: Sigma is solved again and its error raised where Sigma is
+    # recorded, after the factorization
+    factored = []
+    factorization = amcert.component_factorization
+    monkeypatch.setattr(amcert, "component_factorization",
+                        lambda spec, claimed: factored.append(spec) or factorization(spec, claimed))
+    with pytest.raises(ExtensionBound):
+        surface_criterion(ex3, k_max=1)
+    assert len(factored) == 1 and factored[0] is ex3
+    assert solves == {"_sigma": 4} and amcert._sigma.cache_info().currsize == 0
+
+
 @pytest.mark.fresh_interpreter
 def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     rendered = []
@@ -179,10 +269,10 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     assert len({id(f) for f in printed}) == len(printed) > 0
     # 1557 serializations when each point was serialized once per
     # certificate.  Per candidate, the 16 fiber singular points of its nodes
-    # are new; the two points of the Sigma the candidates share are new once
-    # per search; the 18 points of the curve caches are rendered in the
-    # first search only
-    assert per_search == [56 * 16 + 2 + 18, 56 * 16 + 2]
+    # are new; the two points of the Sigma the candidates share
+    # (amcert._sigma) and the 18 points of the curve caches are rendered in
+    # the first search only
+    assert per_search == [56 * 16 + 2 + 18, 56 * 16]
 
     p = rendered[0]
     text = p.serialize()
@@ -272,9 +362,10 @@ def test_a_cold_corpus_pass_groups_each_meeting_once(monkeypatch):
     solves = _counting_solves(monkeypatch)
     clear_caches()
     _certificates([(spec, claims) for _, spec, claims in _corpus()], clear_each=False)
-    # each of the 26 solves groups its points once, the 12 meetings and the
-    # five finite Sigmas among them; H3 and H5 walk the orbits they carry
-    assert callers == {"_solve_on_directions": 26}
+    # each of the 25 solves groups its points once, the 12 meetings and the
+    # four distinct finite Sigmas among them (ex2's Sigma is ex1's, read from
+    # amcert._sigma); H3 and H5 walk the orbits they carry
+    assert callers == {"_solve_on_directions": 25}
     assert solves["intersection_points"] == 12
 
 

@@ -161,6 +161,39 @@ def test_the_f2_inverse_mod_m_keeps_the_general_inverse():
                 assert R.inv_mod(a, m) == want, (a, m)
 
 
+def test_pow_mod_takes_one_square_per_bit_below_the_top(monkeypatch):
+    # from the top bit of e down: a^2 is one product mod m and a^(2^k) is k,
+    # where squaring past the top bit and multiplying 1 by a took 3 and k + 2
+    R = d._ring(F2)
+    m = 0b10000000011011  # t^13 + t^4 + t^3 + t + 1, F_{2^13}'s modulus
+    products = []
+    mul = R.mul
+    monkeypatch.setattr(R, "mul", lambda a, b: products.append(1) or mul(a, b))
+    for e, want in [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (6, 3), (7, 4)] + [(1 << k, k) for k in range(1, 14)]:
+        products.clear()
+        R.pow_mod(0b1011, e, m)
+        assert len(products) == want, e
+    monkeypatch.undo()
+
+    # results against repeated multiplication: the F_2 ring modulo random m,
+    # and F_{2^13}, above the log-table cap, whose pow is the same loop
+    rng = random.Random(31)
+    F8192 = field_new(13)
+    assert F8192.log_tables() is None
+    for _ in range(100):
+        m = rng.randrange(2, 1 << 12)
+        a, e = rng.randrange(1 << 14), rng.randrange(70)
+        r = 1
+        for _ in range(e):
+            r = d._mod2(d._clmul(r, a), m)
+        assert R.pow_mod(a, e, m) == r, (a, e, m)
+        a = rng.randrange(1, F8192.q)
+        r = 1
+        for _ in range(e):
+            r = F8192.mul(r, a)
+        assert F8192.pow(a, e) == r, (a, e)
+
+
 def test_inv_mod_of_a_non_invertible_pair_raises():
     # a = t^2 + t and m = t^2 share the factor t: the extended Euclid reaches
     # u = 0, where it must raise rather than go round for ever

@@ -45,7 +45,7 @@ from conic2.geom import (
 from conic2.gf2k import embed_bits, field_new
 from conic2.poly import Poly, plane_poly, poly_parse
 
-from _helpers import moved_module, moved_stream, per_root_solve_system, rand_homogeneous, rand_spec
+from _helpers import clear_caches, moved_module, moved_stream, per_root_solve_system, rand_homogeneous, rand_spec
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -373,7 +373,9 @@ def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
 
 
 def _amcert_solves(monkeypatch):
-    """Record True for each solve amcert makes."""
+    """Record True for each solve amcert makes, from empty process-wide
+    caches, so each Sigma is solved here and not read from amcert._sigma."""
+    clear_caches()
     calls = []
     solve = amcert.solve_system
 
@@ -421,6 +423,9 @@ def test_a_zero_corner_search_solves_sigma_once(monkeypatch):
     # the shared Sigma, compared with the expected points once; each
     # candidate is certified with it, and the two components' meetings with
     # it are read off its points (geom.read_off), with no solve
+    assert calls == [True]
+    # a second search reads it from amcert._sigma
+    assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
     assert calls == [True]
 
 
