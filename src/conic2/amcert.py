@@ -19,19 +19,34 @@ of the diagonal, hence not stably rational); the conclusion itself is never
 re-proved.  Non-product certification is one-directional: a witness point
 whose cross has conjugate lines proves the family is not a product; absence
 of a witness within the budget yields NotCertified, never "product".
-Sigma, curve geometry, a claim of factors and a section's jet entries at a
-point are settled once per process, in five caches of 128 entries that
-every call and thread shares: :func:`_sigma` (keyed by Sigma's equations
-and k_max), :func:`_singular_locus` (by the curve and k_max),
-:func:`_meeting` (by the pair and k_max), :func:`_claim` (by the field and
-the claim) and :func:`conic._section_entries` (by the section and the
-point's sort_key()); each factor's verdict is kept by
-:func:`factor._abs_irred_bivariate`.  A cleared cache and a warm one give
-byte-identical certificates.  Sigma is solved once per process for each
-set of equations, and flatness and each component's meeting with Sigma
-are read off its points (:func:`geom.read_off`); a search whose template
+Every fact that depends only on curves and k_max is settled once per
+process, in bounded caches that every call and thread shares:
+
+  :func:`_solved`          32 entries, by the equations and k_max: Sigma,
+                           and a component's meeting with a Sigma that is
+                           not finite;
+  :func:`_sigma_meets`     32, by a finite Sigma's point set, the component
+                           and k_max: the component's meeting with Sigma;
+  :func:`_factored`        32, by Delta: its factors when none are claimed;
+  :func:`_singular_locus`  128, by the curve and k_max;
+  :func:`_meeting`         128, by the pair and k_max;
+  :func:`_claim`           128, by the field and the claim;
+  :func:`conic._section_entries`  128, by the section and the point's
+                           sort_key(): a section's jet entries there;
+
+and each factor's verdict by :func:`factor._abs_irred_bivariate` (4096, by
+the polynomial).
+The first three are sized to a pass's keys (a corpus pass needs 8, 10 and
+1, a search 1, 2 and 0), since a stream of new bundles never repeats them.
+A system's PositiveDimensional and a pair's BezoutMismatch or
+CommonComponent are outcomes, kept without their frames; each is answered
+by a branch and never raised again, so no certificate's frames attach to
+it.  A warm corpus pass solves and factors nothing, and a cleared cache
+and a warm one give byte-identical certificates.  Flatness is read off a
+finite Sigma's points (:func:`geom.read_off`); a search whose template
 fixes Sigma keys it by the shared equations and certifies every candidate
-with the one set.  Each point fact is read off one section jet per point
+with the one set.
+Each point fact is read off one section jet per point
 per certificate; a zero-corner search sums each candidate's jets and Delta
 from its empty candidate's (:class:`_Steps`).
 Polynomials, points and solved point sets keep their printed text, so each
@@ -144,21 +159,16 @@ def component_factorization(
     With claimed factors: their product, from the process-wide
     :func:`_claim`, must equal this spec's Delta up to a nonzero scalar
     before any factor is proved, and each factor is factored over F_q before
-    its absolute part is proved.  Without: Delta is factored by
-    :func:`factor.form_factor`, so each factor is irreducible over F_q and
-    only its absolute part is proved.  The verdicts are kept by
+    its absolute part is proved.  Without: Delta's factors over F_q come
+    from the process-wide :func:`_factored`, so only each factor's absolute
+    part is proved.  The verdicts are kept by
     :func:`factor._abs_irred_bivariate`; a proof's error is not.
     """
     delta = discriminant(spec)
     if delta.is_zero():
         raise ValueError("the discriminant vanishes identically; no components")
     if claimed is None:
-        factors = form_factor(delta)
-        product = Poly.const(delta.ctx, BASE_VARS, 1)
-        for f, m in factors:
-            product = product * f ** m
-        if product.scale(delta.leading()[1]) != delta:  # pragma: no cover - defensive
-            raise FactorizationMismatch("internal: chart factorization did not reglue")
+        factors = _factored(delta)
     else:
         product, factors = _claim(spec.ctx, tuple(claimed))
         scale = spec.ctx.mul(delta.leading()[1], spec.ctx.inv(product.leading()[1]))
@@ -185,6 +195,21 @@ def _claim(ctx, claimed: tuple[Poly, ...]) -> tuple[Poly, tuple[tuple[Poly, int]
         grouped[g] = grouped.get(g, 0) + 1
         product = product * f
     return product, tuple(sort_factors(list(grouped.items())))
+
+
+@lru_cache(maxsize=32)
+def _factored(delta: Poly) -> tuple[tuple[Poly, int], ...]:
+    """Delta's factors over F_q, :func:`factor.form_factor`, kept by Delta
+    as :func:`_claim` keeps a claim: a bundle without claimed factors has
+    its Delta factored once per process.  An error is raised again on each
+    call, and nothing is kept."""
+    factors = form_factor(delta)
+    product = Poly.const(delta.ctx, BASE_VARS, 1)
+    for f, m in factors:
+        product = product * f ** m
+    if product.scale(delta.leading()[1]) != delta:  # pragma: no cover - defensive
+        raise FactorizationMismatch("internal: chart factorization did not reglue")
+    return tuple(factors)
 
 
 # -- Artin-Mumford component analysis -------------------------------------------
@@ -256,27 +281,43 @@ def _in_sigma(jet: SectionJet) -> bool:
 # the components while the bundle varies.  The curve caches call through
 # ``geom.``, so a rebinding there sees each miss.  A raised error is not kept,
 # except a pair's BezoutMismatch or CommonComponent, which is the pair's
-# outcome, and Sigma's PositiveDimensional.
+# outcome, and a system's PositiveDimensional; a kept error is answered by
+# the callers' branches and never raised again, so no frames attach to it.
 # A corpus meeting holds about 1.8 kB: 128 entries keep both caches near 0.3 MB;
 # a meeting's orbits are tuples of its own points, so they add little more.
-# A corpus Sigma has at most three points, so its cache holds less.
 @lru_cache(maxsize=128)
 def _singular_locus(component: Poly, k_max: int) -> tuple[ProjPoint, ...]:
     """The points of ``geom.singular_points(component, k_max)``."""
     return geom.singular_points(component, k_max).points
 
 
-@lru_cache(maxsize=128)
-def _sigma(equations: tuple[Poly, ...], k_max: int) -> AlgebraicPointSet | PositiveDimensional:
-    """Sigma's points, ``solve_system(equations, k_max)``, or the
-    PositiveDimensional it raised, kept as :func:`_meeting` keeps a pair's
-    error.  It calls this module's ``solve_system``, so a rebinding here
-    sees each miss; every other error is raised again on each call."""
+# Sized to a pass's keys (see the module docstring): those of a stream of
+# new bundles never come back.  A corpus pass's 8 systems are its five
+# Sigmas and rem_double_line's three components with its curve Sigma.
+@lru_cache(maxsize=32)
+def _solved(equations: tuple[Poly, ...], k_max: int) -> AlgebraicPointSet | PositiveDimensional:
+    """The common zeros of the equations, ``solve_system(equations, k_max)``,
+    or the PositiveDimensional it raised, kept as :func:`_meeting` keeps a
+    pair's error: Sigma's, and each component's meeting with a Sigma that
+    is not finite.  It calls this module's ``solve_system``, so a rebinding
+    here sees each miss; every other error is raised again on each call."""
     try:
         return solve_system(equations, k_max)
     except PositiveDimensional as exc:
         exc.__context__ = None
         return exc.with_traceback(None)
+
+
+@lru_cache(maxsize=32)
+def _sigma_meets(sigma: AlgebraicPointSet, component: Poly, k_max: int) -> AlgebraicPointSet:
+    """The points of a finite Sigma, solved with this k_max, on the
+    component (:func:`geom.read_off`), kept by the set, the component and
+    k_max, not by the equations of a spec: a search's candidates share the
+    set and its components.  The component's field is the F_q of Sigma's
+    equations.  A read-off that falls back to a solve solves the component
+    with Sigma's own equations; a Sigma equal to this one has the same
+    zeros, so the same points come out."""
+    return read_off(sigma, [component, *sigma.equations], [component], k_max)
 
 
 @lru_cache(maxsize=128)
@@ -328,30 +369,32 @@ def _analyse_component(
     jet: _JetSource, sigma: AlgebraicPointSet | None = None,
 ) -> ComponentAnalysis:
     """am_component_check of a known divisor of Delta; with ``sigma``, a
-    finite Sigma solved with the same k_max, its meeting with Sigma is the
-    points of Sigma on it (:func:`geom.read_off`).  The fibers over Sigma's
-    meeting points and the singular points are read off the certificate's
-    jet source (:func:`_jet`)."""
-    system = [component] + [s for s in sigma_generators(spec) if not s.is_zero()]
+    finite Sigma solved with the same k_max, its meeting with Sigma is read
+    off Sigma's points (:func:`_sigma_meets`), and without it solved from
+    the component and Sigma's equations (:func:`_solved`).  The fibers over
+    Sigma's meeting points and the singular points are read off the
+    certificate's jet source (:func:`_jet`)."""
+    if sigma is None:
+        met = _solved((component, *(s for s in sigma_generators(spec) if not s.is_zero())), k_max)
+    else:
+        met = _sigma_meets(sigma, component, k_max)
     sigma_meets: tuple[ProjPoint, ...] | None
-    witness: ProjPoint | None = None
+    witness: ProjPoint | None
     inside_sigma = False
-    try:
-        met = solve_system(system, k_max) if sigma is None else read_off(sigma, system, [component], k_max)
-        sigma_meets = met.points
-        for p in met.points:
-            if fiber_type(jet(p).value, p.ctx) is FiberType.DOUBLE_LINE:
-                witness = p
-                break
-    except PositiveDimensional as exc:
+    if isinstance(met, PositiveDimensional):
         # The component shares a curve with Sigma: scan small fields for a
         # double-line point on the component.
         sigma_meets = None
-        inside_sigma = exc.common_factor.total_degree() == component.total_degree()
+        inside_sigma = met.common_factor.total_degree() == component.total_degree()
         witness = next(
             (p for p in small_field_points(component, min(witness_bound, k_max))
              if classify_fiber(spec, p) is FiberType.DOUBLE_LINE),
             None,
+        )
+    else:
+        sigma_meets = met.points
+        witness = next(
+            (p for p in met.points if fiber_type(jet(p).value, p.ctx) is FiberType.DOUBLE_LINE), None
         )
 
     sing = _singular_locus(component, k_max)
@@ -527,7 +570,7 @@ def surface_criterion(
 
 
 # what solve_system raises on a valid system it cannot finish, but for the
-# PositiveDimensional that _sigma returns
+# PositiveDimensional that _solved returns
 _SOLVER_ERRORS = (ExtensionBound, EliminationDegenerate, UnluckySpecializationExhausted)
 
 
@@ -541,12 +584,13 @@ def _certify(
 ) -> Certificate:
     """surface_criterion, given the spec's jet source and the solved
     double-line locus Sigma of this spec, or None to read it from the
-    process-wide :func:`_sigma`, keyed by the three off-diagonal sections.
+    process-wide :func:`_solved`, keyed by the three off-diagonal sections.
 
     Sigma is its solve's outcome: the AlgebraicPointSet, the kept
     PositiveDimensional, or another solver error, held without its frames.
-    Flatness and each component's meeting with a finite Sigma are read off
-    its points (:func:`geom.read_off`).
+    Flatness is read off a finite Sigma's points (:func:`geom.read_off`),
+    and each component's meeting with Sigma comes from the process-wide
+    :func:`_sigma_meets`, or from :func:`_solved` when Sigma is not finite.
     Where Sigma is recorded, after the precondition and the factorization, a
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     spec's validation report and Delta are kept on the spec; the rest comes
@@ -572,7 +616,7 @@ def _certify(
     # Delta = 0 stops at the precondition; otherwise Sigma has equations.
     if sigma is None and not delta.is_zero():
         try:
-            sigma = _sigma(sigma_generators(spec), k_max)
+            sigma = _solved(sigma_generators(spec), k_max)
         except _SOLVER_ERRORS as exc:
             sigma = exc.with_traceback(None)  # kept without the frames that hold it
     finite = sigma if isinstance(sigma, AlgebraicPointSet) else None
@@ -918,7 +962,7 @@ def search_spieghiamolo(
     then the double-line locus must be exactly the expected points; whatever
     survives must pass the full surface criterion to count as a hit.
 
-    Each candidate's Sigma comes from the process-wide :func:`_sigma`.
+    Each candidate's Sigma comes from the process-wide :func:`_solved`.
     When the template forces every candidate's Sigma to be one set (see
     ``_shared_sigma_system``; in the zero-corner family ab = x divides the
     modulus x, so bc = y^2 z^2 on Sigma = {[0:0:1], [0:1:0]}), it is keyed
@@ -979,7 +1023,7 @@ def search_spieghiamolo(
             if steps is not None:
                 keep_discriminant(spec, steps.discriminant(subset))
             # Sigma condition: the off-diagonals vanish exactly at the expected points
-            sig = _sigma(sigma_generators(spec) if sigma_system is None else sigma_system, k_max)
+            sig = _solved(sigma_generators(spec) if sigma_system is None else sigma_system, k_max)
             if not isinstance(sig, AlgebraicPointSet) or sorted(p.sort_key() for p in sig.points) != expected:
                 continue
             cert = _certify(

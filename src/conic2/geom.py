@@ -129,6 +129,8 @@ class AlgebraicPointSet:
     directions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
     # the points grouped into Frobenius orbits over the equations' F_q (frobenius_orbits)
     orbits: tuple[tuple[ProjPoint, ...], ...] = field(default=(), compare=False, repr=False)
+    # solve_system's nonzero inputs, whose common zeros the points are
+    equations: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     def serialize(self) -> dict:
         """The set as certificate data, in new containers; its points are
@@ -341,7 +343,7 @@ def solve_system(polys: list[Poly], k_max: int = 24) -> AlgebraicPointSet:
     if ctx is None:
         raise PositiveDimensional(Poly.zero(field_new(1), BASE_VARS))
     if any(p.is_constant() for p in nonzero):
-        return AlgebraicPointSet((), EliminationClosure(()))
+        return AlgebraicPointSet((), EliminationClosure(()), equations=tuple(nonzero))
     eliminant = _eliminant(nonzero)
     forms = [] if eliminant.is_constant() else [f for f, _ in form_factor(eliminant)]
     return _solve_on_directions(nonzero, forms, k_max)
@@ -450,7 +452,9 @@ def _solve_on_directions(nonzero: list[Poly], forms, k_max: int) -> AlgebraicPoi
             raise AssertionError("solver produced a non-solution")
     points.sort(key=lambda p: p.sort_key())
     orbits = tuple(map(tuple, frobenius_orbits(points, ctx.q)))
-    return AlgebraicPointSet(tuple(points), EliminationClosure(tuple(sorted(degrees))), tuple(dirs), orbits)
+    return AlgebraicPointSet(
+        tuple(points), EliminationClosure(tuple(sorted(degrees))), tuple(dirs), orbits, tuple(nonzero)
+    )
 
 
 def frobenius_orbits(points, q: int) -> list[list[ProjPoint]]:

@@ -145,13 +145,13 @@ def _counting_gcd(monkeypatch):
 
 def test_gcd_runs_only_where_the_finiteness_proof_fails(monkeypatch):
     calls = _counting_gcd(monkeypatch)
-    clear_caches()  # each Sigma solved here, not read from amcert._sigma
+    clear_caches()  # each Sigma solved here, not read from amcert._solved
     for name in ("ex1", "ex3", "ex4", "ex5"):  # flat, finite Sigma
         surface_criterion(load_corpus_spec(name))
     assert calls == []
     # rem_double_line's Sigma xy = 0 is a pair of lines, and its components
     # x and y lie inside it: each of these solves takes the gcd and raises
-    # PositiveDimensional; Sigma's, kept by amcert._sigma, is not solved
+    # PositiveDimensional; Sigma's, kept by amcert._solved, is not solved
     # again
     surface_criterion(load_corpus_spec("rem_double_line"))
     assert [str(g) for g in calls] == ["x*y", "y", "x"]
@@ -367,7 +367,7 @@ def test_a_bundle_without_off_diagonal_sections_stops_at_the_precondition(monkey
 def test_sigma_first_solve_holds_back_only_solver_errors(monkeypatch):
     # a bundle that is not flat returns before Sigma is recorded, so an error
     # held back there would be dropped
-    clear_caches()  # the corpus spec's Sigma is solved, not read from amcert._sigma
+    clear_caches()  # the corpus spec's Sigma is solved, not read from amcert._solved
     rng = random.Random(5)
     while True:
         bent = _planted_spec(rng)

@@ -1,13 +1,16 @@
-"""The process-wide caches of amcert: each Sigma, each component's singular
-locus and each pair's meeting with its Frobenius orbits are solved once per
-process, and each claim of factors is multiplied, grouped and proved once; each
-polynomial gets one absolute-irreducibility verdict, and each section one
-jet entry per point; errors other than a pair's BezoutMismatch or
-CommonComponent and Sigma's PositiveDimensional are never kept, and certificates do not depend on what the
-caches hold.  Each point object is rendered at most once per process.  The termwise division by a monomial
-and the log-domain point evaluation these certificates run on agree with
-the general paths."""
+"""The process-wide caches of amcert: each Sigma and each component's
+meeting with it, each component's singular locus and each pair's meeting
+with its Frobenius orbits are solved once per process, each Delta without
+claimed factors is factored once, and each claim of factors is multiplied,
+grouped and proved once; each polynomial gets one absolute-irreducibility
+verdict, and each section one jet entry per point; errors other than a
+pair's BezoutMismatch or CommonComponent and a system's PositiveDimensional
+are never kept, a kept error is never raised again, and certificates do not
+depend on what the caches hold.  Each point object is rendered at most once
+per process.  The termwise division by a monomial and the log-domain point
+evaluation these certificates run on agree with the general paths."""
 
+import gc
 import json
 import random
 import sys
@@ -161,17 +164,20 @@ def test_a_pairs_bezout_or_common_component_error_is_kept(monkeypatch):
     assert counts == {"intersection_points": 2}
 
 
-# -- one Sigma per set of equations -----------------------------------------------------
+# -- one solve per set of equations -----------------------------------------------------
 
 
 def _amcert_solves(monkeypatch):
-    """Count the solves amcert makes through its own binding, by caller:
-    Sigma's are amcert._sigma's misses."""
+    """Count the solves amcert makes through its own binding, all of them
+    amcert._solved's misses, by what they solve: a component's meeting with
+    a Sigma that is not finite when amcert._analyse_component asks, and
+    otherwise a Sigma."""
     callers = Counter()
     solve = amcert.solve_system
 
     def counted(polys, k_max=24):
-        callers[sys._getframe(1).f_code.co_name] += 1
+        asker = sys._getframe(2).f_code.co_name  # the caller of amcert._solved
+        callers["component" if asker == "_analyse_component" else "sigma"] += 1
         return solve(polys, k_max)
 
     monkeypatch.setattr(amcert, "solve_system", counted)
@@ -187,13 +193,14 @@ def test_a_corpus_pass_solves_each_sigma_once_per_process(monkeypatch):
     solves.clear()
     first = _certificates(specs, clear_each=False)
     # ex2's equations are ex1's, so five solves for six specs; the Sigma of
-    # rem_double_line is not finite, so each of its certificates solves each
-    # of its three components' meetings with Sigma in the component analysis
-    assert solves == {"_sigma": 5, "_analyse_component": 3}
+    # rem_double_line is not finite, so its first certificate solves each of
+    # its three components' meetings with Sigma in the component analysis
+    assert solves == {"sigma": 5, "component": 3}
     assert _certificates(specs, clear_each=False) == first
-    assert solves == {"_sigma": 5, "_analyse_component": 6}
-    info = amcert._sigma.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (5, 1 + 6, 5)
+    # the second pass solves no Sigma and no component system: 0 of each
+    assert solves == {"sigma": 5 + 0, "component": 3 + 0}
+    info = amcert._solved.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (8, 1 + 6 + 3, 8)
     # ex1 certified with a cold Sigma and ex2, the same spec, with ex1's
     assert cold == first and first[0] == first[1]
 
@@ -203,14 +210,19 @@ def test_a_positive_dimensional_sigma_is_kept_without_its_frames(monkeypatch):
     solves = _amcert_solves(monkeypatch)
     clear_caches()
     spec = load_corpus_spec("rem_double_line")
-    kept = amcert._sigma(sigma_generators(spec), 24)
+    kept = amcert._solved(sigma_generators(spec), 24)
     assert isinstance(kept, PositiveDimensional) and str(kept.common_factor) == "x*y"
     assert kept.__traceback__ is None and kept.__context__ is None
-    assert amcert._sigma(sigma_generators(spec), 24) is kept
+    assert amcert._solved(sigma_generators(spec), 24) is kept
     cert = surface_criterion(spec)
     assert cert.sigma == {"error": str(kept), "positive_dimensional": True}
     assert not cert.hypotheses["h5_smooth_along_double_lines"].passed
-    assert solves == {"_sigma": 1, "_analyse_component": 3}
+    assert solves == {"sigma": 1, "component": 3}
+    # two of the components lie on Sigma's curve xy: their systems' kept
+    # PositiveDimensional outcomes are answered, never raised again
+    assert surface_criterion(spec).to_json() == cert.to_json()
+    assert solves == {"sigma": 1, "component": 3}
+    assert kept.__traceback__ is None and kept.__context__ is None
 
 
 @pytest.mark.fresh_interpreter
@@ -220,8 +232,8 @@ def test_a_sigma_beyond_k_max_is_solved_again_and_raised_after_the_precondition(
     ex3 = load_corpus_spec("ex3")  # two of its three Sigma points lie in F_4 only
     for _ in range(2):
         with pytest.raises(ExtensionBound):
-            amcert._sigma(sigma_generators(ex3), 1)
-    assert solves == {"_sigma": 2} and amcert._sigma.cache_info().currsize == 0
+            amcert._solved(sigma_generators(ex3), 1)
+    assert solves == {"sigma": 2} and amcert._solved.cache_info().currsize == 0
     # the same Sigma under diagonal sections that vanish at its point
     # [0:0:1]: the bundle is not flat, so the error held back for Sigma goes
     # with the certificate
@@ -230,7 +242,7 @@ def test_a_sigma_beyond_k_max_is_solved_again_and_raised_after_the_precondition(
     bent = ConicBundleSpec(ex3.ctx, ex3.degree_vector, ex3.value_degree, sections)
     cert = surface_criterion(bent, k_max=1)
     assert cert.setup["flat_witness"] == ["F2:0", "F2:0", "F2:1"] and not cert.setup["flat"]
-    assert solves == {"_sigma": 3}
+    assert solves == {"sigma": 3}
     # ex3 is flat: Sigma is solved again and its error raised where Sigma is
     # recorded, after the factorization
     factored = []
@@ -240,7 +252,114 @@ def test_a_sigma_beyond_k_max_is_solved_again_and_raised_after_the_precondition(
     with pytest.raises(ExtensionBound):
         surface_criterion(ex3, k_max=1)
     assert len(factored) == 1 and factored[0] is ex3
-    assert solves == {"_sigma": 4} and amcert._sigma.cache_info().currsize == 0
+    assert solves == {"sigma": 4} and amcert._solved.cache_info().currsize == 0
+
+
+# -- a warm pass solves and factors nothing ----------------------------------------------
+
+
+def _counting_calls(monkeypatch, names):
+    """Count the calls to each ``module.function`` named, through every
+    conic2 module that binds it, as the benchmark's tracer rebinds them."""
+    counts = Counter()
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "conic2"]
+    for qualified in names:
+        module, name = qualified.split(".")
+        original = getattr(getattr(sys.modules["conic2"], module), name)
+
+        def counted(*args, _original=original, _name=qualified, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            if getattr(m, name, None) is original:
+                monkeypatch.setattr(m, name, counted)
+    return counts
+
+
+@pytest.mark.fresh_interpreter
+def test_a_warm_corpus_pass_solves_and_factors_nothing(monkeypatch):
+    counts = _counting_calls(monkeypatch, ("geom.solve_system", "factor.form_factor",
+                                           "factor.bivariate_factor", "geom.read_off"))
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+    clear_caches()
+    first = _certificates(specs, clear_each=False)
+    assert counts["geom.solve_system"] > 0 and counts["factor.form_factor"] > 0
+    counts.clear()
+    assert _certificates(specs, clear_each=False) == first
+    # each curve-only fact is read from amcert's caches; the three read-offs
+    # left are flatness's, which depends on the bundle's diagonal sections
+    assert counts == {"geom.read_off": 3}
+
+
+# The distinct keys one pass needs, for each cache of 32 entries: the size
+# holds a corpus pass, with or without its claimed factors, or a search,
+# several times over, and no more than a few passes of new bundles.
+PASS_KEYS = {
+    "corpus": {"_solved": 8, "_sigma_meets": 10, "_factored": 1},
+    "unclaimed corpus": {"_solved": 8, "_sigma_meets": 10, "_factored": 5},
+    "search": {"_solved": 1, "_sigma_meets": 2, "_factored": 0},
+}
+
+
+@pytest.mark.fresh_interpreter
+def test_each_pass_fits_the_caches_it_fills():
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+    passes = {
+        "corpus": lambda: _certificates(specs, clear_each=False),
+        "unclaimed corpus": lambda: _certificates([(spec, None) for spec, _ in specs], clear_each=False),
+        "search": lambda: search_spieghiamolo(example81_template(), budget=56),
+    }
+    for name, run in passes.items():
+        clear_caches()
+        run()
+        run()  # a warm pass adds no key
+        assert {cache: getattr(amcert, cache).cache_info().currsize for cache in PASS_KEYS[name]} \
+            == PASS_KEYS[name], name
+    for cache in PASS_KEYS["corpus"]:
+        size = getattr(amcert, cache).cache_parameters()["maxsize"]
+        assert size == 32 and max(keys[cache] for keys in PASS_KEYS.values()) <= size // 3
+
+
+def _kept_errors():
+    """The exceptions amcert's process-wide caches hold, as results."""
+    caches = [f for f in vars(amcert).values() if hasattr(f, "cache_info")]
+    assert {"_solved", "_sigma_meets", "_factored", "_meeting", "_singular_locus",
+            "_claim"} <= {f.__name__ for f in caches}
+    return [obj for f in caches for obj in gc.get_referents(f) if isinstance(obj, BaseException)]
+
+
+@pytest.mark.fresh_interpreter
+def test_no_kept_error_holds_frames():
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+    clear_caches()
+    _certificates(specs, clear_each=False)  # cold
+    _certificates(specs, clear_each=False)  # warm
+    _certificates([(spec_from_dict(data), None) for _, _, data in moved_stream("7").next_pass()],
+                  clear_each=False)
+    kept = _kept_errors()
+    # rem_double_line's curve Sigma and its two components on that curve,
+    # and the pairs of ex3, ex4 and ex5 that are not transversal, at least
+    assert sum(isinstance(e, PositiveDimensional) for e in kept) >= 3
+    assert sum(isinstance(e, BezoutMismatch) for e in kept) >= 3
+    assert [e for e in kept if e.__traceback__ is not None or e.__context__ is not None] == []
+
+
+@pytest.mark.fresh_interpreter
+def test_moved_certificates_do_not_depend_on_a_warm_corpus_and_search():
+    def moved_passes():
+        stream = moved_stream("7")
+        return [surface_criterion(spec_from_dict(data)).to_json()
+                for _ in range(2) for _, _, data in stream.next_pass()]
+
+    clear_caches()
+    cold = moved_passes()
+    clear_caches()
+    specs = [(spec, claimed) for _, spec, claimed in _corpus()]
+    _certificates(specs, clear_each=False)
+    _certificates(specs, clear_each=False)
+    assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+    assert moved_passes() == cold
 
 
 @pytest.mark.fresh_interpreter
@@ -270,7 +389,7 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     # 1557 serializations when each point was serialized once per
     # certificate.  Per candidate, the 16 fiber singular points of its nodes
     # are new; the two points of the Sigma the candidates share
-    # (amcert._sigma) and the 18 points of the curve caches are rendered in
+    # (amcert._solved) and the 18 points of the curve caches are rendered in
     # the first search only
     assert per_search == [56 * 16 + 2 + 18, 56 * 16]
 
@@ -364,7 +483,7 @@ def test_a_cold_corpus_pass_groups_each_meeting_once(monkeypatch):
     _certificates([(spec, claims) for _, spec, claims in _corpus()], clear_each=False)
     # each of the 25 solves groups its points once, the 12 meetings and the
     # four distinct finite Sigmas among them (ex2's Sigma is ex1's, read from
-    # amcert._sigma); H3 and H5 walk the orbits they carry
+    # amcert._solved); H3 and H5 walk the orbits they carry
     assert callers == {"_solve_on_directions": 25}
     assert solves["intersection_points"] == 12
 

@@ -99,6 +99,7 @@ def _counting_bivariate_factor(monkeypatch):
 def test_delta_is_factored_once_without_claims(monkeypatch, name):
     spec = load_corpus_spec(name)
     factor._abs_irred_bivariate.cache_clear()  # every component proved afresh
+    amcert._factored.cache_clear()  # and Delta factored afresh, not read back
     calls = _counting_bivariate_factor(monkeypatch)
     surface_criterion(spec)
     # one factorization of Delta's chart over F_q; the rest run over

@@ -356,17 +356,22 @@ def test_a_confined_solve_matches_fresh_on_a_moved_ex3_that_falls_back(monkeypat
 
 def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
     counts = _confined_solves(monkeypatch)
+    clear_caches()
     for entry in corpus_manifest()["examples"]:
         spec = load_corpus_spec(entry["name"])
         claimed = [poly_parse(t, spec.ctx, BASE_VARS) for t in entry.get("claimed_factors") or []]
         surface_criterion(spec, claimed or None)
-    # flatness and each component's meeting with Sigma, read off Sigma's points
-    assert counts == {"read_offs": 15, "fallbacks": 0}
+    # flatness of the three bundles with no constant section, and each
+    # component's meeting with a finite Sigma, read off Sigma's points; ex2
+    # reads ex1's meetings from amcert._sigma_meets
+    assert counts == {"read_offs": 3 + 10, "fallbacks": 0}
+    clear_caches()
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
-    # per candidate, the two components' meetings with the Sigma the
-    # candidates share (its constant section aa makes the bundle flat
-    # without a solve); the candidate's Sigma is the shared one itself
-    assert counts == {"read_offs": 15 + 56 * 2, "fallbacks": 0}
+    # the two components' meetings with the Sigma the candidates share, read
+    # off once and kept by amcert._sigma_meets (its constant section aa makes
+    # the bundle flat without a solve); the candidate's Sigma is the shared
+    # one itself
+    assert counts == {"read_offs": 13 + 2, "fallbacks": 0}
 
 
 # -- one Sigma per search -------------------------------------------------------------
@@ -374,7 +379,7 @@ def test_no_confined_solve_falls_back_on_the_corpus_or_the_search(monkeypatch):
 
 def _amcert_solves(monkeypatch):
     """Record True for each solve amcert makes, from empty process-wide
-    caches, so each Sigma is solved here and not read from amcert._sigma."""
+    caches, so each Sigma is solved here and not read from amcert._solved."""
     clear_caches()
     calls = []
     solve = amcert.solve_system
@@ -424,7 +429,7 @@ def test_a_zero_corner_search_solves_sigma_once(monkeypatch):
     # candidate is certified with it, and the two components' meetings with
     # it are read off its points (geom.read_off), with no solve
     assert calls == [True]
-    # a second search reads it from amcert._sigma
+    # a second search reads it from amcert._solved
     assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
     assert calls == [True]
 
