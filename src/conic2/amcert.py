@@ -47,10 +47,14 @@ finite Sigma's points (:func:`geom.read_off`); a search whose template
 fixes Sigma keys it by the shared equations and certifies every candidate
 with the one set.
 Each point fact is read off one section jet per point
-per certificate; a zero-corner search sums each candidate's jets and Delta
-from its empty candidate's (:class:`_Steps`).
-Polynomials, points and solved point sets keep their printed text, so each
-is rendered once per process.
+per certificate.  A zero-corner search sums each candidate's sections, Delta
+and jets from its empty candidate's (:class:`_Steps`), and decides each H3
+and H5 orbit fact once per distinct jet in one call.  That memo is not one
+of the caches above: it lives as long as the search call, and no other call
+or thread sees it.
+Polynomials and the points of solved sets keep their printed text, so each
+is rendered once per process; the fiber point of a node is rendered once per
+certificate, or once per search call.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import itertools
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .conic import (
     BASE_VARS,
@@ -245,31 +249,25 @@ class ComponentAnalysis:
         }
 
 
-# A jet source maps a point to the certified spec's section jet there.
+# A jet source maps a point to the certified spec's section jet there: the
+# spec's own (:func:`_spec_jets`), or a search candidate's (:class:`_Candidate`).
 _JetSource = Callable[[ProjPoint], SectionJet]
 
 
-def _jet(make: _JetSource) -> _JetSource:
-    """The jet source of one certificate: the jet at p is make(p), taken
-    once per point and kept under the point's sort_key() for the life of the
-    certificate.  :func:`surface_criterion` makes each jet from the spec's
-    sections (:func:`_spec_jets`); a zero-corner search sums it from its
-    empty candidate's (:class:`_Steps`)."""
+def _spec_jets(spec: ConicBundleSpec) -> _JetSource:
+    """The spec's jet source: :func:`conic.section_jet` at each point, taken
+    once per point and kept under the point's sort_key() for the life of
+    the certificate."""
     jets: dict = {}
 
     def jet(p: ProjPoint) -> SectionJet:
         key = p.sort_key()
         got = jets.get(key)
         if got is None:
-            got = jets[key] = make(p)
+            got = jets[key] = section_jet(spec, p)
         return got
 
     return jet
-
-
-def _spec_jets(spec: ConicBundleSpec) -> _JetSource:
-    """The spec's jet source: :func:`conic.section_jet` at each point, once."""
-    return _jet(partial(section_jet, spec))
 
 
 def _in_sigma(jet: SectionJet) -> bool:
@@ -332,20 +330,29 @@ def _meeting(c1: Poly, c2: Poly, k_max: int) -> AlgebraicPointSet | BezoutMismat
         return exc.with_traceback(None)
 
 
-def _per_orbit(orbits, decide, facts: dict, conjugate=None) -> dict:
+def _per_orbit(orbits, decide, facts: dict, conjugate=None, memo=None, kind: str = "") -> dict:
     """Add each point's fact to ``facts``, keyed by its sort_key(), and
     return it.  The orbits are walked in order, and an orbit already in
     ``facts`` is skipped.  ``decide`` runs at each orbit's representative;
     each next point of the orbit gets ``conjugate`` of the fact before it,
-    or the same fact when ``conjugate`` is None."""
+    or the same fact when ``conjugate`` is None.
+
+    With ``memo``, a search candidate's jet source (:class:`_Candidate`),
+    an orbit's facts are kept in its call's memo under (``kind``, the
+    representative's jet key, the orbit's length), which fix them."""
     for orbit in orbits:
         if orbit[0].sort_key() in facts:
             continue
-        fact = decide(orbit[0])
-        for p in orbit:
+        key = None if memo is None else (kind, memo.key(orbit[0]), len(orbit))
+        known = None if memo is None else memo.facts.get(key)
+        if known is None:
+            known = [decide(orbit[0])]
+            while len(known) < len(orbit):
+                known.append(known[-1] if conjugate is None else conjugate(known[-1]))
+            if memo is not None:
+                memo.facts[key] = known
+        for p, fact in zip(orbit, known):
             facts[p.sort_key()] = fact
-            if conjugate is not None:
-                fact = conjugate(fact)
     return facts
 
 
@@ -373,7 +380,7 @@ def _analyse_component(
     off Sigma's points (:func:`_sigma_meets`), and without it solved from
     the component and Sigma's equations (:func:`_solved`).  The fibers over
     Sigma's meeting points and the singular points are read off the
-    certificate's jet source (:func:`_jet`)."""
+    certificate's jet source."""
     if sigma is None:
         met = _solved((component, *(s for s in sigma_generators(spec) if not s.is_zero())), k_max)
     else:
@@ -595,14 +602,15 @@ def _certify(
     PositiveDimensional outcome fails H5 and any other error is raised.  The
     spec's validation report and Delta are kept on the spec; the rest comes
     from the process-wide caches the module docstring names.
-    Every point fact is read off the section jet ``jet`` gives at its point,
-    one per distinct point for this certificate (:func:`_jet`; the spec's
-    own, or a search's sum over its empty candidate): the fiber type over each
-    component's meeting with Sigma, whether each singular point lies on
-    Sigma (H2), and, through the one orbit walker :func:`_per_orbit`, the
-    fiber type and node at each H3 orbit representative
-    (:func:`geom.cross_node`) and smoothness at each Sigma orbit
-    representative (:func:`geom.fiber_smooth`).
+    Every point fact is read off the section jet ``jet`` gives at its point:
+    the fiber type over each component's meeting with Sigma, whether each
+    singular point lies on Sigma (H2), and, through the one orbit walker
+    :func:`_per_orbit`, the fiber type and node at each H3 orbit
+    representative (:func:`geom.cross_node`) and smoothness at each Sigma
+    orbit representative (:func:`geom.fiber_smooth`).  The spec's own jet
+    source (:func:`_spec_jets`) takes one jet per point per certificate; a
+    search candidate's (:class:`_Candidate`) one per jet key per search
+    call, and it also serves the call's memo of orbit facts and node points.
     """
     log: list[str] = []
     hyps: dict[str, HypothesisResult] = {}
@@ -715,16 +723,23 @@ def _certify(
     # from one section jet per Frobenius orbit over F_q: a conjugate shares
     # the type, chart and verdict, and its n is the conjugate of n.  An
     # orbit an earlier pair decided (a point two pairs share) is skipped.
+    # A search candidate reads an orbit's facts from its call's memo and
+    # takes each n as the call's one point with its coordinates.
     facts: dict = {}
+    memo = jet if isinstance(jet, _Candidate) else None
+    same = (lambda n: n) if memo is None else memo.point
 
     def node_fact(p: ProjPoint):
         at = jet(p)
         ftype = fiber_type(at.value, p.ctx)
-        return ftype, cross_node(at) if ftype is FiberType.CROSS else None
+        if ftype is not FiberType.CROSS:
+            return ftype, None
+        chart, n, ok = cross_node(at)
+        return ftype, (chart, same(n), ok)
 
     def conjugate_node(fact):
         ftype, node = fact
-        return fact if node is None else (ftype, (node[0], node[1].frobenius(spec.ctx.q), node[2]))
+        return fact if node is None else (ftype, (node[0], same(node[1].frobenius(spec.ctx.q)), node[2]))
 
     for c1, c2 in itertools.combinations(comps, 2):
         inter = _meeting(c1, c2, k_max)
@@ -736,7 +751,7 @@ def _certify(
             if getattr(inter, "witness", None) is not None:
                 h3_witnesses.append(inter.witness)
             continue
-        _per_orbit(inter.orbits, node_fact, facts, conjugate_node)
+        _per_orbit(inter.orbits, node_fact, facts, conjugate_node, memo, "node")
         nodes = []
         for p in inter.points:
             ftype, node = facts[p.sort_key()]
@@ -779,7 +794,7 @@ def _certify(
             "cannot be certified pointwise",
         )
     else:
-        smooth_of = _per_orbit(finite.orbits, lambda p: fiber_smooth(jet(p)), {})
+        smooth_of = _per_orbit(finite.orbits, lambda p: fiber_smooth(jet(p)), {}, None, memo, "smooth")
         cert.double_line_smoothness = [
             {"point": p.serialize(), "smooth": smooth_of[p.sort_key()]} for p in finite.points
         ]
@@ -882,32 +897,52 @@ def _shared_sigma_system(template: SearchTemplate) -> list[Poly] | None:
     return None
 
 
+# A step's 8 jet entries at a point are packed into one int, one 64-bit slot
+# each, which holds any element of F_{2^k} for k <= 64.
+_SLOT = 64
+_MASK = (1 << _SLOT) - 1
+
+
 class _Steps:
     """What a search's candidates add to its empty candidate, one step per
-    monomial, so that a candidate's section jets and Delta are sums.
+    monomial, so that a candidate's sections, Delta and section jets are
+    sums, and the search call's memo of what their sums decide.
 
-    Candidate S, q = sum of m_i over i in S, has free section residue +
-    modulus q and determined section (target + free^2) / divisor.  Both are
-    affine over F_2 in S, since squaring is additive in characteristic 2,
-    once the empty and every one-monomial candidate pass the divisibility
-    filter.  So is Delta, when no term of it multiplies the two sections
-    together (:data:`conic.DELTA_TERMS`): each term then holds one of them
-    once or squared.  So the jet of candidate S at p, and its Delta, are the
-    empty candidate's plus the steps of the monomials in S, the step of m_i
-    being what candidate {i} adds: in the zero-corner family x m_i to bc and
-    m_i^2, whose partials vanish, to cc, and nothing to Delta.  A point's
-    jet and steps are taken at its first read and kept for the search.
+    Candidate S, q = sum of m_i over i in S, has free section
+    beta_S = residue + modulus q and determined section N_S / divisor, with
+    N_S = target + beta_S^2.  Squaring is additive in characteristic 2, so
+    N_S = N_empty + sum over S of modulus^2 m_i^2 = N_empty + sum over S of
+    (N_i + N_empty), N_i being candidate {i}'s.  :meth:`of` divides the
+    empty and every one-monomial candidate, so the divisor divides every
+    N_S: every candidate passes the filter, and its two sections are the
+    empty candidate's plus its monomials' steps beta_i + beta_empty and
+    gamma_i + gamma_empty (:meth:`spec`).  Delta is such a sum when no
+    term of it multiplies the two sections together (:data:`conic.DELTA_TERMS`):
+    each term then holds one of them once or squared.  Jet entries are
+    F_2-linear in the section.  In the zero-corner family the step of m_i
+    adds x m_i to bc and m_i^2, whose partials vanish, to cc, and nothing to
+    Delta.
+
+    At p, each step's 8 jet entries (the two sections' value, d1, d2, d12)
+    are packed into one int; xor acts slot by slot, so candidate S's step
+    sum at p is the xor of its monomials' packed steps, and the key
+    (p.sort_key(), step sum) fixes its jet there.  Each jet is built, and
+    each orbit fact of :func:`_per_orbit` decided, at its key's first read
+    in the call (:class:`_Candidate`); all of it lives as long as the call.
     """
 
     def __init__(self, template: SearchTemplate, empty: ConicBundleSpec, ones: list) -> None:
-        keys = (template.free_key, template.quotient_key)
+        self.keys = (template.free_key, template.quotient_key)
         self.empty = empty
-        self.slots = tuple(SECTION_KEYS.index(k) for k in keys)
-        self.sections = [tuple(one.sections[k] + empty.sections[k] for k in keys) for one in ones]
+        self.slots = tuple(SECTION_KEYS.index(k) for k in self.keys)
+        self.sections = [tuple(one.sections[k] + empty.sections[k] for k in self.keys) for one in ones]
         self.delta = discriminant(empty)
         steps = [discriminant(one) + self.delta for one in ones]
         self.delta_steps = {i: step for i, step in enumerate(steps) if not step.is_zero()}
-        self.points: dict = {}  # sort_key() -> (the empty candidate's jet, each step's 8 entries)
+        self.packed: dict = {}  # sort_key() -> each monomial's packed step there
+        self.jets: dict = {}  # (sort_key(), step sum) -> SectionJet
+        self.facts: dict = {}  # (kind, jet key, orbit length) -> the orbit's facts
+        self.points: dict = {}  # sort_key() -> the call's fiber point there
 
     @classmethod
     def of(cls, template: SearchTemplate, candidate, n: int) -> "_Steps | None":
@@ -920,34 +955,71 @@ class _Steps:
             return None
         return cls(template, specs[0], specs[1:])
 
-    def discriminant(self, subset: tuple) -> Poly:
-        """Delta of candidate ``subset``; the empty candidate's Poly itself
-        when every step in it is 0."""
-        return sum((self.delta_steps[i] for i in subset if i in self.delta_steps), self.delta)
+    def spec(self, subset: tuple) -> ConicBundleSpec:
+        """Candidate ``subset``, its Delta kept: the empty candidate's Poly
+        itself when every step of Delta in it is 0."""
+        e = self.empty
+        free, det = (e.sections[k] for k in self.keys)
+        for i in subset:
+            free, det = free + self.sections[i][0], det + self.sections[i][1]
+        spec = ConicBundleSpec(e.ctx, e.degree_vector, e.value_degree,
+                               {**e.sections, self.keys[0]: free, self.keys[1]: det})
+        keep_discriminant(spec, sum((self.delta_steps[i] for i in subset if i in self.delta_steps), self.delta))
+        return spec
 
-    def jets(self, subset: tuple) -> _JetSource:
-        """Candidate ``subset``'s jet source (:func:`_jet`)."""
+    def steps_at(self, p: ProjPoint) -> list:
+        """Each monomial's packed step at p; the first read also keeps the
+        empty candidate's jet, under the step sum 0."""
+        key = p.sort_key()
+        got = self.packed.get(key)
+        if got is None:
+            self.jets[key, 0] = section_jet(self.empty, p)
+            got = self.packed[key] = [
+                sum(e << _SLOT * j for j, e in enumerate(section_entries(f, p) + section_entries(d, p)))
+                for f, d in self.sections
+            ]
+        return got
+
+    def jet(self, key: tuple) -> SectionJet:
+        """The jet under ``key``, built from the empty candidate's."""
+        point, total = key
+        jet = self.jets[point, 0]
         free, det = self.slots
+        entries = []
+        for j, e in enumerate((jet.value, jet.d1, jet.d2, jet.d12)):
+            e = list(e)
+            e[free] ^= total >> _SLOT * j & _MASK
+            e[det] ^= total >> _SLOT * (j + 4) & _MASK
+            entries.append(tuple(e))
+        return SectionJet(jet.point, jet.chart, *entries)
 
-        def make(p: ProjPoint) -> SectionJet:
-            key = p.sort_key()
-            if key not in self.points:
-                self.points[key] = (section_jet(self.empty, p), [
-                    section_entries(f, p) + section_entries(d, p) for f, d in self.sections
-                ])
-            jet, steps = self.points[key]
-            add = [0] * 8
-            for i in subset:
-                add = [a ^ b for a, b in zip(add, steps[i])]
-            entries = []
-            for e, a, b in zip((jet.value, jet.d1, jet.d2, jet.d12), add, add[4:]):
-                e = list(e)
-                e[free] ^= a
-                e[det] ^= b
-                entries.append(tuple(e))
-            return SectionJet(p, jet.chart, *entries)
 
-        return _jet(make)
+class _Candidate:
+    """Candidate ``subset``'s jet source in a search call with
+    :class:`_Steps`, and the call's memo for :func:`_per_orbit` (``key``
+    and ``facts``): candidates whose step sums at p agree share the jet."""
+
+    def __init__(self, steps: _Steps, subset: tuple) -> None:
+        self.steps, self.subset, self.facts = steps, subset, steps.facts
+
+    def key(self, p: ProjPoint) -> tuple:
+        """(p.sort_key(), the candidate's step sum at p)."""
+        total = 0
+        packed = self.steps.steps_at(p)
+        for i in self.subset:
+            total ^= packed[i]
+        return p.sort_key(), total
+
+    def __call__(self, p: ProjPoint) -> SectionJet:
+        key = self.key(p)
+        jet = self.steps.jets.get(key)
+        if jet is None:
+            jet = self.steps.jets[key] = self.steps.jet(key)
+        return jet
+
+    def point(self, n: ProjPoint) -> ProjPoint:
+        """The call's one point with n's field and coordinates, rendered once."""
+        return self.steps.points.setdefault(n.sort_key(), n)
 
 
 def search_spieghiamolo(
@@ -976,8 +1048,11 @@ def search_spieghiamolo(
     keys each candidate's Sigma by its own off-diagonal sections.
 
     Where :class:`_Steps` holds (the zero-corner family), each candidate's
-    section jets and Delta are the empty candidate's plus one step per
-    chosen monomial; otherwise its jets come from its own sections.
+    sections, Delta and section jets are the empty candidate's plus one step
+    per chosen monomial, and its certificate decides only the H3 nodes and
+    H5 smoothness no earlier candidate of the call met with the same jet:
+    210 and 8 for the first 56 candidates, 2336 and 8 for all 1024.
+    Otherwise each candidate is divided and certified alone.
     Exhausting the budget is legal and returns the partial list.
     """
     ctx = template.congruence_residue.ctx
@@ -1017,18 +1092,16 @@ def search_spieghiamolo(
                 exhausted = True
                 break
             tried += 1
-            spec = candidate(subset)
+            spec = candidate(subset) if steps is None else steps.spec(subset)
             if spec is None:
                 continue
-            if steps is not None:
-                keep_discriminant(spec, steps.discriminant(subset))
             # Sigma condition: the off-diagonals vanish exactly at the expected points
             sig = _solved(sigma_generators(spec) if sigma_system is None else sigma_system, k_max)
             if not isinstance(sig, AlgebraicPointSet) or sorted(p.sort_key() for p in sig.points) != expected:
                 continue
             cert = _certify(
                 spec, list(template.target_components), k_max, witness_bound=8,
-                jet=_spec_jets(spec) if steps is None else steps.jets(subset), sigma=sig,
+                jet=_spec_jets(spec) if steps is None else _Candidate(steps, subset), sigma=sig,
             )
             if cert.all_pass:
                 hits.append((spec, cert))

@@ -62,7 +62,7 @@ def _grlex_key(mono: Monomial) -> tuple:
 class Poly:
     """Sparse polynomial over a fixed F_{2^k} in named variables."""
 
-    __slots__ = ("ctx", "vars", "_terms", "_hash", "_text")
+    __slots__ = ("ctx", "vars", "_terms", "_hash", "_text", "_degree")
 
     def __init__(self, ctx: FieldCtx, vars: tuple[str, ...], terms: dict) -> None:
         self.ctx = ctx
@@ -70,6 +70,7 @@ class Poly:
         self._terms = terms
         self._hash: int | None = None
         self._text: str | None = None  # poly_print's rendering, once made
+        self._degree: int | str | None = -1  # is_homogeneous's answer once made; -1 before
 
     # -- constructors -------------------------------------------------------
 
@@ -452,14 +453,14 @@ def is_homogeneous(p: Poly):
     """Common total degree, or None if inhomogeneous.
 
     The zero polynomial is homogeneous of every degree: it returns the string
-    ``"zero"`` so callers can branch on it explicitly.
+    ``"zero"`` so callers can branch on it explicitly.  A polynomial is
+    immutable, so the answer is kept on it, as :func:`poly_print` keeps its
+    text.
     """
-    if p.is_zero():
-        return "zero"
-    degs = {sum(m) for m in p._terms}
-    if len(degs) == 1:
-        return degs.pop()
-    return None
+    if p._degree == -1:
+        degs = {sum(m) for m in p._terms}
+        p._degree = "zero" if not degs else degs.pop() if len(degs) == 1 else None
+    return p._degree
 
 
 def dehomogenize(p: Poly, name: str) -> Poly:

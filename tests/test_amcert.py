@@ -3,6 +3,7 @@ the chart-level elementary transformation, and the guided search."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from types import SimpleNamespace
@@ -554,6 +555,26 @@ def test_each_candidate_is_its_empty_candidate_plus_steps(monkeypatch, fixed):
         # points rational, and the 3 other points of P^2(F_2)
         assert {len(read) for _, read, _ in records} == {8 + 3}
         assert len(result.hits) == 1024
+
+
+def test_step_built_sections_equal_the_divided_ones():
+    # N_S = target + beta_S^2 is N_empty plus modulus^2 m_i^2 for each i in
+    # S, so the divisor divides every N_S once it divides the empty and the
+    # one-monomial ones, and the determined section is the sum of steps
+    from conic2.geom import plane_monomials
+    from conic2.poly import exact_div, poly_square
+
+    template = example81_template()
+    monos = list(plane_monomials(template.free_degree - template.congruence_modulus.total_degree()))
+    target = template.target_components[0] * template.target_components[1]
+    subsets = [s for w in range(len(monos) + 1) for s in itertools.combinations(range(len(monos)), w)]
+    result = search_spieghiamolo(template, budget=2048)
+    assert result.tried == len(result.hits) == len(subsets) == 1024
+    for (spec, _), subset in zip(result.hits, subsets):
+        q = Poly.from_terms(F2, BASE_VARS, [(monos[i], 1) for i in subset])
+        beta = template.congruence_residue + template.congruence_modulus * q
+        assert spec.sections["bc"] == beta
+        assert spec.sections["cc"] == exact_div(target + poly_square(beta), template.quotient_divisor)
 
 
 def test_a_template_whose_empty_candidate_fails_the_filter_takes_each_candidates_jets(monkeypatch):

@@ -19,7 +19,12 @@ from conic2.conic import (
     discriminant,
     sigma_generators,
 )
-from conic2.amcert import component_factorization, surface_criterion
+from conic2.amcert import (
+    component_factorization,
+    example81_template,
+    search_spieghiamolo,
+    surface_criterion,
+)
 from conic2.geom import (
     BezoutMismatch,
     CommonComponent,
@@ -229,13 +234,19 @@ def test_total_space_is_singular_only_above_the_h3_meetings():
 
 @pytest.mark.fresh_interpreter
 def test_certificates_are_threadsafe_and_deterministic():
-    names = ["ex1", "ex3", "ex4", "ex5", "rem_double_line"]
+    # a corpus certificate each, and two searches, whose fact memos are
+    # their own calls'
+    names = ["ex1", "ex3", "ex4", "ex5", "rem_double_line", "search56", "search56 again"]
 
     def run(name):
+        if name.startswith("search"):
+            hits = search_spieghiamolo(example81_template(), budget=56).hits
+            return [cert.to_json() for _, cert in hits]
         spec = load_corpus_spec(name)
         return surface_criterion(spec, None).to_json()
 
     serial = {name: run(name) for name in names}
+    assert len(serial["search56"]) == 56 and serial["search56 again"] == serial["search56"]
     # the serial pass warmed the process-wide caches; clear them so the
     # threads fill them at the same time, then run a round that reads them
     clear_caches()
@@ -244,7 +255,7 @@ def test_certificates_are_threadsafe_and_deterministic():
     sys.setswitchinterval(1e-5)  # threads interleave inside the cache fills
     try:
         for _ in range(2):
-            with ThreadPoolExecutor(max_workers=5) as pool:
+            with ThreadPoolExecutor(max_workers=len(names)) as pool:
                 rounds.append(dict(zip(names, pool.map(run, names, timeout=300))))
     finally:
         sys.setswitchinterval(switch)
@@ -252,8 +263,6 @@ def test_certificates_are_threadsafe_and_deterministic():
 
 
 def test_search_with_wrong_target_returns_empty():
-    from conic2.amcert import example81_template, search_spieghiamolo
-
     d1 = plane_poly("x^3*z + y^4")
     template = dataclasses.replace(example81_template(), target_components=(d1, d1))
     result = search_spieghiamolo(template, budget=2048)

@@ -377,21 +377,27 @@ def test_each_point_object_is_rendered_at_most_once_per_process(monkeypatch):
     monkeypatch.setattr(ProjPoint, "serialize", counted)
     monkeypatch.setattr(poly, "_render", lambda f: printed.append(f) or render(f))
     clear_caches()
-    per_search = []
+    per_search, fiber_points = [], []
     for _ in range(2):
         before = len(rendered)
-        assert len(search_spieghiamolo(example81_template(), budget=56).hits) == 56
+        hits = search_spieghiamolo(example81_template(), budget=56).hits
+        assert len(hits) == 56
         per_search.append(len(rendered) - before)
+        fiber_points.append({tuple(nd["fiber_singular_point"]) for _, cert in hits
+                             for e in cert.intersections for nd in e["nodes"]})
     monkeypatch.undo()
 
     assert len({id(p) for p in rendered}) == len(rendered)
     assert len({id(f) for f in printed}) == len(printed) > 0
     # 1557 serializations when each point was serialized once per
-    # certificate.  Per candidate, the 16 fiber singular points of its nodes
-    # are new; the two points of the Sigma the candidates share
+    # certificate, and 56 * 16 fiber singular points of nodes when each
+    # candidate made its own.  A search call keeps one point per distinct
+    # fiber singular point (amcert._Candidate.point), 22 of them, and
+    # renders each once; the two points of the Sigma the candidates share
     # (amcert._solved) and the 18 points of the curve caches are rendered in
     # the first search only
-    assert per_search == [56 * 16 + 2 + 18, 56 * 16]
+    assert fiber_points[0] == fiber_points[1] and len(fiber_points[0]) == 22
+    assert per_search == [22 + 2 + 18, 22]
 
     p = rendered[0]
     text = p.serialize()

@@ -12,9 +12,13 @@ counts check that the smoothness decisions run once per orbit of Sigma,
 that a point several component pairs share is decided once, and that a
 certificate takes exactly one jet at each point it reads: the H3
 and Sigma orbit representatives, the meeting points with Sigma that the
-double-line test visits, and the components' singular points.
+double-line test visits, and the components' singular points.  A
+zero-corner search call decides each node and smoothness fact once per
+distinct (point, jet) pair over all its candidates, and no other search
+shares a fact between candidates.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -24,7 +28,7 @@ from conic2.amcert import example81_template, search_spieghiamolo, surface_crite
 from conic2.cli import corpus_manifest, load_corpus_spec
 from conic2.conic import BASE_VARS, ProjPoint, spec_from_dict
 from conic2.gf2k import field_new
-from conic2.poly import poly_parse
+from conic2.poly import plane_poly, poly_parse
 
 from _helpers import ROOT, moved_module, moved_stream, per_point_nodes_and_smoothness
 
@@ -207,3 +211,72 @@ def test_a_point_two_pairs_share_is_decided_once(monkeypatch):
                for e in cert.intersections for n in e.get("nodes", [])}
     assert len(decided) == len(set(decided)) == _orbit_count(list(crosses.values()), spec.ctx.q)
     _check(monkeypatch, spec)
+
+
+# -- a search call decides each point fact once per distinct jet ------------------
+
+
+def _jet_key(jet):
+    return jet.point.sort_key(), jet.value, jet.d1, jet.d2, jet.d12
+
+
+def _deciding_search(monkeypatch, template, budget):
+    """The search's result, with the jets its node and smoothness
+    decisions ran on, and for each certificate how many of each it made."""
+    nodes, smooth, per_cert = [], [], []
+    cross_node, fiber_smooth, certify = amcert.cross_node, amcert.fiber_smooth, amcert._certify
+    monkeypatch.setattr(amcert, "cross_node", lambda jet: nodes.append(_jet_key(jet)) or cross_node(jet))
+    monkeypatch.setattr(amcert, "fiber_smooth", lambda jet: smooth.append(_jet_key(jet)) or fiber_smooth(jet))
+
+    def counting(*args, **kwargs):
+        before = len(nodes), len(smooth)
+        cert = certify(*args, **kwargs)
+        per_cert.append((len(nodes) - before[0], len(smooth) - before[1]))
+        return cert
+
+    monkeypatch.setattr(amcert, "_certify", counting)
+    result = search_spieghiamolo(template, budget=budget)
+    monkeypatch.undo()
+    return result, nodes, smooth, per_cert
+
+
+def _distinct_jets(hits):
+    """The distinct (point, jet) pairs at the H3 and Sigma orbit
+    representatives of the hits' certificates, each jet taken afresh from
+    the hit's own sections."""
+    nodes, smooth = set(), set()
+    for spec, cert in hits:
+        q = spec.ctx.q
+        met = [_point(t) for e in cert.intersections for t in e.get("points", [])]
+        sigma = [_point(e["point"]) for e in cert.double_line_smoothness]
+        nodes |= {_jet_key(amcert.section_jet(spec, p)) for p in _representatives(met, q)}
+        smooth |= {_jet_key(amcert.section_jet(spec, p)) for p in _representatives(sigma, q)}
+    return nodes, smooth
+
+
+@pytest.mark.parametrize("budget, decisions", [(56, (210, 8)), (2048, (2336, 8))])
+def test_a_search_decides_each_point_fact_once_per_distinct_jet(monkeypatch, budget, decisions):
+    # a zero-corner candidate's jet at p is its empty candidate's plus its
+    # step sum there, so the search call keeps each node and smoothness fact
+    # under (point, step sum) and decides it at the first candidate with that jet
+    template = example81_template()
+    for _ in range(2):  # the memo is the call's: a second call decides them again
+        result, nodes, smooth, per_cert = _deciding_search(monkeypatch, template, budget)
+        assert len(result.hits) == len(per_cert) == min(budget, 1024)
+        assert (len(nodes), len(smooth)) == decisions
+        assert len(set(nodes)) == len(nodes) and len(set(smooth)) == len(smooth)
+        assert (set(nodes), set(smooth)) == _distinct_jets(result.hits)
+        # the first certificate decides its 6 H3 and 2 Sigma orbits, as every
+        # one would without the memo
+        assert per_cert[0] == (6, 2) and len(per_cert) * 6 > len(nodes)
+
+
+def test_a_template_without_steps_shares_no_fact_across_candidates(monkeypatch):
+    # with modulus 1 and residue 0 the empty candidate fails the filter, so
+    # _Steps.of is None: each candidate is divided and certified alone
+    template = dataclasses.replace(
+        example81_template(), congruence_modulus=plane_poly("1"), congruence_residue=plane_poly("0"))
+    result, nodes, smooth, per_cert = _deciding_search(monkeypatch, template, 56)
+    assert len(result.hits) == len(per_cert) == 4
+    assert per_cert == [(6, 2)] * 4
+    assert len(set(smooth)) < len(smooth)  # the same jet decided again by a later candidate
